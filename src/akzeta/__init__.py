@@ -4,16 +4,15 @@ identity verification catalog and a command-line interface."""
 
 from .combinatorics import (Composition, WeakComposition, dual, weight, depth,
                             weak_compositions, m_coeff, admissible_compositions)
-from .errors import (DomainError, DivergenceError, NonAlternatingError,
-                     IllConditionedFitError)
+from .errors import DomainError, DivergenceError, NonAlternatingError
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                         eval_ak_rhs, eval_euler_transform, eval_prop2_series)
 from .harmonic_bell import (HarmonicTable, harmonic_table, bell_modified,
-                            d_operator, odd_harmonic)
+                            d_operator)
 from .identities import (IdentityCase, IdentityReport, catalog, verify,
                          verify_all)
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, zeta_em,
-                       clausen, accelerate_alternating, tail_fit)
+                       clausen, accelerate_alternating)
 from .powerseries import (PolyRat, TruncSeries, bernoulli_numbers,
                           classical_bernoulli_polynomial, li_series,
                           ak_bernoulli_polys)
@@ -24,14 +23,12 @@ __all__ = [
     "Composition", "WeakComposition", "dual", "weight", "depth",
     "weak_compositions", "m_coeff", "admissible_compositions",
     "DomainError", "DivergenceError", "NonAlternatingError",
-    "IllConditionedFitError",
     "eval_hurwitz_mzv", "eval_t", "eval_li", "eval_ak_lhs", "eval_ak_rhs",
     "eval_euler_transform", "eval_prop2_series",
     "HarmonicTable", "harmonic_table", "bell_modified", "d_operator",
-    "odd_harmonic",
     "IdentityCase", "IdentityReport", "catalog", "verify", "verify_all",
     "PrecisionContext", "DEFAULT_CTX", "Evaluation", "zeta_em", "clausen",
-    "accelerate_alternating", "tail_fit",
+    "accelerate_alternating",
     "PolyRat", "TruncSeries", "bernoulli_numbers",
     "classical_bernoulli_polynomial", "li_series", "ak_bernoulli_polys",
     "__version__",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -18,34 +17,15 @@ from .combinatorics import Composition, dual
 from .errors import DomainError
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                         eval_euler_transform)
-from .identities import catalog, verify, verify_all
-from .numerics import DEFAULT_CTX, Evaluation, PrecisionContext
+from .identities import catalog, verify_all
+from .numerics import Evaluation, PrecisionContext
 from .powerseries import ak_bernoulli_polys
 
-__all__ = ["main", "CliConfig"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    digits: int = 50
-    cutoff: int | None = None
-    json_output: bool = False
-    tolerance_class: str | None = None
-    parallel: bool = False
-
-    def __post_init__(self):
-        if self.digits < 15:
-            raise DomainError("precision must be at least 15 digits")
-
-    def context(self) -> PrecisionContext:
-        ctx = PrecisionContext(digits=self.digits, parallel=self.parallel)
-        if self.cutoff is not None:
-            ctx = ctx.with_cutoff(self.cutoff)
-        return ctx
-
-
-def _print_eval(ev: Evaluation, config: CliConfig):
-    if config.json_output:
+def _print_eval(ev: Evaluation, args):
+    if args.json:
         print(json.dumps({
             "value": float(ev.value),
             "bound": float(ev.bound),
@@ -54,17 +34,17 @@ def _print_eval(ev: Evaluation, config: CliConfig):
             "cutoff": ev.cutoff_used,
         }))
         return
-    digits = min(config.digits, 17 if isinstance(ev.value, float) else config.digits)
+    digits = min(args.precision, 17 if isinstance(ev.value, float) else args.precision)
     print(f"value      = {mp.nstr(mp.mpf(ev.value), digits)}")
     print(f"bound      = {float(ev.bound):.3e} ({ev.bound_kind})")
     print(f"method     = {ev.method}")
     print(f"cutoff     = {ev.cutoff_used}")
 
 
-def _cmd_dual(args, config: CliConfig) -> int:
+def _cmd_dual(args) -> int:
     c = Composition.parse(args.composition)
     d = dual(c)
-    if config.json_output:
+    if args.json:
         print(json.dumps({"input": str(c), "dual": str(d),
                           "weight": c.weight, "depth": c.depth,
                           "dual_depth": d.depth}))
@@ -74,8 +54,7 @@ def _cmd_dual(args, config: CliConfig) -> int:
     return 0
 
 
-def _cmd_eval(args, config: CliConfig) -> int:
-    ctx = config.context()
+def _cmd_eval(args, ctx: PrecisionContext) -> int:
     kind = args.kind
     if kind == "zeta":
         ev = eval_hurwitz_mzv(Composition.parse(args.index), args.x, ctx)
@@ -91,25 +70,24 @@ def _cmd_eval(args, config: CliConfig) -> int:
         ev = eval_euler_transform(args.p, args.s, args.x, ctx)
     else:
         raise DomainError(f"unknown eval kind {kind!r}")
-    _print_eval(ev, config)
+    _print_eval(ev, args)
     return 0
 
 
-def _cmd_bpoly(args, config: CliConfig) -> int:
+def _cmd_bpoly(args) -> int:
     v = Composition.parse(args.v)
     if args.p < 1:
         raise DomainError("require p >= 1")
     polys = ak_bernoulli_polys(v, args.p, args.m)
     for m, poly in enumerate(polys):
-        if config.json_output:
+        if args.json:
             print(json.dumps({"m": m, "poly": str(poly)}))
         else:
             print(f"B_{m}(x) = {poly}")
     return 0
 
 
-def _cmd_verify(args, config: CliConfig) -> int:
-    ctx = config.context()
+def _cmd_verify(args, ctx: PrecisionContext) -> int:
     if args.id is None and not args.all:
         raise DomainError("give an identity id or --all")
     if args.id is not None:
@@ -117,17 +95,17 @@ def _cmd_verify(args, config: CliConfig) -> int:
         if args.id not in known:
             raise DomainError(f"unknown identity id {args.id!r}")
         summary = verify_all(filter_prefix=args.id, ctx=ctx,
-                             tolerance_class=config.tolerance_class)
+                             tolerance_class=args.tolerance_class)
     else:
-        summary = verify_all(ctx=ctx, tolerance_class=config.tolerance_class)
+        summary = verify_all(ctx=ctx, tolerance_class=args.tolerance_class)
     for r in summary.reports:
-        if config.json_output:
+        if args.json:
             print(r.to_json())
         else:
             status = "pass" if r.passed else "FAIL"
             print(f"{status}  {r.id:12s} {r.params}  |diff| = {r.abs_diff:.3e}"
                   f"  bound = {r.bound:.3e} ({r.bound_kind})")
-    if not config.json_output:
+    if not args.json:
         print(f"{summary.n_pass} passed, {summary.n_fail} failed, "
               f"worst residual {summary.worst:.3e}")
     return 0 if summary.all_passed else 1
@@ -143,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cutoff", type=int, default=None,
                         help="summation cutoff override")
     parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--parallel", action="store_true",
-                        help="allow deterministic parallel evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dual = sub.add_parser("dual", help="dual of an admissible composition")
@@ -179,23 +155,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig(
-            digits=args.precision,
-            cutoff=args.cutoff,
-            json_output=args.json,
-            tolerance_class=getattr(args, "tolerance_class", None),
-            parallel=args.parallel,
-        )
+        ctx = PrecisionContext(digits=args.precision)
+        if args.cutoff is not None:
+            ctx = ctx.with_cutoff(args.cutoff)
         if args.command == "dual":
-            return _cmd_dual(args, config)
+            return _cmd_dual(args)
         if args.command == "eval":
             if args.kind in ("zeta", "t", "li") and args.index is None:
                 raise DomainError(f"kind {args.kind!r} requires a composition")
-            return _cmd_eval(args, config)
+            return _cmd_eval(args, ctx)
         if args.command == "bpoly":
-            return _cmd_bpoly(args, config)
+            return _cmd_bpoly(args)
         if args.command == "verify":
-            return _cmd_verify(args, config)
+            return _cmd_verify(args, ctx)
         raise DomainError(f"unknown command {args.command!r}")
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,3 @@ class DivergenceError(DomainError):
 
 class NonAlternatingError(ValueError):
     """Series acceleration was asked to sum terms that do not alternate."""
-
-
-class IllConditionedFitError(ValueError):
-    """A least-squares tail fit is too ill-conditioned to trust."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +24,7 @@ from .logasym import (LogSeries, pow_shift, nested_tail_sum, beta_model,
                       bell_p_models)
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
                        ESTIMATED, beta_factor_exact, accelerate_alternating,
-                       zeta_em)
+                       real_shift)
 
 __all__ = [
     "eval_hurwitz_mzv",
@@ -41,17 +41,23 @@ __all__ = [
 _LD = np.longdouble
 _LD_EPS = float(np.finfo(_LD).eps)
 
-_mzv_cache: dict[tuple, Evaluation] = {}
-
 
 def clear_caches():
-    _mzv_cache.clear()
+    _mzv_cached.cache_clear()
 
 
 def _as_parts(c) -> tuple[int, ...]:
+    """The exponent tuple of ``c``; empty or non-integer tuples are rejected."""
     if isinstance(c, Composition):
         return c.parts
-    return tuple(int(p) for p in c)
+    parts = tuple(c)
+    try:
+        ints = tuple(int(p) for p in parts)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"exponents must be integers: {parts}") from exc
+    if not ints or ints != parts:
+        raise DomainError(f"need a non-empty tuple of integer exponents: {parts}")
+    return ints
 
 
 def _dp_nested(weights: list[np.ndarray]) -> tuple[float, list[float]]:
@@ -84,16 +90,14 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
     be at least 2 for convergence.
     """
     e = _as_parts(parts)
-    xf = float(x)
-    if xf <= -1:
-        raise DomainError("require x > -1")
+    xf = real_shift(x)
     if e[-1] < 2:
         raise DivergenceError(f"outer exponent must exceed 1: {e}")
-    N = ctx.default_cutoff
-    key = (e, round(xf, 12), N)
-    hit = _mzv_cache.get(key)
-    if hit is not None:
-        return hit
+    return _mzv_cached(e, xf, ctx.default_cutoff)
+
+
+@lru_cache(maxsize=4096)
+def _mzv_cached(e: tuple[int, ...], xf: float, N: int) -> Evaluation:
     n = np.arange(1, N + 1, dtype=_LD) + _LD(xf)
     weights = [n ** _LD(-ei) for ei in e]
     partial, S_at = _dp_nested(weights)
@@ -101,10 +105,8 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
     tail, terr = nested_tail_sum(S_at, models, N)
     value = partial + tail
     bound = 10.0 * terr + _roundoff(N, len(e), value)
-    out = Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
-                     method="dp+em-tail", cutoff_used=N)
-    _mzv_cache[key] = out
-    return out
+    return Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
+                      method="dp+em-tail", cutoff_used=N)
 
 
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
@@ -146,7 +148,7 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     zf = float(z)
     if zf == 1.0:
         return eval_hurwitz_mzv(e, 0.0, ctx)
-    if abs(zf) >= 1.0:
+    if not abs(zf) < 1.0:
         raise DivergenceError(f"need |z| < 1 or z = 1, got {z}")
     digits_goal = 10.0 ** (-(ctx.digits + 6))
     N = min(ctx.default_cutoff,
@@ -191,10 +193,8 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
                               / (n_1^{a_1} ... n_r^{a_r}).
     """
     a = _as_parts(alpha)
-    xf = float(x)
+    xf = real_shift(x)
     pf = float(p)
-    if xf <= -1:
-        raise DomainError("require x > -1")
     if m < 0:
         raise DomainError("require m >= 0")
     if pf < 1:
@@ -268,14 +268,10 @@ def eval_euler_transform(p: float, s: int, x: float,
                          ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """sum_{n >= 1} (-1)^{n+1} H_n^{(s)}(x) / (n (p-1)^n), valid for p >= 2."""
     pf = float(p)
-    xf = float(x)
+    xf = real_shift(x)
     if pf < 2:
         raise DivergenceError("alternating transform needs p >= 2")
-    if xf <= -1:
-        raise DomainError("require x > -1")
     if pf == 2.0:
-        wp = ctx.digits + 10
-
         def term(n: int):
             h = mp.fsum(mp.mpf(1) / mp.mpf(j + xf) ** s for j in range(1, n + 1))
             return (-1) ** (n + 1) * h / n
@@ -312,8 +308,8 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     """
     from .combinatorics import dual
     c = alpha if isinstance(alpha, Composition) else Composition(_as_parts(alpha))
-    xf, zf = float(x), float(z)
-    if abs(zf) >= 1.0 + xf:
+    xf, zf = real_shift(x), float(z)
+    if not abs(zf) < 1.0 + xf:
         raise DomainError(f"need |z| < 1 + x, got |{zf}| vs {1.0 + xf}")
     beta = dual(c).alpha()
     total = 0.0
@@ -342,7 +338,7 @@ def ak_lhs_partial_exact(alpha, p: int, m: int, x, N: int) -> Fraction:
     x = Fraction(x)
     if x <= -1:
         raise DomainError("require x > -1")
-    tab = harmonic_table(N, max(m, 1), x, mode="exact") if m > 0 else None
+    tab = harmonic_table(N, max(m, 1), x) if m > 0 else None
     r = len(a)
     S = [Fraction(1)] * (N + 2)  # S_0(n) = 1
     for level in range(r - 1):

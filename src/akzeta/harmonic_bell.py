@@ -1,8 +1,8 @@
 """Shifted harmonic-number tables, modified Bell polynomials, and the
-alternating-binomial integral-transform kernel.
+alternating-binomial integral-transform kernel, in exact rational arithmetic.
 
-All operations run either in exact rational arithmetic (x rational) or in
-ordinary floats; callers pick via the ``mode`` argument where offered.
+The extended-precision float versions used for summation live in
+``evaluator._outer_arrays`` and ``logasym``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "harmonic_table",
     "bell_modified",
     "d_operator",
-    "odd_harmonic",
 ]
 
 
@@ -31,116 +30,62 @@ class HarmonicTable:
     once built; share freely.
     """
 
-    x: object
+    x: Fraction
     N: int
     m: int
     values: tuple  # values[k-1][n]
-
-    def h(self, n: int, k: int = 1):
-        return self.values[k - 1][n]
 
     def row(self, n: int) -> tuple:
         """(H_n^(1)(x), ..., H_n^(m)(x)) — the Bell polynomial arguments."""
         return tuple(self.values[k][n] for k in range(self.m))
 
-    def odd(self, n: int, k: int = 1):
-        """O_n^(k) view, available when x = -1/2: 2^{-k} H_n^(k)(-1/2)."""
-        if Fraction(self.x) != Fraction(-1, 2):
-            raise DomainError("odd-harmonic view requires x = -1/2")
-        return self.values[k - 1][n] / (Fraction(2) ** k if isinstance(self.values[k - 1][n], Fraction) else 2.0**k)
 
-
-def harmonic_table(N: int, m: int, x, mode: str = "exact") -> HarmonicTable:
-    """Build H_n^(k)(x) for k <= m, n <= N.
-
-    mode "exact" needs a rational x and returns Fractions; mode "float"
-    computes in double precision.
-    """
+def harmonic_table(N: int, m: int, x) -> HarmonicTable:
+    """Build H_n^(k)(x) for k <= m, n <= N as Fractions; x must be rational."""
     if N < 0 or m < 1:
         raise DomainError("need N >= 0 and m >= 1")
-    if mode not in ("exact", "float"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if mode == "exact":
-        x = Fraction(x)
-        if x <= -1:
-            raise DomainError("require x > -1")
-        rows = []
-        for k in range(1, m + 1):
-            row = [Fraction(0)]
-            acc = Fraction(0)
-            for n in range(1, N + 1):
-                acc += 1 / (n + x) ** k
-                row.append(acc)
-            rows.append(tuple(row))
-    else:
-        xf = float(x)
-        if xf <= -1:
-            raise DomainError("require x > -1")
-        rows = []
-        for k in range(1, m + 1):
-            row = [0.0]
-            acc = 0.0
-            for n in range(1, N + 1):
-                acc += (n + xf) ** (-k)
-                row.append(acc)
-            rows.append(tuple(row))
+    x = Fraction(x)
+    if x <= -1:
+        raise DomainError("require x > -1")
+    rows = []
+    for k in range(1, m + 1):
+        row = [Fraction(0)]
+        acc = Fraction(0)
+        for n in range(1, N + 1):
+            acc += 1 / (n + x) ** k
+            row.append(acc)
+        rows.append(tuple(row))
     return HarmonicTable(x=x, N=N, m=m, values=tuple(rows))
-
-
-def odd_harmonic(N: int, m: int, mode: str = "exact") -> list:
-    """Rows of (O_n^(1), ..., O_n^(m)) for n <= N, via the x = -1/2 rescaling."""
-    tab = harmonic_table(N, m, Fraction(-1, 2), mode=mode)
-    out = []
-    for n in range(N + 1):
-        row = tab.row(n)
-        if mode == "exact":
-            out.append(tuple(row[k] / Fraction(2) ** (k + 1) for k in range(m)))
-        else:
-            out.append(tuple(row[k] / 2.0 ** (k + 1) for k in range(m)))
-    return out
 
 
 def bell_modified(x_values: Sequence) -> list:
     """P_0..P_m for the generating identity exp(sum x_k z^k / k) = sum P_m z^m.
 
-    Uses the recurrence m*P_m = sum_{k=1}^{m} x_k P_{m-k}; exact for exact
-    inputs.
+    Uses the recurrence m*P_m = sum_{k=1}^{m} x_k P_{m-k}, exact for
+    rational inputs.
     """
-    m = len(x_values)
-    one = Fraction(1) if all(isinstance(v, (int, Fraction)) for v in x_values) else 1.0
-    P = [one]
-    for j in range(1, m + 1):
+    P = [Fraction(1)]
+    for j in range(1, len(x_values) + 1):
         s = 0
         for k in range(1, j + 1):
             s = s + x_values[k - 1] * P[j - k]
-        if isinstance(s, (int, Fraction)):
-            P.append(Fraction(s, j) if isinstance(s, int) else s / j)
-        else:
-            P.append(s / j)
+        P.append(s / j)
     return P
 
 
-def d_operator(n: int, s, x):
-    """sum_{k=0}^{n-1} (-1)^k C(n-1,k) (x+k+1)^{-s}.
+def d_operator(n: int, s: int, x) -> Fraction:
+    """sum_{k=0}^{n-1} (-1)^k C(n-1,k) (x+k+1)^{-s}, exactly.
 
-    Exact rationals when s is a positive integer and x rational; floats
-    otherwise.
+    ``s`` must be an integer and ``x`` rational (int or Fraction).
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    exact = isinstance(s, int) and isinstance(x, (int, Fraction))
-    if exact:
-        x = Fraction(x)
-        if x <= -1:
-            raise DomainError("require x > -1")
-        total = Fraction(0)
-        for k in range(n):
-            total += (-1) ** k * math.comb(n - 1, k) / (x + k + 1) ** s
-        return total
-    xf = float(x)
-    if xf <= -1:
+    if not (isinstance(s, int) and isinstance(x, (int, Fraction))):
+        raise DomainError(f"need an integer s and a rational x, got s={s!r}, x={x!r}")
+    x = Fraction(x)
+    if x <= -1:
         raise DomainError("require x > -1")
-    total = 0.0
+    total = Fraction(0)
     for k in range(n):
-        total += (-1) ** k * math.comb(n - 1, k) * (xf + k + 1) ** (-float(s))
+        total += (-1) ** k * math.comb(n - 1, k) / (x + k + 1) ** s
     return total

@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import mpmath as mp
 
@@ -41,11 +42,16 @@ TOL_ALT = 1e-8         # accelerated alternating, p = 2
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One identity: its id, tolerance class, and default parameter grid."""
+    """One identity: its id, tolerance class, recipe and default parameter grid.
+
+    ``recipe(params, ctx)`` computes both sides and returns the report fields
+    (lhs, rhs, abs_diff, bound, bound_kind, passed).
+    """
 
     id: str
     description: str
     tolerance_class: str  # "rigorous" | "estimated" | "exact"
+    recipe: Callable[[dict, PrecisionContext], tuple]
     grid: tuple = ()
 
 
@@ -99,36 +105,23 @@ def _comps(max_weight: int) -> list[Composition]:
     return list(admissible_compositions(max_weight))
 
 
-def _exact_report(id_: str, params: dict, equal: bool, value: float,
-                  dt: float) -> IdentityReport:
-    return IdentityReport(id=id_, params=params, lhs=value, rhs=value,
-                          abs_diff=0.0 if equal else math.nan, bound=0.0,
-                          bound_kind=EXACT, passed=equal, seconds=dt)
+def _exact(equal: bool, value: float) -> tuple:
+    return value, value, 0.0 if equal else math.nan, 0.0, EXACT, equal
 
 
-def _pair_report(id_: str, params: dict, lhs: Evaluation, rhs: Evaluation,
-                 tol: float, dt: float, scale_l: float = 1.0,
-                 scale_r: float = 1.0) -> IdentityReport:
+def _compare(lhs: Evaluation, rhs: Evaluation, tol: float,
+             scale_l: float = 1.0, scale_r: float = 1.0) -> tuple:
+    """Report fields for scale_l * lhs against scale_r * rhs.
+
+    The rhs value is rounded to float before it is scaled: APERY scales an
+    mpf zeta(3) by 7, and that rounding is part of its reported value.
+    """
     lv = float(scale_l * lhs.value)
-    rv = float(scale_r * rhs.value)
+    rv = scale_r * float(rhs.value)
     bound = float(abs(scale_l) * lhs.bound + abs(scale_r) * rhs.bound)
     kind = ESTIMATED if ESTIMATED in (lhs.bound_kind, rhs.bound_kind) else RIGOROUS
     diff = abs(lv - rv)
-    return IdentityReport(id=id_, params=params, lhs=lv, rhs=rv, abs_diff=diff,
-                          bound=bound, bound_kind=kind,
-                          passed=diff <= max(bound, tol), seconds=dt)
-
-
-def _oracle_report(id_: str, params: dict, lhs: Evaluation, oracle: float,
-                   oracle_bound: float, tol: float, dt: float,
-                   scale_l: float = 1.0) -> IdentityReport:
-    lv = float(scale_l * lhs.value)
-    oracle = float(oracle)
-    bound = float(abs(scale_l) * lhs.bound + oracle_bound)
-    diff = abs(lv - oracle)
-    return IdentityReport(id=id_, params=params, lhs=lv, rhs=oracle,
-                          abs_diff=diff, bound=bound, bound_kind=lhs.bound_kind,
-                          passed=diff <= max(bound, tol), seconds=dt)
+    return lv, rv, diff, bound, kind, diff <= max(bound, tol)
 
 
 # ---------------------------------------------------------------- recipes
@@ -137,7 +130,7 @@ def _do_dual(params, ctx):
     c = params["alpha"]
     lhs = eval_hurwitz_mzv(c, 0.0, ctx)
     rhs = eval_hurwitz_mzv(dual(c), 0.0, ctx)
-    return lhs, rhs, TOL_ALT
+    return _compare(lhs, rhs, TOL_ALT)
 
 
 def _do_thm3(params, ctx):
@@ -146,7 +139,7 @@ def _do_thm3(params, ctx):
     beta = dual(c).alpha()
     lhs = eval_ak_lhs(beta, 1.0, m, x, ctx)
     rhs = eval_ak_rhs(c.alpha(), m, x, ctx)
-    return lhs, rhs, TOL_SLOW
+    return _compare(lhs, rhs, TOL_SLOW)
 
 
 def _do_xi_q(params, ctx):
@@ -154,7 +147,7 @@ def _do_xi_q(params, ctx):
     displayed = Composition.of(q + 1)
     lhs = eval_ak_lhs((q,), 1.0, m, 0.0, ctx)
     rhs = eval_ak_rhs(dual(displayed).alpha(), m, 0.0, ctx)
-    return lhs, rhs, TOL_ALT
+    return _compare(lhs, rhs, TOL_ALT)
 
 
 def _do_eq53(params, ctx):
@@ -175,7 +168,7 @@ def _do_eq53(params, ctx):
         cut = max(cut, ev.cutoff_used)
     rhs = Evaluation(value=total, bound=bound, bound_kind=RIGOROUS,
                      method="t-combination", cutoff_used=cut)
-    return lhs, rhs, TOL_SLOW, 2.0 ** (-m), 2.0 ** (sum(a) + 1)
+    return _compare(lhs, rhs, TOL_SLOW, 2.0 ** (-m), 2.0 ** (sum(a) + 1))
 
 
 def _do_cor2(params, ctx):
@@ -183,13 +176,13 @@ def _do_cor2(params, ctx):
     lhs = eval_ak_lhs((1,) * r, 1.0, m, -0.5, ctx)
     scale = 1.0 / (binomial(r + m, m) * (2.0 ** (r + m + 1) - 1))
     oracle = zeta_em(r + m + 1, 0.0, ctx)
-    return lhs, oracle, TOL_SLOW, scale, 1.0
+    return _compare(lhs, oracle, TOL_SLOW, scale)
 
 
 def _do_apery(params, ctx):
     lhs = eval_ak_lhs((1,), 1.0, 1, -0.5, ctx)
     oracle = zeta_em(3, 0.0, ctx)
-    return lhs, oracle, TOL_SLOW, 0.5, 7.0
+    return _compare(lhs, oracle, TOL_SLOW, 0.5, 7.0)
 
 
 def _do_cor3(params, ctx):
@@ -197,7 +190,7 @@ def _do_cor3(params, ctx):
     lhs = eval_ak_lhs((1, 1), 1.0, m, -0.5, ctx)
     scale = 2.0 ** (-m) * 2.0 ** (m + 1) / ((m + 1) * (m + 2) * (2.0 ** (m + 3) - 1))
     oracle = zeta_em(m + 3, 0.0, ctx)
-    return lhs, oracle, TOL_SLOW, scale, 1.0
+    return _compare(lhs, oracle, TOL_SLOW, scale)
 
 
 def _do_cor4(params, ctx):
@@ -213,14 +206,14 @@ def _do_cor4(params, ctx):
         cut = max(cut, ev.cutoff_used)
     rhs = Evaluation(value=total, bound=bound, bound_kind=RIGOROUS,
                      method="t-combination", cutoff_used=cut)
-    return lhs, rhs, TOL_SLOW, 2.0 ** (-(q + 1) - m), 1.0
+    return _compare(lhs, rhs, TOL_SLOW, 2.0 ** (-(q + 1) - m))
 
 
 def _do_eq62(params, ctx):
     p, m, x = params["p"], params["m"], params["x"]
     lhs = eval_ak_lhs((1,), p, m, x, ctx)
     rhs = eval_euler_transform(p, m + 1, x, ctx)
-    return lhs, rhs, (TOL_ALT if p == 2 else TOL_GEOM)
+    return _compare(lhs, rhs, (TOL_ALT if p == 2 else TOL_GEOM))
 
 
 def _do_eq63(params, ctx):
@@ -228,7 +221,7 @@ def _do_eq63(params, ctx):
     lhs = eval_ak_lhs((1,), p, m, -0.5, ctx)
     rhs = eval_euler_transform(p, m + 1, -0.5, ctx)
     tol = TOL_ALT if p == 2 else TOL_GEOM
-    return lhs, rhs, tol, 2.0 ** (-1 - m), 2.0 ** (-(m + 1))
+    return _compare(lhs, rhs, tol, 2.0 ** (-1 - m), 2.0 ** (-(m + 1)))
 
 
 _ARCSIN_TABLE = [
@@ -247,7 +240,7 @@ def _do_arcsin(params, ctx):
     tol = TOL_ALT if p == 2.0 else TOL_GEOM
     ev = Evaluation(value=oracle, bound=1e-15, bound_kind=RIGOROUS,
                     method="closed-form", cutoff_used=0)
-    return lhs, ev, tol, 0.5, 1.0
+    return _compare(lhs, ev, tol, 0.5)
 
 
 def _do_clausen_m1(params, ctx):
@@ -265,7 +258,7 @@ def _do_clausen_m1(params, ctx):
              + theta * cl2a.bound + 3.5 * z3.bound)
     rhs = Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
                      method="clausen-combination", cutoff_used=0)
-    return lhs, rhs, TOL_SLOW, 0.5, 1.0
+    return _compare(lhs, rhs, TOL_SLOW, 0.5)
 
 
 def _do_prop2(params, ctx):
@@ -273,14 +266,14 @@ def _do_prop2(params, ctx):
     x, z = params["x"], params["z"]
     lhs = eval_hurwitz_mzv(c, x - z, ctx)
     rhs = eval_prop2_series(c, x, z, params.get("m_terms", 24), ctx)
-    return lhs, rhs, TOL_SLOW
+    return _compare(lhs, rhs, TOL_SLOW)
 
 
 def _do_trelation(params, ctx):
     c = params["alpha"]
     lhs = eval_t(c.parts, ctx)
     rhs = eval_hurwitz_mzv(c, -0.5, ctx)
-    return lhs, rhs, TOL_ALT, 1.0, 2.0 ** (-c.weight)
+    return _compare(lhs, rhs, TOL_ALT, 1.0, 2.0 ** (-c.weight))
 
 
 def _betaratio_exact(n: int, m: int, x: Fraction) -> bool:
@@ -289,7 +282,7 @@ def _betaratio_exact(n: int, m: int, x: Fraction) -> bool:
     for j in range(1, n + 1):
         denom = denom * TruncSeries([Fraction(1), Fraction(-1, 1) / (j + x)], m)
     ratio = series_inverse(denom)
-    tab = harmonic_table(n, max(m, 1), x, mode="exact")
+    tab = harmonic_table(n, max(m, 1), x)
     P = bell_modified(tab.row(n))
     return all(ratio.coeffs[k] == P[k] for k in range(m + 1))
 
@@ -300,7 +293,7 @@ def _do_betaratio(params, ctx):
     xs = params.get("xs", (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)))
     ok = all(_betaratio_exact(n, m_max, Fraction(x))
              for x in xs for n in range(1, n_max + 1))
-    return ok, float(n_max)
+    return _exact(ok, float(n_max))
 
 
 def _do_prop7(params, ctx):
@@ -311,13 +304,13 @@ def _do_prop7(params, ctx):
     for x in xs:
         x = Fraction(x)
         for n in range(1, n_max + 1):
-            tab = harmonic_table(n, max(m_max, 1), x, mode="exact")
+            tab = harmonic_table(n, max(m_max, 1), x)
             B = beta_factor_exact(n, x)
             P = bell_modified(tab.row(n))
             for m in range(m_max + 1):
                 if d_operator(n, m + 1, x) != B * P[m]:
                     ok = False
-    return ok, float(n_max)
+    return _exact(ok, float(n_max))
 
 
 def _do_bern_classic(params, ctx):
@@ -325,7 +318,7 @@ def _do_bern_classic(params, ctx):
     polys = ak_bernoulli_polys(Composition.of(1), 1, m_max)
     ok = all(polys[m] == classical_bernoulli_polynomial(m)
              for m in range(m_max + 1))
-    return ok, float(m_max)
+    return _exact(ok, float(m_max))
 
 
 def _do_genfun_b(params, ctx):
@@ -351,8 +344,8 @@ def _do_genfun_b(params, ctx):
                 H += mp.mpf(1) / (n - 1)
             rhs_li += w**n / n**v.parts[-1] * (H if len(v.parts) == 2 else 1)
         rhs = mp.e**(xm * t) / (mp.e**t - 1) * rhs_li
-        diff = abs(lhs - rhs)
-    return float(diff), float(lhs), float(rhs)
+        diff = float(abs(lhs - rhs))
+    return float(lhs), float(rhs), diff, 1e-25, ESTIMATED, diff <= 1e-25
 
 
 # ---------------------------------------------------------------- catalog
@@ -367,129 +360,95 @@ def _grid_thm3(max_weight=4):
 def catalog() -> list[IdentityCase]:
     return [
         IdentityCase("DUAL", "equality of a nested zeta value and its dual",
-                     "rigorous",
+                     "rigorous", _do_dual,
                      tuple({"alpha": c} for c in _comps(6))),
         IdentityCase("THM3", "Bell-weighted beta sum vs shifted zeta combination",
-                     "rigorous", _grid_thm3(4)),
+                     "rigorous", _do_thm3, _grid_thm3(4)),
         IdentityCase("EQ13_X0", "x = 0 specialization of THM3",
-                     "rigorous",
+                     "rigorous", _do_thm3,
                      tuple({"alpha": c, "m": m, "x": 0.0}
                            for c in _comps(5) for m in (0, 1, 2))),
         IdentityCase("XI_Q", "single-index Bell-weighted sum vs zeta combination",
-                     "rigorous",
+                     "rigorous", _do_xi_q,
                      tuple({"q": q, "m": m} for q in (1, 2, 3) for m in (0, 1, 2))),
         IdentityCase("EQ53", "inverse-binomial sum vs odd-zeta combination",
-                     "estimated",
+                     "estimated", _do_eq53,
                      tuple({"alpha": c, "m": m}
                            for c in _comps(4) for m in (0, 1, 2))),
         IdentityCase("COR2", "zeta(r+m+1) from an inverse-binomial sum",
-                     "estimated",
+                     "estimated", _do_cor2,
                      tuple({"r": r, "m": m}
                            for (r, m) in ((1, 0), (1, 1), (1, 2), (2, 1), (3, 0)))),
         IdentityCase("APERY", "classical inverse-binomial series for zeta(3)",
-                     "estimated", ({},)),
+                     "estimated", _do_apery, ({},)),
         IdentityCase("COR3_M0", "7 zeta(3) from a harmonic-weighted binomial sum",
-                     "estimated", ({"m": 0},)),
+                     "estimated", _do_cor3, ({"m": 0},)),
         IdentityCase("COR3_M1", "45 zeta(4) from a harmonic-weighted binomial sum",
-                     "estimated", ({"m": 1},)),
+                     "estimated", _do_cor3, ({"m": 1},)),
         IdentityCase("COR3_M2", "93 zeta(5) from a harmonic-weighted binomial sum",
-                     "estimated", ({"m": 2},)),
+                     "estimated", _do_cor3, ({"m": 2},)),
         IdentityCase("COR4_M0", "odd-zeta values from central-binomial sums, m = 0",
-                     "estimated", tuple({"q": q, "m": 0} for q in (1, 2, 3))),
+                     "estimated", _do_cor4, tuple({"q": q, "m": 0} for q in (1, 2, 3))),
         IdentityCase("COR4_M1", "odd-zeta values from central-binomial sums, m = 1",
-                     "estimated", tuple({"q": q, "m": 1} for q in (1, 2))),
+                     "estimated", _do_cor4, tuple({"q": q, "m": 1} for q in (1, 2))),
         IdentityCase("EQ62", "geometric Bell sum vs alternating harmonic sum",
-                     "rigorous",
+                     "rigorous", _do_eq62,
                      tuple({"p": p, "m": m, "x": x}
                            for p in (2.0, 3.0, 4.0) for m in (0, 1, 2)
                            for x in (0.0, -0.5))),
         IdentityCase("EQ63", "x = -1/2 variant of the transform identity",
-                     "rigorous",
+                     "rigorous", _do_eq63,
                      tuple({"p": p, "m": m} for p in (2.0, 3.0, 4.0) for m in (0, 1))),
         IdentityCase("ARCSIN", "alternating odd-harmonic sums equal to pi^2/k",
-                     "rigorous",
+                     "rigorous", _do_arcsin,
                      tuple({"p": p, "denom": d} for (p, d) in _ARCSIN_TABLE)),
         IdentityCase("CLAUSEN_M1", "m = 1 inverse-binomial sum via Clausen values",
-                     "estimated", ({"p": 4.0},)),
+                     "estimated", _do_clausen_m1, ({"p": 4.0},)),
         IdentityCase("BETARATIO", "exact beta-ratio Taylor coefficients",
-                     "exact", ({},)),
+                     "exact", _do_betaratio, ({},)),
         IdentityCase("PROP7", "exact alternating-binomial kernel factorization",
-                     "exact", ({},)),
+                     "exact", _do_prop7, ({},)),
         IdentityCase("PROP2", "power-series expansion of the shifted zeta value",
-                     "estimated",
+                     "estimated", _do_prop2,
                      ({"alpha": Composition.of(2), "x": 0.5, "z": 0.25},
                       {"alpha": Composition.of(1, 2), "x": 0.5, "z": 0.25},
                       {"alpha": Composition.of(3), "x": 0.25, "z": -0.25})),
         IdentityCase("GENFUN_B", "numeric generating-function consistency",
-                     "exact", ({},)),
+                     "exact", _do_genfun_b, ({},)),
         IdentityCase("BERN_CLASSIC", "collapse to classical Bernoulli polynomials",
-                     "exact", ({},)),
+                     "exact", _do_bern_classic, ({},)),
         IdentityCase("TRELATION", "odd nested sums as rescaled shifted zeta values",
-                     "rigorous", tuple({"alpha": c} for c in _comps(5))),
+                     "rigorous", _do_trelation, tuple({"alpha": c} for c in _comps(5))),
     ]
 
 
-def _case(id_: str) -> IdentityCase:
-    for c in catalog():
-        if c.id == id_:
-            return c
-    raise DomainError(f"unknown identity id {id_!r}")
+_CASES = {c.id: c for c in catalog()}
 
 
 def verify(id_: str, params: dict | None = None,
            ctx: PrecisionContext = DEFAULT_CTX) -> IdentityReport:
-    case = _case(id_)
+    case = _CASES.get(id_)
+    if case is None:
+        raise DomainError(f"unknown identity id {id_!r}")
     params = dict(params) if params else (dict(case.grid[0]) if case.grid else {})
     if "alpha" in params and not isinstance(params["alpha"], Composition):
         params["alpha"] = Composition(tuple(params["alpha"]))
     t0 = time.perf_counter()
-    if id_ == "BETARATIO":
-        ok, val = _do_betaratio(params, ctx)
-        return _exact_report(id_, params, ok, val, time.perf_counter() - t0)
-    if id_ == "PROP7":
-        ok, val = _do_prop7(params, ctx)
-        return _exact_report(id_, params, ok, val, time.perf_counter() - t0)
-    if id_ == "BERN_CLASSIC":
-        ok, val = _do_bern_classic(params, ctx)
-        return _exact_report(id_, params, ok, val, time.perf_counter() - t0)
-    if id_ == "GENFUN_B":
-        diff, lv, rv = _do_genfun_b(params, ctx)
-        return IdentityReport(id=id_, params=params, lhs=lv, rhs=rv,
-                              abs_diff=diff, bound=1e-25, bound_kind=ESTIMATED,
-                              passed=diff <= 1e-25,
-                              seconds=time.perf_counter() - t0)
-    recipe = {
-        "DUAL": _do_dual, "THM3": _do_thm3, "EQ13_X0": _do_thm3,
-        "XI_Q": _do_xi_q, "EQ53": _do_eq53, "COR2": _do_cor2,
-        "APERY": _do_apery, "COR3_M0": _do_cor3, "COR3_M1": _do_cor3,
-        "COR3_M2": _do_cor3, "COR4_M0": _do_cor4, "COR4_M1": _do_cor4,
-        "EQ62": _do_eq62, "EQ63": _do_eq63, "ARCSIN": _do_arcsin,
-        "CLAUSEN_M1": _do_clausen_m1, "PROP2": _do_prop2,
-        "TRELATION": _do_trelation,
-    }[id_]
-    out = recipe(params, ctx)
-    dt = time.perf_counter() - t0
-    if len(out) == 3:
-        lhs, rhs, tol = out
-        return _pair_report(id_, params, lhs, rhs, tol, dt)
-    lhs, rhs, tol, sl, sr = out
-    if id_ in ("COR2", "APERY", "COR3_M0", "COR3_M1", "COR3_M2", "COR4_M0",
-               "COR4_M1", "ARCSIN"):
-        return _oracle_report(id_, params, lhs, sr * float(rhs.value),
-                              abs(sr) * float(rhs.bound), tol, dt, scale_l=sl)
-    return _pair_report(id_, params, lhs, rhs, tol, dt, scale_l=sl, scale_r=sr)
+    lhs, rhs, diff, bound, kind, passed = case.recipe(params, ctx)
+    return IdentityReport(id=id_, params=params, lhs=lhs, rhs=rhs, abs_diff=diff,
+                          bound=bound, bound_kind=kind, passed=passed,
+                          seconds=time.perf_counter() - t0)
 
 
 def verify_all(filter_prefix: str | None = None,
                ctx: PrecisionContext = DEFAULT_CTX,
                tolerance_class: str | None = None) -> VerifySummary:
     summary = VerifySummary()
-    for case in catalog():
+    for case in _CASES.values():
         if filter_prefix and not case.id.startswith(filter_prefix):
             continue
         if tolerance_class and case.tolerance_class != tolerance_class:
             continue
-        grids = case.grid or ({},)
-        for params in grids:
+        for params in case.grid or ({},):
             summary.reports.append(verify(case.id, dict(params), ctx))
     return summary

@@ -1,6 +1,5 @@
 """Numeric kernels: precision management, beta factors, zeta and Clausen
-series with explicit truncation bounds, alternating-series acceleration, and
-log-weighted tail fitting.
+series with explicit truncation bounds, and alternating-series acceleration.
 """
 
 from __future__ import annotations
@@ -9,29 +8,28 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError, DivergenceError, IllConditionedFitError, NonAlternatingError
+from .errors import DomainError, DivergenceError, NonAlternatingError
 from .powerseries import bernoulli_numbers
 
 __all__ = [
     "PrecisionContext",
     "Evaluation",
-    "beta_factor",
     "beta_factor_exact",
-    "central_binomial_factor",
     "zeta_em",
     "clausen",
     "accelerate_alternating",
-    "tail_fit",
-    "compensated_sum",
 ]
 
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
+
+# truncation target of the Clausen series and the alternating accelerator
+SERIES_TOLERANCE = 1e-12
 
 # B_2, B_4, ... as floats, for Euler-Maclaurin corrections.
 _B = [float(b) for b in bernoulli_numbers(12)]
@@ -44,8 +42,6 @@ class PrecisionContext:
 
     digits: int = 50
     default_cutoff: int = 100_000
-    series_tolerance: float = 1e-12  # target for self-chosen cutoffs
-    parallel: bool = False
 
     def __post_init__(self):
         if self.digits < 15:
@@ -76,8 +72,8 @@ class Evaluation:
     cutoff_used: int
 
     def __post_init__(self):
-        if self.bound < 0:
-            raise DomainError("negative error bound")
+        if not (math.isfinite(self.bound) and self.bound >= 0):
+            raise DomainError(f"error bound must be finite and >= 0, got {self.bound}")
         if self.bound_kind not in (RIGOROUS, ESTIMATED):
             raise DomainError(f"unknown bound kind {self.bound_kind!r}")
 
@@ -85,17 +81,12 @@ class Evaluation:
         return float(self.value)
 
 
-def beta_factor(n: int, x) -> float:
-    """B(n, 1+x) by the stable recurrence, in floats."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+def real_shift(x) -> float:
+    """The shift x of (n + x)^{-s} as a float, checked to be finite and > -1."""
     xf = float(x)
-    if xf <= -1:
-        raise DomainError("require x > -1")
-    out = 1.0 / (1.0 + xf)
-    for j in range(1, n):
-        out *= j / (j + 1.0 + xf)
-    return out
+    if not (math.isfinite(xf) and xf > -1):
+        raise DomainError(f"require a finite x > -1, got {xf}")
+    return xf
 
 
 def beta_factor_exact(n: int, x) -> Fraction:
@@ -108,16 +99,6 @@ def beta_factor_exact(n: int, x) -> Fraction:
     out = 1 / (1 + x)
     for j in range(1, n):
         out *= Fraction(j) / (j + 1 + x)
-    return out
-
-
-def central_binomial_factor(n: int) -> Fraction:
-    """4^n / C(2n,n), computed as prod (2j)/(2j-1) to avoid huge integers."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    out = Fraction(1)
-    for j in range(1, n + 1):
-        out *= Fraction(2 * j, 2 * j - 1)
     return out
 
 
@@ -146,15 +127,13 @@ def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     The bound is the first omitted correction term, a valid majorant of the
     remainder for this completely monotone integrand.
     """
-    return _zeta_em_cached(float(s), float(x), ctx.digits, ctx.default_cutoff)
+    return _zeta_em_cached(float(s), real_shift(x), ctx.digits, ctx.default_cutoff)
 
 
 @lru_cache(maxsize=4096)
 def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluation:
     if sf <= 1:
         raise DivergenceError("series diverges for s <= 1")
-    if xf <= -1:
-        raise DomainError("require x > -1")
     ctx = PrecisionContext(digits=digits, default_cutoff=cutoff)
     wp = ctx.mp_ctx()
     # grow N until the first omitted correction clears the target precision,
@@ -213,8 +192,7 @@ def clausen(order: int, theta, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluatio
     th = float(theta)
     if not math.isfinite(th):
         raise DomainError("theta must be finite")
-    tol = ctx.series_tolerance
-    N, bound = _clausen_cutoff(order, th, tol)
+    N, bound = _clausen_cutoff(order, th, SERIES_TOLERANCE)
     if N <= 50_000:
         wp = ctx.mp_ctx()
         th_mp = wp.mpf(th)
@@ -263,8 +241,7 @@ def accelerate_alternating(term_fn: Callable[[int], object],
     acceleration orders, so the bound is an estimate, not a majorant.
     """
     wp = ctx.mp_ctx()
-    tol = min(ctx.series_tolerance, 1e-10)
-    n_terms = max(24, int(math.ceil(-math.log(tol) / math.log(3 + math.sqrt(8)))) + 8)
+    n_terms = max(24, int(math.ceil(-math.log(SERIES_TOLERANCE) / math.log(3 + math.sqrt(8)))) + 8)
     terms = [wp.mpf(term_fn(n)) for n in range(1, n_terms + 7)]
     sign0 = 1 if terms[0] >= 0 else -1
     for i, t in enumerate(terms[: min(16, len(terms))]):
@@ -283,57 +260,3 @@ def accelerate_alternating(term_fn: Callable[[int], object],
         method="chebyshev_alternating",
         cutoff_used=n_terms + 6,
     )
-
-
-def _log_tail_integral(gamma: float, N: float, j: int) -> float:
-    """integral_N^inf t^{-gamma} ln(t)^j dt by the downward recurrence."""
-    out = N ** (1.0 - gamma) / (gamma - 1.0)
-    for i in range(1, j + 1):
-        out = (N ** (1.0 - gamma) * math.log(N) ** i + i * out) / (gamma - 1.0)
-    return out
-
-
-def tail_fit(samples: Sequence[tuple[int, float]], gamma: float,
-             ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
-    """Estimate sum_{n>N} a_n from trailing samples assuming
-    a_n ~ n^{-gamma} (A ln n + B), N being the largest sampled index.
-
-    Least-squares fit of (A, B), tail by analytic integration of the fitted
-    model from N + 1/2.  Bound is estimated by refitting on half the window.
-    """
-    if len(samples) < 8:
-        raise DomainError("need at least 8 samples")
-    if gamma <= 1:
-        raise DivergenceError("tail diverges for gamma <= 1")
-    idx = np.array([float(n) for n, _ in samples])
-    val = np.array([float(a) for _, a in samples])
-    N = idx.max()
-    if np.all(val == 0.0):
-        return Evaluation(0.0, 0.0, ESTIMATED, "tail_fit", int(N))
-
-    def fit(i, v):
-        design = np.column_stack([i ** (-gamma) * np.log(i), i ** (-gamma)])
-        coef, _, rank, sv = np.linalg.lstsq(design, v, rcond=None)
-        if rank < 2 or sv[0] / max(sv[-1], 1e-300) > 1e12:
-            raise IllConditionedFitError("tail model fit is ill-conditioned")
-        return coef
-
-    A, Bc = fit(idx, val)
-    start = N + 0.5
-    tail = A * _log_tail_integral(gamma, start, 1) + Bc * _log_tail_integral(gamma, start, 0)
-    half = len(samples) // 2
-    A2, B2 = fit(idx[half:], val[half:])
-    tail2 = A2 * _log_tail_integral(gamma, start, 1) + B2 * _log_tail_integral(gamma, start, 0)
-    bound = 3.0 * abs(tail - tail2) + 0.02 * abs(tail)
-    return Evaluation(
-        value=tail,
-        bound=bound,
-        bound_kind=ESTIMATED,
-        method="tail_fit",
-        cutoff_used=int(N),
-    )
-
-
-def compensated_sum(terms: Iterable[float]) -> float:
-    """Exactly rounded float sum of a finite term stream."""
-    return math.fsum(terms)

@@ -17,9 +17,6 @@ from .errors import DomainError
 __all__ = [
     "PolyRat",
     "TruncSeries",
-    "series_mul",
-    "series_exp",
-    "series_log",
     "series_inverse",
     "series_compose",
     "bernoulli_numbers",
@@ -218,10 +215,6 @@ class TruncSeries:
         return f"TruncSeries({self.coeffs}, order={self.order})"
 
 
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f * g
-
-
 def series_inverse(f: TruncSeries) -> TruncSeries:
     """Multiplicative inverse; requires an invertible constant term."""
     c0 = f.coeffs[0]
@@ -238,35 +231,6 @@ def series_inverse(f: TruncSeries) -> TruncSeries:
         for k in range(1, n + 1):
             s = s + f.coeffs[k] * out[n - k]
         out[n] = -1 * s * inv0
-    return TruncSeries(out, f.order)
-
-
-def series_exp(f: TruncSeries) -> TruncSeries:
-    """exp of a series with zero constant term."""
-    if f.coeffs[0] != 0:
-        raise DomainError("series_exp requires zero constant term")
-    # g' = f' g  =>  n*g_n = sum_{k=1}^{n} k*f_k*g_{n-k}
-    out = [Fraction(1)] + [Fraction(0)] * f.order
-    for n in range(1, f.order + 1):
-        s = 0
-        for k in range(1, n + 1):
-            s = s + (k * f.coeffs[k]) * out[n - k]
-        out[n] = s * Fraction(1, n)
-    return TruncSeries(out, f.order)
-
-
-def series_log(f: TruncSeries) -> TruncSeries:
-    """log of a series with constant term 1."""
-    if f.coeffs[0] != 1:
-        raise DomainError("series_log requires constant term 1")
-    # g' = f'/f
-    inv = series_inverse(f)
-    out = [Fraction(0)] * (f.order + 1)
-    for n in range(1, f.order + 1):
-        s = 0
-        for k in range(1, n + 1):
-            s = s + (k * f.coeffs[k]) * inv.coeffs[n - k]
-        out[n] = s * Fraction(1, n)
     return TruncSeries(out, f.order)
 
 

@@ -1,9 +1,6 @@
 import json
 
-import pytest
-
-from akzeta.cli import main, CliConfig
-from akzeta.errors import DomainError
+from akzeta.cli import main
 
 
 def run(capsys, *argv):
@@ -12,9 +9,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_config_rejects_low_precision():
-    with pytest.raises(DomainError):
-        CliConfig(digits=10)
+def test_config_rejects_low_precision(capsys):
+    code, _, err = run(capsys, "--precision", "10", "dual", "3")
+    assert code == 2
+    assert "error" in err
 
 
 def test_dual_command(capsys):

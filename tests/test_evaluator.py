@@ -35,6 +35,20 @@ def test_hurwitz_guards():
         eval_hurwitz_mzv((2, 1), 0.0, CTX)
     with pytest.raises(DomainError):
         eval_hurwitz_mzv((2,), -1.5, CTX)
+    # fractional or missing exponents are rejected, not truncated
+    for bad in ((2.5,), (1, 2.5), ()):
+        with pytest.raises(DomainError):
+            eval_hurwitz_mzv(bad, 0.0, CTX)
+        with pytest.raises(DomainError):
+            eval_t(bad, CTX)
+    # a non-finite shift fails fast instead of returning a NaN value
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            eval_hurwitz_mzv((2,), x, CTX)
+        with pytest.raises(DomainError):
+            eval_ak_lhs((1,), 1.0, 0, x, CTX)
+        with pytest.raises(DomainError):
+            eval_euler_transform(3.0, 1, x, CTX)
 
 
 def test_t_values():
@@ -66,6 +80,8 @@ def test_li_guards():
         eval_li((2,), 1.5, CTX)
     with pytest.raises(DivergenceError):
         eval_li((1,), 1.0, CTX)
+    with pytest.raises(DivergenceError):
+        eval_li((1,), math.nan, CTX)
 
 
 def test_ak_lhs_collapse_to_zeta():

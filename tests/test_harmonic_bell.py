@@ -4,29 +4,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from akzeta.errors import DomainError
-from akzeta.harmonic_bell import (harmonic_table, odd_harmonic, bell_modified,
-                                  d_operator)
+from akzeta.evaluator import _outer_arrays
+from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.numerics import beta_factor_exact
 
 
 def test_harmonic_table_exact_values():
     tab = harmonic_table(4, 2, Fraction(0))
-    assert tab.h(3, 1) == Fraction(11, 6)
-    assert tab.h(4, 2) == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)
-    assert tab.h(0, 1) == 0
+    assert tab.row(3)[0] == Fraction(11, 6)
+    assert tab.row(4)[1] == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)
+    assert tab.row(0) == (0, 0)
 
 
 def test_harmonic_table_shifted():
     tab = harmonic_table(3, 1, Fraction(-1, 2))
     # sum of 1/(j - 1/2) = 2/(2j-1)
-    assert tab.h(2, 1) == Fraction(2, 1) + Fraction(2, 3)
+    assert tab.row(2)[0] == Fraction(2, 1) + Fraction(2, 3)
 
 
 def test_harmonic_table_float_matches_exact():
-    te = harmonic_table(50, 3, Fraction(1, 3), mode="exact")
-    tf = harmonic_table(50, 3, Fraction(1, 3), mode="float")
-    for k in (1, 2, 3):
-        assert abs(float(te.h(50, k)) - tf.h(50, k)) < 1e-12
+    # the exact B(n,1+x) P_m(H-row(n)) against the extended-precision arrays
+    # that the summation engine uses
+    x = Fraction(1, 3)
+    tab = harmonic_table(50, 3, x)
+    for m in range(4):
+        B, Pm = _outer_arrays(50, m, float(x))
+        for n in (1, 7, 50):
+            exact = beta_factor_exact(n, x) * bell_modified(tab.row(n))[m]
+            assert abs(float(B[n - 1] * Pm[n - 1]) - float(exact)) < 1e-15 * float(exact)
 
 
 def test_harmonic_table_validation():
@@ -34,23 +39,14 @@ def test_harmonic_table_validation():
         harmonic_table(5, 1, Fraction(-3, 2))
     with pytest.raises(DomainError):
         harmonic_table(5, 0, 0)
-    with pytest.raises(DomainError):
-        harmonic_table(5, 1, 0, mode="fancy")
 
 
 def test_odd_harmonic_values():
-    rows = odd_harmonic(3, 2)
+    # O_n^(k) = sum_{j<=n} (2j-1)^{-k} = 2^{-k} H_n^(k)(-1/2)
+    row = harmonic_table(3, 2, Fraction(-1, 2)).row(2)
     # O_2 = 1 + 1/3; O_2^(2) = 1 + 1/9
-    assert rows[2][0] == Fraction(4, 3)
-    assert rows[2][1] == Fraction(10, 9)
-
-
-def test_odd_view_requires_half_shift():
-    tab = harmonic_table(3, 1, Fraction(0))
-    with pytest.raises(DomainError):
-        tab.odd(2)
-    tab = harmonic_table(3, 2, Fraction(-1, 2))
-    assert tab.odd(2, 1) == Fraction(4, 3)
+    assert row[0] / 2 == Fraction(4, 3)
+    assert row[1] / 4 == Fraction(10, 9)
 
 
 def test_bell_modified_low_orders():
@@ -84,8 +80,11 @@ def test_d_operator_exact_matches_kernel_factorization():
 
 
 def test_d_operator_float_and_validation():
-    v = d_operator(4, 2.5, 0.25)
-    assert isinstance(v, float)
+    # the operator is exact-only: a fractional s or a float x is rejected
+    with pytest.raises(DomainError):
+        d_operator(4, 2.5, Fraction(1, 4))
+    with pytest.raises(DomainError):
+        d_operator(4, 2, 0.25)
     with pytest.raises(DomainError):
         d_operator(0, 2, 0)
     with pytest.raises(DomainError):

@@ -23,6 +23,16 @@ def test_catalog_ids_complete_and_unique():
     assert len(ids) == len(set(ids))
 
 
+def test_catalog_case_counts():
+    counts = {c.id: len(c.grid) for c in catalog()}
+    expected = dict.fromkeys(EXPECTED_IDS, 1)
+    expected.update(THM3=63, EQ13_X0=45, DUAL=31, EQ53=21, EQ62=18,
+                    TRELATION=15, XI_Q=9, EQ63=6, COR2=5, ARCSIN=5,
+                    COR4_M0=3, PROP2=3, COR4_M1=2)
+    assert counts == expected
+    assert sum(counts.values()) == 235
+
+
 def test_catalog_classes():
     classes = {c.id: c.tolerance_class for c in catalog()}
     assert classes["BETARATIO"] == "exact"

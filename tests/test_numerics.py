@@ -4,12 +4,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from akzeta.errors import (DomainError, NonAlternatingError,
-                           IllConditionedFitError)
+from akzeta.errors import DomainError, NonAlternatingError
 from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS,
-                             ESTIMATED, beta_factor, beta_factor_exact,
-                             zeta_em, clausen, accelerate_alternating,
-                             tail_fit, compensated_sum)
+                             ESTIMATED, Evaluation, beta_factor_exact,
+                             zeta_em, clausen, accelerate_alternating)
 
 
 def test_precision_context_defaults_and_cutoff():
@@ -27,7 +25,6 @@ def test_beta_factor_exact_and_float():
             exact = beta_factor_exact(n, x)
             ref = mp.beta(n, 1 + mp.mpf(x.numerator) / x.denominator)
             assert abs(float(exact) - float(ref)) < 1e-14
-            assert abs(beta_factor(n, float(x)) - float(exact)) < 1e-14
 
 
 def test_beta_factor_central_binomial():
@@ -87,34 +84,8 @@ def test_accelerate_rejects_non_alternating():
         accelerate_alternating(lambda n: 1.0 / n)
 
 
-def test_tail_fit_logarithmic_decay():
-    from akzeta.logasym import LogSeries, ztail
-    gamma = 2.5
-
-    def a(n):
-        return (3.0 * math.log(n) + 2.0) / n**gamma
-
-    N = 600
-    samples = [(n, a(n)) for n in range(N - 120, N + 1)]
-    est = tail_fit(samples, gamma)
-    ref_series, _ = ztail(LogSeries({(1, gamma): 3.0, (0, gamma): 2.0}))
-    ref = ref_series(N)
-    assert est.bound_kind == ESTIMATED
-    assert abs(est.value - ref) < 0.03 * abs(ref)
-
-
-def test_tail_fit_ill_conditioned():
-    # a tiny window at huge n makes the two model columns collinear
-    base = 10**12
-
-    def a(n):
-        return (3.0 * math.log(n) + 2.0) / n**2.5
-
-    samples = [(n, a(n)) for n in range(base, base + 10)]
-    with pytest.raises(IllConditionedFitError):
-        tail_fit(samples, 2.5)
-
-
-def test_compensated_sum():
-    xs = [1e16, 1.0, -1e16, 1.0] * 100
-    assert compensated_sum(xs) == 200.0
+def test_evaluation_rejects_bad_bound():
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            Evaluation(value=1.0, bound=bad, bound_kind=RIGOROUS,
+                       method="test", cutoff_used=0)
