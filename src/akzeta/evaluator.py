@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "eval_li",
     "eval_ak_lhs",
     "eval_ak_rhs",
+    "zeta_combination",
     "eval_euler_transform",
     "eval_prop2_series",
     "ak_lhs_partial_exact",
@@ -83,48 +85,50 @@ def _roundoff(N: int, q: int, scale: float) -> float:
     return 4.0 * _LD_EPS * N * (q + 1) * (1.0 + abs(scale))
 
 
+def _dp_em_tail(weights: list[np.ndarray], models: list[LogSeries], q: int) -> Evaluation:
+    """Nested sum of ``weights`` by the prefix-sum DP, plus the symbolic
+    Euler-Maclaurin tail of ``models``; ``q`` sizes the round-off term."""
+    N = len(weights[0])
+    partial, S_at = _dp_nested(weights)
+    tail, terr = nested_tail_sum(S_at, models, N)
+    value = partial + tail
+    bound = 10.0 * terr + _roundoff(N, q, value)
+    return Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
+                      method="dp+em-tail", cutoff_used=N)
+
+
+def _convergent_parts(parts) -> tuple[int, ...]:
+    """The exponent tuple of ``parts``, whose outer sum must converge."""
+    e = _as_parts(parts)
+    if e[-1] < 2:
+        raise DivergenceError(f"outer exponent must exceed 1: {e}")
+    return e
+
+
 def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Shifted multiple zeta value over n_1 < ... < n_q of prod (n_i+x)^{-e_i}.
 
     ``parts`` is the exponent tuple, innermost first; the last exponent must
     be at least 2 for convergence.
     """
-    e = _as_parts(parts)
-    xf = real_shift(x)
-    if e[-1] < 2:
-        raise DivergenceError(f"outer exponent must exceed 1: {e}")
-    return _mzv_cached(e, xf, ctx.default_cutoff)
-
-
-@lru_cache(maxsize=4096)
-def _mzv_cached(e: tuple[int, ...], xf: float, N: int) -> Evaluation:
-    n = np.arange(1, N + 1, dtype=_LD) + _LD(xf)
-    weights = [n ** _LD(-ei) for ei in e]
-    partial, S_at = _dp_nested(weights)
-    models = [pow_shift(float(ei), xf) for ei in e]
-    tail, terr = nested_tail_sum(S_at, models, N)
-    value = partial + tail
-    bound = 10.0 * terr + _roundoff(N, len(e), value)
-    return Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
-                      method="dp+em-tail", cutoff_used=N)
+    return _mzv_cached(_convergent_parts(parts), real_shift(x), ctx.default_cutoff)
 
 
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Odd-denominator analogue: sum over n_1 < ... < n_q of prod (2 n_i - 1)^{-e_i}."""
-    e = _as_parts(parts)
-    if e[-1] < 2:
-        raise DivergenceError(f"outer exponent must exceed 1: {e}")
-    N = ctx.default_cutoff
-    n = np.arange(1, N + 1, dtype=_LD)
-    weights = [(2 * n - 1) ** _LD(-ei) for ei in e]
-    partial, S_at = _dp_nested(weights)
-    # (2n-1)^{-e} = 2^{-e} (n - 1/2)^{-e}
-    models = [pow_shift(float(ei), -0.5).scaled(2.0 ** (-ei)) for ei in e]
-    tail, terr = nested_tail_sum(S_at, models, N)
-    value = partial + tail
-    bound = 10.0 * terr + _roundoff(N, len(e), value)
-    return Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
-                      method="dp+em-tail", cutoff_used=N)
+    return _mzv_cached(_convergent_parts(parts), -0.5, ctx.default_cutoff, 2)
+
+
+@lru_cache(maxsize=4096)
+def _mzv_cached(e: tuple[int, ...], xf: float, N: int, c: int = 1) -> Evaluation:
+    """sum over n_1 < ... < n_q <= N of prod (c (n_i + x))^{-e_i}, plus its tail.
+
+    For c = 2, x = -1/2 the longdouble product c (n + x) is 2n - 1 exactly.
+    """
+    cn = _LD(c) * (np.arange(1, N + 1, dtype=_LD) + _LD(xf))
+    weights = [cn ** _LD(-ei) for ei in e]
+    models = [pow_shift(float(ei), xf).scaled(float(c) ** -ei) for ei in e]
+    return _dp_em_tail(weights, models, len(e))
 
 
 def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
@@ -173,16 +177,8 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     B[0] = 1 / (1 + xl)
     np.multiply.accumulate(n[:-1] / (n[1:] + xl), out=B[1:])
     B[1:] *= B[0]
-    if m == 0:
-        return B, np.ones(N, dtype=_LD)
     H = [np.cumsum((n + xl) ** _LD(-k)) for k in range(1, m + 1)]
-    P = [np.ones(N, dtype=_LD)]
-    for j in range(1, m + 1):
-        acc = np.zeros(N, dtype=_LD)
-        for k in range(1, j + 1):
-            acc += H[k - 1] * P[j - k]
-        P.append(acc / j)
-    return B, P[m]
+    return B, bell_modified(H, one=np.ones(N, dtype=_LD))[m]
 
 
 def eval_ak_lhs(alpha, p: float, m: int, x: float,
@@ -208,15 +204,10 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
         B, Pm = _outer_arrays(N, m, xf)
         weights = [n ** _LD(-ai) for ai in a[:-1]]
         weights.append(B * Pm * n ** _LD(-a[-1]))
-        partial, S_at = _dp_nested(weights)
         models = [pow_shift(float(ai), 0.0) for ai in a[:-1]]
         outer = beta_model(xf) * bell_p_models(m, xf, ctx)[m] * pow_shift(float(a[-1]), 0.0)
         models.append(outer)
-        tail, terr = nested_tail_sum(S_at, models, N)
-        value = partial + tail
-        bound = 10.0 * terr + _roundoff(N, r + m + 1, value)
-        return Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
-                          method="dp+em-tail", cutoff_used=N)
+        return _dp_em_tail(weights, models, r + m + 1)
     # p > 1: plain geometric convergence
     N = min(ctx.default_cutoff,
             max(80, int(math.ceil((ctx.digits + 12) * math.log(10) / math.log(pf))) + 40))
@@ -247,16 +238,22 @@ def eval_ak_rhs(alpha, m: int, x: float,
         sum_{|d| = m} M(a_1..a_{q-1}, d_1..d_{q-1}) C(a_q + d_q, d_q)
                       * zeta(a_1+d_1, ..., a_q+d_q+1; x).
     """
+    return zeta_combination(alpha, m, lambda c: eval_hurwitz_mzv(c, x, ctx))
+
+
+def zeta_combination(alpha, m: int,
+                     zeta: Callable[[Composition], Evaluation]) -> Evaluation:
+    """The weighted sum of :func:`eval_ak_rhs` with ``zeta(c)`` evaluating
+    each index c = (a_1+d_1, ..., a_q+d_q+1); the bound is the weighted sum
+    of the parts' bounds."""
     a = _as_parts(alpha)
-    q = len(a)
     total = 0.0
     bound = 0.0
     cutoff = 0
-    for d in weak_compositions(m, q):
+    for d in weak_compositions(m, len(a)):
         dj = d.parts
         coef = m_coeff(a[:-1], dj[:-1]) * binomial(a[-1] + dj[-1], dj[-1])
-        idx = tuple(ai + di for ai, di in zip(a, dj))
-        ev = eval_hurwitz_mzv(Composition.from_alpha(idx), x, ctx)
+        ev = zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, dj))))
         total += coef * ev.value
         bound += coef * ev.bound
         cutoff = max(cutoff, ev.cutoff_used)
@@ -272,8 +269,11 @@ def eval_euler_transform(p: float, s: int, x: float,
     if pf < 2:
         raise DivergenceError("alternating transform needs p >= 2")
     if pf == 2.0:
+        wp = ctx.mp_ctx()
+        xm = wp.mpf(xf)
+
         def term(n: int):
-            h = mp.fsum(mp.mpf(1) / mp.mpf(j + xf) ** s for j in range(1, n + 1))
+            h = wp.fsum((j + xm) ** (-s) for j in range(1, n + 1))
             return (-1) ** (n + 1) * h / n
 
         return accelerate_alternating(term, ctx)

@@ -1,8 +1,9 @@
 """Shifted harmonic-number tables, modified Bell polynomials, and the
-alternating-binomial integral-transform kernel, in exact rational arithmetic.
+alternating-binomial integral-transform kernel.
 
-The extended-precision float versions used for summation live in
-``evaluator._outer_arrays`` and ``logasym``.
+Tables and the kernel are exact rational.  The Bell recurrence is written
+once for any ring: ``evaluator._outer_arrays`` runs it on longdouble arrays
+and ``logasym.bell_p_models`` on asymptotic series.
 """
 
 from __future__ import annotations
@@ -58,17 +59,20 @@ def harmonic_table(N: int, m: int, x) -> HarmonicTable:
     return HarmonicTable(x=x, N=N, m=m, values=tuple(rows))
 
 
-def bell_modified(x_values: Sequence) -> list:
+def bell_modified(x_values: Sequence, one=Fraction(1)) -> list:
     """P_0..P_m for the generating identity exp(sum x_k z^k / k) = sum P_m z^m.
 
-    Uses the recurrence m*P_m = sum_{k=1}^{m} x_k P_{m-k}, exact for
-    rational inputs.
+    Uses the recurrence m*P_m = sum_{k=1}^{m} x_k P_{m-k} in whatever ring
+    the inputs live in: Fractions (exact), longdouble arrays or asymptotic
+    series, with ``one`` as P_0.  Each inner sum starts at its k = 1 term, so
+    the ring needs no additive zero; that term is a new object, so ``+=``
+    may add into it in place.
     """
-    P = [Fraction(1)]
+    P = [one]
     for j in range(1, len(x_values) + 1):
-        s = 0
-        for k in range(1, j + 1):
-            s = s + x_values[k - 1] * P[j - k]
+        s = x_values[0] * P[j - 1]
+        for k in range(2, j + 1):
+            s += x_values[k - 1] * P[j - k]
         P.append(s / j)
     return P
 

@@ -27,17 +27,14 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import DomainError
-from .numerics import PrecisionContext, DEFAULT_CTX, zeta_em
-from .powerseries import bernoulli_numbers
+from .harmonic_bell import bell_modified
+from .numerics import PrecisionContext, DEFAULT_CTX, zeta_em, _BFRAC, _EM_COEFF
 
 __all__ = ["LogSeries", "pow_shift", "log_shift", "ztail", "nested_tail_sum",
            "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
 _KEY_ROUND = 9
-
-_BFRAC = bernoulli_numbers(12)
-_EM_COEFF = [float(_BFRAC[2 * k]) / math.factorial(2 * k) for k in range(1, 6)]
 
 
 def _rkey(s: float) -> float:
@@ -81,6 +78,9 @@ class LogSeries:
 
     def scaled(self, factor: float) -> "LogSeries":
         return LogSeries({k: c * factor for k, c in self.terms.items()})
+
+    def __truediv__(self, d: float) -> "LogSeries":
+        return self.scaled(1.0 / d)
 
     def __mul__(self, other: "LogSeries") -> "LogSeries":
         cap = self.lead + other.lead + ORDER
@@ -277,13 +277,7 @@ def harmonic_model(k: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> Log
 def bell_p_models(m: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> list[LogSeries]:
     """Asymptotic models of P_0..P_m evaluated on (H_n^(1)(x),..,H_n^(m)(x))."""
     hs = [harmonic_model(k, x, ctx) for k in range(1, m + 1)]
-    P = [LogSeries.const(1.0)]
-    for j in range(1, m + 1):
-        acc = LogSeries()
-        for k in range(1, j + 1):
-            acc = acc + (hs[k - 1] * P[j - k])
-        P.append(acc.scaled(1.0 / j))
-    return P
+    return bell_modified(hs, one=LogSeries.const(1.0))
 
 
 def nested_tail_sum(S_vals: Sequence[float], models: Sequence[LogSeries],

@@ -1,5 +1,6 @@
-"""Numeric kernels: precision management, beta factors, zeta and Clausen
-series with explicit truncation bounds, and alternating-series acceleration.
+"""Numeric kernels: precision management, beta factors, zeta series with
+explicit truncation bounds, Clausen functions, and alternating-series
+acceleration.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from fractions import Fraction
 from typing import Callable
 
 import mpmath as mp
-import numpy as np
 
 from .errors import DomainError, DivergenceError, NonAlternatingError
 from .powerseries import bernoulli_numbers
@@ -28,12 +28,14 @@ __all__ = [
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
 
-# truncation target of the Clausen series and the alternating accelerator
+# truncation target of the alternating accelerator
 SERIES_TOLERANCE = 1e-12
 
-# B_2, B_4, ... as floats, for Euler-Maclaurin corrections.
-_B = [float(b) for b in bernoulli_numbers(12)]
-_B2K = [_B[2], _B[4], _B[6], _B[8], _B[10]]
+# B_2k/(2k)!, k = 1..5: the Euler-Maclaurin correction coefficients, exact
+# and as floats.
+_BFRAC = bernoulli_numbers(10)
+_EM_FRAC = [_BFRAC[2 * k] / math.factorial(2 * k) for k in range(1, 6)]
+_EM_COEFF = [float(_BFRAC[2 * k]) / math.factorial(2 * k) for k in range(1, 6)]
 
 
 @dataclass(frozen=True)
@@ -102,23 +104,23 @@ def beta_factor_exact(n: int, x) -> Fraction:
     return out
 
 
-def _em_tail_terms(s: float, base: float, n_corrections: int = 4):
+def _em_tail(s, base, coeff):
     """Euler-Maclaurin tail sum_{n>=N}(n+x)^{-s} written at base = N+x.
 
-    Returns (tail, first_omitted) where first_omitted majorizes the remainder.
+    Works in the number type of ``s`` and ``base``, with ``coeff`` the
+    B_2k/(2k)! table in that type.  Returns (tail, first_omitted) where
+    first_omitted, the fifth correction, majorizes the remainder after four.
     """
-    tail = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
+    tail = base ** (1 - s) / (s - 1) + base ** (-s) / 2
     poch = s  # (s)_1
-    for k in range(1, n_corrections + 1):
+    for k in range(1, 6):
         # term  B_{2k}/(2k)! * (s)_{2k-1} * base^{-s-2k+1}
         if k > 1:
             poch *= (s + 2 * k - 3) * (s + 2 * k - 2)
-        term = _B2K[k - 1] / math.factorial(2 * k) * poch * base ** (-s - 2 * k + 1)
+        term = coeff[k - 1] * poch * base ** (-s - 2 * k + 1)
+        if k == 5:
+            return tail, abs(term)
         tail += term
-    poch *= (s + 2 * n_corrections - 1) * (s + 2 * n_corrections)
-    k = n_corrections + 1
-    omitted = abs(_B2K[k - 1] / math.factorial(2 * k) * poch * base ** (-s - 2 * k + 1))
-    return tail, omitted
 
 
 def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
@@ -141,7 +143,7 @@ def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluatio
     target = 10.0 ** (-(digits + 2))
     N = 10
     while N < cutoff:
-        _, omitted = _em_tail_terms(sf, N + xf)
+        _, omitted = _em_tail(sf, N + xf, _EM_COEFF)
         if omitted <= target:
             break
         N = min(2 * N, cutoff)
@@ -149,13 +151,8 @@ def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluatio
     x_mp = wp.mpf(xf)
     partial = wp.fsum((n + x_mp) ** (-s_mp) for n in range(1, N))
     base = N + x_mp
-    tail = base ** (1 - s_mp) / (s_mp - 1) + base ** (-s_mp) / 2
-    poch = s_mp
-    for k in range(1, 5):
-        if k > 1:
-            poch *= (s_mp + 2 * k - 3) * (s_mp + 2 * k - 2)
-        tail += wp.mpf(_B2K[k - 1]) / math.factorial(2 * k) * poch * base ** (-s_mp - 2 * k + 1)
-    _, omitted = _em_tail_terms(sf, float(base))
+    tail, _ = _em_tail(s_mp, base, [wp.mpf(c.numerator) / c.denominator for c in _EM_FRAC])
+    _, omitted = _em_tail(sf, float(base), _EM_COEFF)
     return Evaluation(
         value=partial + tail,
         bound=2.0 * omitted + 10.0 ** (-(digits + 4)),
@@ -165,56 +162,25 @@ def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluatio
     )
 
 
-def _clausen_cutoff(order: int, theta: float, tol: float) -> tuple[int, float]:
-    """Pick N and a rigorous tail bound for the Clausen series at theta."""
-    sin_half = abs(math.sin(theta / 2.0))
-    best = None
-    # crude monotone majorant  sum_{n>N} n^{-order} <= N^{1-order}/(order-1)
-    n_crude = int(math.ceil((tol * (order - 1)) ** (1.0 / (1 - order))))
-    best = (n_crude, "crude")
-    if sin_half > 0:
-        # Dirichlet-test bound: bounded partial sums of the oscillating factor
-        n_dir = int(math.ceil((1.0 / (tol * sin_half)) ** (1.0 / order)))
-        if n_dir < best[0]:
-            best = (n_dir, "dirichlet")
-    N = max(best[0], 64)
-    crude = N ** (1 - order) / (order - 1)
-    bound = crude
-    if sin_half > 0:
-        bound = min(bound, 1.0 / (sin_half * (N + 1) ** order))
-    return N, bound
-
-
 def clausen(order: int, theta, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
-    """Clausen function Cl_2 (sine series) or Cl_3 (cosine series)."""
+    """Clausen function Cl_2 (sine series) or Cl_3 (cosine series).
+
+    Evaluated by mpmath's ``clsin``/``clcos`` at the working precision; the
+    bound is that precision's last digits, not a proven majorant.
+    """
     if order not in (2, 3):
         raise DomainError("order must be 2 or 3")
     th = float(theta)
     if not math.isfinite(th):
         raise DomainError("theta must be finite")
-    N, bound = _clausen_cutoff(order, th, SERIES_TOLERANCE)
-    if N <= 50_000:
-        wp = ctx.mp_ctx()
-        th_mp = wp.mpf(th)
-        fn = wp.sin if order == 2 else wp.cos
-        value = wp.fsum(fn(n * th_mp) / wp.mpf(n) ** order for n in range(1, N + 1))
-        round_err = 0.0
-    else:
-        total = 0.0
-        chunk = 1_000_000
-        for lo in range(1, N + 1, chunk):
-            hi = min(lo + chunk - 1, N)
-            n = np.arange(lo, hi + 1, dtype=np.float64)
-            vals = (np.sin(n * th) if order == 2 else np.cos(n * th)) / n**order
-            total += float(np.sum(vals))
-        value = total
-        round_err = 1e-15 * math.log2(max(N, 2))
+    wp = ctx.mp_ctx()
+    fn = wp.clsin if order == 2 else wp.clcos
     return Evaluation(
-        value=value,
-        bound=bound + round_err,
-        bound_kind=RIGOROUS,
-        method="direct_series",
-        cutoff_used=N,
+        value=fn(order, th),
+        bound=10.0 ** (-(ctx.digits + 2)),
+        bound_kind=ESTIMATED,
+        method="mpmath_clausen",
+        cutoff_used=0,
     )
 
 

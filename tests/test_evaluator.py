@@ -129,6 +129,14 @@ def test_euler_transform_values():
     assert abs(float(ev.value) / 2.0 - math.pi**2 / 16) <= max(ev.bound, 1e-12)
 
 
+def test_euler_transform_p2_working_precision():
+    # the accelerated p = 2 terms are summed at the working precision
+    ctx = PrecisionContext(digits=30)
+    ev = eval_euler_transform(2.0, 1, -0.5, ctx)
+    with mp.workdps(40):
+        assert abs(ev.value - mp.pi**2 / 8) <= ev.bound
+
+
 def test_euler_transform_guard():
     with pytest.raises(DivergenceError):
         eval_euler_transform(1.5, 1, 0.0, CTX)
@@ -196,3 +204,13 @@ def test_mzv_cache_consistency():
     clear_caches()
     c = eval_hurwitz_mzv((1, 2), 0.0, CTX)
     assert c.value == a.value
+
+
+def test_eval_t_cache():
+    clear_caches()
+    a = eval_t((1, 3), CTX)
+    assert eval_t((1, 3), CTX) is a
+    clear_caches()
+    b = eval_t((1, 3), CTX)
+    assert b is not a
+    assert b.value == a.value

@@ -106,3 +106,10 @@ def test_verify_thm3_instance():
     r = verify("THM3", {"alpha": Composition.of(1, 3), "m": 1, "x": -0.5}, CTX)
     assert r.passed
     assert r.abs_diff <= max(r.bound, 1e-6)
+
+
+def test_verify_clausen_kind_follows_parts():
+    # the Clausen values carry estimated bounds, so the combination does too
+    r = verify("CLAUSEN_M1", None, CTX)
+    assert r.passed
+    assert r.bound_kind == "estimated"

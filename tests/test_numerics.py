@@ -51,15 +51,42 @@ def test_zeta_em_domain():
         zeta_em(2.0, -1.5)
 
 
+def test_zeta_em_within_bound_at_high_precision():
+    # the bound must majorize the error at the working precision, so the
+    # Euler-Maclaurin coefficients have to be exact there
+    for digits in (30, 50):
+        ctx = PrecisionContext(digits=digits)
+        for s, x in [(3, 0.0), (2, 0.5), (5, -0.5), (4, 0.25)]:
+            ev = zeta_em(s, x, ctx)
+            with mp.workdps(digits + 10):
+                err = abs(ev.value - mp.zeta(s, 1 + mp.mpf(x)))
+            assert err <= ev.bound, (digits, s, x)
+
+
 def test_clausen_values():
     ctx = DEFAULT_CTX
-    th = math.pi / 3
-    cl2 = clausen(2, th, ctx)
-    assert abs(float(cl2.value) - float(mp.clsin(2, th))) <= max(cl2.bound, 1e-12)
-    cl3 = clausen(3, th, ctx)
-    assert abs(float(cl3.value) - float(mp.clcos(3, th))) <= max(cl3.bound, 1e-12)
-    # odd symmetry of the order-2 function
-    assert abs(float(clausen(2, -th, ctx).value) + float(cl2.value)) < 1e-10
+    # theta is a double: allow |Cl'| <= 1.1 times its rounding from the exact angle
+    slack = 2.5e-16
+    with mp.workdps(ctx.digits + 10):
+        cases = [
+            (2, 0.0, mp.mpf(0), 0.0),
+            (3, 0.0, mp.zeta(3), 0.0),
+            (3, math.pi / 3, mp.zeta(3) / 3, slack),
+            (2, math.pi / 2, mp.catalan, slack),
+        ]
+        for order, th, ref, tol in cases:
+            ev = clausen(order, th, ctx)
+            assert ev.bound_kind == ESTIMATED
+            assert abs(ev.value - ref) <= ev.bound + tol, (order, th)
+        # odd symmetry of the order-2 function
+        th = math.pi / 3
+        assert abs(clausen(2, -th, ctx).value + clausen(2, th, ctx).value) \
+            <= 2 * clausen(2, th, ctx).bound
+        # near 0, Cl_2(t) = t - t ln t + t^3/72 + O(t^5); a direct
+        # series would need ~1e10 terms here
+        t = mp.mpf(1e-9)
+        ev = clausen(2, 1e-9, ctx)
+        assert abs(ev.value - (t - t * mp.log(t) + t**3 / 72)) <= ev.bound + t**5
 
 
 def test_clausen_rejects_bad_order():
