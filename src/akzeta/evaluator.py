@@ -168,8 +168,9 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
                       method="dp+geom-tail", cutoff_used=N)
 
 
-def _outer_arrays(N: int, m: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """B(n,1+x) and P_m(H_n^(1)(x),..,H_n^(m)(x)) for n = 1..N, extended precision."""
+def _outer_arrays(N: int, m: int, x: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """B(n,1+x) and P_0..P_m of (H_n^(1)(x),..,H_n^(m)(x)) for n = 1..N,
+    extended precision."""
     xl = _LD(x)
     n = np.arange(1, N + 1, dtype=_LD)
     # B(1,1+x) = 1/(1+x), B(n+1,1+x) = B(n,1+x) * n/(n+1+x)
@@ -178,7 +179,33 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     np.multiply.accumulate(n[:-1] / (n[1:] + xl), out=B[1:])
     B[1:] *= B[0]
     H = [np.cumsum((n + xl) ** _LD(-k)) for k in range(1, m + 1)]
-    return B, bell_modified(H, one=np.ones(N, dtype=_LD))[m]
+    return B, bell_modified(H, one=np.ones(N, dtype=_LD))
+
+
+def _ak_lhs_p1(a: tuple[int, ...], ms, x: float,
+               ctx: PrecisionContext) -> list[Evaluation]:
+    """:func:`eval_ak_lhs` at p = 1 for each m in ``ms``.
+
+    The outer arrays and the Bell tail models are built once, for the
+    largest m; P_m depends only on H^(1)..H^(m), so every value equals that
+    of a single call.
+    """
+    if x + a[-1] <= 0:
+        raise DivergenceError(f"needs x + a_r > 0 at p = 1, got {x + a[-1]}")
+    N = ctx.default_cutoff
+    n = np.arange(1, N + 1, dtype=_LD)
+    m_max = max(ms, default=0)
+    B, P = _outer_arrays(N, m_max, x)
+    P_models = bell_p_models(m_max, x)
+    inner = [n ** _LD(-ai) for ai in a[:-1]]
+    inner_models = [pow_shift(float(ai), 0.0) for ai in a[:-1]]
+    last = n ** _LD(-a[-1])
+    last_model = pow_shift(float(a[-1]), 0.0)
+    beta = beta_model(x)
+    return [_dp_em_tail(inner + [B * P[m] * last],
+                        inner_models + [beta * P_models[m] * last_model],
+                        len(a) + m + 1)
+            for m in ms]
 
 
 def eval_ak_lhs(alpha, p: float, m: int, x: float,
@@ -195,26 +222,16 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
         raise DomainError("require m >= 0")
     if pf < 1:
         raise DomainError("require p >= 1")
-    if pf == 1.0 and xf + a[-1] <= 0:
-        raise DivergenceError(f"needs x + a_r > 0 at p = 1, got {xf + a[-1]}")
-    r = len(a)
     if pf == 1.0:
-        N = ctx.default_cutoff
-        n = np.arange(1, N + 1, dtype=_LD)
-        B, Pm = _outer_arrays(N, m, xf)
-        weights = [n ** _LD(-ai) for ai in a[:-1]]
-        weights.append(B * Pm * n ** _LD(-a[-1]))
-        models = [pow_shift(float(ai), 0.0) for ai in a[:-1]]
-        outer = beta_model(xf) * bell_p_models(m, xf, ctx)[m] * pow_shift(float(a[-1]), 0.0)
-        models.append(outer)
-        return _dp_em_tail(weights, models, r + m + 1)
+        return _ak_lhs_p1(a, (m,), xf, ctx)[0]
     # p > 1: plain geometric convergence
+    r = len(a)
     N = min(ctx.default_cutoff,
             max(80, int(math.ceil((ctx.digits + 12) * math.log(10) / math.log(pf))) + 40))
     n = np.arange(1, N + 1, dtype=_LD)
-    B, Pm = _outer_arrays(N, m, xf)
+    B, P = _outer_arrays(N, m, xf)
     weights = [n ** _LD(-ai) for ai in a[:-1]]
-    weights.append(B * Pm * n ** _LD(-a[-1]) * _LD(pf) ** (-n))
+    weights.append(B * P[m] * n ** _LD(-a[-1]) * _LD(pf) ** (-n))
     partial, _ = _dp_nested(weights)
     # majorant constants: H_n^(k)(x) <= g^{k-1} H_n^(1)(x), H_n^(1)(x) <= c + ln n,
     # P_m on arguments <= X is at most (X+m)^m / m!
@@ -271,10 +288,12 @@ def eval_euler_transform(p: float, s: int, x: float,
     if pf == 2.0:
         wp = ctx.mp_ctx()
         xm = wp.mpf(xf)
+        h = [wp.mpf(0)]  # h[n] = H_n^{(s)}(x), extended as a running sum
 
         def term(n: int):
-            h = wp.fsum((j + xm) ** (-s) for j in range(1, n + 1))
-            return (-1) ** (n + 1) * h / n
+            while len(h) <= n:
+                h.append(h[-1] + (len(h) + xm) ** (-s))
+            return (-1) ** (n + 1) * h[n] / n
 
         return accelerate_alternating(term, ctx)
     q = pf - 1.0
@@ -316,8 +335,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     bound = 0.0
     last = 0.0
     cutoff = 0
-    for m in range(m_terms):
-        ev = eval_ak_lhs(beta, 1.0, m, xf, ctx)
+    for m, ev in enumerate(_ak_lhs_p1(beta, range(m_terms), xf, ctx)):
         term = zf**m * ev.value
         total += term
         bound += abs(zf) ** m * ev.bound

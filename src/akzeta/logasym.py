@@ -28,12 +28,14 @@ import mpmath as mp
 
 from .errors import DomainError
 from .harmonic_bell import bell_modified
-from .numerics import PrecisionContext, DEFAULT_CTX, zeta_em, _BFRAC, _EM_COEFF
+from .numerics import PrecisionContext, zeta_em, _BFRAC, _EM_COEFF
 
 __all__ = ["LogSeries", "pow_shift", "log_shift", "ztail", "nested_tail_sum",
            "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
+# the models are float series, so their zeta constants need float precision only
+_FLOAT_CTX = PrecisionContext(digits=17)
 _KEY_ROUND = 9
 
 
@@ -249,7 +251,7 @@ def beta_model(x: float) -> LogSeries:
     return out
 
 
-def harmonic_model(k: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> LogSeries:
+def harmonic_model(k: int, x: float) -> LogSeries:
     """Asymptotics of H_n^(k)(x) = sum_{j<=n} (j+x)^{-k}."""
     if x <= -1:
         raise DomainError("require x > -1")
@@ -267,16 +269,16 @@ def harmonic_model(k: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> Log
                     out.add_term(j, s, coef * c)
         return out.truncate(float(ORDER + 1))
     # H_n^(k)(x) = zeta(k, 1+x) - sum_{m > n} (m+x)^{-k}
-    const = float(zeta_em(k, x, ctx).value)
+    const = float(zeta_em(k, x, _FLOAT_CTX).value)
     tail, _ = ztail(pow_shift(float(k), x))
     out = tail.scaled(-1.0)
     out.add_term(0, 0.0, const)
     return out.truncate(float(ORDER + 1))
 
 
-def bell_p_models(m: int, x: float, ctx: PrecisionContext = DEFAULT_CTX) -> list[LogSeries]:
+def bell_p_models(m: int, x: float) -> list[LogSeries]:
     """Asymptotic models of P_0..P_m evaluated on (H_n^(1)(x),..,H_n^(m)(x))."""
-    hs = [harmonic_model(k, x, ctx) for k in range(1, m + 1)]
+    hs = [harmonic_model(k, x) for k in range(1, m + 1)]
     return bell_modified(hs, one=LogSeries.const(1.0))
 
 

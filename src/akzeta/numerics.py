@@ -28,9 +28,6 @@ __all__ = [
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
 
-# truncation target of the alternating accelerator
-SERIES_TOLERANCE = 1e-12
-
 # B_2k/(2k)!, k = 1..5: the Euler-Maclaurin correction coefficients, exact
 # and as floats.
 _BFRAC = bernoulli_numbers(10)
@@ -195,7 +192,7 @@ def _cvz_alternating(b, wp):
     for k in range(n):
         c = bb - c
         s += c * b[k]
-        bb = (k + n) * (k - n) * bb / ((k + wp.mpf("0.5")) * (k + 1))
+        bb = bb * (2 * (k + n) * (k - n)) / ((2 * k + 1) * (k + 1))
     return s / d
 
 
@@ -203,11 +200,13 @@ def accelerate_alternating(term_fn: Callable[[int], object],
                            ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Accelerated value of sum_{n>=1} term_fn(n) for alternating terms.
 
-    term_fn returns the signed n-th term.  The estimate compares two
-    acceleration orders, so the bound is an estimate, not a majorant.
+    term_fn returns the signed n-th term.  The term count is sized so that
+    the (3 + sqrt 8)^-n convergence of the acceleration reaches the working
+    precision.  The estimate compares two acceleration orders, so the bound
+    is an estimate, not a majorant.
     """
     wp = ctx.mp_ctx()
-    n_terms = max(24, int(math.ceil(-math.log(SERIES_TOLERANCE) / math.log(3 + math.sqrt(8)))) + 8)
+    n_terms = int(math.ceil((ctx.digits + 2) * math.log(10) / math.log(3 + math.sqrt(8)))) + 8
     terms = [wp.mpf(term_fn(n)) for n in range(1, n_terms + 7)]
     sign0 = 1 if terms[0] >= 0 else -1
     for i, t in enumerate(terms[: min(16, len(terms))]):

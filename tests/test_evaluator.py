@@ -9,7 +9,8 @@ from akzeta.errors import DomainError, DivergenceError
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform,
                               eval_prop2_series, ak_lhs_partial_exact,
-                              clear_caches)
+                              clear_caches, _ak_lhs_p1)
+from akzeta.identities import catalog
 from akzeta.harmonic_bell import d_operator
 from akzeta.numerics import PrecisionContext, RIGOROUS
 
@@ -130,11 +131,13 @@ def test_euler_transform_values():
 
 
 def test_euler_transform_p2_working_precision():
-    # the accelerated p = 2 terms are summed at the working precision
-    ctx = PrecisionContext(digits=30)
-    ev = eval_euler_transform(2.0, 1, -0.5, ctx)
-    with mp.workdps(40):
-        assert abs(ev.value - mp.pi**2 / 8) <= ev.bound
+    # the accelerated p = 2 terms are summed, and their count is sized, at the
+    # working precision: the bound delivers the requested digits and holds
+    for digits in (30, 50):
+        ev = eval_euler_transform(2.0, 1, -0.5, PrecisionContext(digits=digits))
+        assert ev.bound <= 10.0 ** -(digits - 2)
+        with mp.workdps(digits + 20):
+            assert abs(ev.value - mp.pi**2 / 8) <= ev.bound
 
 
 def test_euler_transform_guard():
@@ -156,6 +159,16 @@ def test_prop2_series_reproduces_shift():
     assert abs(lhs.value - rhs.value) <= lhs.bound + rhs.bound + 1e-6
     with pytest.raises(DomainError):
         eval_prop2_series(Composition.of(2), 0.0, 1.5, 8, CTX)
+
+
+def test_ak_lhs_p1_shared_build_matches_single_calls():
+    # one build of the outer arrays and models for all m gives, for each m,
+    # the very Evaluation of a single eval_ak_lhs call
+    params = next(case.grid for case in catalog() if case.id == "PROP2")[1]
+    beta = dual(params["alpha"]).alpha()
+    x = params["x"]
+    shared = _ak_lhs_p1(beta, range(6), x, CTX)
+    assert shared == [eval_ak_lhs(beta, 1.0, m, x, CTX) for m in range(6)]
 
 
 def test_exact_truncation_matches_kernel_series():

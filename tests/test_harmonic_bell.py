@@ -23,15 +23,19 @@ def test_harmonic_table_shifted():
 
 
 def test_harmonic_table_float_matches_exact():
-    # the exact B(n,1+x) P_m(H-row(n)) against the extended-precision arrays
-    # that the summation engine uses
+    # the exact B(n,1+x) and P_0..P_m(H-row(n)) against the extended-precision
+    # arrays that the summation engine uses, from one build for all m
     x = Fraction(1, 3)
     tab = harmonic_table(50, 3, x)
-    for m in range(4):
-        B, Pm = _outer_arrays(50, m, float(x))
-        for n in (1, 7, 50):
-            exact = beta_factor_exact(n, x) * bell_modified(tab.row(n))[m]
-            assert abs(float(B[n - 1] * Pm[n - 1]) - float(exact)) < 1e-15 * float(exact)
+    B, P = _outer_arrays(50, 3, float(x))
+    assert len(P) == 4
+    for n in (1, 7, 50):
+        beta = beta_factor_exact(n, x)
+        assert abs(float(B[n - 1]) - float(beta)) < 1e-15 * float(beta)
+        for m, exact in enumerate(bell_modified(tab.row(n))):
+            assert abs(float(P[m][n - 1]) - float(exact)) < 1e-15 * float(exact)
+            assert (abs(float(B[n - 1] * P[m][n - 1]) - float(beta * exact))
+                    < 1e-15 * float(beta * exact))
 
 
 def test_harmonic_table_validation():

@@ -92,6 +92,15 @@ def test_harmonic_models():
     assert abs(h2(n) - ref) < 1e-14
 
 
+def test_harmonic_constant_matches_mpmath_zeta():
+    # the constant term of H_n^(k)(x) is zeta(k, 1+x), rounded to float
+    for k in range(2, 13):
+        for x in (0.5, 0.25, -0.5):
+            with mp.workdps(30):
+                ref = float(mp.zeta(k, 1 + x))
+            assert harmonic_model(k, x).terms[(0, 0.0)] == ref
+
+
 def test_bell_p_models_match_exact_rows():
     from akzeta.harmonic_bell import harmonic_table, bell_modified
     n = 400
