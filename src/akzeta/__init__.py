@@ -2,8 +2,8 @@
 beta-weighted binomial series, and their Bernoulli-type polynomials, with an
 identity verification catalog and a command-line interface."""
 
-from .combinatorics import (Composition, WeakComposition, dual, weight, depth,
-                            weak_compositions, m_coeff, admissible_compositions)
+from .combinatorics import (Composition, dual, weak_compositions, m_coeff,
+                            admissible_compositions)
 from .errors import DomainError, DivergenceError, NonAlternatingError
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                         eval_ak_rhs, eval_euler_transform, eval_prop2_series)
@@ -20,8 +20,8 @@ from .powerseries import (PolyRat, TruncSeries, bernoulli_numbers,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Composition", "WeakComposition", "dual", "weight", "depth",
-    "weak_compositions", "m_coeff", "admissible_compositions",
+    "Composition", "dual", "weak_compositions", "m_coeff",
+    "admissible_compositions",
     "DomainError", "DivergenceError", "NonAlternatingError",
     "eval_hurwitz_mzv", "eval_t", "eval_li", "eval_ak_lhs", "eval_ak_rhs",
     "eval_euler_transform", "eval_prop2_series",

@@ -16,11 +16,8 @@ from .errors import DomainError
 
 __all__ = [
     "Composition",
-    "WeakComposition",
     "binomial",
     "dual",
-    "weight",
-    "depth",
     "weak_compositions",
     "m_coeff",
     "admissible_compositions",
@@ -83,33 +80,11 @@ class Composition:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class WeakComposition:
-    """A tuple of non-negative integers with a fixed target sum."""
-
-    parts: tuple[int, ...]
-    target: int
-
-    def __post_init__(self):
-        if any(p < 0 for p in self.parts):
-            raise DomainError("weak composition parts must be non-negative")
-        if sum(self.parts) != self.target:
-            raise DomainError(f"parts {self.parts} do not sum to {self.target}")
-
-
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient, 0 when k > n."""
     if n < 0 or k < 0:
         raise DomainError("binomial requires non-negative arguments")
     return math.comb(n, k)
-
-
-def weight(c: Composition) -> int:
-    return c.weight
-
-
-def depth(c: Composition) -> int:
-    return c.depth
 
 
 def _to_word(c: Composition) -> list[int]:
@@ -146,7 +121,7 @@ def dual(c: Composition) -> Composition:
     return _from_word([1 - b for b in reversed(word)])
 
 
-def weak_compositions(m: int, k: int) -> Iterator[WeakComposition]:
+def weak_compositions(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-tuples of non-negative integers summing to m, lexicographically."""
     if m < 0 or k < 1:
         raise DomainError("need m >= 0 and k >= 1")
@@ -158,8 +133,7 @@ def weak_compositions(m: int, k: int) -> Iterator[WeakComposition]:
         for first in range(remaining + 1):
             yield from rec(prefix + (first,), remaining - first, slots - 1)
 
-    for parts in rec((), m, k):
-        yield WeakComposition(parts, m)
+    yield from rec((), m, k)
 
 
 def m_coeff(alpha: Sequence[int], d: Sequence[int]) -> int:

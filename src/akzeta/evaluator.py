@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .combinatorics import Composition, weak_compositions, m_coeff, binomial
@@ -268,9 +267,8 @@ def zeta_combination(alpha, m: int,
     bound = 0.0
     cutoff = 0
     for d in weak_compositions(m, len(a)):
-        dj = d.parts
-        coef = m_coeff(a[:-1], dj[:-1]) * binomial(a[-1] + dj[-1], dj[-1])
-        ev = zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, dj))))
+        coef = m_coeff(a[:-1], d[:-1]) * binomial(a[-1] + d[-1], d[-1])
+        ev = zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, d))))
         total += coef * ev.value
         bound += coef * ev.bound
         cutoff = max(cutoff, ev.cutoff_used)
@@ -285,28 +283,20 @@ def eval_euler_transform(p: float, s: int, x: float,
     xf = real_shift(x)
     if pf < 2:
         raise DivergenceError("alternating transform needs p >= 2")
-    if pf == 2.0:
-        wp = ctx.mp_ctx()
-        xm = wp.mpf(xf)
-        h = [wp.mpf(0)]  # h[n] = H_n^{(s)}(x), extended as a running sum
-
-        def term(n: int):
-            while len(h) <= n:
-                h.append(h[-1] + (len(h) + xm) ** (-s))
-            return (-1) ** (n + 1) * h[n] / n
-
-        return accelerate_alternating(term, ctx)
     q = pf - 1.0
+    wp = ctx.mp_ctx()
+    xm, qm = wp.mpf(xf), wp.mpf(q)
+    h = [wp.mpf(0)]  # h[n] = H_n^{(s)}(x), extended as a running sum
+
+    def term(n: int):
+        while len(h) <= n:
+            h.append(h[-1] + (len(h) + xm) ** (-s))
+        return (-1) ** (n + 1) * h[n] / (n * qm**n)
+
+    if pf == 2.0:
+        return accelerate_alternating(term, ctx)
     N = max(60, int(math.ceil((ctx.digits + 12) * math.log(10) / math.log(q))) + 40)
-    with mp.workdps(ctx.digits + 10):
-        xm = mp.mpf(xf)
-        h = mp.mpf(0)
-        total = mp.mpf(0)
-        qm = mp.mpf(q)
-        for n in range(1, N + 1):
-            h += (n + xm) ** (-s)
-            total += (-1) ** (n + 1) * h / (n * qm**n)
-        value = float(total)
+    value = float(sum(term(n) for n in range(1, N + 1)))
     c = max(1.0, 1.0 / (1.0 + xf))
     # H_n^{(s)}(x) <= g^{s-1}(c + ln n) with g as in eval_ak_lhs
     g = max(2.0, 1.0 / (1.0 + xf))

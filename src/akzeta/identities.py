@@ -317,13 +317,15 @@ def _do_genfun_b(params, ctx):
             c = polys[m](x)
             lhs += mp.mpf(c.numerator) / c.denominator * t**m / mp.factorial(m)
         w = (1 - mp.e**(-t)) / p
-        # direct nested summation of the polylogarithm at small argument
+        # direct nested summation of the polylogarithm at small argument:
+        # inner[j] = sum over n_1 < ... < n_j < n of prod n_i^{-v_i}
+        inner = [mp.mpf(1)] + [mp.mpf(0)] * (v.depth - 1)
         rhs_li = mp.mpf(0)
-        H = mp.mpf(0)
         for n in range(1, 80):
             if n > 1:
-                H += mp.mpf(1) / (n - 1)
-            rhs_li += w**n / n**v.parts[-1] * (H if len(v.parts) == 2 else 1)
+                for j in range(v.depth - 1, 0, -1):
+                    inner[j] += inner[j - 1] / (n - 1) ** v.parts[j - 1]
+            rhs_li += w**n / n**v.parts[-1] * inner[-1]
         rhs = mp.e**(xm * t) / (mp.e**t - 1) * rhs_li
         diff = float(abs(lhs - rhs))
     return float(lhs), float(rhs), diff, 1e-25, ESTIMATED, diff <= 1e-25

@@ -1,8 +1,10 @@
-"""Exact truncated power series over rationals and polynomials in x.
+"""Exact truncated power series over the rationals, and the Bernoulli-type
+polynomials they produce.
 
-Used to build the Bernoulli-type polynomials attached to a multi-index v and
-a rational parameter p >= 1 from the generating function
-e^{xt}/(e^t - 1) * Li_v((1 - e^{-t})/p).
+The polynomials attached to a multi-index v and a rational parameter p >= 1
+come from the generating function e^{xt}/(e^t - 1) * Li_v((1 - e^{-t})/p).
+Since x enters only through e^{xt}, they form an Appell sequence: each one is
+built from the rational x = 0 values by the binomial formula.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ Scalar = Union[int, Fraction]
 
 
 class PolyRat:
-    """A polynomial in one variable x with exact rational coefficients."""
+    """A polynomial in one variable x with exact rational coefficients,
+    lowest degree first."""
 
     __slots__ = ("coeffs",)
 
@@ -39,64 +42,15 @@ class PolyRat:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c: Scalar) -> "PolyRat":
-        return cls([Fraction(c)])
-
-    @classmethod
-    def x(cls) -> "PolyRat":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PolyRat.const(other)
         return isinstance(other, PolyRat) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other) -> "PolyRat":
-        other = other if isinstance(other, PolyRat) else PolyRat.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return PolyRat(a)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PolyRat":
-        return PolyRat([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "PolyRat":
-        other = other if isinstance(other, PolyRat) else PolyRat.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "PolyRat":
-        return PolyRat.const(other) - self
-
-    def __mul__(self, other) -> "PolyRat":
-        if isinstance(other, (int, Fraction)):
-            return PolyRat([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyRat(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> "PolyRat":
-        return PolyRat([c / Fraction(scalar) for c in self.coeffs])
 
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
@@ -131,15 +85,12 @@ class PolyRat:
 
 
 class TruncSeries:
-    """A formal power series truncated at order M, with exact coefficients.
-
-    Coefficients may be Fractions or PolyRat values; arithmetic is closed at
-    the truncation order.
-    """
+    """A formal power series with rational coefficients, truncated at order M;
+    arithmetic is closed at the truncation order."""
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Sequence, order: int):
+    def __init__(self, coeffs: Sequence[Scalar], order: int):
         if order < 0:
             raise DomainError("truncation order must be non-negative")
         cs = list(coeffs)[: order + 1]
@@ -148,45 +99,16 @@ class TruncSeries:
         self.order = order
 
     @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls([], order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncSeries":
         return cls([Fraction(1)], order)
 
-    @classmethod
-    def t(cls, order: int) -> "TruncSeries":
-        return cls([Fraction(0), Fraction(1)], order)
+    def __add__(self, c: Scalar) -> "TruncSeries":
+        """Add the constant c."""
+        cs = list(self.coeffs)
+        cs[0] = cs[0] + c
+        return TruncSeries(cs, self.order)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncSeries)
-            and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __add__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return TruncSeries(cs, self.order)
-        order = min(self.order, other.order)
-        return TruncSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], order
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other) -> "TruncSeries":
-        return self + (-other if isinstance(other, TruncSeries) else -1 * other)
-
-    def __mul__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return TruncSeries([c * other for c in self.coeffs], self.order)
+    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         order = min(self.order, other.order)
         out = [Fraction(0)] * (order + 1)
         for i in range(order + 1):
@@ -199,11 +121,6 @@ class TruncSeries:
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncSeries(out, order)
-
-    __rmul__ = __mul__
-
-    def scale(self, scalar) -> "TruncSeries":
-        return TruncSeries([c * scalar for c in self.coeffs], self.order)
 
     def shift_down(self) -> "TruncSeries":
         """Divide by t; requires zero constant term.  Loses one order."""
@@ -220,10 +137,6 @@ def series_inverse(f: TruncSeries) -> TruncSeries:
     c0 = f.coeffs[0]
     if c0 == 0:
         raise DomainError("series with zero constant term has no inverse")
-    if isinstance(c0, PolyRat):
-        if c0.degree != 0:
-            raise DomainError("cannot invert a non-constant leading coefficient")
-        c0 = c0.coeffs[0]
     inv0 = Fraction(1) / c0
     out = [inv0] + [Fraction(0)] * f.order
     for n in range(1, f.order + 1):
@@ -245,16 +158,6 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return acc
 
 
-def exp_t(order: int) -> TruncSeries:
-    """exp(t) to the given order."""
-    c = Fraction(1)
-    coeffs = [c]
-    for n in range(1, order + 1):
-        c /= n
-        coeffs.append(c)
-    return TruncSeries(coeffs, order)
-
-
 def bernoulli_numbers(M: int) -> list[Fraction]:
     """B_0..B_M for t/(e^t - 1), so B_1 = -1/2."""
     if M < 0:
@@ -271,13 +174,18 @@ def bernoulli_numbers(M: int) -> list[Fraction]:
     return B
 
 
-def classical_bernoulli_polynomial(m: int) -> PolyRat:
-    """B_m(x) = sum_k C(m,k) B_k x^{m-k}."""
-    B = bernoulli_numbers(m)
+def _appell(numbers: Sequence[Fraction], m: int) -> PolyRat:
+    """sum_k C(m,k) numbers[k] x^{m-k}: the m-th member of the Appell
+    sequence whose values at x = 0 are ``numbers``."""
     coeffs = [Fraction(0)] * (m + 1)
     for k in range(m + 1):
-        coeffs[m - k] += Fraction(math.comb(m, k)) * B[k]
+        coeffs[m - k] = math.comb(m, k) * numbers[k]
     return PolyRat(coeffs)
+
+
+def classical_bernoulli_polynomial(m: int) -> PolyRat:
+    """B_m(x) = sum_k C(m,k) B_k x^{m-k}."""
+    return _appell(bernoulli_numbers(m), m)
 
 
 def li_series(v: Composition, M: int) -> TruncSeries:
@@ -309,8 +217,8 @@ def li_series(v: Composition, M: int) -> TruncSeries:
 def ak_bernoulli_polys(v: Composition, p, m_max: int) -> list[PolyRat]:
     """Polynomials B^v_{p,m}(x) for m = 0..m_max, exact in x.
 
-    Expands e^{xt}/(e^t-1) * Li_v((1-e^{-t})/p) as a t-series; the m-th
-    polynomial is m! times the coefficient of t^m.
+    Their values at x = 0 are k! times the coefficients of t^k in
+    Li_v((1-e^{-t})/p)/(e^t-1); each polynomial is the Appell sum of those.
     """
     p = Fraction(p)
     if p < 1:
@@ -318,32 +226,13 @@ def ak_bernoulli_polys(v: Composition, p, m_max: int) -> list[PolyRat]:
     if m_max < 0:
         raise DomainError("m_max must be non-negative")
     M = m_max + v.depth + 5  # guard terms: composition consumes low orders
-    et = exp_t(M)
-    # w(t) = (1 - e^{-t})/p
-    e_neg = TruncSeries([(-1) ** n * c for n, c in enumerate(et.coeffs)], M)
-    w_t = (TruncSeries.one(M) - e_neg).scale(Fraction(1) / p)
-    li = li_series(v, M)
-    G = series_compose(li, w_t)  # vanishes to order depth(v) >= 1
-    G_over_t = G.shift_down()
-    t_over_expm1 = series_inverse((et - TruncSeries.one(M)).shift_down())
-    base = G_over_t * t_over_expm1  # rational coefficients, order M-1
-    x = PolyRat.x()
-    exp_xt_coeffs = []
-    c = PolyRat.const(1)
-    for n in range(base.order + 1):
-        if n > 0:
-            c = c * x * Fraction(1, n)
-        exp_xt_coeffs.append(c)
-    exp_xt = TruncSeries(exp_xt_coeffs, base.order)
-    base_poly = TruncSeries([PolyRat.const(cf) for cf in base.coeffs], base.order)
-    total = exp_xt * base_poly
-    out = []
-    fact = Fraction(1)
-    for m in range(m_max + 1):
-        if m > 0:
-            fact *= m
-        cm = total.coeffs[m]
-        if not isinstance(cm, PolyRat):
-            cm = PolyRat.const(cm)
-        out.append(cm * fact)
-    return out
+    inv_fact = [Fraction(1, math.factorial(n)) for n in range(M + 1)]
+    # w(t) = (1 - e^{-t})/p = sum_{n >= 1} (-1)^{n+1} t^n/(n! p)
+    w_t = TruncSeries([0] + [(-1) ** (n + 1) * inv_fact[n] / p
+                             for n in range(1, M + 1)], M)
+    G = series_compose(li_series(v, M), w_t)  # vanishes to order depth(v) >= 1
+    # (e^t - 1)/t = sum_n t^n/(n+1)!
+    t_over_expm1 = series_inverse(TruncSeries(inv_fact[1:], M - 1))
+    base = G.shift_down() * t_over_expm1
+    at_zero = [math.factorial(k) * c for k, c in enumerate(base.coeffs[: m_max + 1])]
+    return [_appell(at_zero, m) for m in range(m_max + 1)]

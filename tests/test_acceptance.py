@@ -97,8 +97,8 @@ def test_criterion_07_cor4():
         lhs = 2.0 ** (-(q + 1) - m) * eval_ak_lhs((q,), 1.0, m, -0.5, CTX).value
         rhs = 0.0
         for d in weak_compositions(m, q):
-            parts = tuple(di + 1 for di in d.parts[:-1]) + (d.parts[-1] + 2,)
-            rhs += (d.parts[-1] + 1) * eval_t(parts, CTX).value
+            parts = tuple(di + 1 for di in d[:-1]) + (d[-1] + 2,)
+            rhs += (d[-1] + 1) * eval_t(parts, CTX).value
         ok &= abs(lhs - rhs) <= 1e-6
         if q == 1 and m == 0:
             ok &= abs(lhs - math.pi**2 / 8) <= 1e-6

@@ -113,3 +113,10 @@ def test_verify_clausen_kind_follows_parts():
     r = verify("CLAUSEN_M1", None, CTX)
     assert r.passed
     assert r.bound_kind == "estimated"
+
+
+@pytest.mark.parametrize("v", [(2, 2), (1, 1, 2), (3, 1, 2)])
+def test_genfun_b_oracle_sums_any_index(v):
+    # the direct Li_v sum of the oracle must nest over every part of v
+    r = verify("GENFUN_B", {"v": Composition(v)})
+    assert r.passed, r

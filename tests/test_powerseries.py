@@ -1,8 +1,8 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from akzeta.combinatorics import Composition
 from akzeta.errors import DomainError
@@ -14,21 +14,21 @@ from akzeta.powerseries import (PolyRat, TruncSeries, series_inverse,
 
 
 def test_polyrat_arithmetic_and_eval():
-    x = PolyRat.x()
-    p = (x - Fraction(1, 2)) * (x + 2)
+    p = PolyRat([-1, Fraction(3, 2), 1])  # (x - 1/2)(x + 2)
     assert p(Fraction(1, 2)) == 0
     assert p(0) == -1
     assert p.degree == 2
-    assert p - p == PolyRat()
-    assert 2 * x == x + x
+    assert PolyRat([0, 0]) == PolyRat()
+    assert PolyRat([0, 2, 0]) == PolyRat([0, Fraction(4, 2)])
+    assert hash(PolyRat([1, 0])) == hash(PolyRat([Fraction(1)]))
 
 
 def test_polyrat_str_canonical():
-    assert str(PolyRat.x() - Fraction(1, 2)) == "x - 1/2"
-    assert str(PolyRat.const(1)) == "1"
+    assert str(PolyRat([Fraction(-1, 2), 1])) == "x - 1/2"
+    assert str(PolyRat([1])) == "1"
     assert str(PolyRat()) == "0"
     assert str(PolyRat([0, 0, 1])) == "x^2"
-    assert str(PolyRat([Fraction(1, 6), -1]) * 3) == "-3*x + 1/2"
+    assert str(PolyRat([Fraction(1, 2), -3])) == "-3*x + 1/2"
 
 
 def test_truncseries_mul_and_inverse():
@@ -37,7 +37,7 @@ def test_truncseries_mul_and_inverse():
     assert (f * g).coeffs == TruncSeries.one(6).coeffs
     assert g.coeffs[:4] == [Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)]
     with pytest.raises(DomainError):
-        series_inverse(TruncSeries.t(4))
+        series_inverse(TruncSeries([0, 1], 4))
 
 
 def test_series_compose():
@@ -98,17 +98,26 @@ def test_ak_bernoulli_collapse_to_classical():
 
 def test_ak_bernoulli_basic_shapes():
     polys = ak_bernoulli_polys(Composition.of(2), 1, 3)
-    assert polys[0] == PolyRat.const(1)
+    assert polys[0] == PolyRat([1])
     assert all(polys[m].degree <= m for m in range(4))
     with pytest.raises(DomainError):
         ak_bernoulli_polys(Composition.of(1), 0, 2)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.fractions(max_denominator=20), min_size=0, max_size=5),
-       st.fractions(max_denominator=10))
-def test_polyrat_eval_is_ring_hom(coeffs, point):
-    p = PolyRat(coeffs)
-    q = PolyRat([1, -2, 3])
-    assert (p + q)(point) == p(point) + q(point)
-    assert (p * q)(point) == p(point) * q(point)
+def test_ak_bernoulli_at_one_is_kaneko_poly_bernoulli():
+    # At p = 1 and x = 1 the generating function is Li_k(1-e^{-t})/(1-e^{-t}),
+    # whose coefficients are Kaneko's poly-Bernoulli numbers
+    # B_n^(k) = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k
+    # (J. Theor. Nombres Bordeaux 9 (1997)), S the Stirling numbers of the
+    # second kind.
+    n_max = 8
+    S = [[1] + [0] * n_max]
+    for n in range(1, n_max + 1):
+        S.append([0] + [m * S[n - 1][m] + S[n - 1][m - 1] for m in range(1, n_max + 1)])
+    for k in range(1, 5):
+        polys = ak_bernoulli_polys(Composition.of(k), 1, n_max)
+        for n in range(n_max + 1):
+            kaneko = (-1) ** n * sum(Fraction((-1) ** m * math.factorial(m) * S[n][m],
+                                              (m + 1) ** k)
+                                     for m in range(n + 1))
+            assert polys[n](1) == kaneko
