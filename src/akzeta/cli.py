@@ -119,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision", type=int, default=50,
                         help="working precision in decimal digits (>= 15)")
     parser.add_argument("--cutoff", type=int, default=None,
-                        help="summation cutoff override")
+                        help="largest summation cutoff; each sum picks its own "
+                             "cutoff up to this cap (default 100000)")
     parser.add_argument("--json", action="store_true", help="JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,12 +5,14 @@ carrying the value, an error bound, and how the bound was obtained.  The
 workhorse is a prefix-sum dynamic program over numpy extended-precision
 arrays combined with symbolic Euler-Maclaurin tails from :mod:`.logasym`,
 which makes even deep, slowly-converging sums exact to near machine
-precision at modest cutoffs.
+precision at modest cutoffs.  Every such sum chooses its cutoff by one rule,
+:func:`_choose_cutoff`; ``ctx.default_cutoff`` is only its cap.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -20,11 +22,11 @@ import numpy as np
 from .combinatorics import Composition, weak_compositions, m_coeff, binomial
 from .errors import DomainError, DivergenceError
 from .harmonic_bell import harmonic_table, bell_modified
-from .logasym import (LogSeries, pow_shift, nested_tail_sum, beta_model,
-                      bell_p_models)
+from .logasym import (pow_shift, nested_tail_series, nested_tail_sum,
+                      beta_model, bell_p_models)
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
                        ESTIMATED, beta_factor_exact, accelerate_alternating,
-                       real_shift)
+                       real_shift, _zeta_em_cached)
 
 __all__ = [
     "eval_hurwitz_mzv",
@@ -41,10 +43,12 @@ __all__ = [
 
 _LD = np.longdouble
 _LD_EPS = float(np.finfo(_LD).eps)
+_FIRST_RUNG = 32
 
 
 def clear_caches():
     _mzv_cached.cache_clear()
+    _zeta_em_cached.cache_clear()
 
 
 def _as_parts(c) -> tuple[int, ...]:
@@ -61,11 +65,11 @@ def _as_parts(c) -> tuple[int, ...]:
     return ints
 
 
-def _dp_nested(weights: list[np.ndarray]) -> tuple[float, list[float]]:
+def _dp_nested(weights: list[np.ndarray]) -> tuple[np.longdouble, list[float]]:
     """Prefix-sum DP for sum over n_1 < ... < n_q of prod_i w_i[n_i].
 
-    Returns the partial sum over n_q <= N together with the exact
-    S_i(N+1) values needed by the symbolic tail recursion.
+    Returns the longdouble partial sum over n_q <= N together with the
+    exact S_i(N+1) values needed by the symbolic tail recursion.
     """
     N = len(weights[0])
     S = np.ones(N, dtype=_LD)
@@ -75,8 +79,7 @@ def _dp_nested(weights: list[np.ndarray]) -> tuple[float, list[float]]:
         cs = np.cumsum(prod)
         S = np.concatenate((np.zeros(1, dtype=_LD), cs[:-1]))
         S_at.append(float(cs[-1]))
-    partial = float(np.sum(S * weights[-1]))
-    return partial, S_at
+    return np.sum(S * weights[-1]), S_at
 
 
 def _roundoff(N: int, q: int, scale: float) -> float:
@@ -84,16 +87,54 @@ def _roundoff(N: int, q: int, scale: float) -> float:
     return 4.0 * _LD_EPS * N * (q + 1) * (1.0 + abs(scale))
 
 
-def _dp_em_tail(weights: list[np.ndarray], models: list[LogSeries], q: int) -> Evaluation:
-    """Nested sum of ``weights`` by the prefix-sum DP, plus the symbolic
-    Euler-Maclaurin tail of ``models``; ``q`` sizes the round-off term."""
+def _rungs(cap: int) -> tuple[int, ...]:
+    """The cutoff ladder 32, 64, ... while twice the rung fits under ``cap``,
+    then ``cap`` itself."""
+    rungs = []
+    N = _FIRST_RUNG
+    while 2 * N <= cap:
+        rungs.append(N)
+        N *= 2
+    return (*rungs, cap)
+
+
+def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str,
+                   count: int = 1) -> list[Evaluation]:
+    """The one cutoff rule of the DP paths.
+
+    ``rung(N, todo)`` sums each sum numbered in ``todo`` to cutoff N and
+    returns, for each, (total, trunc, roundoff): the longdouble value, the
+    part of its bound that shrinks as N grows (truncation, and the float
+    evaluation of a symbolic tail; infinite when no majorant exists at N),
+    and the longdouble round-off, which grows linearly in N.  Each sum keeps
+    the first rung where trunc <= roundoff, else the last: its bound, at most
+    2 * roundoff, is then no larger than at any rung >= 2N.  The value is
+    cast to float once, and half an ulp of it joins the bound.
+    """
+    chosen: list[Evaluation | None] = [None] * count
+    for N in rungs:
+        todo = [k for k, ev in enumerate(chosen) if ev is None]
+        for k, (total, trunc, roundoff) in zip(todo, rung(N, todo)):
+            if trunc <= roundoff or N == rungs[-1]:
+                if math.isinf(trunc):
+                    raise DomainError(f"cutoff {N} too small for a geometric majorant")
+                value = float(total)
+                chosen[k] = Evaluation(value=value, bound=trunc + roundoff + math.ulp(value) / 2,
+                                       bound_kind=RIGOROUS, method=method, cutoff_used=N)
+        if None not in chosen:
+            break
+    return chosen
+
+
+def _dp_em_tail(weights: list[np.ndarray], tails: list, q: int) -> tuple:
+    """A rung of a nested sum: the prefix-sum DP of ``weights`` plus the
+    symbolic Euler-Maclaurin ``tails`` (a :func:`nested_tail_series`); ``q``
+    sizes the round-off term."""
     N = len(weights[0])
     partial, S_at = _dp_nested(weights)
-    tail, terr = nested_tail_sum(S_at, models, N)
-    value = partial + tail
-    bound = 10.0 * terr + _roundoff(N, q, value)
-    return Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
-                      method="dp+em-tail", cutoff_used=N)
+    tail, terr = nested_tail_sum(S_at, tails, N)
+    total = partial + _LD(tail)
+    return total, 10.0 * terr, _roundoff(N, q, float(total))
 
 
 def _convergent_parts(parts) -> tuple[int, ...]:
@@ -110,38 +151,41 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
     ``parts`` is the exponent tuple, innermost first; the last exponent must
     be at least 2 for convergence.
     """
-    return _mzv_cached(_convergent_parts(parts), real_shift(x), ctx.default_cutoff)
+    return _mzv_cached(_convergent_parts(parts), real_shift(x), _rungs(ctx.default_cutoff))
 
 
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Odd-denominator analogue: sum over n_1 < ... < n_q of prod (2 n_i - 1)^{-e_i}."""
-    return _mzv_cached(_convergent_parts(parts), -0.5, ctx.default_cutoff, 2)
+    return _mzv_cached(_convergent_parts(parts), -0.5, _rungs(ctx.default_cutoff), 2)
 
 
 @lru_cache(maxsize=4096)
-def _mzv_cached(e: tuple[int, ...], xf: float, N: int, c: int = 1) -> Evaluation:
-    """sum over n_1 < ... < n_q <= N of prod (c (n_i + x))^{-e_i}, plus its tail.
+def _mzv_cached(e: tuple[int, ...], xf: float, rungs: tuple[int, ...],
+                c: int = 1) -> Evaluation:
+    """sum over n_1 < ... < n_q of prod (c (n_i + x))^{-e_i}: the DP to a
+    cutoff N from ``rungs``, plus the tail beyond it.
 
     For c = 2, x = -1/2 the longdouble product c (n + x) is 2n - 1 exactly.
     """
-    cn = _LD(c) * (np.arange(1, N + 1, dtype=_LD) + _LD(xf))
-    weights = [cn ** _LD(-ei) for ei in e]
-    models = [pow_shift(float(ei), xf).scaled(float(c) ** -ei) for ei in e]
-    return _dp_em_tail(weights, models, len(e))
+    tails = nested_tail_series([pow_shift(float(ei), xf).scaled(float(c) ** -ei) for ei in e])
+
+    def rung(N, _):
+        cn = _LD(c) * (np.arange(1, N + 1, dtype=_LD) + _LD(xf))
+        return [_dp_em_tail([cn ** _LD(-ei) for ei in e], tails, len(e))]
+
+    return _choose_cutoff(rungs, rung, "dp+em-tail")[0]
 
 
 def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
     """Rigorous bound for sum_{n > N} K (c + ln n)^A p^{-n}.
 
     Uses (c + ln n) <= (c + ln N)(n/N) for n >= N when c + ln N >= 1, then
-    (1 + j/N)^A <= exp(A j / N).
+    (1 + j/N)^A <= exp(A j / N).  Infinite when N is too small for either.
     """
     cl = c + math.log(N)
-    if cl < 1.0:
-        raise DomainError("cutoff too small for the logarithmic majorant")
     rho = math.exp(A / N) / p
-    if rho >= 1.0:
-        raise DomainError("cutoff too small for a geometric majorant")
+    if cl < 1.0 or rho >= 1.0:
+        return math.inf
     return K * cl**A * p ** (-N) * rho / (1.0 - rho)
 
 
@@ -153,18 +197,21 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
         return eval_hurwitz_mzv(e, 0.0, ctx)
     if not abs(zf) < 1.0:
         raise DivergenceError(f"need |z| < 1 or z = 1, got {z}")
-    digits_goal = 10.0 ** (-(ctx.digits + 6))
-    N = min(ctx.default_cutoff,
-            max(64, int(math.ceil((ctx.digits + 10) * math.log(10) / -math.log(abs(zf)))) + 32))
-    n = np.arange(1, N + 1, dtype=_LD)
-    weights = [n ** _LD(-ei) for ei in e]
-    weights[-1] = weights[-1] * _LD(zf) ** n
-    partial, _ = _dp_nested(weights)
-    # tail: |S_{q-1}(n)| <= (1 + ln n)^{q-1}, n^{-e_q} <= 1
-    tail_bd = _geom_row_bound(N, 1.0 / abs(zf), len(e) - 1, 1.0, 1.0)
-    bound = tail_bd + _roundoff(N, len(e), partial) + digits_goal
-    return Evaluation(value=partial, bound=bound, bound_kind=RIGOROUS,
-                      method="dp+geom-tail", cutoff_used=N)
+    return _li(e, zf, _rungs(ctx.default_cutoff))
+
+
+def _li(e: tuple[int, ...], zf: float, rungs: tuple[int, ...]) -> Evaluation:
+    """:func:`eval_li` for |z| < 1, to a cutoff N from ``rungs``."""
+    def rung(N, _):
+        n = np.arange(1, N + 1, dtype=_LD)
+        weights = [n ** _LD(-ei) for ei in e]
+        weights[-1] = weights[-1] * _LD(zf) ** n
+        partial, _ = _dp_nested(weights)
+        # tail: |S_{q-1}(n)| <= (1 + ln n)^{q-1}, n^{-e_q} <= 1
+        tail_bd = _geom_row_bound(N, 1.0 / abs(zf) if zf else math.inf, len(e) - 1, 1.0, 1.0)
+        return [(partial, tail_bd, _roundoff(N, len(e), float(partial)))]
+
+    return _choose_cutoff(rungs, rung, "dp+geom-tail")[0]
 
 
 def _outer_arrays(N: int, m: int, x: float) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -182,29 +229,33 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[np.ndarray, list[np.ndarray
 
 
 def _ak_lhs_p1(a: tuple[int, ...], ms, x: float,
-               ctx: PrecisionContext) -> list[Evaluation]:
-    """:func:`eval_ak_lhs` at p = 1 for each m in ``ms``.
+               rungs: tuple[int, ...]) -> list[Evaluation]:
+    """:func:`eval_ak_lhs` at p = 1 for each m in ``ms``, each to its own
+    cutoff from ``rungs``.
 
-    The outer arrays and the Bell tail models are built once, for the
-    largest m; P_m depends only on H^(1)..H^(m), so every value equals that
-    of a single call.
+    Each rung builds the outer arrays once, for the largest m still open;
+    P_m depends only on H^(1)..H^(m), so every value equals that of a single
+    call.  The Bell tail models and tails are built once, before the ladder.
     """
     if x + a[-1] <= 0:
         raise DivergenceError(f"needs x + a_r > 0 at p = 1, got {x + a[-1]}")
-    N = ctx.default_cutoff
-    n = np.arange(1, N + 1, dtype=_LD)
-    m_max = max(ms, default=0)
-    B, P = _outer_arrays(N, m_max, x)
-    P_models = bell_p_models(m_max, x)
-    inner = [n ** _LD(-ai) for ai in a[:-1]]
+    ms = tuple(ms)
+    P_models = bell_p_models(max(ms, default=0), x)
     inner_models = [pow_shift(float(ai), 0.0) for ai in a[:-1]]
-    last = n ** _LD(-a[-1])
     last_model = pow_shift(float(a[-1]), 0.0)
     beta = beta_model(x)
-    return [_dp_em_tail(inner + [B * P[m] * last],
-                        inner_models + [beta * P_models[m] * last_model],
-                        len(a) + m + 1)
-            for m in ms]
+    tails = [nested_tail_series(inner_models + [beta * P_models[m] * last_model])
+             for m in ms]
+
+    def rung(N, todo):
+        n = np.arange(1, N + 1, dtype=_LD)
+        B, P = _outer_arrays(N, max(ms[k] for k in todo), x)
+        inner = [n ** _LD(-ai) for ai in a[:-1]]
+        last = n ** _LD(-a[-1])
+        return [_dp_em_tail(inner + [B * P[ms[k]] * last], tails[k], len(a) + ms[k] + 1)
+                for k in todo]
+
+    return _choose_cutoff(rungs, rung, "dp+em-tail", len(ms))
 
 
 def eval_ak_lhs(alpha, p: float, m: int, x: float,
@@ -221,29 +272,34 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
         raise DomainError("require m >= 0")
     if pf < 1:
         raise DomainError("require p >= 1")
+    rungs = _rungs(ctx.default_cutoff)
     if pf == 1.0:
-        return _ak_lhs_p1(a, (m,), xf, ctx)[0]
-    # p > 1: plain geometric convergence
+        return _ak_lhs_p1(a, (m,), xf, rungs)[0]
+    return _ak_lhs_geom(a, pf, m, xf, rungs)
+
+
+def _ak_lhs_geom(a: tuple[int, ...], pf: float, m: int, xf: float,
+                 rungs: tuple[int, ...]) -> Evaluation:
+    """:func:`eval_ak_lhs` at p > 1 (geometric convergence), to a cutoff N
+    from ``rungs``."""
     r = len(a)
-    N = min(ctx.default_cutoff,
-            max(80, int(math.ceil((ctx.digits + 12) * math.log(10) / math.log(pf))) + 40))
-    n = np.arange(1, N + 1, dtype=_LD)
-    B, P = _outer_arrays(N, m, xf)
-    weights = [n ** _LD(-ai) for ai in a[:-1]]
-    weights.append(B * P[m] * n ** _LD(-a[-1]) * _LD(pf) ** (-n))
-    partial, _ = _dp_nested(weights)
     # majorant constants: H_n^(k)(x) <= g^{k-1} H_n^(1)(x), H_n^(1)(x) <= c + ln n,
     # P_m on arguments <= X is at most (X+m)^m / m!
     c = max(1.0, 1.0 / (1.0 + xf))
     g = max(2.0, 1.0 / (1.0 + xf))
     D = (g ** max(m - 1, 0) + m) ** m / math.factorial(m)
-    BN = float(B[-1])
-    K = BN * N ** (-float(a[-1])) * D
-    A = float(m + r - 1)
-    tail_bd = _geom_row_bound(N, pf, A, K, c)
-    bound = tail_bd + _roundoff(N, r + m + 1, partial)
-    return Evaluation(value=partial, bound=bound, bound_kind=RIGOROUS,
-                      method="dp+geom-tail", cutoff_used=N)
+
+    def rung(N, _):
+        n = np.arange(1, N + 1, dtype=_LD)
+        B, P = _outer_arrays(N, m, xf)
+        weights = [n ** _LD(-ai) for ai in a[:-1]]
+        weights.append(B * P[m] * n ** _LD(-a[-1]) * _LD(pf) ** (-n))
+        partial, _ = _dp_nested(weights)
+        K = float(B[-1]) * N ** (-float(a[-1])) * D
+        tail_bd = _geom_row_bound(N, pf, float(m + r - 1), K, c)
+        return [(partial, tail_bd, _roundoff(N, r + m + 1, float(partial)))]
+
+    return _choose_cutoff(rungs, rung, "dp+geom-tail")[0]
 
 
 def eval_ak_rhs(alpha, m: int, x: float,
@@ -261,24 +317,35 @@ def zeta_combination(alpha, m: int,
                      zeta: Callable[[Composition], Evaluation]) -> Evaluation:
     """The weighted sum of :func:`eval_ak_rhs` with ``zeta(c)`` evaluating
     each index c = (a_1+d_1, ..., a_q+d_q+1); the bound is the weighted sum
-    of the parts' bounds."""
+    of the parts' bounds plus the round-off of the float sum."""
     a = _as_parts(alpha)
     total = 0.0
     bound = 0.0
+    size = 0.0
+    count = 0
     cutoff = 0
     for d in weak_compositions(m, len(a)):
         coef = m_coeff(a[:-1], d[:-1]) * binomial(a[-1] + d[-1], d[-1])
         ev = zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, d))))
-        total += coef * ev.value
+        term = coef * ev.value
+        total += term
+        size += abs(term)
+        count += 1
         bound += coef * ev.bound
         cutoff = max(cutoff, ev.cutoff_used)
+    # count products and sums, each rounding by at most eps/2 of size
+    bound += count * sys.float_info.epsilon * size
     return Evaluation(value=total, bound=bound, bound_kind=RIGOROUS,
                       method="mzv-combination", cutoff_used=cutoff)
 
 
 def eval_euler_transform(p: float, s: int, x: float,
                          ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
-    """sum_{n >= 1} (-1)^{n+1} H_n^{(s)}(x) / (n (p-1)^n), valid for p >= 2."""
+    """sum_{n >= 1} (-1)^{n+1} H_n^{(s)}(x) / (n (p-1)^n), valid for p >= 2.
+
+    The value is an mpf at the working precision.  At p > 2 the term count
+    comes from the precision, capped by ``ctx.default_cutoff``.
+    """
     pf = float(p)
     xf = real_shift(x)
     if pf < 2:
@@ -295,13 +362,16 @@ def eval_euler_transform(p: float, s: int, x: float,
 
     if pf == 2.0:
         return accelerate_alternating(term, ctx)
-    N = max(60, int(math.ceil((ctx.digits + 12) * math.log(10) / math.log(q))) + 40)
-    value = float(sum(term(n) for n in range(1, N + 1)))
+    N = min(ctx.default_cutoff,
+            max(60, int(math.ceil((ctx.digits + 12) * math.log(10) / math.log(q))) + 40))
+    value = sum(term(n) for n in range(1, N + 1))
     c = max(1.0, 1.0 / (1.0 + xf))
     # H_n^{(s)}(x) <= g^{s-1}(c + ln n) with g as in eval_ak_lhs
     g = max(2.0, 1.0 / (1.0 + xf))
     K = g ** (s - 1) / N
     tail_bd = _geom_row_bound(N, q, 1.0, K, c)
+    if math.isinf(tail_bd):
+        raise DomainError(f"cutoff {N} too small for a geometric majorant")
     bound = tail_bd + 10.0 ** (-(ctx.digits + 2))
     return Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
                       method="direct+geom-tail", cutoff_used=N)
@@ -325,7 +395,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     bound = 0.0
     last = 0.0
     cutoff = 0
-    for m, ev in enumerate(_ak_lhs_p1(beta, range(m_terms), xf, ctx)):
+    for m, ev in enumerate(_ak_lhs_p1(beta, range(m_terms), xf, _rungs(ctx.default_cutoff))):
         term = zf**m * ev.value
         total += term
         bound += abs(zf) ** m * ev.bound

@@ -109,16 +109,29 @@ def _exact(equal: bool, value: float) -> tuple:
     return value, value, 0.0 if equal else math.nan, 0.0, EXACT, equal
 
 
+def _power_of_two(scale: float) -> bool:
+    return abs(math.frexp(scale)[0]) == 0.5
+
+
 def _compare(lhs: Evaluation, rhs: Evaluation, tol: float,
              scale_l: float = 1.0, scale_r: float = 1.0) -> tuple:
     """Report fields for scale_l * lhs against scale_r * rhs.
 
     The rhs value is rounded to float before it is scaled: APERY scales an
-    mpf zeta(3) by 7, and that rounding is part of its reported value.
+    mpf zeta(3) by 7, and that rounding is part of its reported value.  The
+    bound counts half an ulp for each float rounding of a reported side: the
+    cast of an mpf value, and a product by a scale that is not a power of two.
     """
     lv = float(scale_l * lhs.value)
-    rv = scale_r * float(rhs.value)
+    rf = float(rhs.value)
+    rv = scale_r * rf
     bound = float(abs(scale_l) * lhs.bound + abs(scale_r) * rhs.bound)
+    if not (isinstance(lhs.value, float) and _power_of_two(scale_l)):
+        bound += math.ulp(lv) / 2
+    if not isinstance(rhs.value, float):
+        bound += abs(scale_r) * math.ulp(rf) / 2
+    if not _power_of_two(scale_r):
+        bound += math.ulp(rv) / 2
     kind = ESTIMATED if ESTIMATED in (lhs.bound_kind, rhs.bound_kind) else RIGOROUS
     diff = abs(lv - rv)
     return lv, rv, diff, bound, kind, diff <= max(bound, tol)

@@ -21,6 +21,7 @@ truncation remainders, which are tracked and reported as the error estimate.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,8 +31,8 @@ from .errors import DomainError
 from .harmonic_bell import bell_modified
 from .numerics import PrecisionContext, zeta_em, _BFRAC, _EM_COEFF
 
-__all__ = ["LogSeries", "pow_shift", "log_shift", "ztail", "nested_tail_sum",
-           "beta_model", "harmonic_model", "bell_p_models"]
+__all__ = ["LogSeries", "pow_shift", "log_shift", "ztail", "nested_tail_series",
+           "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
 # the models are float series, so their zeta constants need float precision only
@@ -107,11 +108,19 @@ class LogSeries:
         return out
 
     def __call__(self, M: float) -> float:
+        return self.at(M)[0]
+
+    def at(self, M: float) -> tuple[float, float]:
+        """The float value at M and the sum of its |terms|, which scales the
+        round-off of that evaluation."""
         logM = math.log(M)
         total = 0.0
+        size = 0.0
         for (j, s), c in self.terms.items():
-            total += c * logM**j * M ** (-s)
-        return total
+            term = c * logM**j * M ** (-s)
+            total += term
+            size += abs(term)
+        return total, size
 
     def band_magnitude(self, M: float, width: float = 1.0) -> float:
         """Sum of |term| values in the deepest kept exponent band at M."""
@@ -282,26 +291,39 @@ def bell_p_models(m: int, x: float) -> list[LogSeries]:
     return bell_modified(hs, one=LogSeries.const(1.0))
 
 
-def nested_tail_sum(S_vals: Sequence[float], models: Sequence[LogSeries],
+def nested_tail_series(models: Sequence[LogSeries]) -> list[tuple[LogSeries, LogSeries]]:
+    """The symbolic tails (Z_i, EM error of Z_i) of :func:`nested_tail_sum`.
+
+    models[i] is the asymptotic expansion of the level-(i+1) weight; entry i
+    of the result is the tail that multiplies S_i(M+1).  The series do not
+    depend on M, so one call serves every cutoff.
+    """
+    tails = []
+    G = models[-1]
+    for i in range(len(models) - 1, 0, -1):
+        Z, zerr = ztail(G)
+        tails.append((Z, zerr))
+        G = models[i - 1] * Z
+    tails.append(ztail(G))
+    return tails[::-1]
+
+
+def nested_tail_sum(S_vals: Sequence[float], tails: Sequence[tuple[LogSeries, LogSeries]],
                     M: int) -> tuple[float, float]:
     """Tail sum_{n > M} S_{q-1}(n) g_q(n) of a nested prefix sum.
 
-    S_vals[i] must be the exact S_i(M+1) (S_0 = 1); models[i] the asymptotic
-    expansion of the level-(i+1) weight.  Returns (tail, error_estimate).
+    S_vals[i] must be the exact S_i(M+1) (S_0 = 1); ``tails`` the
+    :func:`nested_tail_series` of the level weights.  Returns (tail,
+    error_estimate); the estimate includes the float64 round-off of
+    evaluating each level, eps times the sum of its |terms|.
     """
-    q = len(models)
-    if len(S_vals) != q:
+    if len(S_vals) != len(tails):
         raise DomainError("need S_0..S_{q-1} at the cutoff")
     Mf = float(M)
     total = 0.0
     err = 0.0
-    G = models[-1]
-    for i in range(q - 1, 0, -1):
-        Z, zerr = ztail(G)
-        total += S_vals[i] * Z(Mf)
-        err += abs(S_vals[i]) * (zerr(Mf) + Z.band_magnitude(Mf))
-        G = models[i - 1] * Z
-    Z, zerr = ztail(G)
-    total += Z(Mf)
-    err += zerr(Mf) + Z.band_magnitude(Mf)
+    for S, (Z, zerr) in zip(reversed(S_vals), reversed(tails)):
+        z, size = Z.at(Mf)
+        total += S * z
+        err += abs(S) * (zerr(Mf) + Z.band_magnitude(Mf) + sys.float_info.epsilon * size)
     return total, err

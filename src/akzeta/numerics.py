@@ -37,7 +37,13 @@ _EM_COEFF = [float(_BFRAC[2 * k]) / math.factorial(2 * k) for k in range(1, 6)]
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision and cutoff policy for series evaluation."""
+    """Working precision and the cap on summation cutoffs.
+
+    ``digits`` sets the mpmath precision and the term counts of
+    :func:`zeta_em` and the alternating transforms.  ``default_cutoff`` is
+    the largest cutoff any series may use: the prefix-sum DP paths pick their
+    own, smaller cutoff from their error model and stop at it at the latest.
+    """
 
     digits: int = 50
     default_cutoff: int = 100_000

@@ -4,11 +4,13 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from akzeta.combinatorics import Composition, dual, admissible_compositions
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
-                              eval_ak_rhs, eval_euler_transform)
+                              eval_ak_rhs, eval_euler_transform, _mzv_cached,
+                              _li, _ak_lhs_p1, _ak_lhs_geom)
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.identities import verify, _betaratio_exact
 from akzeta.numerics import (PrecisionContext, zeta_em, beta_factor_exact,
@@ -156,35 +158,78 @@ def test_criterion_12_bernoulli_polynomials():
     report(12, "Bernoulli-type polynomials: exact and generating function", ok)
 
 
+def _euler_direct(p, s, x):
+    """sum_{n >= 1} (-1)^{n+1} H_n^{(s)}(x) / (n (p-1)^n) summed directly in
+    mpmath; with p - 1 >= 2 the terms past n = 400 are below 2^-400."""
+    q, xm = mp.mpf(p) - 1, mp.mpf(x)
+    h = total = mp.mpf(0)
+    for n in range(1, 400):
+        h += (n + xm) ** -s
+        total += (-1) ** (n + 1) * h / (n * q**n)
+    return total
+
+
 def test_criterion_13_bound_honesty():
     small = PrecisionContext(default_cutoff=8000)
     big = PrecisionContext(default_cutoff=32000)
-    calls = [
-        lambda c: eval_hurwitz_mzv((2,), 0.0, c),
-        lambda c: eval_hurwitz_mzv((1, 2), 0.0, c),
-        lambda c: eval_hurwitz_mzv((1, 1, 2), 0.5, c),
-        lambda c: eval_hurwitz_mzv((2, 5), 0.0, c),
-        lambda c: eval_hurwitz_mzv((3, 4), -0.5, c),
-        lambda c: eval_hurwitz_mzv((1, 1, 1, 4), 0.0, c),
-        lambda c: eval_t((2,), c),
-        lambda c: eval_t((1, 3), c),
-        lambda c: eval_t((1, 1, 2), c),
-        lambda c: eval_li((1,), 0.5, c),
-        lambda c: eval_li((2,), -0.75, c),
-        lambda c: eval_li((1, 1), 0.9, c),
-        lambda c: eval_ak_lhs((1,), 1.0, 0, 0.0, c),
-        lambda c: eval_ak_lhs((1,), 1.0, 1, -0.5, c),
-        lambda c: eval_ak_lhs((1, 1), 1.0, 2, 0.5, c),
-        lambda c: eval_ak_lhs((2,), 1.0, 1, 0.25, c),
-        lambda c: eval_ak_lhs((1,), 4.0, 1, -0.5, c),
-        lambda c: eval_ak_lhs((1, 2), 3.0, 0, 0.0, c),
-        lambda c: eval_euler_transform(3.0, 2, 0.0, c),
-        lambda c: eval_euler_transform(5.0, 1, -0.5, c),
-    ]
-    ok = True
-    for f in calls:
-        a, b = f(small), f(big)
-        assert a.bound_kind == RIGOROUS
-        ok &= abs(float(a.value) - float(b.value)) <= a.bound
-    ok &= len(calls) == 20
-    report(13, "bound honesty at 4x cutoff, 20 sampled calls", ok)
+    # each call with the same sum at one fixed cutoff, and mpmath's value
+    # where mpmath has it (zeta(s, 1+x), polylog, COR2 closed forms)
+    fixed = (20000,)
+    with mp.workdps(70):
+        z = mp.zeta
+        calls = [
+            (lambda c: eval_hurwitz_mzv((2,), 0.0, c),
+             lambda: _mzv_cached((2,), 0.0, fixed), z(2)),
+            (lambda c: eval_hurwitz_mzv((1, 2), 0.0, c),
+             lambda: _mzv_cached((1, 2), 0.0, fixed), z(3)),
+            (lambda c: eval_hurwitz_mzv((1, 1, 2), 0.5, c),
+             lambda: _mzv_cached((1, 1, 2), 0.5, fixed), None),
+            (lambda c: eval_hurwitz_mzv((2, 5), 0.0, c),
+             lambda: _mzv_cached((2, 5), 0.0, fixed), None),
+            (lambda c: eval_hurwitz_mzv((3, 4), -0.5, c),
+             lambda: _mzv_cached((3, 4), -0.5, fixed), None),
+            (lambda c: eval_hurwitz_mzv((1, 1, 1, 4), 0.0, c),
+             lambda: _mzv_cached((1, 1, 1, 4), 0.0, fixed), None),
+            (lambda c: eval_t((2,), c),
+             lambda: _mzv_cached((2,), -0.5, fixed, 2), z(2, 0.5) / 4),
+            (lambda c: eval_t((1, 3), c),
+             lambda: _mzv_cached((1, 3), -0.5, fixed, 2), None),
+            (lambda c: eval_t((1, 1, 2), c),
+             lambda: _mzv_cached((1, 1, 2), -0.5, fixed, 2), None),
+            (lambda c: eval_li((1,), 0.5, c),
+             lambda: _li((1,), 0.5, fixed), mp.polylog(1, 0.5)),
+            (lambda c: eval_li((2,), -0.75, c),
+             lambda: _li((2,), -0.75, fixed), mp.polylog(2, -0.75)),
+            (lambda c: eval_li((1, 1), 0.9, c),
+             lambda: _li((1, 1), 0.9, fixed), mp.log(1 - mp.mpf(0.9)) ** 2 / 2),
+            (lambda c: eval_ak_lhs((1,), 1.0, 0, 0.0, c),
+             lambda: _ak_lhs_p1((1,), (0,), 0.0, fixed)[0], z(2)),
+            (lambda c: eval_ak_lhs((1,), 1.0, 1, -0.5, c),
+             lambda: _ak_lhs_p1((1,), (1,), -0.5, fixed)[0], 14 * z(3)),
+            (lambda c: eval_ak_lhs((1, 1), 1.0, 2, 0.5, c),
+             lambda: _ak_lhs_p1((1, 1), (2,), 0.5, fixed)[0], None),
+            (lambda c: eval_ak_lhs((2,), 1.0, 1, 0.25, c),
+             lambda: _ak_lhs_p1((2,), (1,), 0.25, fixed)[0], None),
+            (lambda c: eval_ak_lhs((1,), 4.0, 1, -0.5, c),
+             lambda: _ak_lhs_geom((1,), 4.0, 1, -0.5, fixed), None),
+            (lambda c: eval_ak_lhs((1, 2), 3.0, 0, 0.0, c),
+             lambda: _ak_lhs_geom((1, 2), 3.0, 0, 0.0, fixed), None),
+            # the transform's own series, summed directly in mpmath
+            (lambda c: eval_euler_transform(3.0, 2, 0.0, c),
+             None, _euler_direct(3.0, 2, 0.0)),
+            (lambda c: eval_euler_transform(5.0, 1, -0.5, c),
+             None, _euler_direct(5.0, 1, -0.5)),
+        ]
+        ok = True
+        for f, at_fixed, exact in calls:
+            a, b = f(small), f(big)
+            assert a.bound_kind == RIGOROUS
+            ok &= abs(float(a.value) - float(b.value)) <= a.bound
+            ref = at_fixed() if at_fixed else None
+            for ev in (a, b):
+                if ref is not None:
+                    ok &= abs(ev.value - ref.value) <= ev.bound + ref.bound
+                if exact is not None:
+                    ok &= abs(mp.mpf(ev.value) - exact) <= ev.bound
+        ok &= len(calls) == 20
+    report(13, "bound honesty: fixed cutoff 20000 and mpmath, 20 sampled calls", ok)

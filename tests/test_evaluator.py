@@ -9,10 +9,10 @@ from akzeta.errors import DomainError, DivergenceError
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform,
                               eval_prop2_series, ak_lhs_partial_exact,
-                              clear_caches, _ak_lhs_p1)
+                              clear_caches, _ak_lhs_p1, _mzv_cached, _rungs)
 from akzeta.identities import catalog
 from akzeta.harmonic_bell import d_operator
-from akzeta.numerics import PrecisionContext, RIGOROUS
+from akzeta.numerics import PrecisionContext, DEFAULT_CTX, RIGOROUS, zeta_em
 
 CTX = PrecisionContext(default_cutoff=20000)
 
@@ -125,7 +125,9 @@ def test_thm_consistency_lhs_rhs():
 
 def test_euler_transform_values():
     ev = eval_euler_transform(4.0, 1, -0.5, CTX)
-    assert abs(ev.value / 2.0 - math.pi**2 / 36) <= ev.bound
+    # the value is an mpf at the working precision, so the reference is too
+    with mp.workdps(70):
+        assert abs(ev.value / 2 - mp.pi**2 / 36) <= ev.bound
     ev = eval_euler_transform(2.0, 1, -0.5, CTX)
     assert abs(float(ev.value) / 2.0 - math.pi**2 / 16) <= max(ev.bound, 1e-12)
 
@@ -167,7 +169,7 @@ def test_ak_lhs_p1_shared_build_matches_single_calls():
     params = next(case.grid for case in catalog() if case.id == "PROP2")[1]
     beta = dual(params["alpha"]).alpha()
     x = params["x"]
-    shared = _ak_lhs_p1(beta, range(6), x, CTX)
+    shared = _ak_lhs_p1(beta, range(6), x, _rungs(CTX.default_cutoff))
     assert shared == [eval_ak_lhs(beta, 1.0, m, x, CTX) for m in range(6)]
 
 
@@ -198,15 +200,60 @@ def test_exact_truncation_approaches_float_value():
 def test_bound_honesty_at_larger_cutoff():
     small = PrecisionContext(default_cutoff=5000)
     big = PrecisionContext(default_cutoff=20000)
+    # each call with the same sum at one fixed cutoff
+    fixed = (20000,)
     cases = [
-        lambda c: eval_hurwitz_mzv((1, 1, 3), 0.0, c),
-        lambda c: eval_hurwitz_mzv((2, 3), -0.5, c),
-        lambda c: eval_t((1, 3), c),
-        lambda c: eval_ak_lhs((1, 1), 1.0, 1, 0.5, c),
+        (lambda c: eval_hurwitz_mzv((1, 1, 3), 0.0, c),
+         lambda: _mzv_cached((1, 1, 3), 0.0, fixed)),
+        (lambda c: eval_hurwitz_mzv((2, 3), -0.5, c),
+         lambda: _mzv_cached((2, 3), -0.5, fixed)),
+        (lambda c: eval_t((1, 3), c),
+         lambda: _mzv_cached((1, 3), -0.5, fixed, 2)),
+        (lambda c: eval_ak_lhs((1, 1), 1.0, 1, 0.5, c),
+         lambda: _ak_lhs_p1((1, 1), (1,), 0.5, fixed)[0]),
     ]
-    for f in cases:
+    for f, at_fixed in cases:
         a, b = f(small), f(big)
         assert abs(a.value - b.value) <= a.bound
+        ref = at_fixed()
+        assert ref.cutoff_used == 20000
+        for ev in (a, b):
+            assert abs(ev.value - ref.value) <= ev.bound + ref.bound
+
+
+def test_combination_counts_float_rounding():
+    # at a small cap the float cast of each part and the float sum of the
+    # combination are a visible share of the error: 10 zeta(6; -1/2) ~ 641
+    ev = eval_ak_rhs((3,), 2, -0.5, PrecisionContext(default_cutoff=50))
+    with mp.workdps(30):
+        assert abs(ev.value - 10 * mp.zeta(6, 0.5)) <= ev.bound
+
+
+def test_ak_lhs_closed_form_at_small_caps():
+    # COR2: the x = -1/2 sum with alpha = (1,)^r is C(r+m, m)(2^{r+m+1} - 1) zeta(r+m+1);
+    # the shared build equals single eval_ak_lhs calls (see the test above)
+    for cap in (32, 64, 128, DEFAULT_CTX.default_cutoff):
+        for r in (1, 2, 3):
+            evs = _ak_lhs_p1((1,) * r, range(24), -0.5, _rungs(cap))
+            with mp.workdps(30):
+                for m, ev in enumerate(evs):
+                    exact = math.comb(r + m, m) * (2 ** (r + m + 1) - 1) * mp.zeta(r + m + 1)
+                    assert ev.cutoff_used <= cap
+                    assert abs(ev.value - exact) <= ev.bound, (cap, r, m)
+
+
+def test_rungs_cap_the_cutoff():
+    assert _rungs(20) == (20,)
+    assert _rungs(100) == (32, 100)
+    assert _rungs(128) == (32, 64, 128)
+    assert _rungs(100_000)[-2:] == (32768, 100_000)
+
+
+def test_euler_transform_p_above_2_reads_cap():
+    ev = eval_euler_transform(4.0, 1, -0.5, PrecisionContext(default_cutoff=20))
+    assert ev.cutoff_used <= 20
+    with mp.workdps(30):
+        assert abs(ev.value - mp.pi**2 / 18) <= ev.bound
 
 
 def test_mzv_cache_consistency():
@@ -227,3 +274,10 @@ def test_eval_t_cache():
     b = eval_t((1, 3), CTX)
     assert b is not a
     assert b.value == a.value
+
+
+def test_clear_caches_clears_zeta_em():
+    a = zeta_em(3, 0.0)
+    assert zeta_em(3, 0.0) is a
+    clear_caches()
+    assert zeta_em(3, 0.0) is not a

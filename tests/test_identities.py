@@ -80,6 +80,16 @@ def test_report_json_fields():
     assert rec["id"] == "APERY"
 
 
+@pytest.mark.parametrize("cap", [PrecisionContext().default_cutoff, 64])
+def test_verify_all_rigorous_bounds_hold(cap):
+    # the default cap, and a small one where uncounted float roundings show
+    s = verify_all(ctx=PrecisionContext(default_cutoff=cap))
+    assert len(s.reports) == 235 and s.all_passed
+    for r in s.reports:
+        if r.bound_kind == "rigorous":
+            assert r.abs_diff <= r.bound, (r.id, r.params)
+
+
 def test_verify_all_filter():
     s = verify_all(filter_prefix="COR4", ctx=CTX)
     assert {r.id for r in s.reports} == {"COR4_M0", "COR4_M1"}

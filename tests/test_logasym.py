@@ -8,7 +8,7 @@ import pytest
 from akzeta.errors import DomainError
 from akzeta.logasym import (LogSeries, pow_shift, log_shift, ztail,
                             exp_series, beta_model, harmonic_model,
-                            bell_p_models, nested_tail_sum)
+                            bell_p_models, nested_tail_series, nested_tail_sum)
 
 
 def test_logseries_ring_basics():
@@ -119,8 +119,8 @@ def test_nested_tail_sum_depth2():
     cs = np.cumsum(w1)
     S1 = np.concatenate(([np.longdouble(0)], cs[:-1]))
     partial = float(np.sum(S1 * n**-2.0))
-    tail, err = nested_tail_sum([1.0, float(cs[-1])],
-                                [pow_shift(1.0, 0.0), pow_shift(2.0, 0.0)], M)
+    tails = nested_tail_series([pow_shift(1.0, 0.0), pow_shift(2.0, 0.0)])
+    tail, err = nested_tail_sum([1.0, float(cs[-1])], tails, M)
     z3 = float(mp.zeta(3))
     assert abs(partial + tail - z3) < 1e-15
     assert err < 1e-12
@@ -128,13 +128,13 @@ def test_nested_tail_sum_depth2():
 
 def test_nested_tail_sum_validates_lengths():
     with pytest.raises(DomainError):
-        nested_tail_sum([1.0], [pow_shift(1.0, 0), pow_shift(2.0, 0)], 100)
+        nested_tail_sum([1.0], nested_tail_series([pow_shift(1.0, 0), pow_shift(2.0, 0)]), 100)
 
 
 def test_nested_tail_error_estimate_honest():
     # coarse cutoff: the reported estimate must cover the true remainder error
     for M in (30, 100):
-        tail, err = nested_tail_sum([1.0], [pow_shift(2.0, 0.0)], M)
+        tail, err = nested_tail_sum([1.0], nested_tail_series([pow_shift(2.0, 0.0)]), M)
         partial = sum(k**-2.0 for k in range(1, M + 1))
         true_err = abs(partial + tail - math.pi**2 / 6)
         assert true_err <= err + 5e-15
