@@ -34,8 +34,11 @@ def _print_eval(ev: Evaluation, args):
             "cutoff": ev.cutoff_used,
         }))
         return
-    digits = min(args.precision, 17 if isinstance(ev.value, float) else args.precision)
-    print(f"value      = {mp.nstr(mp.mpf(ev.value), digits)}")
+    if isinstance(ev.value, float):
+        value = mp.nstr(mp.mpf(ev.value), min(args.precision, 17))
+    else:  # an mpf at the working precision: mp.mpf would round it to 15 digits
+        value = mp.nstr(ev.value, args.precision)
+    print(f"value      = {value}")
     print(f"bound      = {float(ev.bound):.3e} ({ev.bound_kind})")
     print(f"method     = {ev.method}")
     print(f"cutoff     = {ev.cutoff_used}")

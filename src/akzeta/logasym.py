@@ -23,25 +23,24 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import mpmath as mp
 
 from .errors import DomainError
 from .harmonic_bell import bell_modified
-from .numerics import PrecisionContext, zeta_em, _BFRAC, _EM_COEFF
+from .numerics import PrecisionContext, zeta_em, _em_coeff
+from .powerseries import PolyRat, classical_bernoulli_polynomial
 
-__all__ = ["LogSeries", "pow_shift", "log_shift", "ztail", "nested_tail_series",
+__all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
 # the models are float series, so their zeta constants need float precision only
 _FLOAT_CTX = PrecisionContext(digits=17)
-_KEY_ROUND = 9
-
-
-def _rkey(s: float) -> float:
-    return round(s, _KEY_ROUND)
+# B_2k/(2k)!, k = 1..5: the Euler-Maclaurin correction coefficients of ztail
+_EM_COEFF = [float(_em_coeff(k)) for k in range(1, 6)]
 
 
 class LogSeries:
@@ -68,7 +67,7 @@ class LogSeries:
     def add_term(self, j: int, s: float, c: float):
         if c == 0.0:
             return
-        key = (j, _rkey(s))
+        key = (j, s)
         self.terms[key] = self.terms.get(key, 0.0) + c
         if self.terms[key] == 0.0:
             del self.terms[key]
@@ -122,8 +121,9 @@ class LogSeries:
             size += abs(term)
         return total, size
 
-    def band_magnitude(self, M: float, width: float = 1.0) -> float:
-        """Sum of |term| values in the deepest kept exponent band at M."""
+    def band_magnitude(self, M: float) -> float:
+        """Sum of |term| values at M in the deepest kept exponent band, the
+        unit-width band below the largest exponent."""
         if not self.terms:
             return 0.0
         smax = max(s for (_, s) in self.terms)
@@ -131,7 +131,7 @@ class LogSeries:
         return sum(
             abs(c) * logM**j * M ** (-s)
             for (j, s), c in self.terms.items()
-            if s >= smax - width
+            if s >= smax - 1.0
         )
 
     def __repr__(self) -> str:
@@ -140,22 +140,14 @@ class LogSeries:
         return f"LogSeries({body or '0'})"
 
 
-def pow_shift(s: float, a: float, K: int = ORDER + 2) -> LogSeries:
+def pow_shift(s: float, a: float) -> LogSeries:
     """(n+a)^(-s) expanded around n = infinity."""
     out = LogSeries()
     coef = 1.0
-    for k in range(K + 1):
+    for k in range(ORDER + 3):
         if k > 0:
             coef *= (-s - k + 1) / k * a
         out.add_term(0, s + k, coef)
-    return out
-
-
-def log_shift(a: float, K: int = ORDER + 2) -> LogSeries:
-    """ln(n+a) expanded around n = infinity."""
-    out = LogSeries({(1, 0.0): 1.0})
-    for k in range(1, K + 1):
-        out.add_term(0, float(k), (-1) ** (k + 1) * a**k / k)
     return out
 
 
@@ -179,10 +171,9 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
         for i in range(j, -1, -1):
             tail.add_term(i, s - 1.0, coef * _falling(j, j - i) / (s - 1.0) ** (j - i))
         # -f(M)/2
-        term = LogSeries({(j, _rkey(s)): c})
         tail.add_term(j, s, -0.5 * c)
         # - sum_k B_2k/(2k)! f^(2k-1)(M)
-        d = term
+        d = LogSeries({(j, s): c})
         for k in range(1, 5):
             d = d.deriv()
             for (jj, ss), cc in d.terms.items():
@@ -220,44 +211,33 @@ def exp_series(series: LogSeries) -> LogSeries:
     return out.truncate(ORDER + 1.0)
 
 
-def _stirling_lgamma(a: float, K: int) -> LogSeries:
-    """ln Gamma(n + a) as a log-Laurent series (exponents down to n^1)."""
-    # (n + a - 1/2) ln(n+a) - (n+a) + ln sqrt(2 pi) + sum B_2k/(2k(2k-1)) (n+a)^{1-2k}
-    lin = LogSeries({(0, -1.0): 1.0, (0, 0.0): a - 0.5})
-    out = lin * log_shift(a, K)
-    out.add_term(0, -1.0, -1.0)
-    out.add_term(0, 0.0, -a + 0.5 * math.log(2 * math.pi))
-    for k in range(1, 6):
-        coef = float(_BFRAC[2 * k]) / (2 * k * (2 * k - 1))
-        for (j, s), c in pow_shift(2.0 * k - 1.0, a, K).terms.items():
-            out.add_term(j, s, coef * c)
-    return out.truncate(float(ORDER + 1))
+@cache
+def _bernoulli_polys() -> list[PolyRat]:
+    """B_0(x)..B_{ORDER+2}(x), exact: the coefficients of the Gamma-type
+    models, built on first use to keep them out of the import."""
+    return [classical_bernoulli_polynomial(k) for k in range(ORDER + 3)]
+
+
+def _bernoulli_at(a: float) -> list[Fraction]:
+    """B_k(a) for k = 0..ORDER+2, exact at the float a."""
+    return [P(Fraction(a)) for P in _bernoulli_polys()]
 
 
 def beta_model(x: float) -> LogSeries:
-    """Asymptotics of B(n, 1+x) = Gamma(1+x) Gamma(n) / Gamma(n+1+x)."""
+    """Asymptotics of B(n, a) = Gamma(a) Gamma(n) / Gamma(n+a), a = 1+x.
+
+    By DLMF 5.11.8, ln Gamma(n) - ln Gamma(n+a) is -a ln(n) plus
+    sum_{k>=2} (-1)^(k+1) (B_k(a) - B_k) / (k(k-1)) n^(1-k).
+    """
     if x <= -1:
         raise DomainError("require x > -1")
     a = 1.0 + x
-    K = ORDER + 2
-    diff = LogSeries()
-    for (j, s), c in _stirling_lgamma(0.0, K).terms.items():
-        diff.add_term(j, s, c)
-    for (j, s), c in _stirling_lgamma(a, K).terms.items():
-        diff.add_term(j, s, -c)
-    # diff = -a ln n + const + sum c_k n^{-k}; peel the first two pieces off
-    log_coef = diff.terms.pop((1, 0.0), 0.0)
-    if abs(log_coef + a) > 1e-9:
-        raise AssertionError(f"Stirling bookkeeping drift: {log_coef} vs {-a}")
-    const = diff.terms.pop((0, 0.0), 0.0)
-    rest = LogSeries({k: c for k, c in diff.terms.items()})
-    if any(j != 0 or s <= 0 for (j, s) in rest.terms):
-        raise AssertionError("unexpected terms in beta asymptotics")
-    amp = math.gamma(a) * math.exp(const)
-    out = LogSeries()
-    for (j, s), c in exp_series(rest).terms.items():
-        out.add_term(j, s + a, amp * c)
-    return out
+    Ba = _bernoulli_at(a)
+    expo = LogSeries()
+    for k in range(2, ORDER + 3):
+        expo.add_term(0, k - 1.0, float((-1) ** (k + 1) * (Ba[k] - _bernoulli_polys()[k](0)) / (k * (k - 1))))
+    amp = math.gamma(a)
+    return LogSeries({(j, s + a): amp * c for (j, s), c in exp_series(expo).terms.items()})
 
 
 def harmonic_model(k: int, x: float) -> LogSeries:
@@ -265,18 +245,15 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     if x <= -1:
         raise DomainError("require x > -1")
     if k == 1:
-        # psi(n+1+x) - psi(1+x)
+        # psi(n+a) - psi(a), a = 1+x, where the n-derivative of DLMF 5.11.8 gives
+        # psi(n+a) = ln(n) + sum_{i>=1} (-1)^(i+1) B_i(a)/i n^(-i)
         a = 1.0 + x
-        out = log_shift(a)
+        Ba = _bernoulli_at(a)
+        out = LogSeries({(1, 0.0): 1.0})
         out.add_term(0, 0.0, -float(mp.digamma(a)))
-        for (j, s), c in pow_shift(1.0, a).terms.items():
-            out.add_term(j, s, -0.5 * c)
-        for i in range(1, 6):
-            coef = -float(_BFRAC[2 * i]) / (2 * i)
-            for (j, s), c in pow_shift(2.0 * i, a).terms.items():
-                if s <= ORDER + 1:
-                    out.add_term(j, s, coef * c)
-        return out.truncate(float(ORDER + 1))
+        for i in range(1, ORDER + 2):
+            out.add_term(0, float(i), float((-1) ** (i + 1) * Ba[i] / i))
+        return out
     # H_n^(k)(x) = zeta(k, 1+x) - sum_{m > n} (m+x)^{-k}
     const = float(zeta_em(k, x, _FLOAT_CTX).value)
     tail, _ = ztail(pow_shift(float(k), x))

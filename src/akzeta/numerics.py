@@ -14,7 +14,6 @@ from typing import Callable
 import mpmath as mp
 
 from .errors import DomainError, DivergenceError, NonAlternatingError
-from .powerseries import bernoulli_numbers
 
 __all__ = [
     "PrecisionContext",
@@ -28,11 +27,9 @@ __all__ = [
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
 
-# B_2k/(2k)!, k = 1..5: the Euler-Maclaurin correction coefficients, exact
-# and as floats.
-_BFRAC = bernoulli_numbers(10)
-_EM_FRAC = [_BFRAC[2 * k] / math.factorial(2 * k) for k in range(1, 6)]
-_EM_COEFF = [float(_BFRAC[2 * k]) / math.factorial(2 * k) for k in range(1, 6)]
+# B_2k/(2k)!, k = 0, 1, ...: the Euler-Maclaurin correction coefficients,
+# exact, grown as far as some zeta_em call needed them
+_EM_FRAC = [Fraction(1)]
 
 
 @dataclass(frozen=True)
@@ -107,30 +104,21 @@ def beta_factor_exact(n: int, x) -> Fraction:
     return out
 
 
-def _em_tail(s, base, coeff):
-    """Euler-Maclaurin tail sum_{n>=N}(n+x)^{-s} written at base = N+x.
-
-    Works in the number type of ``s`` and ``base``, with ``coeff`` the
-    B_2k/(2k)! table in that type.  Returns (tail, first_omitted) where
-    first_omitted, the fifth correction, majorizes the remainder after four.
-    """
-    tail = base ** (1 - s) / (s - 1) + base ** (-s) / 2
-    poch = s  # (s)_1
-    for k in range(1, 6):
-        # term  B_{2k}/(2k)! * (s)_{2k-1} * base^{-s-2k+1}
-        if k > 1:
-            poch *= (s + 2 * k - 3) * (s + 2 * k - 2)
-        term = coeff[k - 1] * poch * base ** (-s - 2 * k + 1)
-        if k == 5:
-            return tail, abs(term)
-        tail += term
+def _em_coeff(k: int) -> Fraction:
+    """B_2k/(2k)!, from t/(e^t - 1) * (e^t - 1)/t = 1 at the order t^2k:
+    sum_{i<=k} B_2i/(2i)! / (2k-2i+1)! = 1/(2 (2k)!)."""
+    while len(_EM_FRAC) <= k:
+        j = len(_EM_FRAC)
+        _EM_FRAC.append(Fraction(1, 2 * math.factorial(2 * j)) -
+                        sum(c / math.factorial(2 * (j - i) + 1) for i, c in enumerate(_EM_FRAC)))
+    return _EM_FRAC[k]
 
 
 def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """sum_{n>=1} (n+x)^{-s} via partial sum plus Euler-Maclaurin tail.
 
-    The bound is the first omitted correction term, a valid majorant of the
-    remainder for this completely monotone integrand.
+    The bound is twice the first omitted correction term, a majorant of the
+    remainder for this completely monotone integrand, plus the round-off.
     """
     return _zeta_em_cached(float(s), real_shift(x), ctx.digits, ctx.default_cutoff)
 
@@ -139,25 +127,32 @@ def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
 def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluation:
     if sf <= 1:
         raise DivergenceError("series diverges for s <= 1")
-    ctx = PrecisionContext(digits=digits, default_cutoff=cutoff)
-    wp = ctx.mp_ctx()
-    # grow N until the first omitted correction clears the target precision,
-    # but never past the configured cutoff
+    wp = PrecisionContext(digits=digits, default_cutoff=cutoff).mp_ctx()
+    # from N ~ digits on, the corrections shrink past the target within a
+    # few dozen terms; the configured cutoff caps N
+    N = min(max(10, digits), cutoff)
+    s, x = wp.mpf(sf), wp.mpf(xf)
+    base = N + x
+    value = (wp.fsum((n + x) ** (-s) for n in range(1, N))
+             + base ** (1 - s) / (s - 1) + base ** (-s) / 2)
+    # add the corrections B_2k/(2k)! (s)_{2k-1} base^{1-s-2k} until one
+    # clears the target or stops shrinking: that one is the first omitted
     target = 10.0 ** (-(digits + 2))
-    N = 10
-    while N < cutoff:
-        _, omitted = _em_tail(sf, N + xf, _EM_COEFF)
-        if omitted <= target:
+    poch = s  # (s)_{2k-1}
+    last = math.inf
+    k = 1
+    while True:
+        c = _em_coeff(k)
+        term = c.numerator * poch * base ** (1 - s - 2 * k) / c.denominator
+        omitted = float(abs(term))
+        if omitted <= target or omitted >= last:
             break
-        N = min(2 * N, cutoff)
-    s_mp = wp.mpf(sf)
-    x_mp = wp.mpf(xf)
-    partial = wp.fsum((n + x_mp) ** (-s_mp) for n in range(1, N))
-    base = N + x_mp
-    tail, _ = _em_tail(s_mp, base, [wp.mpf(c.numerator) / c.denominator for c in _EM_FRAC])
-    _, omitted = _em_tail(sf, float(base), _EM_COEFF)
+        value += term
+        last = omitted
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+        k += 1
     return Evaluation(
-        value=partial + tail,
+        value=value,
         bound=2.0 * omitted + 10.0 ** (-(digits + 4)),
         bound_kind=RIGOROUS,
         method="euler_maclaurin",

@@ -1,5 +1,7 @@
 import json
 
+import mpmath as mp
+
 from akzeta.cli import main
 
 
@@ -45,6 +47,17 @@ def test_eval_t(capsys):
     code, out, _ = run(capsys, "eval", "t", "2")
     assert code == 0
     assert "1.23370055013616" in out
+
+
+def test_eval_prints_working_precision_digits(capsys):
+    # the p = 4, s = 1, x = -1/2 transform is pi^2/18; an mpf value keeps its digits
+    code, out, _ = run(capsys, "--precision", "40", "eval", "euler", "--p", "4",
+                       "--s", "1", "--x", "-0.5")
+    assert code == 0
+    printed = out.split("value      = ")[1].split()[0]
+    with mp.workdps(50):
+        exact = mp.pi**2 / 18
+        assert abs(mp.mpf(printed) - exact) <= 5e-38 * exact
 
 
 def test_eval_ak_json_roundtrip(capsys):

@@ -91,6 +91,16 @@ def test_ak_lhs_collapse_to_zeta():
     assert abs(ev.value - math.pi**2 / 6) <= ev.bound
 
 
+@pytest.mark.parametrize("x", [1 / 3, -1 / 7, 2 / 3, 1e-10, 2.5])
+def test_ak_lhs_single_index_at_non_dyadic_shifts(x):
+    # the beta-weighted sum over one index is (m+1) zeta(m+2, 1+x) at every real x > -1
+    for m in (0, 1, 2):
+        ev = eval_ak_lhs((1,), 1.0, m, x)
+        with mp.workdps(30):
+            exact = (m + 1) * mp.zeta(m + 2, 1 + mp.mpf(x))
+        assert abs(ev.value - exact) <= ev.bound, m
+
+
 def test_ak_lhs_geometric_case():
     # p = 4, m = 0, x = -1/2 gives (2 arcsin(1/2))^2 / 2
     ev = eval_ak_lhs((1,), 4.0, 0, -0.5, CTX)

@@ -56,11 +56,19 @@ def test_zeta_em_within_bound_at_high_precision():
     # Euler-Maclaurin coefficients have to be exact there
     for digits in (30, 50):
         ctx = PrecisionContext(digits=digits)
-        for s, x in [(3, 0.0), (2, 0.5), (5, -0.5), (4, 0.25)]:
+        for s, x in [(3, 0.0), (2, 0.5), (5, -0.5), (4, 0.25), (2, 0.0),
+                     (1.5, 0.25), (2, -0.9)]:
             ev = zeta_em(s, x, ctx)
             with mp.workdps(digits + 10):
                 err = abs(ev.value - mp.zeta(s, 1 + mp.mpf(x)))
             assert err <= ev.bound, (digits, s, x)
+
+
+def test_zeta_em_sums_few_terms_at_high_precision():
+    # the Euler-Maclaurin corrections, not the partial sum, carry the precision
+    ev = zeta_em(2, 0.0, PrecisionContext(digits=50))
+    assert ev.cutoff_used <= 100
+    assert ev.bound < 1e-50
 
 
 def test_clausen_values():
