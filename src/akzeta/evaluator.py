@@ -12,6 +12,7 @@ precision at modest cutoffs.  Every such sum chooses its cutoff by one rule,
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +64,14 @@ def _as_parts(c) -> tuple[int, ...]:
     if not ints or ints != parts:
         raise DomainError(f"need a non-empty tuple of integer exponents: {parts}")
     return ints
+
+
+def _integer(v, least: int, name: str) -> int:
+    """``v`` as an int; fractional, non-finite or smaller values than
+    ``least`` are rejected."""
+    if not (isinstance(v, numbers.Real) and v == v // 1 >= least):
+        raise DomainError(f"require an integer {name} >= {least}, got {v!r}")
+    return int(v)
 
 
 def _dp_nested(weights: list[np.ndarray]) -> tuple[np.longdouble, list[float]]:
@@ -268,9 +277,8 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
     a = _as_parts(alpha)
     xf = real_shift(x)
     pf = float(p)
-    if m < 0:
-        raise DomainError("require m >= 0")
-    if pf < 1:
+    m = _integer(m, 0, "m")
+    if not pf >= 1:
         raise DomainError("require p >= 1")
     rungs = _rungs(ctx.default_cutoff)
     if pf == 1.0:
@@ -319,6 +327,7 @@ def zeta_combination(alpha, m: int,
     each index c = (a_1+d_1, ..., a_q+d_q+1); the bound is the weighted sum
     of the parts' bounds plus the round-off of the float sum."""
     a = _as_parts(alpha)
+    m = _integer(m, 0, "m")
     total = 0.0
     bound = 0.0
     size = 0.0
@@ -341,14 +350,16 @@ def zeta_combination(alpha, m: int,
 
 def eval_euler_transform(p: float, s: int, x: float,
                          ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
-    """sum_{n >= 1} (-1)^{n+1} H_n^{(s)}(x) / (n (p-1)^n), valid for p >= 2.
+    """sum_{n >= 1} (-1)^{n+1} H_n^{(s)}(x) / (n (p-1)^n), valid for p >= 2
+    and an integer s >= 1.
 
     The value is an mpf at the working precision.  At p > 2 the term count
     comes from the precision, capped by ``ctx.default_cutoff``.
     """
     pf = float(p)
     xf = real_shift(x)
-    if pf < 2:
+    s = _integer(s, 1, "s")
+    if not pf >= 2:
         raise DivergenceError("alternating transform needs p >= 2")
     q = pf - 1.0
     wp = ctx.mp_ctx()
@@ -388,6 +399,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     from .combinatorics import dual
     c = alpha if isinstance(alpha, Composition) else Composition(_as_parts(alpha))
     xf, zf = real_shift(x), float(z)
+    m_terms = _integer(m_terms, 1, "m_terms")
     if not abs(zf) < 1.0 + xf:
         raise DomainError(f"need |z| < 1 + x, got |{zf}| vs {1.0 + xf}")
     beta = dual(c).alpha()

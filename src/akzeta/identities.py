@@ -281,34 +281,34 @@ def _betaratio_exact(n: int, m: int, x: Fraction) -> bool:
     return all(ratio.coeffs[k] == P[k] for k in range(m + 1))
 
 
+# the exact checks of BETARATIO and PROP7 run over n = 1..12 at these x
+_EXACT_N_MAX = 12
+_EXACT_XS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3))
+
+
 def _do_betaratio(params, ctx):
-    n_max = params.get("n_max", 12)
-    m_max = params.get("m_max", 6)
-    xs = params.get("xs", (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)))
-    ok = all(_betaratio_exact(n, m_max, Fraction(x))
-             for x in xs for n in range(1, n_max + 1))
-    return _exact(ok, float(n_max))
+    m_max = 6
+    ok = all(_betaratio_exact(n, m_max, x)
+             for x in _EXACT_XS for n in range(1, _EXACT_N_MAX + 1))
+    return _exact(ok, float(_EXACT_N_MAX))
 
 
 def _do_prop7(params, ctx):
-    n_max = params.get("n_max", 12)
-    m_max = params.get("m_max", 4)
-    xs = params.get("xs", (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)))
+    m_max = 4
     ok = True
-    for x in xs:
-        x = Fraction(x)
-        for n in range(1, n_max + 1):
-            tab = harmonic_table(n, max(m_max, 1), x)
+    for x in _EXACT_XS:
+        for n in range(1, _EXACT_N_MAX + 1):
+            tab = harmonic_table(n, m_max, x)
             B = beta_factor_exact(n, x)
             P = bell_modified(tab.row(n))
             for m in range(m_max + 1):
                 if d_operator(n, m + 1, x) != B * P[m]:
                     ok = False
-    return _exact(ok, float(n_max))
+    return _exact(ok, float(_EXACT_N_MAX))
 
 
 def _do_bern_classic(params, ctx):
-    m_max = params.get("m_max", 10)
+    m_max = 10
     polys = ak_bernoulli_polys(Composition.of(1), 1, m_max)
     ok = all(polys[m] == classical_bernoulli_polynomial(m)
              for m in range(m_max + 1))
@@ -316,14 +316,12 @@ def _do_bern_classic(params, ctx):
 
 
 def _do_genfun_b(params, ctx):
+    # B^v_{2,m}(1/3) for m = 0..30 against the generating function at t = 1/10
     v = params.get("v", Composition.of(1, 2))
-    p = params.get("p", 2)
-    x = params.get("x", Fraction(1, 3))
-    t0 = params.get("t0", Fraction(1, 10))
-    m_max = params.get("m_max", 30)
+    p, x, m_max = 2, Fraction(1, 3), 30
     polys = ak_bernoulli_polys(v, p, m_max)
     with mp.workdps(60):
-        t = mp.mpf(t0.numerator) / t0.denominator
+        t = mp.mpf(1) / 10
         xm = mp.mpf(x.numerator) / x.denominator
         lhs = mp.mpf(0)
         for m in range(m_max + 1):

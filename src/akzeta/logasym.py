@@ -1,10 +1,16 @@
 """Asymptotic log-Laurent series and exact Euler-Maclaurin tails for nested
 prefix sums.
 
-A series here is a finite sum of terms  c * ln(n)^j * n^(-s)  stored as a
-mapping (j, s) -> c.  Weight functions of the summation engine (shifted power
-weights, beta factors, harmonic numbers, Bell polynomials thereof) all admit
-asymptotic expansions in this ring, which lets the tail of a nested sum
+A series here is a finite sum of terms  c * ln(n)^j * n^-(k + shift)  stored
+as a mapping of integer pairs (j, k) -> c, with one fractional shift in
+[0, 1) held by the whole series.  The shift is non-zero only for the beta
+factor's exponent a = 1 + x and the products and tails built from it; a
+product adds the shifts and carries their integer part into k, so an
+exponent near the pole s = 1 keeps every bit of a.  Weight functions of the
+summation engine (shifted power weights, beta factors, harmonic numbers,
+Bell polynomials thereof) all admit asymptotic expansions in this ring, and
+the models of the beta factor and the harmonic numbers are closed forms
+(DLMF 5.11.17 and 25.11.43).  This lets the tail of a nested sum
 
     sum_{n > M} S_{q-1}(n) g_q(n),   S_i(n) = sum_{j < n} S_{i-1}(j) g_i(j)
 
@@ -13,8 +19,8 @@ be peeled level by level:
     T_i(M) = S_{i-1}(M+1) * Z_i(M) + T_{i-1}(M),
 
 where Z_i = tail-sum of the current weight and the next level's weight picks
-up the symbolic factor Z_i.  Every tail-sum of a single term is done with
-Euler-Maclaurin corrections, so the result is exact up to the (tiny) EM and
+up the symbolic factor Z_i.  Every tail-sum of a single term is a closed-form
+Euler-Maclaurin sum, so the result is exact up to the (tiny) EM and
 truncation remainders, which are tracked and reported as the error estimate.
 """
 
@@ -31,7 +37,7 @@ import mpmath as mp
 from .errors import DomainError
 from .harmonic_bell import bell_modified
 from .numerics import PrecisionContext, zeta_em, _em_coeff
-from .powerseries import PolyRat, classical_bernoulli_polynomial
+from .powerseries import bernoulli_numbers
 
 __all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
@@ -44,222 +50,200 @@ _EM_COEFF = [float(_em_coeff(k)) for k in range(1, 6)]
 
 
 class LogSeries:
-    """Finite sum of terms c * ln(n)^j * n^(-s)."""
+    """Finite sum of terms c * ln(n)^j * n^-(k + shift): integer keys (j, k)
+    and one fractional shift in [0, 1) shared by the whole series."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "shift")
 
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[int, float], float] = dict(terms or {})
+    def __init__(self, terms=None, shift: float = 0.0):
+        self.terms: dict[tuple[int, int], float] = dict(terms or {})
+        self.shift = shift
 
     @classmethod
     def const(cls, c: float) -> "LogSeries":
-        return cls({(0, 0.0): float(c)})
+        return cls({(0, 0): float(c)})
 
-    def copy(self) -> "LogSeries":
-        return LogSeries(self.terms)
+    def _kmin(self):
+        return min((k for _, k in self.terms), default=math.inf)
 
     @property
     def lead(self) -> float:
-        if not self.terms:
-            return math.inf
-        return min(s for (_, s) in self.terms)
+        return self._kmin() + self.shift
 
-    def add_term(self, j: int, s: float, c: float):
+    def add_term(self, j: int, k: int, c: float):
         if c == 0.0:
             return
-        key = (j, s)
+        key = (j, k)
         self.terms[key] = self.terms.get(key, 0.0) + c
         if self.terms[key] == 0.0:
             del self.terms[key]
 
     def __add__(self, other: "LogSeries") -> "LogSeries":
-        out = self.copy()
-        for (j, s), c in other.terms.items():
-            out.add_term(j, s, c)
+        if other.shift != self.shift:
+            raise DomainError("cannot add series with different shifts")
+        out = LogSeries(self.terms, self.shift)
+        for (j, k), c in other.terms.items():
+            out.add_term(j, k, c)
         return out
 
     def scaled(self, factor: float) -> "LogSeries":
-        return LogSeries({k: c * factor for k, c in self.terms.items()})
+        return LogSeries({key: c * factor for key, c in self.terms.items()}, self.shift)
 
     def __truediv__(self, d: float) -> "LogSeries":
         return self.scaled(1.0 / d)
 
     def __mul__(self, other: "LogSeries") -> "LogSeries":
-        cap = self.lead + other.lead + ORDER
-        out = LogSeries()
-        for (j1, s1), c1 in self.terms.items():
-            for (j2, s2), c2 in other.terms.items():
-                s = s1 + s2
-                if s > cap:
-                    continue
-                out.add_term(j1 + j2, s, c1 * c2)
-        return out
-
-    def truncate(self, cap: float) -> "LogSeries":
-        return LogSeries({(j, s): c for (j, s), c in self.terms.items() if s <= cap})
-
-    def deriv(self) -> "LogSeries":
-        out = LogSeries()
-        for (j, s), c in self.terms.items():
-            out.add_term(j, s + 1, -c * s)
-            if j > 0:
-                out.add_term(j - 1, s + 1, c * j)
+        cap = self._kmin() + other._kmin() + ORDER
+        shift = self.shift + other.shift
+        carry = int(shift >= 1.0)
+        out = LogSeries(shift=shift - carry)
+        for (j1, k1), c1 in self.terms.items():
+            for (j2, k2), c2 in other.terms.items():
+                if k1 + k2 <= cap:
+                    out.add_term(j1 + j2, k1 + k2 + carry, c1 * c2)
         return out
 
     def __call__(self, M: float) -> float:
         return self.at(M)[0]
 
-    def at(self, M: float) -> tuple[float, float]:
-        """The float value at M and the sum of its |terms|, which scales the
-        round-off of that evaluation."""
+    def at(self, M: float) -> tuple[float, float, float]:
+        """The float value at M, the sum of its |terms|, which scales the
+        round-off of that evaluation, and the sum of the |terms| in the
+        deepest kept exponent band, the unit-width band below the largest
+        exponent, which estimates the truncation."""
         logM = math.log(M)
-        total = 0.0
-        size = 0.0
-        for (j, s), c in self.terms.items():
-            term = c * logM**j * M ** (-s)
+        Ms = M ** -self.shift
+        kmax = max((k for _, k in self.terms), default=0)
+        total = size = band = 0.0
+        for (j, k), c in self.terms.items():
+            term = c * logM**j * M ** -k * Ms
             total += term
             size += abs(term)
-        return total, size
-
-    def band_magnitude(self, M: float) -> float:
-        """Sum of |term| values at M in the deepest kept exponent band, the
-        unit-width band below the largest exponent."""
-        if not self.terms:
-            return 0.0
-        smax = max(s for (_, s) in self.terms)
-        logM = math.log(M)
-        return sum(
-            abs(c) * logM**j * M ** (-s)
-            for (j, s), c in self.terms.items()
-            if s >= smax - 1.0
-        )
+            if k >= kmax - 1:
+                band += abs(term)
+        return total, size, band
 
     def __repr__(self) -> str:
         parts = sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        body = " + ".join(f"{c:.6g}*ln^{j}*n^-{s:g}" for (j, s), c in parts)
+        body = " + ".join(f"{c:.6g}*ln^{j}*n^-{k + self.shift:g}" for (j, k), c in parts)
         return f"LogSeries({body or '0'})"
 
 
 def pow_shift(s: float, a: float) -> LogSeries:
     """(n+a)^(-s) expanded around n = infinity."""
-    out = LogSeries()
+    base = math.floor(s)
+    out = LogSeries(shift=s - base)
     coef = 1.0
     for k in range(ORDER + 3):
         if k > 0:
             coef *= (-s - k + 1) / k * a
-        out.add_term(0, s + k, coef)
+        out.add_term(0, base + k, coef)
     return out
 
 
 def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     """Symbolic sum_{n > M} series(n) as a LogSeries in M.
 
-    Returns (tail, err) where err collects the magnitude of the first omitted
-    Euler-Maclaurin correction of every term.
+    Each term f(n) = c ln(n)^j n^-s sums by Euler-Maclaurin in closed form:
+    the integral sum_i c j!/i! ln(M)^i M^(1-s) / (s-1)^(j-i+1), then -f(M)/2
+    and -B_2r/(2r)! f^(2r-1)(M) for r = 1..4, where f^(r)(M) is
+    M^(-s-r) sum_i d_i ln(M)^i and each derivative maps d_i to
+    (i+1) d_(i+1) - (s+r-1) d_i.  s - 1 is (k - 1) + shift, exact near the
+    pole s = 1.  Returns (tail, err) where err collects the magnitude of the
+    first omitted correction of every term.
     """
-    lead = series.lead
-    if lead <= 1.0:
-        raise DomainError(f"tail sum requires decay exponent > 1, got {lead}")
-    cap = lead - 1 + ORDER
-    tail = LogSeries()
-    err = LogSeries()
-    for (j, s), c in series.terms.items():
-        if s - 1 > cap:
+    shift = series.shift
+    if series.lead <= 1.0:
+        raise DomainError(f"tail sum requires decay exponent > 1, got {series.lead}")
+    cap = series._kmin() - 1 + ORDER
+    tail = LogSeries(shift=shift)
+    err = LogSeries(shift=shift)
+    for (j, k), c in series.terms.items():
+        if k - 1 > cap:
             continue
-        # integral_M^inf: downward recurrence over the log power
-        coef = c / (s - 1.0)
+        sm1 = k - 1 + shift
+        coef = c / sm1
         for i in range(j, -1, -1):
-            tail.add_term(i, s - 1.0, coef * _falling(j, j - i) / (s - 1.0) ** (j - i))
-        # -f(M)/2
-        tail.add_term(j, s, -0.5 * c)
-        # - sum_k B_2k/(2k)! f^(2k-1)(M)
-        d = LogSeries({(j, s): c})
-        for k in range(1, 5):
-            d = d.deriv()
-            for (jj, ss), cc in d.terms.items():
-                if ss <= cap:
-                    tail.add_term(jj, ss, -_EM_COEFF[k - 1] * cc)
-            d = d.deriv()
-        # first omitted correction (k = 5)
-        d = d.deriv()
-        for (jj, ss), cc in d.terms.items():
-            err.add_term(jj, ss, abs(_EM_COEFF[4] * cc))
+            tail.add_term(i, k - 1, coef * math.perm(j, j - i) / sm1 ** (j - i))
+        tail.add_term(j, k, -0.5 * c)
+        d = [0.0] * j + [c]
+        for r in range(1, 10):
+            sr = k + r - 1 + shift
+            d = [(i + 1) * d[i + 1] - sr * d[i] for i in range(j)] + [-sr * d[j]]
+            if r == 9:  # the first omitted correction
+                for i in range(j, -1, -1):
+                    err.add_term(i, k + r, abs(_EM_COEFF[4] * d[i]))
+            elif r % 2 and k + r <= cap:
+                for i in range(j, -1, -1):
+                    tail.add_term(i, k + r, -_EM_COEFF[r // 2] * d[i])
     return tail, err
 
 
-def _falling(j: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= j - i
-    return out
-
-
-def exp_series(series: LogSeries) -> LogSeries:
-    """exp of a log-free series with strictly positive decay exponents."""
-    if any(j != 0 or s <= 0 for (j, s) in series.terms):
-        raise DomainError("exp_series needs a log-free, decaying argument")
-    out = LogSeries.const(1.0)
-    power = LogSeries.const(1.0)
-    fact = 1.0
-    lead = series.lead
-    nmax = int(math.ceil((ORDER + 1) / lead))
-    for m in range(1, nmax + 1):
-        power = power * series
-        power = power.truncate(ORDER + 1.0)
-        fact *= m
-        out = out + power.scaled(1.0 / fact)
-    return out.truncate(ORDER + 1.0)
-
-
 @cache
-def _bernoulli_polys() -> list[PolyRat]:
-    """B_0(x)..B_{ORDER+2}(x), exact: the coefficients of the Gamma-type
-    models, built on first use to keep them out of the import."""
-    return [classical_bernoulli_polynomial(k) for k in range(ORDER + 3)]
+def _bernoulli_over_factorial() -> tuple[Fraction, ...]:
+    """B_i/i!, i = 0..ORDER+1, the Taylor coefficients of t/(e^t - 1), exact;
+    built on first use to keep them out of the import."""
+    return tuple(b / math.factorial(i) for i, b in enumerate(bernoulli_numbers(ORDER + 1)))
 
 
 def _bernoulli_at(a: float) -> list[Fraction]:
-    """B_k(a) for k = 0..ORDER+2, exact at the float a."""
-    return [P(Fraction(a)) for P in _bernoulli_polys()]
+    """B_i(a)/i! for i = 0..ORDER+1, exact at the float a: the Taylor
+    coefficients of e^(at) t/(e^t - 1)."""
+    f = _bernoulli_over_factorial()
+    A = Fraction(a)
+    e = [Fraction(1)]  # a^i/i!
+    for i in range(1, len(f)):
+        e.append(e[-1] * A / i)
+    return [sum(f[k] * e[i - k] for k in range(i + 1)) for i in range(len(f))]
 
 
 def beta_model(x: float) -> LogSeries:
     """Asymptotics of B(n, a) = Gamma(a) Gamma(n) / Gamma(n+a), a = 1+x.
 
-    By DLMF 5.11.8, ln Gamma(n) - ln Gamma(n+a) is -a ln(n) plus
-    sum_{k>=2} (-1)^(k+1) (B_k(a) - B_k) / (k(k-1)) n^(1-k).
+    By DLMF 5.11.17, Gamma(n)/Gamma(n+a) ~ n^(-a) sum_k C(-a, k) B_k^(1-a) n^(-k),
+    where B_k^(1-a)/k! is the t^k coefficient of (t/(e^t - 1))^(1-a), from
+    J. C. P. Miller's recurrence for a power of a power series.  Each
+    coefficient is exact until it is rounded once.
+    """
+    if x <= -1:
+        raise DomainError("require x > -1")
+    a = 1.0 + x
+    A = Fraction(a)
+    f = _bernoulli_over_factorial()
+    g = [Fraction(1)]  # B_k^(1-a)/k!
+    for k in range(1, len(f)):
+        g.append(sum(((2 - A) * i - k) * f[i] * g[k - i] for i in range(1, k + 1)) / k)
+    amp = math.gamma(a)
+    base = math.floor(a)
+    out = LogSeries(shift=a - base)
+    binom = Fraction(1)  # C(-a, k) k!
+    for k, gk in enumerate(g):
+        out.add_term(0, base + k, amp * float(binom * gk))
+        binom *= -A - k
+    return out
+
+
+def harmonic_model(k: int, x: float) -> LogSeries:
+    """Asymptotics of H_n^(k)(x) = sum_{j<=n} (j+x)^{-k}.
+
+    With a = 1+x this is zeta(k, a) - zeta(k, n+a) (psi(n+a) - psi(a) at
+    k = 1), and by DLMF 25.11.43 zeta(k, n+a) is
+    sum_i (-1)^i B_i(a) (k)_(i-1)/i! n^(1-k-i), with the rising factorial
+    (k)_(i-1) = (k+i-2)!/(k-1)!; at k = 1 the i = 0 term is ln(n) instead.
     """
     if x <= -1:
         raise DomainError("require x > -1")
     a = 1.0 + x
     Ba = _bernoulli_at(a)
-    expo = LogSeries()
-    for k in range(2, ORDER + 3):
-        expo.add_term(0, k - 1.0, float((-1) ** (k + 1) * (Ba[k] - _bernoulli_polys()[k](0)) / (k * (k - 1))))
-    amp = math.gamma(a)
-    return LogSeries({(j, s + a): amp * c for (j, s), c in exp_series(expo).terms.items()})
-
-
-def harmonic_model(k: int, x: float) -> LogSeries:
-    """Asymptotics of H_n^(k)(x) = sum_{j<=n} (j+x)^{-k}."""
-    if x <= -1:
-        raise DomainError("require x > -1")
     if k == 1:
-        # psi(n+a) - psi(a), a = 1+x, where the n-derivative of DLMF 5.11.8 gives
-        # psi(n+a) = ln(n) + sum_{i>=1} (-1)^(i+1) B_i(a)/i n^(-i)
-        a = 1.0 + x
-        Ba = _bernoulli_at(a)
-        out = LogSeries({(1, 0.0): 1.0})
-        out.add_term(0, 0.0, -float(mp.digamma(a)))
-        for i in range(1, ORDER + 2):
-            out.add_term(0, float(i), float((-1) ** (i + 1) * Ba[i] / i))
-        return out
-    # H_n^(k)(x) = zeta(k, 1+x) - sum_{m > n} (m+x)^{-k}
-    const = float(zeta_em(k, x, _FLOAT_CTX).value)
-    tail, _ = ztail(pow_shift(float(k), x))
-    out = tail.scaled(-1.0)
-    out.add_term(0, 0.0, const)
-    return out.truncate(float(ORDER + 1))
+        out = LogSeries({(1, 0): 1.0})
+        out.add_term(0, 0, -float(mp.digamma(a)))
+    else:
+        out = LogSeries.const(float(zeta_em(k, x, _FLOAT_CTX).value))
+    for i in range(1 if k == 1 else 0, ORDER + 3 - k):
+        rising = Fraction(math.factorial(k + i - 2), math.factorial(k - 1))
+        out.add_term(0, k - 1 + i, float((-1) ** (i + 1) * Ba[i] * rising))
+    return out
 
 
 def bell_p_models(m: int, x: float) -> list[LogSeries]:
@@ -300,7 +284,7 @@ def nested_tail_sum(S_vals: Sequence[float], tails: Sequence[tuple[LogSeries, Lo
     total = 0.0
     err = 0.0
     for S, (Z, zerr) in zip(reversed(S_vals), reversed(tails)):
-        z, size = Z.at(Mf)
+        z, size, band = Z.at(Mf)
         total += S * z
-        err += abs(S) * (zerr(Mf) + Z.band_magnitude(Mf) + sys.float_info.epsilon * size)
+        err += abs(S) * (zerr(Mf) + band + sys.float_info.epsilon * size)
     return total, err

@@ -120,7 +120,10 @@ def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     The bound is twice the first omitted correction term, a majorant of the
     remainder for this completely monotone integrand, plus the round-off.
     """
-    return _zeta_em_cached(float(s), real_shift(x), ctx.digits, ctx.default_cutoff)
+    sf = float(s)
+    if not math.isfinite(sf):
+        raise DomainError(f"require a finite s, got {sf}")
+    return _zeta_em_cached(sf, real_shift(x), ctx.digits, ctx.default_cutoff)
 
 
 @lru_cache(maxsize=4096)

@@ -78,6 +78,8 @@ def test_eval_missing_composition_exits_2(capsys):
 def test_eval_divergent_exits_2(capsys):
     code, _, err = run(capsys, "eval", "zeta", "1,1")
     assert code == 2
+    code, _, err = run(capsys, "eval", "euler", "--p", "nan")
+    assert code == 2
 
 
 def test_bpoly(capsys):

@@ -91,14 +91,17 @@ def test_ak_lhs_collapse_to_zeta():
     assert abs(ev.value - math.pi**2 / 6) <= ev.bound
 
 
-@pytest.mark.parametrize("x", [1 / 3, -1 / 7, 2 / 3, 1e-10, 2.5])
+@pytest.mark.parametrize("x", [1 / 3, -1 / 7, 2 / 3, 1e-10, 2.5, -0.9, -0.95])
 def test_ak_lhs_single_index_at_non_dyadic_shifts(x):
-    # the beta-weighted sum over one index is (m+1) zeta(m+2, 1+x) at every real x > -1
-    for m in (0, 1, 2):
-        ev = eval_ak_lhs((1,), 1.0, m, x)
-        with mp.workdps(30):
-            exact = (m + 1) * mp.zeta(m + 2, 1 + mp.mpf(x))
-        assert abs(ev.value - exact) <= ev.bound, m
+    # the beta-weighted sum over one index is (m+1) zeta(m+2, 1+x) at every
+    # real x > -1; near x = -1 the tail is most of the value, and small caps
+    # stop the ladder where it is largest
+    for cap in (64, 128, DEFAULT_CTX.default_cutoff):
+        for m in range(5):
+            ev = eval_ak_lhs((1,), 1.0, m, x, PrecisionContext(default_cutoff=cap))
+            with mp.workdps(30):
+                exact = (m + 1) * mp.zeta(m + 2, 1 + mp.mpf(x))
+            assert abs(ev.value - exact) <= ev.bound, (cap, m)
 
 
 def test_ak_lhs_geometric_case():
@@ -115,6 +118,13 @@ def test_ak_lhs_guards():
         eval_ak_lhs((1,), 1.0, -1, 0.0, CTX)
     with pytest.raises(DomainError):
         eval_ak_lhs((1,), 1.0, 0, -1.0, CTX)
+    with pytest.raises(DomainError):
+        eval_ak_lhs((1,), 1.0, 1.5, 0.0, CTX)
+    with pytest.raises(DomainError):
+        eval_ak_rhs((1,), 1.5, 0.0, CTX)
+    for m_terms in (0, -1):
+        with pytest.raises(DomainError):
+            eval_prop2_series(Composition.of(2), 0.5, 0.25, m_terms, CTX)
 
 
 def test_ak_rhs_examples():
@@ -155,6 +165,12 @@ def test_euler_transform_p2_working_precision():
 def test_euler_transform_guard():
     with pytest.raises(DivergenceError):
         eval_euler_transform(1.5, 1, 0.0, CTX)
+    with pytest.raises(DomainError):
+        eval_euler_transform(math.nan, 1, 0.0, CTX)
+    # the bound's majorant of H_n^(s) holds only for the paper's s = m + 1 >= 1
+    for s in (0, -1, 1.5):
+        with pytest.raises(DomainError):
+            eval_euler_transform(3.0, s, 0.0, CTX)
 
 
 def test_euler_vs_ak_transform():

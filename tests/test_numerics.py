@@ -49,6 +49,9 @@ def test_zeta_em_domain():
         zeta_em(1.0, 0.0)
     with pytest.raises(DomainError):
         zeta_em(2.0, -1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            zeta_em(bad, 0.0)
 
 
 def test_zeta_em_within_bound_at_high_precision():
