@@ -2,11 +2,11 @@
 
 Every public entry point returns a :class:`~akzeta.numerics.Evaluation`
 carrying the value, an error bound, and how the bound was obtained.  The
-workhorse is a prefix-sum dynamic program over numpy extended-precision
-arrays combined with symbolic Euler-Maclaurin tails from :mod:`.logasym`,
-which makes even deep, slowly-converging sums exact to near machine
-precision at modest cutoffs.  Every such sum chooses its cutoff by one rule,
-:func:`_choose_cutoff`; ``ctx.default_cutoff`` is only its cap.
+workhorse is a prefix-sum dynamic program over Python integers scaled by
+2^_F (fixed point) combined with symbolic Euler-Maclaurin tails from
+:mod:`.logasym`, which makes even deep, slowly-converging sums exact to near
+machine precision at modest cutoffs.  Every such sum chooses its cutoff by
+one rule, :func:`_choose_cutoff`; ``ctx.default_cutoff`` is only its cap.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import numbers
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
-
-import numpy as np
 
 from .combinatorics import Composition, weak_compositions, m_coeff, binomial
 from .errors import DomainError, DivergenceError
@@ -26,7 +25,7 @@ from .harmonic_bell import harmonic_table, bell_modified
 from .logasym import (pow_shift, nested_tail_series, nested_tail_sum,
                       beta_model, bell_p_models)
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
-                       ESTIMATED, beta_factor_exact, accelerate_alternating,
+                       ESTIMATED, accelerate_alternating,
                        real_shift, _zeta_em_cached)
 
 __all__ = [
@@ -42,8 +41,9 @@ __all__ = [
     "clear_caches",
 ]
 
-_LD = np.longdouble
-_LD_EPS = float(np.finfo(_LD).eps)
+_F = 96                       # fractional bits of the fixed-point DP
+_ONE = 1 << _F
+_ROUNDOFF_UNIT = 2.0 ** -63   # unit of the stopping tolerance, as the cutoffs were sized
 _FIRST_RUNG = 32
 
 
@@ -74,26 +74,65 @@ def _integer(v, least: int, name: str) -> int:
     return int(v)
 
 
-def _dp_nested(weights: list[np.ndarray]) -> tuple[np.longdouble, list[float]]:
+def _power_weights(N: int, e: int, x: float = 0.0, c: int = 1) -> list[int]:
+    """(c (n + x))^-e for n = 1..N in fixed point, x taken as the exact
+    dyadic rational of its float; each weight is rounded down once."""
+    xn, xd = x.as_integer_ratio()
+    num = xd**e << _F
+    return [num // (c * (n * xd + xn)) ** e for n in range(1, N + 1)]
+
+
+def _geometric(N: int, r: Fraction) -> list[int]:
+    """r^n for n = 1..N in fixed point, by one floored recurrence."""
+    num, den = r.as_integer_ratio()
+    out = []
+    t = _ONE
+    for _ in range(N):
+        t = t * num // den
+        out.append(t)
+    return out
+
+
+def _product(*vectors: list[int]) -> list[int]:
+    """The elementwise product of fixed-point vectors, rounded down once."""
+    shift = _F * (len(vectors) - 1)
+    return [math.prod(t) >> shift for t in zip(*vectors)]
+
+
+def _dp_nested(weights: list[list[int]]) -> tuple[int, list[float]]:
     """Prefix-sum DP for sum over n_1 < ... < n_q of prod_i w_i[n_i].
 
-    Returns the longdouble partial sum over n_q <= N together with the
-    exact S_i(N+1) values needed by the symbolic tail recursion.
+    The weights are fixed-point integers (value * 2^_F).  Returns the
+    fixed-point partial sum over n_q <= N together with the S_i(N+1) values,
+    each correctly rounded to float, needed by the symbolic tail recursion.
+    The prefix sums are exact; each product rounds down once.
     """
-    N = len(weights[0])
-    S = np.ones(N, dtype=_LD)
     S_at = [1.0]
-    for w in weights[:-1]:
-        prod = S * w
-        cs = np.cumsum(prod)
-        S = np.concatenate((np.zeros(1, dtype=_LD), cs[:-1]))
-        S_at.append(float(cs[-1]))
-    return np.sum(S * weights[-1]), S_at
+    terms = weights[0]
+    for w in weights[1:]:
+        cs = list(accumulate(terms))
+        S_at.append(cs[-1] / _ONE)
+        # S_i(1) = 0, S_i(n) = cs[n - 2]
+        terms = [0] + [(s * wn) >> _F for s, wn in zip(cs, w[1:])]
+    return sum(terms), S_at
 
 
 def _roundoff(N: int, q: int, scale: float) -> float:
-    # accumulated extended-precision cumsum error, with margin
-    return 4.0 * _LD_EPS * N * (q + 1) * (1.0 + abs(scale))
+    """The stopping tolerance of :func:`_choose_cutoff` at cutoff N for a
+    depth-q sum of size ``scale``; it also bounds the fixed-point rounding.
+
+    Every weight, geometric or beta factor and product is rounded down to a
+    multiple of 2^-_F, and a floored recurrence t_n = floor(t_(n-1) r) with
+    |r| <= 1 is off by at most n units.  Prefix sums add no rounding.  So a
+    number that went through k roundings is off by at most k units times the
+    factors it was multiplied by afterwards, and the partial sum is off by
+    at most about N (q + 1) 2^-_F L, where L is the product of 1 + the
+    largest value of each factor of a term (the weights, B(n, 1+x), P_m and
+    the prefix sum).  This tolerance, 4 * 2^-63 N (q + 1) (1 + |scale|), is
+    2^(_F - 61) times that error when L <= 1 + |scale|, and majorizes it
+    while L <= 2^(_F - 61) (1 + |scale|).
+    """
+    return 4.0 * _ROUNDOFF_UNIT * N * (q + 1) * (1.0 + abs(scale))
 
 
 def _rungs(cap: int) -> tuple[int, ...]:
@@ -112,22 +151,22 @@ def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str,
     """The one cutoff rule of the DP paths.
 
     ``rung(N, todo)`` sums each sum numbered in ``todo`` to cutoff N and
-    returns, for each, (total, trunc, roundoff): the longdouble value, the
-    part of its bound that shrinks as N grows (truncation, and the float
-    evaluation of a symbolic tail; infinite when no majorant exists at N),
-    and the longdouble round-off, which grows linearly in N.  Each sum keeps
-    the first rung where trunc <= roundoff, else the last: its bound, at most
-    2 * roundoff, is then no larger than at any rung >= 2N.  The value is
-    cast to float once, and half an ulp of it joins the bound.
+    returns, for each, (value, trunc, roundoff): the fixed-point value
+    rounded to float once, the part of its bound that shrinks as N grows
+    (truncation, and the float evaluation of a symbolic tail; infinite when
+    no majorant exists at N), and the stopping tolerance :func:`_roundoff`,
+    which grows linearly in N.  Each sum keeps the first rung where
+    trunc <= roundoff, else the last: its bound, at most 2 * roundoff, is
+    then no larger than at any rung >= 2N.  Half an ulp of the value, for
+    its rounding to float, joins the bound.
     """
     chosen: list[Evaluation | None] = [None] * count
     for N in rungs:
         todo = [k for k, ev in enumerate(chosen) if ev is None]
-        for k, (total, trunc, roundoff) in zip(todo, rung(N, todo)):
+        for k, (value, trunc, roundoff) in zip(todo, rung(N, todo)):
             if trunc <= roundoff or N == rungs[-1]:
                 if math.isinf(trunc):
                     raise DomainError(f"cutoff {N} too small for a geometric majorant")
-                value = float(total)
                 chosen[k] = Evaluation(value=value, bound=trunc + roundoff + math.ulp(value) / 2,
                                        bound_kind=RIGOROUS, method=method, cutoff_used=N)
         if None not in chosen:
@@ -135,15 +174,15 @@ def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str,
     return chosen
 
 
-def _dp_em_tail(weights: list[np.ndarray], tails: list, q: int) -> tuple:
+def _dp_em_tail(weights: list[list[int]], tails: list, q: int) -> tuple:
     """A rung of a nested sum: the prefix-sum DP of ``weights`` plus the
     symbolic Euler-Maclaurin ``tails`` (a :func:`nested_tail_series`); ``q``
     sizes the round-off term."""
     N = len(weights[0])
     partial, S_at = _dp_nested(weights)
     tail, terr = nested_tail_sum(S_at, tails, N)
-    total = partial + _LD(tail)
-    return total, 10.0 * terr, _roundoff(N, q, float(total))
+    value = (partial + int(tail * _ONE)) / _ONE
+    return value, 10.0 * terr, _roundoff(N, q, value)
 
 
 def _convergent_parts(parts) -> tuple[int, ...]:
@@ -173,14 +212,11 @@ def _mzv_cached(e: tuple[int, ...], xf: float, rungs: tuple[int, ...],
                 c: int = 1) -> Evaluation:
     """sum over n_1 < ... < n_q of prod (c (n_i + x))^{-e_i}: the DP to a
     cutoff N from ``rungs``, plus the tail beyond it.
-
-    For c = 2, x = -1/2 the longdouble product c (n + x) is 2n - 1 exactly.
     """
     tails = nested_tail_series([pow_shift(float(ei), xf).scaled(float(c) ** -ei) for ei in e])
 
     def rung(N, _):
-        cn = _LD(c) * (np.arange(1, N + 1, dtype=_LD) + _LD(xf))
-        return [_dp_em_tail([cn ** _LD(-ei) for ei in e], tails, len(e))]
+        return [_dp_em_tail([_power_weights(N, ei, xf, c) for ei in e], tails, len(e))]
 
     return _choose_cutoff(rungs, rung, "dp+em-tail")[0]
 
@@ -212,29 +248,35 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
 def _li(e: tuple[int, ...], zf: float, rungs: tuple[int, ...]) -> Evaluation:
     """:func:`eval_li` for |z| < 1, to a cutoff N from ``rungs``."""
     def rung(N, _):
-        n = np.arange(1, N + 1, dtype=_LD)
-        weights = [n ** _LD(-ei) for ei in e]
-        weights[-1] = weights[-1] * _LD(zf) ** n
-        partial, _ = _dp_nested(weights)
+        weights = [_power_weights(N, ei) for ei in e]
+        weights[-1] = _product(weights[-1], _geometric(N, Fraction(zf)))
+        value = _dp_nested(weights)[0] / _ONE
         # tail: |S_{q-1}(n)| <= (1 + ln n)^{q-1}, n^{-e_q} <= 1
         tail_bd = _geom_row_bound(N, 1.0 / abs(zf) if zf else math.inf, len(e) - 1, 1.0, 1.0)
-        return [(partial, tail_bd, _roundoff(N, len(e), float(partial)))]
+        return [(value, tail_bd, _roundoff(N, len(e), value))]
 
     return _choose_cutoff(rungs, rung, "dp+geom-tail")[0]
 
 
-def _outer_arrays(N: int, m: int, x: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[list[int]]]:
     """B(n,1+x) and P_0..P_m of (H_n^(1)(x),..,H_n^(m)(x)) for n = 1..N,
-    extended precision."""
-    xl = _LD(x)
-    n = np.arange(1, N + 1, dtype=_LD)
+    in fixed point.
+
+    P_j of the harmonic numbers is the complete homogeneous symmetric
+    polynomial h_j(y_1, .., y_n) of y_i = 1/(i+x), so
+    P_j(n) = sum_{i<=n} y_i P_(j-1)(i): one product and one prefix sum per
+    order, where the Bell recurrence takes j of each.
+    """
+    xn, xd = x.as_integer_ratio()
     # B(1,1+x) = 1/(1+x), B(n+1,1+x) = B(n,1+x) * n/(n+1+x)
-    B = np.empty(N, dtype=_LD)
-    B[0] = 1 / (1 + xl)
-    np.multiply.accumulate(n[:-1] / (n[1:] + xl), out=B[1:])
-    B[1:] *= B[0]
-    H = [np.cumsum((n + xl) ** _LD(-k)) for k in range(1, m + 1)]
-    return B, bell_modified(H, one=np.ones(N, dtype=_LD))
+    B = [(xd << _F) // (xd + xn)]
+    for n in range(1, N):
+        B.append(B[-1] * n * xd // ((n + 1) * xd + xn))
+    y = _power_weights(N, 1, x)
+    P = [[_ONE] * N]
+    for _ in range(m):
+        P.append(list(accumulate([(a * b) >> _F for a, b in zip(y, P[-1])])))
+    return B, P
 
 
 def _ak_lhs_p1(a: tuple[int, ...], ms, x: float,
@@ -257,11 +299,10 @@ def _ak_lhs_p1(a: tuple[int, ...], ms, x: float,
              for m in ms]
 
     def rung(N, todo):
-        n = np.arange(1, N + 1, dtype=_LD)
         B, P = _outer_arrays(N, max(ms[k] for k in todo), x)
-        inner = [n ** _LD(-ai) for ai in a[:-1]]
-        last = n ** _LD(-a[-1])
-        return [_dp_em_tail(inner + [B * P[ms[k]] * last], tails[k], len(a) + ms[k] + 1)
+        inner = [_power_weights(N, ai) for ai in a[:-1]]
+        last = _product(B, _power_weights(N, a[-1]))
+        return [_dp_em_tail(inner + [_product(last, P[ms[k]])], tails[k], len(a) + ms[k] + 1)
                 for k in todo]
 
     return _choose_cutoff(rungs, rung, "dp+em-tail", len(ms))
@@ -298,14 +339,13 @@ def _ak_lhs_geom(a: tuple[int, ...], pf: float, m: int, xf: float,
     D = (g ** max(m - 1, 0) + m) ** m / math.factorial(m)
 
     def rung(N, _):
-        n = np.arange(1, N + 1, dtype=_LD)
         B, P = _outer_arrays(N, m, xf)
-        weights = [n ** _LD(-ai) for ai in a[:-1]]
-        weights.append(B * P[m] * n ** _LD(-a[-1]) * _LD(pf) ** (-n))
-        partial, _ = _dp_nested(weights)
-        K = float(B[-1]) * N ** (-float(a[-1])) * D
+        weights = [_power_weights(N, ai) for ai in a[:-1]]
+        weights.append(_product(B, P[m], _power_weights(N, a[-1]), _geometric(N, 1 / Fraction(pf))))
+        value = _dp_nested(weights)[0] / _ONE
+        K = B[-1] / _ONE * N ** (-float(a[-1])) * D
         tail_bd = _geom_row_bound(N, pf, float(m + r - 1), K, c)
-        return [(partial, tail_bd, _roundoff(N, r + m + 1, float(partial)))]
+        return [(value, tail_bd, _roundoff(N, r + m + 1, value))]
 
     return _choose_cutoff(rungs, rung, "dp+geom-tail")[0]
 
@@ -422,7 +462,9 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
 def ak_lhs_partial_exact(alpha, p: int, m: int, x, N: int) -> Fraction:
     """Exact rational truncation of the beta-weighted nested sum.
 
-    Test-oriented: O(N^2)-ish with exact arithmetic, keep N small.
+    Test-oriented: exact arithmetic, whose denominators grow with N; keep N
+    small.  P_m comes from the Bell recurrence on the harmonic numbers, not
+    from the complete homogeneous form of :func:`_outer_arrays`.
     """
     a = _as_parts(alpha)
     x = Fraction(x)
@@ -441,8 +483,9 @@ def ak_lhs_partial_exact(alpha, p: int, m: int, x, N: int) -> Fraction:
         S = nxt
         S[0] = Fraction(0)
     total = Fraction(0)
+    B = 1 / (1 + x)  # B(n, 1+x), then B(n+1, 1+x) = B(n, 1+x) n/(n+1+x)
     for n in range(1, N + 1):
-        B = beta_factor_exact(n, x)
         P = bell_modified(tab.row(n))[m] if m > 0 else Fraction(1)
         total += S[n] * B * P / (Fraction(p) ** n * n ** a[-1])
+        B *= Fraction(n) / (n + 1 + x)
     return total

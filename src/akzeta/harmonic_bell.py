@@ -2,8 +2,9 @@
 alternating-binomial integral-transform kernel.
 
 Tables and the kernel are exact rational.  The Bell recurrence is written
-once for any ring: ``evaluator._outer_arrays`` runs it on longdouble arrays
-and ``logasym.bell_p_models`` on asymptotic series.
+once for any ring: Fractions, and ``logasym.bell_p_models`` runs it on
+asymptotic series.  The summation engine (``evaluator._outer_arrays``)
+builds the same polynomials as complete homogeneous symmetric polynomials.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ def bell_modified(x_values: Sequence, one=Fraction(1)) -> list:
     """P_0..P_m for the generating identity exp(sum x_k z^k / k) = sum P_m z^m.
 
     Uses the recurrence m*P_m = sum_{k=1}^{m} x_k P_{m-k} in whatever ring
-    the inputs live in: Fractions (exact), longdouble arrays or asymptotic
-    series, with ``one`` as P_0.  Each inner sum starts at its k = 1 term, so
-    the ring needs no additive zero; that term is a new object, so ``+=``
-    may add into it in place.
+    the inputs live in: Fractions (exact) or asymptotic series, with ``one``
+    as P_0.  Each inner sum starts at its k = 1 term, so the ring needs no
+    additive zero; that term is a new object, so ``+=`` may add into it in
+    place.
     """
     P = [one]
     for j in range(1, len(x_values) + 1):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 import mpmath as mp
@@ -186,15 +186,17 @@ def _bernoulli_over_factorial() -> tuple[Fraction, ...]:
     return tuple(b / math.factorial(i) for i, b in enumerate(bernoulli_numbers(ORDER + 1)))
 
 
-def _bernoulli_at(a: float) -> list[Fraction]:
+@lru_cache(maxsize=256)
+def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
     """B_i(a)/i! for i = 0..ORDER+1, exact at the float a: the Taylor
-    coefficients of e^(at) t/(e^t - 1)."""
+    coefficients of e^(at) t/(e^t - 1).  One row per a serves every
+    :func:`harmonic_model` order k."""
     f = _bernoulli_over_factorial()
     A = Fraction(a)
     e = [Fraction(1)]  # a^i/i!
     for i in range(1, len(f)):
         e.append(e[-1] * A / i)
-    return [sum(f[k] * e[i - k] for k in range(i + 1)) for i in range(len(f))]
+    return tuple(sum(f[k] * e[i - k] for k in range(i + 1)) for i in range(len(f)))
 
 
 def beta_model(x: float) -> LogSeries:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 
+import akzeta
 from akzeta.cli import main
 
 
@@ -112,3 +116,14 @@ def test_verify_unknown_exits_2(capsys):
 def test_verify_requires_id_or_all(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
+
+
+def test_import_leaves_numpy_out():
+    # the runtime needs mpmath only: a one-off CLI call must not pay for numpy
+    src = os.path.dirname(os.path.dirname(akzeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", "import akzeta.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -9,7 +9,9 @@ from akzeta.errors import DomainError, DivergenceError
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform,
                               eval_prop2_series, ak_lhs_partial_exact,
-                              clear_caches, _ak_lhs_p1, _mzv_cached, _rungs)
+                              clear_caches, _ak_lhs_p1, _mzv_cached, _rungs,
+                              _F, _dp_nested, _geometric, _outer_arrays,
+                              _power_weights, _product, _roundoff)
 from akzeta.identities import catalog
 from akzeta.harmonic_bell import d_operator
 from akzeta.numerics import PrecisionContext, DEFAULT_CTX, RIGOROUS, zeta_em
@@ -215,6 +217,29 @@ def test_exact_truncation_matches_kernel_series():
         acc += Fraction(1, n ** alpha[0])
         ref += S[n] * d_operator(n, m + 1, x) / (Fraction(p) ** n * n ** alpha[-1])
     assert exact == ref
+
+
+@pytest.mark.parametrize("x", [0.0, 1 / 3, -0.9, 2.5])
+def test_fixed_point_partial_sums_match_exact(x):
+    # the fixed-point DP against the exact rational truncation at the float
+    # x, within the documented fixed-point error N (q + 1) 2^-F L, which is
+    # far below the cutoff rule's stopping tolerance; the power and
+    # geometric weights are at most 1
+    for N in (32, 256):
+        B, P = _outer_arrays(N, 3, x)
+        for a in ((1,), (1, 2), (2, 1, 1)):
+            for p in (1, 3):
+                for m in (0, 3):
+                    weights = [_power_weights(N, ai) for ai in a[:-1]]
+                    weights.append(_product(B, P[m], _power_weights(N, a[-1]),
+                                            _geometric(N, Fraction(1, p))))
+                    partial, S_at = _dp_nested(weights)
+                    exact = ak_lhs_partial_exact(a, p, m, Fraction(x), N)
+                    q = len(a) + m + 1
+                    L = (1 + B[0] / (1 << _F)) * (1 + P[m][-1] / (1 << _F)) * (1 + max(S_at))
+                    tol = N * (q + 1) * 2.0**-_F * L
+                    assert abs(float(Fraction(partial, 1 << _F) - exact)) <= tol
+                    assert tol < 2.0**-20 * _roundoff(N, q, float(exact))
 
 
 def test_exact_truncation_approaches_float_value():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from akzeta.errors import DomainError
-from akzeta.evaluator import _outer_arrays
+from akzeta.evaluator import _F, _outer_arrays
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.numerics import beta_factor_exact
 
@@ -23,19 +23,23 @@ def test_harmonic_table_shifted():
 
 
 def test_harmonic_table_float_matches_exact():
-    # the exact B(n,1+x) and P_0..P_m(H-row(n)) against the extended-precision
-    # arrays that the summation engine uses, from one build for all m
-    x = Fraction(1, 3)
-    tab = harmonic_table(50, 3, x)
-    B, P = _outer_arrays(50, 3, float(x))
+    # the exact B(n,1+x) and P_0..P_m(H-row(n)) against the fixed-point
+    # arrays that the summation engine uses, from one build for all m; x is
+    # the float 1/3, which the engine takes as its exact dyadic value
+    x = 1 / 3
+    N = 50
+    tab = harmonic_table(N, 3, Fraction(x))
+    B, P = _outer_arrays(N, 3, x)
     assert len(P) == 4
+    # within N (m + 2) units of 2^-F times 1 + the size, as `_roundoff` documents
+    tol = N * 5 * Fraction(1, 1 << _F)
     for n in (1, 7, 50):
-        beta = beta_factor_exact(n, x)
-        assert abs(float(B[n - 1]) - float(beta)) < 1e-15 * float(beta)
+        beta = beta_factor_exact(n, Fraction(x))
+        assert abs(Fraction(B[n - 1], 1 << _F) - beta) <= tol * (1 + beta)
         for m, exact in enumerate(bell_modified(tab.row(n))):
-            assert abs(float(P[m][n - 1]) - float(exact)) < 1e-15 * float(exact)
-            assert (abs(float(B[n - 1] * P[m][n - 1]) - float(beta * exact))
-                    < 1e-15 * float(beta * exact))
+            assert abs(Fraction(P[m][n - 1], 1 << _F) - exact) <= tol * (1 + exact)
+            assert (abs(Fraction(B[n - 1] * P[m][n - 1], 1 << 2 * _F) - beta * exact)
+                    <= tol * (1 + exact))
 
 
 def test_harmonic_table_validation():

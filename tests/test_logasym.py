@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from akzeta.errors import DomainError
@@ -110,13 +109,14 @@ def test_bell_p_models_match_exact_rows():
 def test_nested_tail_sum_depth2():
     # zeta(1,2) = zeta(3) through the symbolic tail recursion
     M = 500
-    n = np.arange(1, M + 1, dtype=np.longdouble)
-    w1 = n**-1.0
-    cs = np.cumsum(w1)
-    S1 = np.concatenate(([np.longdouble(0)], cs[:-1]))
-    partial = float(np.sum(S1 * n**-2.0))
+    S1 = Fraction(0)  # H_(n-1)
+    partial = Fraction(0)
+    for n in range(1, M + 1):
+        partial += S1 / n**2
+        S1 += Fraction(1, n)
     tails = nested_tail_series([pow_shift(1.0, 0.0), pow_shift(2.0, 0.0)])
-    tail, err = nested_tail_sum([1.0, float(cs[-1])], tails, M)
+    tail, err = nested_tail_sum([1.0, float(S1)], tails, M)
+    partial = float(partial)
     z3 = float(mp.zeta(3))
     assert abs(partial + tail - z3) < 1e-15
     assert err < 1e-12
