@@ -17,14 +17,14 @@ from .combinatorics import Composition, dual
 from .errors import DomainError
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                         eval_euler_transform)
-from .identities import catalog, verify_all
+from .identities import verify_all
 from .numerics import Evaluation, PrecisionContext
 from .powerseries import ak_bernoulli_polys
 
 __all__ = ["main"]
 
 
-def _print_eval(ev: Evaluation, args):
+def _print_eval(ev: Evaluation, args, ctx: PrecisionContext):
     if args.json:
         print(json.dumps({
             "value": float(ev.value),
@@ -34,8 +34,9 @@ def _print_eval(ev: Evaluation, args):
             "cutoff": ev.cutoff_used,
         }))
         return
+    # a float is exact in the working context, whatever mpmath's global precision
     if isinstance(ev.value, float):
-        value = mp.nstr(mp.mpf(ev.value), min(args.precision, 17))
+        value = mp.nstr(ctx.mp_ctx().mpf(ev.value), min(args.precision, 17))
     else:  # an mpf at the working precision: mp.mpf would round it to 15 digits
         value = mp.nstr(ev.value, args.precision)
     print(f"value      = {value}")
@@ -73,7 +74,7 @@ def _cmd_eval(args, ctx: PrecisionContext) -> int:
         ev = eval_euler_transform(args.p, args.s, args.x, ctx)
     else:
         raise DomainError(f"unknown eval kind {kind!r}")
-    _print_eval(ev, args)
+    _print_eval(ev, args, ctx)
     return 0
 
 
@@ -93,14 +94,7 @@ def _cmd_bpoly(args) -> int:
 def _cmd_verify(args, ctx: PrecisionContext) -> int:
     if args.id is None and not args.all:
         raise DomainError("give an identity id or --all")
-    if args.id is not None:
-        known = {c.id for c in catalog()}
-        if args.id not in known:
-            raise DomainError(f"unknown identity id {args.id!r}")
-        summary = verify_all(filter_prefix=args.id, ctx=ctx,
-                             tolerance_class=args.tolerance_class)
-    else:
-        summary = verify_all(ctx=ctx, tolerance_class=args.tolerance_class)
+    summary = verify_all(args.id, ctx)
     for r in summary.reports:
         if args.json:
             print(r.to_json())
@@ -150,8 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify catalog identities")
     p_verify.add_argument("id", nargs="?", default=None)
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--tolerance-class", dest="tolerance_class",
-                          choices=["rigorous", "estimated", "exact"], default=None)
     return parser
 
 

@@ -23,7 +23,7 @@ from .combinatorics import Composition, weak_compositions, m_coeff, binomial
 from .errors import DomainError, DivergenceError
 from .harmonic_bell import harmonic_table, bell_modified
 from .logasym import (pow_shift, nested_tail_series, nested_tail_sum,
-                      beta_model, bell_p_models)
+                      beta_model, bell_p_models, _digamma)
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
                        ESTIMATED, accelerate_alternating,
                        real_shift, _zeta_em_cached)
@@ -50,6 +50,7 @@ _FIRST_RUNG = 32
 def clear_caches():
     _mzv_cached.cache_clear()
     _zeta_em_cached.cache_clear()
+    _digamma.cache_clear()
 
 
 def _as_parts(c) -> tuple[int, ...]:

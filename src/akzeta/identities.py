@@ -1,11 +1,11 @@
 """Catalog of nested-sum identities and a numerical verification engine.
 
-Each catalog entry names an identity, its default parameter grid, and a
-tolerance class.  ``verify`` computes both sides through the evaluator (or
-in exact rational arithmetic) and reports the residual against the combined
-error bound; ``verify_all`` sweeps the catalog.
+Each catalog entry names an identity and its default parameter grid.
+``verify`` computes both sides through the evaluator (or in exact rational
+arithmetic) and reports the residual against the combined error bound;
+``verify_all`` sweeps the catalog.
 
-A case passes when |lhs - rhs| <= max(combined bound, class tolerance).
+A case passes when |lhs - rhs| <= combined bound, whatever its bound kind.
 """
 
 from __future__ import annotations
@@ -35,22 +35,17 @@ __all__ = ["IdentityCase", "IdentityReport", "catalog", "verify",
 
 EXACT = "exact"
 
-TOL_SLOW = 1e-6        # inverse-binomial / Bell-weighted families
-TOL_GEOM = 1e-10       # geometric convergence, p > 2
-TOL_ALT = 1e-8         # accelerated alternating, p = 2
-
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One identity: its id, tolerance class, recipe and default parameter grid.
+    """One identity: its id, recipe and default parameter grid.
 
     ``recipe(params, ctx)`` computes both sides and returns the report fields
-    (lhs, rhs, abs_diff, bound, bound_kind, passed).
+    (lhs, rhs, abs_diff, bound, bound_kind).
     """
 
     id: str
     description: str
-    tolerance_class: str  # "rigorous" | "estimated" | "exact"
     recipe: Callable[[dict, PrecisionContext], tuple]
     grid: tuple = ()
 
@@ -106,14 +101,14 @@ def _comps(max_weight: int) -> list[Composition]:
 
 
 def _exact(equal: bool, value: float) -> tuple:
-    return value, value, 0.0 if equal else math.nan, 0.0, EXACT, equal
+    return value, value, 0.0 if equal else math.nan, 0.0, EXACT
 
 
 def _power_of_two(scale: float) -> bool:
     return abs(math.frexp(scale)[0]) == 0.5
 
 
-def _compare(lhs: Evaluation, rhs: Evaluation, tol: float,
+def _compare(lhs: Evaluation, rhs: Evaluation,
              scale_l: float = 1.0, scale_r: float = 1.0) -> tuple:
     """Report fields for scale_l * lhs against scale_r * rhs.
 
@@ -133,8 +128,7 @@ def _compare(lhs: Evaluation, rhs: Evaluation, tol: float,
     if not _power_of_two(scale_r):
         bound += math.ulp(rv) / 2
     kind = ESTIMATED if ESTIMATED in (lhs.bound_kind, rhs.bound_kind) else RIGOROUS
-    diff = abs(lv - rv)
-    return lv, rv, diff, bound, kind, diff <= max(bound, tol)
+    return lv, rv, abs(lv - rv), bound, kind
 
 
 # ---------------------------------------------------------------- recipes
@@ -143,7 +137,7 @@ def _do_dual(params, ctx):
     c = params["alpha"]
     lhs = eval_hurwitz_mzv(c, 0.0, ctx)
     rhs = eval_hurwitz_mzv(dual(c), 0.0, ctx)
-    return _compare(lhs, rhs, TOL_ALT)
+    return _compare(lhs, rhs)
 
 
 def _do_thm3(params, ctx):
@@ -152,7 +146,7 @@ def _do_thm3(params, ctx):
     beta = dual(c).alpha()
     lhs = eval_ak_lhs(beta, 1.0, m, x, ctx)
     rhs = eval_ak_rhs(c.alpha(), m, x, ctx)
-    return _compare(lhs, rhs, TOL_SLOW)
+    return _compare(lhs, rhs)
 
 
 def _do_xi_q(params, ctx):
@@ -160,7 +154,7 @@ def _do_xi_q(params, ctx):
     displayed = Composition.of(q + 1)
     lhs = eval_ak_lhs((q,), 1.0, m, 0.0, ctx)
     rhs = eval_ak_rhs(dual(displayed).alpha(), m, 0.0, ctx)
-    return _compare(lhs, rhs, TOL_ALT)
+    return _compare(lhs, rhs)
 
 
 def _do_eq53(params, ctx):
@@ -169,7 +163,7 @@ def _do_eq53(params, ctx):
     a = c.alpha()
     lhs = eval_ak_lhs(dual(c).alpha(), 1.0, m, -0.5, ctx)
     rhs = zeta_combination(a, m, lambda k: eval_t(k, ctx))
-    return _compare(lhs, rhs, TOL_SLOW, 2.0 ** (-m), 2.0 ** (sum(a) + 1))
+    return _compare(lhs, rhs, 2.0 ** (-m), 2.0 ** (sum(a) + 1))
 
 
 def _do_cor2(params, ctx):
@@ -177,13 +171,13 @@ def _do_cor2(params, ctx):
     lhs = eval_ak_lhs((1,) * r, 1.0, m, -0.5, ctx)
     scale = 1.0 / (binomial(r + m, m) * (2.0 ** (r + m + 1) - 1))
     oracle = zeta_em(r + m + 1, 0.0, ctx)
-    return _compare(lhs, oracle, TOL_SLOW, scale)
+    return _compare(lhs, oracle, scale)
 
 
 def _do_apery(params, ctx):
     lhs = eval_ak_lhs((1,), 1.0, 1, -0.5, ctx)
     oracle = zeta_em(3, 0.0, ctx)
-    return _compare(lhs, oracle, TOL_SLOW, 0.5, 7.0)
+    return _compare(lhs, oracle, 0.5, 7.0)
 
 
 def _do_cor3(params, ctx):
@@ -191,29 +185,28 @@ def _do_cor3(params, ctx):
     lhs = eval_ak_lhs((1, 1), 1.0, m, -0.5, ctx)
     scale = 2.0 ** (-m) * 2.0 ** (m + 1) / ((m + 1) * (m + 2) * (2.0 ** (m + 3) - 1))
     oracle = zeta_em(m + 3, 0.0, ctx)
-    return _compare(lhs, oracle, TOL_SLOW, scale)
+    return _compare(lhs, oracle, scale)
 
 
 def _do_cor4(params, ctx):
     q, m = params["q"], params["m"]
     lhs = eval_ak_lhs((q,), 1.0, m, -0.5, ctx)
     rhs = zeta_combination((1,) * q, m, lambda k: eval_t(k, ctx))
-    return _compare(lhs, rhs, TOL_SLOW, 2.0 ** (-(q + 1) - m))
+    return _compare(lhs, rhs, 2.0 ** (-(q + 1) - m))
 
 
 def _do_eq62(params, ctx):
     p, m, x = params["p"], params["m"], params["x"]
     lhs = eval_ak_lhs((1,), p, m, x, ctx)
     rhs = eval_euler_transform(p, m + 1, x, ctx)
-    return _compare(lhs, rhs, (TOL_ALT if p == 2 else TOL_GEOM))
+    return _compare(lhs, rhs)
 
 
 def _do_eq63(params, ctx):
     p, m = params["p"], params["m"]
     lhs = eval_ak_lhs((1,), p, m, -0.5, ctx)
     rhs = eval_euler_transform(p, m + 1, -0.5, ctx)
-    tol = TOL_ALT if p == 2 else TOL_GEOM
-    return _compare(lhs, rhs, tol, 2.0 ** (-1 - m), 2.0 ** (-(m + 1)))
+    return _compare(lhs, rhs, 2.0 ** (-1 - m), 2.0 ** (-(m + 1)))
 
 
 _ARCSIN_TABLE = [
@@ -229,30 +222,32 @@ def _do_arcsin(params, ctx):
     p, denom = params["p"], params["denom"]
     lhs = eval_euler_transform(p, 1, -0.5, ctx)
     oracle = math.pi**2 / denom
-    tol = TOL_ALT if p == 2.0 else TOL_GEOM
     ev = Evaluation(value=oracle, bound=1e-15, bound_kind=RIGOROUS,
                     method="closed-form", cutoff_used=0)
-    return _compare(lhs, ev, tol, 0.5)
+    return _compare(lhs, ev, 0.5)
 
 
 def _do_clausen_m1(params, ctx):
     p = params.get("p", 4.0)
-    theta = 2.0 * math.asin(1.0 / math.sqrt(p))
+    # the angles at the working precision: a float theta is off by up to an
+    # ulp, which Cl_2' ~ 1 carries into the value past its bound
+    wp = ctx.mp_ctx()
+    theta = 2 * wp.asin(1 / wp.sqrt(p))
     lhs = eval_ak_lhs((1,), p, 1, -0.5, ctx)
     cl2a = clausen(2, theta, ctx)
-    cl2b = clausen(2, math.pi - theta, ctx)
+    cl2b = clausen(2, wp.pi - theta, ctx)
     cl3a = clausen(3, theta, ctx)
-    cl3b = clausen(3, math.pi - theta, ctx)
+    cl3b = clausen(3, wp.pi - theta, ctx)
     z3 = zeta_em(3, 0.0, ctx)
     value = (-2.0 * cl3a.value + 2.0 * cl3b.value - theta * cl2b.value
              - theta * cl2a.value + 3.5 * z3.value)
-    bound = (2.0 * cl3a.bound + 2.0 * cl3b.bound + theta * cl2b.bound
-             + theta * cl2a.bound + 3.5 * z3.bound)
+    bound = float(2.0 * cl3a.bound + 2.0 * cl3b.bound + theta * cl2b.bound
+                  + theta * cl2a.bound + 3.5 * z3.bound)
     parts = (cl2a, cl2b, cl3a, cl3b, z3)
     kind = ESTIMATED if any(e.bound_kind == ESTIMATED for e in parts) else RIGOROUS
     rhs = Evaluation(value=value, bound=bound, bound_kind=kind,
                      method="clausen-combination", cutoff_used=0)
-    return _compare(lhs, rhs, TOL_SLOW, 0.5)
+    return _compare(lhs, rhs, 0.5)
 
 
 def _do_prop2(params, ctx):
@@ -260,14 +255,14 @@ def _do_prop2(params, ctx):
     x, z = params["x"], params["z"]
     lhs = eval_hurwitz_mzv(c, x - z, ctx)
     rhs = eval_prop2_series(c, x, z, params.get("m_terms", 24), ctx)
-    return _compare(lhs, rhs, TOL_SLOW)
+    return _compare(lhs, rhs)
 
 
 def _do_trelation(params, ctx):
     c = params["alpha"]
     lhs = eval_t(c.parts, ctx)
     rhs = eval_hurwitz_mzv(c, -0.5, ctx)
-    return _compare(lhs, rhs, TOL_ALT, 1.0, 2.0 ** (-c.weight))
+    return _compare(lhs, rhs, 1.0, 2.0 ** (-c.weight))
 
 
 def _betaratio_exact(n: int, m: int, x: Fraction) -> bool:
@@ -320,26 +315,26 @@ def _do_genfun_b(params, ctx):
     v = params.get("v", Composition.of(1, 2))
     p, x, m_max = 2, Fraction(1, 3), 30
     polys = ak_bernoulli_polys(v, p, m_max)
-    with mp.workdps(60):
-        t = mp.mpf(1) / 10
-        xm = mp.mpf(x.numerator) / x.denominator
-        lhs = mp.mpf(0)
-        for m in range(m_max + 1):
-            c = polys[m](x)
-            lhs += mp.mpf(c.numerator) / c.denominator * t**m / mp.factorial(m)
-        w = (1 - mp.e**(-t)) / p
-        # direct nested summation of the polylogarithm at small argument:
-        # inner[j] = sum over n_1 < ... < n_j < n of prod n_i^{-v_i}
-        inner = [mp.mpf(1)] + [mp.mpf(0)] * (v.depth - 1)
-        rhs_li = mp.mpf(0)
-        for n in range(1, 80):
-            if n > 1:
-                for j in range(v.depth - 1, 0, -1):
-                    inner[j] += inner[j - 1] / (n - 1) ** v.parts[j - 1]
-            rhs_li += w**n / n**v.parts[-1] * inner[-1]
-        rhs = mp.e**(xm * t) / (mp.e**t - 1) * rhs_li
-        diff = float(abs(lhs - rhs))
-    return float(lhs), float(rhs), diff, 1e-25, ESTIMATED, diff <= 1e-25
+    wp = mp.mp.clone()
+    wp.dps = 60
+    t = wp.mpf(1) / 10
+    xm = wp.mpf(x.numerator) / x.denominator
+    lhs = wp.mpf(0)
+    for m in range(m_max + 1):
+        c = polys[m](x)
+        lhs += wp.mpf(c.numerator) / c.denominator * t**m / wp.factorial(m)
+    w = (1 - wp.e**(-t)) / p
+    # direct nested summation of the polylogarithm at small argument:
+    # inner[j] = sum over n_1 < ... < n_j < n of prod n_i^{-v_i}
+    inner = [wp.mpf(1)] + [wp.mpf(0)] * (v.depth - 1)
+    rhs_li = wp.mpf(0)
+    for n in range(1, 80):
+        if n > 1:
+            for j in range(v.depth - 1, 0, -1):
+                inner[j] += inner[j - 1] / (n - 1) ** v.parts[j - 1]
+        rhs_li += w**n / n**v.parts[-1] * inner[-1]
+    rhs = wp.e**(xm * t) / (wp.e**t - 1) * rhs_li
+    return float(lhs), float(rhs), float(abs(lhs - rhs)), 1e-25, ESTIMATED
 
 
 # ---------------------------------------------------------------- catalog
@@ -354,95 +349,96 @@ def _grid_thm3(max_weight=4):
 def catalog() -> list[IdentityCase]:
     return [
         IdentityCase("DUAL", "equality of a nested zeta value and its dual",
-                     "rigorous", _do_dual,
+                     _do_dual,
                      tuple({"alpha": c} for c in _comps(6))),
         IdentityCase("THM3", "Bell-weighted beta sum vs shifted zeta combination",
-                     "rigorous", _do_thm3, _grid_thm3(4)),
+                     _do_thm3, _grid_thm3(4)),
         IdentityCase("EQ13_X0", "x = 0 specialization of THM3",
-                     "rigorous", _do_thm3,
+                     _do_thm3,
                      tuple({"alpha": c, "m": m, "x": 0.0}
                            for c in _comps(5) for m in (0, 1, 2))),
         IdentityCase("XI_Q", "single-index Bell-weighted sum vs zeta combination",
-                     "rigorous", _do_xi_q,
+                     _do_xi_q,
                      tuple({"q": q, "m": m} for q in (1, 2, 3) for m in (0, 1, 2))),
         IdentityCase("EQ53", "inverse-binomial sum vs odd-zeta combination",
-                     "estimated", _do_eq53,
+                     _do_eq53,
                      tuple({"alpha": c, "m": m}
                            for c in _comps(4) for m in (0, 1, 2))),
         IdentityCase("COR2", "zeta(r+m+1) from an inverse-binomial sum",
-                     "estimated", _do_cor2,
+                     _do_cor2,
                      tuple({"r": r, "m": m}
                            for (r, m) in ((1, 0), (1, 1), (1, 2), (2, 1), (3, 0)))),
         IdentityCase("APERY", "classical inverse-binomial series for zeta(3)",
-                     "estimated", _do_apery, ({},)),
+                     _do_apery, ({},)),
         IdentityCase("COR3_M0", "7 zeta(3) from a harmonic-weighted binomial sum",
-                     "estimated", _do_cor3, ({"m": 0},)),
+                     _do_cor3, ({"m": 0},)),
         IdentityCase("COR3_M1", "45 zeta(4) from a harmonic-weighted binomial sum",
-                     "estimated", _do_cor3, ({"m": 1},)),
+                     _do_cor3, ({"m": 1},)),
         IdentityCase("COR3_M2", "93 zeta(5) from a harmonic-weighted binomial sum",
-                     "estimated", _do_cor3, ({"m": 2},)),
+                     _do_cor3, ({"m": 2},)),
         IdentityCase("COR4_M0", "odd-zeta values from central-binomial sums, m = 0",
-                     "estimated", _do_cor4, tuple({"q": q, "m": 0} for q in (1, 2, 3))),
+                     _do_cor4, tuple({"q": q, "m": 0} for q in (1, 2, 3))),
         IdentityCase("COR4_M1", "odd-zeta values from central-binomial sums, m = 1",
-                     "estimated", _do_cor4, tuple({"q": q, "m": 1} for q in (1, 2))),
+                     _do_cor4, tuple({"q": q, "m": 1} for q in (1, 2))),
         IdentityCase("EQ62", "geometric Bell sum vs alternating harmonic sum",
-                     "rigorous", _do_eq62,
+                     _do_eq62,
                      tuple({"p": p, "m": m, "x": x}
                            for p in (2.0, 3.0, 4.0) for m in (0, 1, 2)
                            for x in (0.0, -0.5))),
         IdentityCase("EQ63", "x = -1/2 variant of the transform identity",
-                     "rigorous", _do_eq63,
+                     _do_eq63,
                      tuple({"p": p, "m": m} for p in (2.0, 3.0, 4.0) for m in (0, 1))),
         IdentityCase("ARCSIN", "alternating odd-harmonic sums equal to pi^2/k",
-                     "rigorous", _do_arcsin,
+                     _do_arcsin,
                      tuple({"p": p, "denom": d} for (p, d) in _ARCSIN_TABLE)),
         IdentityCase("CLAUSEN_M1", "m = 1 inverse-binomial sum via Clausen values",
-                     "estimated", _do_clausen_m1, ({"p": 4.0},)),
+                     _do_clausen_m1, ({"p": 4.0},)),
         IdentityCase("BETARATIO", "exact beta-ratio Taylor coefficients",
-                     "exact", _do_betaratio, ({},)),
+                     _do_betaratio, ({},)),
         IdentityCase("PROP7", "exact alternating-binomial kernel factorization",
-                     "exact", _do_prop7, ({},)),
+                     _do_prop7, ({},)),
         IdentityCase("PROP2", "power-series expansion of the shifted zeta value",
-                     "estimated", _do_prop2,
+                     _do_prop2,
                      ({"alpha": Composition.of(2), "x": 0.5, "z": 0.25},
                       {"alpha": Composition.of(1, 2), "x": 0.5, "z": 0.25},
                       {"alpha": Composition.of(3), "x": 0.25, "z": -0.25})),
         IdentityCase("GENFUN_B", "numeric generating-function consistency",
-                     "exact", _do_genfun_b, ({},)),
+                     _do_genfun_b, ({},)),
         IdentityCase("BERN_CLASSIC", "collapse to classical Bernoulli polynomials",
-                     "exact", _do_bern_classic, ({},)),
+                     _do_bern_classic, ({},)),
         IdentityCase("TRELATION", "odd nested sums as rescaled shifted zeta values",
-                     "rigorous", _do_trelation, tuple({"alpha": c} for c in _comps(5))),
+                     _do_trelation, tuple({"alpha": c} for c in _comps(5))),
     ]
 
 
 _CASES = {c.id: c for c in catalog()}
 
 
-def verify(id_: str, params: dict | None = None,
-           ctx: PrecisionContext = DEFAULT_CTX) -> IdentityReport:
+def _case(id_: str) -> IdentityCase:
     case = _CASES.get(id_)
     if case is None:
         raise DomainError(f"unknown identity id {id_!r}")
+    return case
+
+
+def verify(id_: str, params: dict | None = None,
+           ctx: PrecisionContext = DEFAULT_CTX) -> IdentityReport:
+    case = _case(id_)
     params = dict(params) if params else (dict(case.grid[0]) if case.grid else {})
     if "alpha" in params and not isinstance(params["alpha"], Composition):
         params["alpha"] = Composition(tuple(params["alpha"]))
     t0 = time.perf_counter()
-    lhs, rhs, diff, bound, kind, passed = case.recipe(params, ctx)
+    lhs, rhs, diff, bound, kind = case.recipe(params, ctx)
     return IdentityReport(id=id_, params=params, lhs=lhs, rhs=rhs, abs_diff=diff,
-                          bound=bound, bound_kind=kind, passed=passed,
+                          bound=bound, bound_kind=kind, passed=diff <= bound,
                           seconds=time.perf_counter() - t0)
 
 
-def verify_all(filter_prefix: str | None = None,
-               ctx: PrecisionContext = DEFAULT_CTX,
-               tolerance_class: str | None = None) -> VerifySummary:
+def verify_all(id_: str | None = None,
+               ctx: PrecisionContext = DEFAULT_CTX) -> VerifySummary:
+    """Every grid case of the family ``id_``, or of the whole catalog."""
     summary = VerifySummary()
-    for case in _CASES.values():
-        if filter_prefix and not case.id.startswith(filter_prefix):
-            continue
-        if tolerance_class and case.tolerance_class != tolerance_class:
-            continue
+    for case in (_CASES.values() if id_ is None else (_case(id_),)):
         for params in case.grid or ({},):
             summary.reports.append(verify(case.id, dict(params), ctx))
     return summary

@@ -29,24 +29,25 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Sequence
-
-import mpmath as mp
 
 from .errors import DomainError
 from .harmonic_bell import bell_modified
-from .numerics import PrecisionContext, zeta_em, _em_coeff
-from .powerseries import bernoulli_numbers
+from .numerics import PrecisionContext, zeta_em
+from .powerseries import bernoulli_over_factorial
 
 __all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
-# the models are float series, so their zeta constants need float precision only
+# the models are float series, so their zeta and psi constants need float
+# precision only
 _FLOAT_CTX = PrecisionContext(digits=17)
+# B_i/i!, i = 0..ORDER+1: the Taylor coefficients of t/(e^t - 1), exact
+_BERNOULLI = tuple(bernoulli_over_factorial(i) for i in range(ORDER + 2))
 # B_2k/(2k)!, k = 1..5: the Euler-Maclaurin correction coefficients of ztail
-_EM_COEFF = [float(_em_coeff(k)) for k in range(1, 6)]
+_EM_COEFF = [float(_BERNOULLI[2 * k]) for k in range(1, 6)]
 
 
 class LogSeries:
@@ -179,19 +180,12 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     return tail, err
 
 
-@cache
-def _bernoulli_over_factorial() -> tuple[Fraction, ...]:
-    """B_i/i!, i = 0..ORDER+1, the Taylor coefficients of t/(e^t - 1), exact;
-    built on first use to keep them out of the import."""
-    return tuple(b / math.factorial(i) for i, b in enumerate(bernoulli_numbers(ORDER + 1)))
-
-
 @lru_cache(maxsize=256)
 def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
     """B_i(a)/i! for i = 0..ORDER+1, exact at the float a: the Taylor
     coefficients of e^(at) t/(e^t - 1).  One row per a serves every
     :func:`harmonic_model` order k."""
-    f = _bernoulli_over_factorial()
+    f = _BERNOULLI
     A = Fraction(a)
     e = [Fraction(1)]  # a^i/i!
     for i in range(1, len(f)):
@@ -211,7 +205,7 @@ def beta_model(x: float) -> LogSeries:
         raise DomainError("require x > -1")
     a = 1.0 + x
     A = Fraction(a)
-    f = _bernoulli_over_factorial()
+    f = _BERNOULLI
     g = [Fraction(1)]  # B_k^(1-a)/k!
     for k in range(1, len(f)):
         g.append(sum(((2 - A) * i - k) * f[i] * g[k - i] for i in range(1, k + 1)) / k)
@@ -223,6 +217,13 @@ def beta_model(x: float) -> LogSeries:
         out.add_term(0, base + k, amp * float(binom * gk))
         binom *= -A - k
     return out
+
+
+@lru_cache(maxsize=256)
+def _digamma(a: float) -> float:
+    """psi(a) in a float-precision mpmath context of its own, one per a
+    like the zeta constants of :func:`zeta_em`."""
+    return float(_FLOAT_CTX.mp_ctx().digamma(a))
 
 
 def harmonic_model(k: int, x: float) -> LogSeries:
@@ -239,7 +240,7 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     Ba = _bernoulli_at(a)
     if k == 1:
         out = LogSeries({(1, 0): 1.0})
-        out.add_term(0, 0, -float(mp.digamma(a)))
+        out.add_term(0, 0, -_digamma(a))
     else:
         out = LogSeries.const(float(zeta_em(k, x, _FLOAT_CTX).value))
     for i in range(1 if k == 1 else 0, ORDER + 3 - k):

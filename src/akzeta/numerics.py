@@ -14,6 +14,7 @@ from typing import Callable
 import mpmath as mp
 
 from .errors import DomainError, DivergenceError, NonAlternatingError
+from .powerseries import bernoulli_over_factorial
 
 __all__ = [
     "PrecisionContext",
@@ -26,10 +27,6 @@ __all__ = [
 
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
-
-# B_2k/(2k)!, k = 0, 1, ...: the Euler-Maclaurin correction coefficients,
-# exact, grown as far as some zeta_em call needed them
-_EM_FRAC = [Fraction(1)]
 
 
 @dataclass(frozen=True)
@@ -104,16 +101,6 @@ def beta_factor_exact(n: int, x) -> Fraction:
     return out
 
 
-def _em_coeff(k: int) -> Fraction:
-    """B_2k/(2k)!, from t/(e^t - 1) * (e^t - 1)/t = 1 at the order t^2k:
-    sum_{i<=k} B_2i/(2i)! / (2k-2i+1)! = 1/(2 (2k)!)."""
-    while len(_EM_FRAC) <= k:
-        j = len(_EM_FRAC)
-        _EM_FRAC.append(Fraction(1, 2 * math.factorial(2 * j)) -
-                        sum(c / math.factorial(2 * (j - i) + 1) for i, c in enumerate(_EM_FRAC)))
-    return _EM_FRAC[k]
-
-
 def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """sum_{n>=1} (n+x)^{-s} via partial sum plus Euler-Maclaurin tail.
 
@@ -145,7 +132,7 @@ def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluatio
     last = math.inf
     k = 1
     while True:
-        c = _em_coeff(k)
+        c = bernoulli_over_factorial(2 * k)
         term = c.numerator * poch * base ** (1 - s - 2 * k) / c.denominator
         omitted = float(abs(term))
         if omitted <= target or omitted >= last:
@@ -166,15 +153,17 @@ def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluatio
 def clausen(order: int, theta, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Clausen function Cl_2 (sine series) or Cl_3 (cosine series).
 
-    Evaluated by mpmath's ``clsin``/``clcos`` at the working precision; the
-    bound is that precision's last digits, not a proven majorant.
+    Evaluated by mpmath's ``clsin``/``clcos`` at the working precision, at
+    the angle as given (a float, or an mpf rounded to the working
+    precision); the bound is that precision's last digits, not a proven
+    majorant, and does not cover an error in the angle itself.
     """
     if order not in (2, 3):
         raise DomainError("order must be 2 or 3")
-    th = float(theta)
-    if not math.isfinite(th):
-        raise DomainError("theta must be finite")
     wp = ctx.mp_ctx()
+    th = wp.mpf(theta)
+    if not wp.isfinite(th):
+        raise DomainError("theta must be finite")
     fn = wp.clsin if order == 2 else wp.clcos
     return Evaluation(
         value=fn(order, th),

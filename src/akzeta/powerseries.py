@@ -21,6 +21,7 @@ __all__ = [
     "TruncSeries",
     "series_inverse",
     "series_compose",
+    "bernoulli_over_factorial",
     "bernoulli_numbers",
     "classical_bernoulli_polynomial",
     "li_series",
@@ -158,20 +159,32 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return acc
 
 
+# B_k/k!, k = 0, 1, ...: the Taylor coefficients of t/(e^t - 1), exact,
+# grown as far as some caller needed them
+_BERNOULLI_OVER_FACTORIAL = [Fraction(1)]
+
+
+def bernoulli_over_factorial(k: int) -> Fraction:
+    """B_k/k!, from t/(e^t - 1) * (e^t - 1)/t = 1 at the order t^k:
+    sum_{i<=k} B_i/i! / (k-i+1)! = 0 for k >= 1, and B_k = 0 at odd k > 1."""
+    if k < 0:
+        raise DomainError("k must be non-negative")
+    table = _BERNOULLI_OVER_FACTORIAL
+    while len(table) <= k:
+        j = len(table)
+        if j > 1 and j % 2:
+            table.append(Fraction(0))
+        else:
+            table.append(-sum(b / math.factorial(j - i + 1)
+                              for i, b in enumerate(table) if b))
+    return table[k]
+
+
 def bernoulli_numbers(M: int) -> list[Fraction]:
     """B_0..B_M for t/(e^t - 1), so B_1 = -1/2."""
     if M < 0:
         raise DomainError("M must be non-negative")
-    B: list[Fraction] = []
-    for m in range(M + 1):
-        if m == 0:
-            B.append(Fraction(1))
-            continue
-        s = Fraction(0)
-        for j in range(m):
-            s += Fraction(math.comb(m + 1, j)) * B[j]
-        B.append(-s / (m + 1))
-    return B
+    return [bernoulli_over_factorial(k) * math.factorial(k) for k in range(M + 1)]
 
 
 def _appell(numbers: Sequence[Fraction], m: int) -> PolyRat:

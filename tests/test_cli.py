@@ -47,6 +47,16 @@ def test_eval_zeta(capsys):
     assert "1.644934066848226" in out
 
 
+def test_eval_ignores_mpmath_global_precision(capsys):
+    ref = run(capsys, "eval", "zeta", "2")
+    dps, mp.mp.dps = mp.mp.dps, 5
+    try:
+        low = run(capsys, "eval", "zeta", "2")
+    finally:
+        mp.mp.dps = dps
+    assert low == ref
+
+
 def test_eval_t(capsys):
     code, out, _ = run(capsys, "eval", "t", "2")
     assert code == 0

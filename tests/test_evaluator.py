@@ -201,6 +201,18 @@ def test_ak_lhs_p1_shared_build_matches_single_calls():
     assert shared == [eval_ak_lhs(beta, 1.0, m, x, CTX) for m in range(6)]
 
 
+def test_ak_lhs_ignores_mpmath_global_precision():
+    # the tail models' psi and zeta constants use their own mpmath contexts
+    ref = eval_ak_lhs((1, 2), 1, 2, 0.5)
+    clear_caches()
+    dps, mp.mp.dps = mp.mp.dps, 5
+    try:
+        low = eval_ak_lhs((1, 2), 1, 2, 0.5)
+    finally:
+        mp.mp.dps = dps
+    assert low == ref
+
+
 def test_exact_truncation_matches_kernel_series():
     # nested beta-weighted truncation vs the alternating-binomial kernel sum
     alpha = (1, 2)

@@ -4,7 +4,8 @@ import pytest
 
 from akzeta.combinatorics import Composition
 from akzeta.errors import DomainError
-from akzeta.identities import catalog, verify, verify_all
+from akzeta import cli, identities
+from akzeta.identities import IdentityCase, catalog, verify, verify_all
 from akzeta.numerics import PrecisionContext
 
 CTX = PrecisionContext(default_cutoff=20000)
@@ -33,17 +34,13 @@ def test_catalog_case_counts():
     assert sum(counts.values()) == 235
 
 
-def test_catalog_classes():
-    classes = {c.id: c.tolerance_class for c in catalog()}
-    assert classes["BETARATIO"] == "exact"
-    assert classes["BERN_CLASSIC"] == "exact"
-    assert classes["APERY"] == "estimated"
-    assert classes["DUAL"] == "rigorous"
-
-
 def test_verify_unknown_id():
     with pytest.raises(DomainError):
         verify("BOGUS", None, CTX)
+    with pytest.raises(DomainError):
+        verify_all("BOGUS", CTX)
+    with pytest.raises(DomainError):  # an id, not a prefix
+        verify_all("COR4", CTX)
 
 
 def test_verify_apery():
@@ -86,21 +83,33 @@ def test_verify_all_rigorous_bounds_hold(cap):
     s = verify_all(ctx=PrecisionContext(default_cutoff=cap))
     assert len(s.reports) == 235 and s.all_passed
     for r in s.reports:
-        if r.bound_kind == "rigorous":
-            assert r.abs_diff <= r.bound, (r.id, r.params)
+        assert r.abs_diff <= r.bound, (r.id, r.params)
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_verify_all_within_bounds_at_other_precisions(digits):
+    s = verify_all(ctx=PrecisionContext(digits=digits))
+    assert s.n_pass == len(s.reports) == 235
+    for r in s.reports:
+        assert r.abs_diff <= r.bound, (r.id, r.params)
+
+
+def test_verify_fails_a_residual_above_its_bound(monkeypatch):
+    # a residual within any loose tolerance but 1000 times its bound
+    stub = IdentityCase("STUB", "residual above its bound",
+                        lambda params, ctx: (1.0, 1.0 + 1e-9, 1e-9, 1e-12, "estimated"),
+                        ({},))
+    monkeypatch.setitem(identities._CASES, "STUB", stub)
+    assert not verify("STUB").passed
+    s = verify_all("STUB")
+    assert s.n_fail == 1 and not s.all_passed
+    assert cli.main(["verify", "STUB"]) == 1
 
 
 def test_verify_all_filter():
-    s = verify_all(filter_prefix="COR4", ctx=CTX)
-    assert {r.id for r in s.reports} == {"COR4_M0", "COR4_M1"}
-    assert len(s.reports) == 5  # q in {1,2,3} at m=0 plus q in {1,2} at m=1
-    assert s.all_passed
-
-
-def test_verify_all_tolerance_class_filter():
-    s = verify_all(tolerance_class="exact", ctx=CTX)
-    assert {r.id for r in s.reports} == {"BETARATIO", "PROP7", "GENFUN_B",
-                                         "BERN_CLASSIC"}
+    s = verify_all("COR4_M0", CTX)
+    assert {r.id for r in s.reports} == {"COR4_M0"}
+    assert len(s.reports) == 3  # q in {1,2,3} at m=0
     assert s.all_passed
 
 
@@ -115,7 +124,7 @@ def test_verify_exact_cases():
 def test_verify_thm3_instance():
     r = verify("THM3", {"alpha": Composition.of(1, 3), "m": 1, "x": -0.5}, CTX)
     assert r.passed
-    assert r.abs_diff <= max(r.bound, 1e-6)
+    assert r.abs_diff <= r.bound
 
 
 def test_verify_clausen_kind_follows_parts():
@@ -123,6 +132,9 @@ def test_verify_clausen_kind_follows_parts():
     r = verify("CLAUSEN_M1", None, CTX)
     assert r.passed
     assert r.bound_kind == "estimated"
+    # the angles are formed at the working precision: a float angle put the
+    # value one ulp off, past the bound
+    assert r.abs_diff <= r.bound
 
 
 @pytest.mark.parametrize("v", [(2, 2), (1, 1, 2), (3, 1, 2)])

@@ -84,6 +84,9 @@ def test_clausen_values():
             (3, 0.0, mp.zeta(3), 0.0),
             (3, math.pi / 3, mp.zeta(3) / 3, slack),
             (2, math.pi / 2, mp.catalan, slack),
+            # an mpf angle is kept at the working precision, not rounded to a double
+            (3, mp.pi / 3, mp.zeta(3) / 3, 0.0),
+            (2, mp.pi / 2, mp.catalan, 0.0),
         ]
         for order, th, ref, tol in cases:
             ev = clausen(order, th, ctx)
@@ -103,6 +106,9 @@ def test_clausen_values():
 def test_clausen_rejects_bad_order():
     with pytest.raises(DomainError):
         clausen(4, 1.0, DEFAULT_CTX)
+    for theta in (math.nan, math.inf, mp.mpf("-inf")):
+        with pytest.raises(DomainError):
+            clausen(2, theta, DEFAULT_CTX)
 
 
 def test_accelerate_alternating_log2():
