@@ -4,7 +4,7 @@ identity verification catalog and a command-line interface."""
 
 from .combinatorics import (Composition, dual, weak_compositions, m_coeff,
                             admissible_compositions)
-from .errors import DomainError, DivergenceError, NonAlternatingError
+from .errors import DomainError, DivergenceError
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                         eval_ak_rhs, eval_euler_transform, eval_prop2_series)
 from .harmonic_bell import (HarmonicTable, harmonic_table, bell_modified,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Composition", "dual", "weak_compositions", "m_coeff",
     "admissible_compositions",
-    "DomainError", "DivergenceError", "NonAlternatingError",
+    "DomainError", "DivergenceError",
     "eval_hurwitz_mzv", "eval_t", "eval_li", "eval_ak_lhs", "eval_ak_rhs",
     "eval_euler_transform", "eval_prop2_series",
     "HarmonicTable", "harmonic_table", "bell_modified", "d_operator",

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class DivergenceError(DomainError):
     """The requested series does not converge for the given parameters."""
-
-
-class NonAlternatingError(ValueError):
-    """Series acceleration was asked to sum terms that do not alternate."""

@@ -21,7 +21,6 @@ from typing import Callable
 
 from .combinatorics import Composition, weak_compositions, m_coeff, binomial
 from .errors import DomainError, DivergenceError
-from .harmonic_bell import harmonic_table, bell_modified
 from .logasym import (pow_shift, nested_tail_series, nested_tail_sum,
                       beta_model, bell_p_models, _digamma)
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
@@ -37,7 +36,6 @@ __all__ = [
     "zeta_combination",
     "eval_euler_transform",
     "eval_prop2_series",
-    "ak_lhs_partial_exact",
     "clear_caches",
 ]
 
@@ -147,6 +145,15 @@ def _rungs(cap: int) -> tuple[int, ...]:
     return (*rungs, cap)
 
 
+def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
+    """The cutoff ladder of a p = 1 sum at shift x.  Its tail models expand
+    in powers of x/N and diverge at every rung N <= x, so x must lie below
+    the cap."""
+    if xf >= ctx.default_cutoff:
+        raise DomainError(f"shift x = {xf} must be below the cutoff cap {ctx.default_cutoff}")
+    return _rungs(ctx.default_cutoff)
+
+
 def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str,
                    count: int = 1) -> list[Evaluation]:
     """The one cutoff rule of the DP paths.
@@ -200,7 +207,8 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
     ``parts`` is the exponent tuple, innermost first; the last exponent must
     be at least 2 for convergence.
     """
-    return _mzv_cached(_convergent_parts(parts), real_shift(x), _rungs(ctx.default_cutoff))
+    xf = real_shift(x)
+    return _mzv_cached(_convergent_parts(parts), xf, _tail_rungs(xf, ctx))
 
 
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
@@ -320,12 +328,11 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
     xf = real_shift(x)
     pf = float(p)
     m = _integer(m, 0, "m")
-    if not pf >= 1:
-        raise DomainError("require p >= 1")
-    rungs = _rungs(ctx.default_cutoff)
+    if not (math.isfinite(pf) and pf >= 1):
+        raise DomainError(f"require a finite p >= 1, got {pf}")
     if pf == 1.0:
-        return _ak_lhs_p1(a, (m,), xf, rungs)[0]
-    return _ak_lhs_geom(a, pf, m, xf, rungs)
+        return _ak_lhs_p1(a, (m,), xf, _tail_rungs(xf, ctx))[0]
+    return _ak_lhs_geom(a, pf, m, xf, _rungs(ctx.default_cutoff))
 
 
 def _ak_lhs_geom(a: tuple[int, ...], pf: float, m: int, xf: float,
@@ -392,41 +399,36 @@ def zeta_combination(alpha, m: int,
 def eval_euler_transform(p: float, s: int, x: float,
                          ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """sum_{n >= 1} (-1)^{n+1} H_n^{(s)}(x) / (n (p-1)^n), valid for p >= 2
-    and an integer s >= 1.
+    and an integer s >= 1, summed by :func:`accelerate_alternating`.
 
-    The value is an mpf at the working precision.  At p > 2 the term count
-    comes from the precision, capped by ``ctx.default_cutoff``.
+    Its magnitudes b_n = H_n^{(s)}(x) / (n (p-1)^n) are a Hausdorff moment
+    sequence: with (j+x)^-s = Gamma(s)^-1 int_0^1 v^(j+x-1) (-ln v)^(s-1) dv
+    and (1 - v^n)/n = int_v^1 u^(n-1) du, b_n = int_0^1 u^(n-1) w(u) du with
+    w >= 0 at p = 2, and u = (p-1) t turns that into moments of a measure on
+    [0, 1/(p-1)].  So the accelerator's bound is proven at every p >= 2.
+    Each b_n is formed at the exact rationals of the float p and x: a
+    running sum of terms rounded once each, scaled by a power of two and
+    divided once, so its relative error is at most n eps, as that bound
+    requires.  The value is an mpf.
     """
     pf = float(p)
     xf = real_shift(x)
     s = _integer(s, 1, "s")
+    if not math.isfinite(pf):
+        raise DomainError(f"require a finite p, got {pf}")
     if not pf >= 2:
         raise DivergenceError("alternating transform needs p >= 2")
-    q = pf - 1.0
     wp = ctx.mp_ctx()
-    xm, qm = wp.mpf(xf), wp.mpf(q)
+    xn, xd = xf.as_integer_ratio()
+    qn, qd = (Fraction(pf) - 1).as_integer_ratio()
     h = [wp.mpf(0)]  # h[n] = H_n^{(s)}(x), extended as a running sum
 
-    def term(n: int):
+    def b(n: int):
         while len(h) <= n:
-            h.append(h[-1] + (len(h) + xm) ** (-s))
-        return (-1) ** (n + 1) * h[n] / (n * qm**n)
+            h.append(h[-1] + wp.fdiv(xd**s, (len(h) * xd + xn) ** s))
+        return wp.fdiv(h[n] * qd**n, n * qn**n)
 
-    if pf == 2.0:
-        return accelerate_alternating(term, ctx)
-    N = min(ctx.default_cutoff,
-            max(60, int(math.ceil((ctx.digits + 12) * math.log(10) / math.log(q))) + 40))
-    value = sum(term(n) for n in range(1, N + 1))
-    c = max(1.0, 1.0 / (1.0 + xf))
-    # H_n^{(s)}(x) <= g^{s-1}(c + ln n) with g as in eval_ak_lhs
-    g = max(2.0, 1.0 / (1.0 + xf))
-    K = g ** (s - 1) / N
-    tail_bd = _geom_row_bound(N, q, 1.0, K, c)
-    if math.isinf(tail_bd):
-        raise DomainError(f"cutoff {N} too small for a geometric majorant")
-    bound = tail_bd + 10.0 ** (-(ctx.digits + 2))
-    return Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
-                      method="direct+geom-tail", cutoff_used=N)
+    return accelerate_alternating(b, ctx)
 
 
 def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
@@ -448,7 +450,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     bound = 0.0
     last = 0.0
     cutoff = 0
-    for m, ev in enumerate(_ak_lhs_p1(beta, range(m_terms), xf, _rungs(ctx.default_cutoff))):
+    for m, ev in enumerate(_ak_lhs_p1(beta, range(m_terms), xf, _tail_rungs(xf, ctx))):
         term = zf**m * ev.value
         total += term
         bound += abs(zf) ** m * ev.bound
@@ -458,35 +460,3 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     trunc = 3.0 * last * ratio / (1.0 - ratio) if ratio > 0 else 0.0
     return Evaluation(value=total, bound=bound + trunc, bound_kind=ESTIMATED,
                       method="z-power-series", cutoff_used=cutoff)
-
-
-def ak_lhs_partial_exact(alpha, p: int, m: int, x, N: int) -> Fraction:
-    """Exact rational truncation of the beta-weighted nested sum.
-
-    Test-oriented: exact arithmetic, whose denominators grow with N; keep N
-    small.  P_m comes from the Bell recurrence on the harmonic numbers, not
-    from the complete homogeneous form of :func:`_outer_arrays`.
-    """
-    a = _as_parts(alpha)
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError("require x > -1")
-    tab = harmonic_table(N, max(m, 1), x) if m > 0 else None
-    r = len(a)
-    S = [Fraction(1)] * (N + 2)  # S_0(n) = 1
-    for level in range(r - 1):
-        nxt = [Fraction(0)] * (N + 2)
-        acc = Fraction(0)
-        for n in range(1, N + 2):
-            nxt[n] = acc
-            if n <= N:
-                acc += S[n] * Fraction(1, n ** a[level])
-        S = nxt
-        S[0] = Fraction(0)
-    total = Fraction(0)
-    B = 1 / (1 + x)  # B(n, 1+x), then B(n+1, 1+x) = B(n, 1+x) n/(n+1+x)
-    for n in range(1, N + 1):
-        P = bell_modified(tab.row(n))[m] if m > 0 else Fraction(1)
-        total += S[n] * B * P / (Fraction(p) ** n * n ** a[-1])
-        B *= Fraction(n) / (n + 1 + x)
-    return total

@@ -96,6 +96,24 @@ def test_eval_divergent_exits_2(capsys):
     assert code == 2
 
 
+def test_eval_non_finite_p_exits_2(capsys):
+    for argv in (("--json", "eval", "ak", "--v", "2", "--p", "inf"),
+                 ("--json", "eval", "euler", "--p", "inf", "--s", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "finite p" in err
+
+
+def test_eval_shift_at_the_cap_exits_2(capsys):
+    # the p = 1 tail models diverge at every rung N <= x
+    for argv in (("eval", "zeta", "1,2", "--x", "1e300"),
+                 ("eval", "ak", "--v", "2", "--m", "1", "--x", "1e300"),
+                 ("eval", "zeta", "2", "--x", "1e6")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "cutoff cap" in err
+
+
 def test_bpoly(capsys):
     code, out, _ = run(capsys, "bpoly", "--v", "1", "--p", "1", "--m", "1")
     assert code == 0

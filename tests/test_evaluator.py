@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -8,8 +9,7 @@ from akzeta.combinatorics import Composition, dual, admissible_compositions
 from akzeta.errors import DomainError, DivergenceError
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform,
-                              eval_prop2_series, ak_lhs_partial_exact,
-                              clear_caches, _ak_lhs_p1, _mzv_cached, _rungs,
+                              eval_prop2_series, clear_caches, _ak_lhs_p1, _mzv_cached, _rungs,
                               _F, _dp_nested, _geometric, _outer_arrays,
                               _power_weights, _product, _roundoff)
 from akzeta.identities import catalog
@@ -17,6 +17,62 @@ from akzeta.harmonic_bell import d_operator
 from akzeta.numerics import PrecisionContext, DEFAULT_CTX, RIGOROUS, zeta_em
 
 CTX = PrecisionContext(default_cutoff=20000)
+
+
+@lru_cache(maxsize=4)
+def _beta_bell_numerators(m: int, x: Fraction, N: int) -> tuple[list[int], int]:
+    """B(n, 1+x) P_m(H-row(n)) for n = 1..N as integer numerators over one
+    common denominator, returned with it.
+
+    With x = xn/xd and Pi = prod_{j<=N} (j xd + xn), Pi B(n, 1+x) and
+    Pi^k H_n^(k)(x) are integers, and so is Q_m = m! Pi^m P_m from the Bell
+    recurrence m P_m = sum_k H^(k) P_(m-k); the denominator is
+    m! Pi^(m+1).  Nothing here divides except exactly, so no gcd is taken.
+    """
+    xn, xd = x.numerator, x.denominator
+    Pi = math.prod(j * xd + xn for j in range(1, N + 1))
+    H = [0] * (m + 1)  # H[k] = Pi^k H_n^(k)(x)
+    B = Pi * xd // (xd + xn)  # Pi B(1, 1+x); B(n+1, 1+x) = B(n, 1+x) n/(n+1+x)
+    out = []
+    for n in range(1, N + 1):
+        for k in range(1, m + 1):
+            H[k] += (Pi * xd // (n * xd + xn)) ** k
+        Q = [1]  # Q[j] = j! Pi^j P_j
+        for j in range(1, m + 1):
+            Q.append(sum(math.perm(j - 1, k - 1) * H[k] * Q[j - k] for k in range(1, j + 1)))
+        out.append(B * Q[m])
+        B = B * n * xd // ((n + 1) * xd + xn)
+    return out, math.factorial(m) * Pi ** (m + 1)
+
+
+def ak_lhs_partial_exact(alpha, p: int, m: int, x, N: int) -> Fraction:
+    """Exact rational truncation at N of the beta-weighted nested sum
+
+        sum_{n_1 < ... < n_r <= N} B(n_r,1+x) P_m(H-row(n_r)) p^{-n_r}
+                                   / (n_1^{a_1} ... n_r^{a_r}),
+
+    summed in integers over one common denominator, the power weights' over
+    L^(a_1+..+a_r) with L = lcm(1..N), so that only the Fraction at the end
+    takes a gcd.  P_m comes from the Bell recurrence, not from the complete
+    homogeneous form of the engine's _outer_arrays.
+    """
+    x = Fraction(x)
+    assert x > -1
+    L = math.lcm(*range(1, N + 1))
+    S = [1] * (N + 2)  # S_0(n) = 1, then L^(a_1+..) S_level(n)
+    for a in alpha[:-1]:
+        nxt = [0] * (N + 2)
+        acc = 0
+        for n in range(1, N + 2):
+            nxt[n] = acc
+            if n <= N:
+                acc += S[n] * (L // n) ** a
+        S = nxt
+        S[0] = 0
+    weights, den = _beta_bell_numerators(m, x, N)
+    total = sum(S[n] * (L // n) ** alpha[-1] * p ** (N - n) * w
+                for n, w in enumerate(weights, 1))
+    return Fraction(total, den * L ** sum(alpha) * p**N)
 
 
 def test_hurwitz_single_index():
@@ -114,8 +170,9 @@ def test_ak_lhs_geometric_case():
 
 
 def test_ak_lhs_guards():
-    with pytest.raises(DomainError):
-        eval_ak_lhs((1,), 0.5, 0, 0.0, CTX)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            eval_ak_lhs((1,), p, 0, 0.0, CTX)
     with pytest.raises(DomainError):
         eval_ak_lhs((1,), 1.0, -1, 0.0, CTX)
     with pytest.raises(DomainError):
@@ -167,12 +224,48 @@ def test_euler_transform_p2_working_precision():
 def test_euler_transform_guard():
     with pytest.raises(DivergenceError):
         eval_euler_transform(1.5, 1, 0.0, CTX)
-    with pytest.raises(DomainError):
-        eval_euler_transform(math.nan, 1, 0.0, CTX)
+    for p in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            eval_euler_transform(p, 1, 0.0, CTX)
     # the bound's majorant of H_n^(s) holds only for the paper's s = m + 1 >= 1
     for s in (0, -1, 1.5):
         with pytest.raises(DomainError):
             eval_euler_transform(3.0, s, 0.0, CTX)
+
+
+def _transform_reference(p, s, x):
+    """sum_{n>=1} (-1)^(n+1) H_n^(s)(x) / (n (p-1)^n) at 80 digits, by
+    mpmath alone: summed directly for p >= 2.5, where 90 digits' worth of
+    terms leave a remainder below the last one, and by mp.nsum at p = 2."""
+    with mp.workdps(80):
+        xm, q = mp.mpf(x), mp.mpf(p) - 1
+        h = [mp.mpf(0)]
+
+        def term(n):
+            n = int(n)
+            while len(h) <= n:
+                h.append(h[-1] + (len(h) + xm) ** -s)
+            return (-1) ** (n + 1) * h[n] / (n * q**n)
+
+        if p >= 2.5:
+            return mp.fsum(term(n) for n in range(1, int(90 * math.log(10) / math.log(p - 1)) + 10))
+        return mp.nsum(term, [1, mp.inf], method="shanks")
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 2.894, 14.93])
+def test_euler_transform_within_bound_against_mpmath(p):
+    # one accelerated path with a proven bound at every p >= 2, at two
+    # precisions and three caps; p = 3, s = 3, x = -0.999999 broke the old
+    # direct p > 2 sum's bound, whose round-off part did not scale with b_1
+    for s in (1, 3):
+        for x in (-0.999999, -0.5, 0.0, 5.0):
+            ref = _transform_reference(p, s, x)
+            for digits in (15, 50):
+                for cap in (12, 20, DEFAULT_CTX.default_cutoff):
+                    ev = eval_euler_transform(p, s, x, PrecisionContext(digits, cap))
+                    assert ev.bound_kind == RIGOROUS
+                    with mp.workdps(80):
+                        assert abs(ev.value - ref) <= ev.bound, (s, x, digits, cap)
 
 
 def test_euler_vs_ak_transform():
@@ -181,6 +274,23 @@ def test_euler_vs_ak_transform():
             a = eval_ak_lhs((1,), p, m, 0.0, CTX)
             b = eval_euler_transform(p, m + 1, 0.0, CTX)
             assert abs(a.value - float(b.value)) <= a.bound + b.bound
+
+
+def test_p1_sums_reject_shifts_at_the_cap():
+    # the tail models expand in powers of x/N and diverge at every rung
+    # N <= x: below the cap the bound stays honest, at it the call fails
+    ev = eval_hurwitz_mzv((2,), 100.0, PrecisionContext(default_cutoff=128))
+    with mp.workdps(30):
+        assert abs(ev.value - mp.zeta(2, 101)) <= ev.bound
+    for x in (1e6, 1e300):
+        with pytest.raises(DomainError):
+            eval_hurwitz_mzv((2,), x)
+        with pytest.raises(DomainError):
+            eval_hurwitz_mzv((1, 2), x)
+        with pytest.raises(DomainError):
+            eval_ak_lhs((2,), 1.0, 1, x)
+    with pytest.raises(DomainError):
+        eval_prop2_series(Composition.of(2), 128.0, 0.25, 4, PrecisionContext(default_cutoff=128))
 
 
 def test_prop2_series_reproduces_shift():
