@@ -79,10 +79,7 @@ def _cmd_eval(args, ctx: PrecisionContext) -> int:
 
 
 def _cmd_bpoly(args) -> int:
-    v = Composition.parse(args.v)
-    if args.p < 1:
-        raise DomainError("require p >= 1")
-    polys = ak_bernoulli_polys(v, args.p, args.m)
+    polys = ak_bernoulli_polys(Composition.parse(args.v), args.p, args.m)
     for m, poly in enumerate(polys):
         if args.json:
             print(json.dumps({"m": m, "poly": str(poly)}))
@@ -114,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate nested zeta-type sums and verify their identities.",
         allow_abbrev=False)
     parser.add_argument("--precision", type=int, default=50,
-                        help="working precision in decimal digits (>= 15)")
+                        help="working precision in decimal digits (15 to 300)")
     parser.add_argument("--cutoff", type=int, default=None,
                         help="largest summation cutoff; each sum picks its own "
                              "cutoff up to this cap (default 100000)")

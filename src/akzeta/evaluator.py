@@ -52,17 +52,9 @@ def clear_caches():
 
 
 def _as_parts(c) -> tuple[int, ...]:
-    """The exponent tuple of ``c``; empty or non-integer tuples are rejected."""
-    if isinstance(c, Composition):
-        return c.parts
-    parts = tuple(c)
-    try:
-        ints = tuple(int(p) for p in parts)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"exponents must be integers: {parts}") from exc
-    if not ints or ints != parts:
-        raise DomainError(f"need a non-empty tuple of integer exponents: {parts}")
-    return ints
+    """The exponent tuple of ``c``, validated as a :class:`Composition`: a
+    non-empty tuple of positive integers."""
+    return (c if isinstance(c, Composition) else Composition(tuple(c))).parts
 
 
 def _integer(v, least: int, name: str) -> int:
@@ -297,8 +289,6 @@ def _ak_lhs_p1(a: tuple[int, ...], ms, x: float,
     P_m depends only on H^(1)..H^(m), so every value equals that of a single
     call.  The Bell tail models and tails are built once, before the ladder.
     """
-    if x + a[-1] <= 0:
-        raise DivergenceError(f"needs x + a_r > 0 at p = 1, got {x + a[-1]}")
     ms = tuple(ms)
     P_models = bell_p_models(max(ms, default=0), x)
     inner_models = [pow_shift(float(ai), 0.0) for ai in a[:-1]]
@@ -440,7 +430,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     Valid for |z| < 1 + x; the truncation remainder is a geometric estimate.
     """
     from .combinatorics import dual
-    c = alpha if isinstance(alpha, Composition) else Composition(_as_parts(alpha))
+    c = Composition(_as_parts(alpha))
     xf, zf = real_shift(x), float(z)
     m_terms = _integer(m_terms, 1, "m_terms")
     if not abs(zf) < 1.0 + xf:

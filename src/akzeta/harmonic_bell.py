@@ -79,9 +79,14 @@ def bell_modified(x_values: Sequence, one=Fraction(1)) -> list:
 
 
 def d_operator(n: int, s: int, x) -> Fraction:
-    """sum_{k=0}^{n-1} (-1)^k C(n-1,k) (x+k+1)^{-s}, exactly.
+    """D(n, s, x) = sum_{k=0}^{n-1} (-1)^k C(n-1,k) (x+k+1)^{-s}, exactly.
 
-    ``s`` must be an integer and ``x`` rational (int or Fraction).
+    The kernel of Z(s; x) = sum_n c_n p^{-n} D(n, s, x).  At s = m + 1 it is
+    B(n, 1+x) P_m of the harmonic row; at s = -m <= 0 it is (-1)^(n-1)
+    times the (n-1)-th forward difference of (x+1)^m in x, a polynomial of
+    degree m - n + 1 and zero for n > m + 1, from which
+    :func:`~akzeta.powerseries.ak_bernoulli_polys` builds the polynomials.
+    ``s`` may be any integer; ``x`` must be rational (int or Fraction).
     """
     if n < 1:
         raise DomainError("n must be a positive integer")

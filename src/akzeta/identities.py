@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import mpmath as mp
-
 from .combinatorics import Composition, dual, binomial, admissible_compositions
 from .errors import DomainError
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_ak_lhs, eval_ak_rhs,
@@ -315,8 +313,7 @@ def _do_genfun_b(params, ctx):
     v = params.get("v", Composition.of(1, 2))
     p, x, m_max = 2, Fraction(1, 3), 30
     polys = ak_bernoulli_polys(v, p, m_max)
-    wp = mp.mp.clone()
-    wp.dps = 60
+    wp = DEFAULT_CTX.mp_ctx()  # 60 digits, whatever the working precision
     t = wp.mpf(1) / 10
     xm = wp.mpf(x.numerator) / x.denominator
     lhs = wp.mpf(0)

@@ -34,7 +34,9 @@ class PrecisionContext:
     """Working precision and the cap on summation cutoffs.
 
     ``digits`` sets the mpmath precision and the term counts of
-    :func:`zeta_em` and the alternating transforms.  ``default_cutoff`` is
+    :func:`zeta_em` and the alternating transforms.  It is at most 300: the
+    bounds are floats, and past that the ones sized from the precision turn
+    subnormal and then 0.  ``default_cutoff`` is
     the largest cutoff any series may use: the prefix-sum DP paths pick their
     own, smaller cutoff from their error model and stop at it at the latest.
     """
@@ -43,8 +45,8 @@ class PrecisionContext:
     default_cutoff: int = 100_000
 
     def __post_init__(self):
-        if self.digits < 15:
-            raise DomainError("working precision below 15 digits")
+        if not 15 <= self.digits <= 300:
+            raise DomainError(f"working precision must be 15 to 300 digits, got {self.digits}")
         if self.default_cutoff < 10:
             raise DomainError("cutoff below 10")
 
@@ -52,9 +54,16 @@ class PrecisionContext:
         return replace(self, default_cutoff=N)
 
     def mp_ctx(self):
-        ctx = mp.mp.clone()
-        ctx.dps = self.digits + 10
-        return ctx
+        """The mpmath context at digits + 10, one shared per ``digits``:
+        callers must not change its precision."""
+        return _mp_context(self.digits + 10)
+
+
+@lru_cache(maxsize=None)
+def _mp_context(dps: int):
+    ctx = mp.mp.clone()
+    ctx.dps = dps
+    return ctx
 
 
 DEFAULT_CTX = PrecisionContext()

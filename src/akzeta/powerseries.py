@@ -1,10 +1,16 @@
 """Exact truncated power series over the rationals, and the Bernoulli-type
-polynomials they produce.
+polynomials of the generalized Arakawa-Kaneko zeta function.
 
-The polynomials attached to a multi-index v and a rational parameter p >= 1
-come from the generating function e^{xt}/(e^t - 1) * Li_v((1 - e^{-t})/p).
-Since x enters only through e^{xt}, they form an Appell sequence: each one is
-built from the rational x = 0 values by the binomial formula.
+With c_n the w^n coefficient of Li_v(w), that function expands as
+Z(s; x) = sum_n c_n p^{-n} D(n, s, x) over the kernel D of
+:func:`~akzeta.harmonic_bell.d_operator`, since
+(1 - e^{-t})^n/(e^t - 1) = e^{-t} (1 - e^{-t})^{n-1}.  At s = -m the kernel
+is an (n-1)-th finite difference of a degree-m polynomial, so the sum stops
+at n = m + 1, and Z(-m; x) = sum_{n<=m+1} c_n p^{-n} D(n, -m, x) is
+(-1)^m B^v_{p,m}(-x).  The polynomials come from the exact values at x = 0
+by the binomial formula: x enters their generating function
+e^{xt}/(e^t - 1) Li_v((1 - e^{-t})/p) only through e^{xt}, so they form an
+Appell sequence.
 """
 
 from __future__ import annotations
@@ -15,12 +21,12 @@ from typing import Sequence, Union
 
 from .combinatorics import Composition
 from .errors import DomainError
+from .harmonic_bell import d_operator
 
 __all__ = [
     "PolyRat",
     "TruncSeries",
     "series_inverse",
-    "series_compose",
     "bernoulli_over_factorial",
     "bernoulli_numbers",
     "classical_bernoulli_polynomial",
@@ -103,12 +109,6 @@ class TruncSeries:
     def one(cls, order: int) -> "TruncSeries":
         return cls([Fraction(1)], order)
 
-    def __add__(self, c: Scalar) -> "TruncSeries":
-        """Add the constant c."""
-        cs = list(self.coeffs)
-        cs[0] = cs[0] + c
-        return TruncSeries(cs, self.order)
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         order = min(self.order, other.order)
         out = [Fraction(0)] * (order + 1)
@@ -122,12 +122,6 @@ class TruncSeries:
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncSeries(out, order)
-
-    def shift_down(self) -> "TruncSeries":
-        """Divide by t; requires zero constant term.  Loses one order."""
-        if self.coeffs[0] != 0:
-            raise DomainError("cannot divide by t: nonzero constant term")
-        return TruncSeries(self.coeffs[1:], self.order - 1)
 
     def __repr__(self) -> str:
         return f"TruncSeries({self.coeffs}, order={self.order})"
@@ -146,17 +140,6 @@ def series_inverse(f: TruncSeries) -> TruncSeries:
             s = s + f.coeffs[k] * out[n - k]
         out[n] = -1 * s * inv0
     return TruncSeries(out, f.order)
-
-
-def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """f(g(t)) for an inner series g with zero constant term."""
-    if g.coeffs[0] != 0:
-        raise DomainError("series_compose requires zero inner constant term")
-    order = min(f.order, g.order)
-    acc = TruncSeries([f.coeffs[order]], order)
-    for n in range(order - 1, -1, -1):  # Horner in g
-        acc = acc * g + f.coeffs[n]
-    return acc
 
 
 # B_k/k!, k = 0, 1, ...: the Taylor coefficients of t/(e^t - 1), exact,
@@ -230,22 +213,17 @@ def li_series(v: Composition, M: int) -> TruncSeries:
 def ak_bernoulli_polys(v: Composition, p, m_max: int) -> list[PolyRat]:
     """Polynomials B^v_{p,m}(x) for m = 0..m_max, exact in x.
 
-    Their values at x = 0 are k! times the coefficients of t^k in
-    Li_v((1-e^{-t})/p)/(e^t-1); each polynomial is the Appell sum of those.
+    Their values at x = 0 are
+    B_i(0) = (-1)^i sum_{n=1}^{i+1} c_n p^{-n} D(n, -i, 0), with c_n the
+    coefficients of :func:`li_series`; each polynomial is the Appell sum of
+    those.
     """
     p = Fraction(p)
     if p < 1:
         raise DomainError("p must be >= 1")
     if m_max < 0:
         raise DomainError("m_max must be non-negative")
-    M = m_max + v.depth + 5  # guard terms: composition consumes low orders
-    inv_fact = [Fraction(1, math.factorial(n)) for n in range(M + 1)]
-    # w(t) = (1 - e^{-t})/p = sum_{n >= 1} (-1)^{n+1} t^n/(n! p)
-    w_t = TruncSeries([0] + [(-1) ** (n + 1) * inv_fact[n] / p
-                             for n in range(1, M + 1)], M)
-    G = series_compose(li_series(v, M), w_t)  # vanishes to order depth(v) >= 1
-    # (e^t - 1)/t = sum_n t^n/(n+1)!
-    t_over_expm1 = series_inverse(TruncSeries(inv_fact[1:], M - 1))
-    base = G.shift_down() * t_over_expm1
-    at_zero = [math.factorial(k) * c for k, c in enumerate(base.coeffs[: m_max + 1])]
+    c = li_series(v, max(m_max + 1, v.depth)).coeffs
+    at_zero = [(-1) ** i * sum(c[n] / p**n * d_operator(n, -i, 0) for n in range(1, i + 2))
+               for i in range(m_max + 1)]
     return [_appell(at_zero, m) for m in range(m_max + 1)]

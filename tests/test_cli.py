@@ -16,9 +16,10 @@ def run(capsys, *argv):
 
 
 def test_config_rejects_low_precision(capsys):
-    code, _, err = run(capsys, "--precision", "10", "dual", "3")
-    assert code == 2
-    assert "error" in err
+    for digits in ("10", "400"):
+        code, _, err = run(capsys, "--precision", digits, "eval", "zeta", "2")
+        assert code == 2
+        assert "error" in err
 
 
 def test_dual_command(capsys):
@@ -120,6 +121,9 @@ def test_bpoly(capsys):
     lines = out.strip().splitlines()
     assert lines[0].endswith("1")
     assert lines[1].endswith("x - 1/2")
+    code, _, err = run(capsys, "bpoly", "--v", "1", "--p", "0")
+    assert code == 2
+    assert "p must be >= 1" in err
 
 
 def test_verify_single_id(capsys):

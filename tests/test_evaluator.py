@@ -110,6 +110,15 @@ def test_hurwitz_guards():
             eval_euler_transform(3.0, 1, x, CTX)
 
 
+def test_exponents_must_be_positive_integers():
+    # the library takes the exponent rule of Composition, as the CLI does
+    for call in (lambda: eval_li((-2,), 0.5, CTX),
+                 lambda: eval_ak_lhs((-1,), 2, 0, 0, CTX),
+                 lambda: eval_hurwitz_mzv((0, 2), 0.0, CTX)):
+        with pytest.raises(DomainError, match="positive integers"):
+            call()
+
+
 def test_t_values():
     ev = eval_t((2,), CTX)
     assert abs(ev.value - math.pi**2 / 8) <= ev.bound

@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from akzeta.errors import DomainError
+from akzeta.evaluator import eval_euler_transform
 from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS,
                              ESTIMATED, Evaluation, beta_factor_exact,
                              zeta_em, clausen, accelerate_alternating)
@@ -16,6 +17,24 @@ def test_precision_context_defaults_and_cutoff():
     ctx2 = ctx.with_cutoff(1234)
     assert ctx2.default_cutoff == 1234
     assert ctx.default_cutoff != 1234  # frozen original untouched
+
+
+def test_precision_context_caps_digits_where_float_bounds_hold():
+    # bounds are floats: past 300 digits those sized from 10^-digits turn
+    # subnormal, and then 0
+    for digits in (14, 301, 400):
+        with pytest.raises(DomainError):
+            PrecisionContext(digits=digits)
+    ctx = PrecisionContext(digits=300)
+    assert zeta_em(2, 0, ctx).bound > 0
+    assert eval_euler_transform(2, 1, -0.5, ctx).bound > 0
+
+
+def test_mp_ctx_is_shared_per_digits():
+    a = PrecisionContext(digits=30).mp_ctx()
+    assert PrecisionContext(digits=30, default_cutoff=50).mp_ctx() is a
+    assert a.dps == 40
+    assert PrecisionContext(digits=31).mp_ctx().dps == 41
 
 
 def test_beta_factor_exact_and_float():

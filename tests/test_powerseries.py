@@ -7,7 +7,6 @@ import pytest
 from akzeta.combinatorics import Composition
 from akzeta.errors import DomainError
 from akzeta.powerseries import (PolyRat, TruncSeries, series_inverse,
-                                series_compose,
                                 bernoulli_numbers,
                                 classical_bernoulli_polynomial, li_series,
                                 ak_bernoulli_polys)
@@ -38,14 +37,6 @@ def test_truncseries_mul_and_inverse():
     assert g.coeffs[:4] == [Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)]
     with pytest.raises(DomainError):
         series_inverse(TruncSeries([0, 1], 4))
-
-
-def test_series_compose():
-    # 1/(1 - (t + t^2)) starts 1 + t + 2t^2 + 3t^3 + 5t^4 (Fibonacci)
-    geom = series_inverse(TruncSeries([1, -1], 6))
-    inner = TruncSeries([0, 1, 1], 6)
-    comp = series_compose(geom, inner)
-    assert comp.coeffs[:5] == [1, 1, 2, 3, 5]
 
 
 def test_bernoulli_numbers():
@@ -100,24 +91,28 @@ def test_ak_bernoulli_basic_shapes():
     polys = ak_bernoulli_polys(Composition.of(2), 1, 3)
     assert polys[0] == PolyRat([1])
     assert all(polys[m].degree <= m for m in range(4))
+    # Li_v(w) starts at w^depth, so the generating function starts at
+    # t^(depth - 1), and B_m = 0 for every m < depth - 1
+    assert ak_bernoulli_polys(Composition.of(1, 1, 3), 2, 1) == [PolyRat(), PolyRat()]
     with pytest.raises(DomainError):
         ak_bernoulli_polys(Composition.of(1), 0, 2)
 
 
 def test_ak_bernoulli_at_one_is_kaneko_poly_bernoulli():
-    # At p = 1 and x = 1 the generating function is Li_k(1-e^{-t})/(1-e^{-t}),
-    # whose coefficients are Kaneko's poly-Bernoulli numbers
+    # At x = 1 the generating function is Li_k((1-e^{-t})/p)/(1-e^{-t}).  At
+    # p = 1 its coefficients are Kaneko's poly-Bernoulli numbers
     # B_n^(k) = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k
     # (J. Theor. Nombres Bordeaux 9 (1997)), S the Stirling numbers of the
-    # second kind.
+    # second kind; the power (1-e^{-t})^m/p^(m+1) adds the factor p^-(m+1).
     n_max = 8
     S = [[1] + [0] * n_max]
     for n in range(1, n_max + 1):
         S.append([0] + [m * S[n - 1][m] + S[n - 1][m - 1] for m in range(1, n_max + 1)])
-    for k in range(1, 5):
-        polys = ak_bernoulli_polys(Composition.of(k), 1, n_max)
-        for n in range(n_max + 1):
-            kaneko = (-1) ** n * sum(Fraction((-1) ** m * math.factorial(m) * S[n][m],
-                                              (m + 1) ** k)
-                                     for m in range(n + 1))
-            assert polys[n](1) == kaneko
+    for p in (1, 2, Fraction(5, 2)):
+        for k in range(1, 5):
+            polys = ak_bernoulli_polys(Composition.of(k), p, n_max)
+            for n in range(n_max + 1):
+                kaneko = (-1) ** n * sum(Fraction((-1) ** m * math.factorial(m) * S[n][m],
+                                                  (m + 1) ** k) / p ** (m + 1)
+                                         for m in range(n + 1))
+                assert polys[n](1) == kaneko
