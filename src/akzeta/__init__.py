@@ -6,7 +6,8 @@ from .combinatorics import (Composition, dual, weak_compositions, m_coeff,
                             admissible_compositions)
 from .errors import DomainError, DivergenceError
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
-                        eval_ak_rhs, eval_euler_transform, eval_prop2_series)
+                        eval_ak_rhs, eval_euler_transform, eval_prop2_series,
+                        clear_caches)
 from .harmonic_bell import (HarmonicTable, harmonic_table, bell_modified,
                             d_operator)
 from .identities import (IdentityCase, IdentityReport, catalog, verify,
@@ -24,7 +25,7 @@ __all__ = [
     "admissible_compositions",
     "DomainError", "DivergenceError",
     "eval_hurwitz_mzv", "eval_t", "eval_li", "eval_ak_lhs", "eval_ak_rhs",
-    "eval_euler_transform", "eval_prop2_series",
+    "eval_euler_transform", "eval_prop2_series", "clear_caches",
     "HarmonicTable", "harmonic_table", "bell_modified", "d_operator",
     "IdentityCase", "IdentityReport", "catalog", "verify", "verify_all",
     "PrecisionContext", "DEFAULT_CTX", "Evaluation", "zeta_em", "clausen",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -135,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bpoly = sub.add_parser("bpoly", help="Bernoulli-type polynomials")
     p_bpoly.add_argument("--v", required=True, help="composition literal")
-    p_bpoly.add_argument("--p", type=int, default=1)
+    p_bpoly.add_argument("--p", type=Fraction, default=1, help="rational p >= 1, e.g. 5/2")
     p_bpoly.add_argument("--m", type=int, default=5, help="largest degree")
 
     p_verify = sub.add_parser("verify", help="verify catalog identities")

@@ -15,17 +15,14 @@ import math
 import numbers
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
 
-from .combinatorics import Composition, weak_compositions, m_coeff, binomial
+from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomial
 from .errors import DomainError, DivergenceError
-from .logasym import (pow_shift, nested_tail_series, nested_tail_sum,
-                      beta_model, bell_p_models, _digamma)
-from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
-                       ESTIMATED, accelerate_alternating,
-                       real_shift, _zeta_em_cached)
+from .logasym import pow_shift, nested_tail_series, nested_tail_sum, beta_model, bell_p_models
+from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS, ESTIMATED,
+                       accelerate_alternating, clear_caches, memoized, real_shift)
 
 __all__ = [
     "eval_hurwitz_mzv",
@@ -45,16 +42,13 @@ _ROUNDOFF_UNIT = 2.0 ** -63   # unit of the stopping tolerance, as the cutoffs w
 _FIRST_RUNG = 32
 
 
-def clear_caches():
-    _mzv_cached.cache_clear()
-    _zeta_em_cached.cache_clear()
-    _digamma.cache_clear()
-
-
 def _as_parts(c) -> tuple[int, ...]:
     """The exponent tuple of ``c``, validated as a :class:`Composition`: a
     non-empty tuple of positive integers."""
-    return (c if isinstance(c, Composition) else Composition(tuple(c))).parts
+    try:
+        return (c if isinstance(c, Composition) else Composition(tuple(c))).parts
+    except TypeError:
+        raise DomainError(f"exponents must be a tuple of positive integers, got {c!r}") from None
 
 
 def _integer(v, least: int, name: str) -> int:
@@ -208,7 +202,7 @@ def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     return _mzv_cached(_convergent_parts(parts), -0.5, _rungs(ctx.default_cutoff), 2)
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def _mzv_cached(e: tuple[int, ...], xf: float, rungs: tuple[int, ...],
                 c: int = 1) -> Evaluation:
     """sum over n_1 < ... < n_q of prod (c (n_i + x))^{-e_i}: the DP to a
@@ -280,8 +274,9 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[list[int]]]
     return B, P
 
 
-def _ak_lhs_p1(a: tuple[int, ...], ms, x: float,
-               rungs: tuple[int, ...]) -> list[Evaluation]:
+@memoized
+def _ak_lhs_p1(a: tuple[int, ...], ms: tuple[int, ...], x: float,
+               rungs: tuple[int, ...]) -> tuple[Evaluation, ...]:
     """:func:`eval_ak_lhs` at p = 1 for each m in ``ms``, each to its own
     cutoff from ``rungs``.
 
@@ -289,7 +284,6 @@ def _ak_lhs_p1(a: tuple[int, ...], ms, x: float,
     P_m depends only on H^(1)..H^(m), so every value equals that of a single
     call.  The Bell tail models and tails are built once, before the ladder.
     """
-    ms = tuple(ms)
     P_models = bell_p_models(max(ms, default=0), x)
     inner_models = [pow_shift(float(ai), 0.0) for ai in a[:-1]]
     last_model = pow_shift(float(a[-1]), 0.0)
@@ -304,7 +298,7 @@ def _ak_lhs_p1(a: tuple[int, ...], ms, x: float,
         return [_dp_em_tail(inner + [_product(last, P[ms[k]])], tails[k], len(a) + ms[k] + 1)
                 for k in todo]
 
-    return _choose_cutoff(rungs, rung, "dp+em-tail", len(ms))
+    return tuple(_choose_cutoff(rungs, rung, "dp+em-tail", len(ms)))
 
 
 def eval_ak_lhs(alpha, p: float, m: int, x: float,
@@ -429,7 +423,6 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     z^m is the beta-weighted nested sum at p = 1 indexed by the dual tuple.
     Valid for |z| < 1 + x; the truncation remainder is a geometric estimate.
     """
-    from .combinatorics import dual
     c = Composition(_as_parts(alpha))
     xf, zf = real_shift(x), float(z)
     m_terms = _integer(m_terms, 1, "m_terms")
@@ -440,7 +433,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     bound = 0.0
     last = 0.0
     cutoff = 0
-    for m, ev in enumerate(_ak_lhs_p1(beta, range(m_terms), xf, _tail_rungs(xf, ctx))):
+    for m, ev in enumerate(_ak_lhs_p1(beta, tuple(range(m_terms)), xf, _tail_rungs(xf, ctx))):
         term = zf**m * ev.value
         total += term
         bound += abs(zf) ** m * ev.bound

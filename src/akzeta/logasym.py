@@ -29,20 +29,18 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
 from .harmonic_bell import bell_modified
-from .numerics import PrecisionContext, zeta_em
+from .numerics import PrecisionContext, memoized, zeta_em
 from .powerseries import bernoulli_over_factorial
 
 __all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
-# the models are float series, so their zeta and psi constants need float
-# precision only
+# the models are float series: their zeta and psi constants need float precision
 _FLOAT_CTX = PrecisionContext(digits=17)
 # B_i/i!, i = 0..ORDER+1: the Taylor coefficients of t/(e^t - 1), exact
 _BERNOULLI = tuple(bernoulli_over_factorial(i) for i in range(ORDER + 2))
@@ -52,7 +50,8 @@ _EM_COEFF = [float(_BERNOULLI[2 * k]) for k in range(1, 6)]
 
 class LogSeries:
     """Finite sum of terms c * ln(n)^j * n^-(k + shift): integer keys (j, k)
-    and one fractional shift in [0, 1) shared by the whole series."""
+    and one fractional shift in [0, 1) shared by the whole series.  The
+    models are memoized and share what they return: never mutate a series."""
 
     __slots__ = ("terms", "shift")
 
@@ -180,7 +179,7 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     return tail, err
 
 
-@lru_cache(maxsize=256)
+@memoized
 def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
     """B_i(a)/i! for i = 0..ORDER+1, exact at the float a: the Taylor
     coefficients of e^(at) t/(e^t - 1).  One row per a serves every
@@ -193,6 +192,7 @@ def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
     return tuple(sum(f[k] * e[i - k] for k in range(i + 1)) for i in range(len(f)))
 
 
+@memoized
 def beta_model(x: float) -> LogSeries:
     """Asymptotics of B(n, a) = Gamma(a) Gamma(n) / Gamma(n+a), a = 1+x.
 
@@ -219,13 +219,7 @@ def beta_model(x: float) -> LogSeries:
     return out
 
 
-@lru_cache(maxsize=256)
-def _digamma(a: float) -> float:
-    """psi(a) in a float-precision mpmath context of its own, one per a
-    like the zeta constants of :func:`zeta_em`."""
-    return float(_FLOAT_CTX.mp_ctx().digamma(a))
-
-
+@memoized
 def harmonic_model(k: int, x: float) -> LogSeries:
     """Asymptotics of H_n^(k)(x) = sum_{j<=n} (j+x)^{-k}.
 
@@ -239,8 +233,7 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     a = 1.0 + x
     Ba = _bernoulli_at(a)
     if k == 1:
-        out = LogSeries({(1, 0): 1.0})
-        out.add_term(0, 0, -_digamma(a))
+        out = LogSeries({(1, 0): 1.0, (0, 0): -float(_FLOAT_CTX.mp_ctx().digamma(a))})
     else:
         out = LogSeries.const(float(zeta_em(k, x, _FLOAT_CTX).value))
     for i in range(1 if k == 1 else 0, ORDER + 3 - k):

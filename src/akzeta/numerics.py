@@ -6,6 +6,7 @@ acceleration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
@@ -28,6 +29,21 @@ __all__ = [
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
 
+_CACHES = []
+
+
+def memoized(fn):
+    """The one cache policy: keep the last 4096 results of ``fn``, a pure
+    function of normalized arguments, until :func:`clear_caches`."""
+    _CACHES.append(lru_cache(maxsize=4096)(fn))
+    return _CACHES[-1]
+
+
+def clear_caches():
+    """Empty every :func:`memoized` cache: sums, tail models, zeta values, contexts."""
+    for cached in _CACHES:
+        cached.cache_clear()
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -45,10 +61,10 @@ class PrecisionContext:
     default_cutoff: int = 100_000
 
     def __post_init__(self):
-        if not 15 <= self.digits <= 300:
-            raise DomainError(f"working precision must be 15 to 300 digits, got {self.digits}")
-        if self.default_cutoff < 10:
-            raise DomainError("cutoff below 10")
+        if not (isinstance(self.digits, numbers.Integral) and 15 <= self.digits <= 300):
+            raise DomainError(f"precision must be an integer from 15 to 300, got {self.digits!r}")
+        if not (isinstance(self.default_cutoff, numbers.Integral) and self.default_cutoff >= 10):
+            raise DomainError(f"cutoff must be an integer >= 10, got {self.default_cutoff!r}")
 
     def with_cutoff(self, N: int) -> "PrecisionContext":
         return replace(self, default_cutoff=N)
@@ -59,7 +75,7 @@ class PrecisionContext:
         return _mp_context(self.digits + 10)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _mp_context(dps: int):
     ctx = mp.mp.clone()
     ctx.dps = dps
@@ -122,7 +138,7 @@ def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     return _zeta_em_cached(sf, real_shift(x), ctx.digits, ctx.default_cutoff)
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluation:
     if sf <= 1:
         raise DivergenceError("series diverges for s <= 1")

@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
 import akzeta
 from akzeta.cli import main
+from akzeta.combinatorics import Composition
+from akzeta.powerseries import ak_bernoulli_polys
 
 
 def run(capsys, *argv):
@@ -124,6 +128,17 @@ def test_bpoly(capsys):
     code, _, err = run(capsys, "bpoly", "--v", "1", "--p", "0")
     assert code == 2
     assert "p must be >= 1" in err
+    # p is any rational >= 1
+    code, out, _ = run(capsys, "bpoly", "--v", "1", "--p", "5/2", "--m", "3")
+    assert code == 0
+    polys = ak_bernoulli_polys(Composition.of(1), Fraction(5, 2), 3)
+    assert out.strip().splitlines() == [f"B_{m}(x) = {poly}" for m, poly in enumerate(polys)]
+    code, _, err = run(capsys, "bpoly", "--v", "1", "--p", "1/2")
+    assert code == 2
+    assert "p must be >= 1" in err
+    with pytest.raises(SystemExit) as exc:  # argparse rejects a non-rational p
+        run(capsys, "bpoly", "--v", "1", "--p", "abc")
+    assert exc.value.code == 2
 
 
 def test_verify_single_id(capsys):

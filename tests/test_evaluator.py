@@ -1,10 +1,13 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 import pytest
 
+import akzeta
 from akzeta.combinatorics import Composition, dual, admissible_compositions
 from akzeta.errors import DomainError, DivergenceError
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
@@ -12,7 +15,7 @@ from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_prop2_series, clear_caches, _ak_lhs_p1, _mzv_cached, _rungs,
                               _F, _dp_nested, _geometric, _outer_arrays,
                               _power_weights, _product, _roundoff)
-from akzeta.identities import catalog
+from akzeta.identities import catalog, verify_all
 from akzeta.harmonic_bell import d_operator
 from akzeta.numerics import PrecisionContext, DEFAULT_CTX, RIGOROUS, zeta_em
 
@@ -114,7 +117,10 @@ def test_exponents_must_be_positive_integers():
     # the library takes the exponent rule of Composition, as the CLI does
     for call in (lambda: eval_li((-2,), 0.5, CTX),
                  lambda: eval_ak_lhs((-1,), 2, 0, 0, CTX),
-                 lambda: eval_hurwitz_mzv((0, 2), 0.0, CTX)):
+                 lambda: eval_hurwitz_mzv((0, 2), 0.0, CTX),
+                 lambda: eval_hurwitz_mzv(2),
+                 lambda: eval_li(None, 0.5),
+                 lambda: eval_ak_lhs(3, 2, 0, 0)):
         with pytest.raises(DomainError, match="positive integers"):
             call()
 
@@ -316,8 +322,8 @@ def test_ak_lhs_p1_shared_build_matches_single_calls():
     params = next(case.grid for case in catalog() if case.id == "PROP2")[1]
     beta = dual(params["alpha"]).alpha()
     x = params["x"]
-    shared = _ak_lhs_p1(beta, range(6), x, _rungs(CTX.default_cutoff))
-    assert shared == [eval_ak_lhs(beta, 1.0, m, x, CTX) for m in range(6)]
+    shared = _ak_lhs_p1(beta, tuple(range(6)), x, _rungs(CTX.default_cutoff))
+    assert shared == tuple(eval_ak_lhs(beta, 1.0, m, x, CTX) for m in range(6))
 
 
 def test_ak_lhs_ignores_mpmath_global_precision():
@@ -416,7 +422,7 @@ def test_ak_lhs_closed_form_at_small_caps():
     # the shared build equals single eval_ak_lhs calls (see the test above)
     for cap in (32, 64, 128, DEFAULT_CTX.default_cutoff):
         for r in (1, 2, 3):
-            evs = _ak_lhs_p1((1,) * r, range(24), -0.5, _rungs(cap))
+            evs = _ak_lhs_p1((1,) * r, tuple(range(24)), -0.5, _rungs(cap))
             with mp.workdps(30):
                 for m, ev in enumerate(evs):
                     exact = math.comb(r + m, m) * (2 ** (r + m + 1) - 1) * mp.zeta(r + m + 1)
@@ -463,3 +469,41 @@ def test_clear_caches_clears_zeta_em():
     assert zeta_em(3, 0.0) is a
     clear_caches()
     assert zeta_em(3, 0.0) is not a
+
+
+def _package_caches() -> dict[str, object]:
+    """Every memoized function bound in an akzeta module, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(akzeta.__path__):
+        module = importlib.import_module(f"akzeta.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def test_one_cache_policy():
+    # every cache keeps 4096 results and clear_caches empties all of them
+    verify_all("THM3")
+    eval_t((1, 3), CTX)
+    caches = _package_caches()
+    assert {"evaluator._mzv_cached", "evaluator._ak_lhs_p1", "logasym.beta_model",
+            "logasym.harmonic_model", "logasym._bernoulli_at",
+            "numerics._zeta_em_cached", "numerics._mp_context"} <= caches.keys()
+    for name in ("evaluator._li", "evaluator._ak_lhs_geom",
+                 "evaluator.eval_euler_transform", "logasym.bell_p_models"):
+        assert name not in caches
+    assert all(c.cache_info().currsize > 0 for c in caches.values())
+    akzeta.clear_caches()
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize == 4096, name
+        assert cache.cache_info().currsize == 0, name
+
+
+def test_catalog_reports_do_not_depend_on_the_caches():
+    clear_caches()
+    cold = [r.to_json() for r in verify_all("THM3").reports]
+    warm = [r.to_json() for r in verify_all("THM3").reports]
+    clear_caches()
+    again = [r.to_json() for r in verify_all("THM3").reports]
+    assert cold == warm == again

@@ -30,6 +30,19 @@ def test_precision_context_caps_digits_where_float_bounds_hold():
     assert eval_euler_transform(2, 1, -0.5, ctx).bound > 0
 
 
+def test_precision_context_requires_integer_settings():
+    # an infinite cap would never end the cutoff ladder; fractional settings
+    # break the term counts and the fixed-point DP
+    for bad in (math.inf, math.nan, 50.5):
+        with pytest.raises(DomainError, match="integer"):
+            PrecisionContext(digits=bad)
+    for bad in (math.inf, math.nan, 64.5):
+        with pytest.raises(DomainError, match="integer"):
+            PrecisionContext(default_cutoff=bad)
+        with pytest.raises(DomainError, match="integer"):
+            DEFAULT_CTX.with_cutoff(bad)
+
+
 def test_mp_ctx_is_shared_per_digits():
     a = PrecisionContext(digits=30).mp_ctx()
     assert PrecisionContext(digits=30, default_cutoff=50).mp_ctx() is a
