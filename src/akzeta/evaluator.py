@@ -140,32 +140,26 @@ def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
     return _rungs(ctx.default_cutoff)
 
 
-def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str,
-                   count: int = 1) -> list[Evaluation]:
+def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str) -> Evaluation:
     """The one cutoff rule of the DP paths.
 
-    ``rung(N, todo)`` sums each sum numbered in ``todo`` to cutoff N and
-    returns, for each, (value, trunc, roundoff): the fixed-point value
-    rounded to float once, the part of its bound that shrinks as N grows
-    (truncation, and the float evaluation of a symbolic tail; infinite when
-    no majorant exists at N), and the stopping tolerance :func:`_roundoff`,
-    which grows linearly in N.  Each sum keeps the first rung where
-    trunc <= roundoff, else the last: its bound, at most 2 * roundoff, is
-    then no larger than at any rung >= 2N.  Half an ulp of the value, for
-    its rounding to float, joins the bound.
+    ``rung(N)`` sums to cutoff N and returns (value, trunc, roundoff): the
+    fixed-point value rounded to float once, the part of its bound that
+    shrinks as N grows (truncation, and the float evaluation of a symbolic
+    tail; infinite when no majorant exists at N), and the stopping tolerance
+    :func:`_roundoff`, which grows linearly in N.  The sum keeps the first
+    rung where trunc <= roundoff, else the last: its bound, at most
+    2 * roundoff, is then no larger than at any rung >= 2N.  Half an ulp of
+    the value, for its rounding to float, joins the bound.
     """
-    chosen: list[Evaluation | None] = [None] * count
     for N in rungs:
-        todo = [k for k, ev in enumerate(chosen) if ev is None]
-        for k, (value, trunc, roundoff) in zip(todo, rung(N, todo)):
-            if trunc <= roundoff or N == rungs[-1]:
-                if math.isinf(trunc):
-                    raise DomainError(f"cutoff {N} too small for a geometric majorant")
-                chosen[k] = Evaluation(value=value, bound=trunc + roundoff + math.ulp(value) / 2,
-                                       bound_kind=RIGOROUS, method=method, cutoff_used=N)
-        if None not in chosen:
+        value, trunc, roundoff = rung(N)
+        if trunc <= roundoff or N == rungs[-1]:
             break
-    return chosen
+    if math.isinf(trunc):
+        raise DomainError(f"cutoff {N} too small for a geometric majorant")
+    return Evaluation(value=value, bound=trunc + roundoff + math.ulp(value) / 2,
+                      bound_kind=RIGOROUS, method=method, cutoff_used=N)
 
 
 def _dp_em_tail(weights: list[list[int]], tails: list, q: int) -> tuple:
@@ -210,10 +204,10 @@ def _mzv_cached(e: tuple[int, ...], xf: float, rungs: tuple[int, ...],
     """
     tails = nested_tail_series([pow_shift(float(ei), xf).scaled(float(c) ** -ei) for ei in e])
 
-    def rung(N, _):
-        return [_dp_em_tail([_power_weights(N, ei, xf, c) for ei in e], tails, len(e))]
+    def rung(N):
+        return _dp_em_tail([_power_weights(N, ei, xf, c) for ei in e], tails, len(e))
 
-    return _choose_cutoff(rungs, rung, "dp+em-tail")[0]
+    return _choose_cutoff(rungs, rung, "dp+em-tail")
 
 
 def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
@@ -242,20 +236,20 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
 
 def _li(e: tuple[int, ...], zf: float, rungs: tuple[int, ...]) -> Evaluation:
     """:func:`eval_li` for |z| < 1, to a cutoff N from ``rungs``."""
-    def rung(N, _):
+    def rung(N):
         weights = [_power_weights(N, ei) for ei in e]
         weights[-1] = _product(weights[-1], _geometric(N, Fraction(zf)))
         value = _dp_nested(weights)[0] / _ONE
         # tail: |S_{q-1}(n)| <= (1 + ln n)^{q-1}, n^{-e_q} <= 1
         tail_bd = _geom_row_bound(N, 1.0 / abs(zf) if zf else math.inf, len(e) - 1, 1.0, 1.0)
-        return [(value, tail_bd, _roundoff(N, len(e), value))]
+        return value, tail_bd, _roundoff(N, len(e), value)
 
-    return _choose_cutoff(rungs, rung, "dp+geom-tail")[0]
+    return _choose_cutoff(rungs, rung, "dp+geom-tail")
 
 
-def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[list[int]]]:
-    """B(n,1+x) and P_0..P_m of (H_n^(1)(x),..,H_n^(m)(x)) for n = 1..N,
-    in fixed point.
+def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
+    """B(n,1+x) and P_m of (H_n^(1)(x),..,H_n^(m)(x)) for n = 1..N, in
+    fixed point.
 
     P_j of the harmonic numbers is the complete homogeneous symmetric
     polynomial h_j(y_1, .., y_n) of y_i = 1/(i+x), so
@@ -268,37 +262,26 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[list[int]]]
     for n in range(1, N):
         B.append(B[-1] * n * xd // ((n + 1) * xd + xn))
     y = _power_weights(N, 1, x)
-    P = [[_ONE] * N]
+    P = [_ONE] * N
     for _ in range(m):
-        P.append(list(accumulate([(a * b) >> _F for a, b in zip(y, P[-1])])))
+        P = list(accumulate([(a * b) >> _F for a, b in zip(y, P)]))
     return B, P
 
 
 @memoized
-def _ak_lhs_p1(a: tuple[int, ...], ms: tuple[int, ...], x: float,
-               rungs: tuple[int, ...]) -> tuple[Evaluation, ...]:
-    """:func:`eval_ak_lhs` at p = 1 for each m in ``ms``, each to its own
-    cutoff from ``rungs``.
+def _ak_lhs_p1(a: tuple[int, ...], m: int, x: float, rungs: tuple[int, ...]) -> Evaluation:
+    """:func:`eval_ak_lhs` at p = 1, to a cutoff N from ``rungs``."""
+    models = [pow_shift(float(ai), 0.0) for ai in a]
+    models[-1] = beta_model(x) * bell_p_models(m, x)[m] * models[-1]
+    tails = nested_tail_series(models)
 
-    Each rung builds the outer arrays once, for the largest m still open;
-    P_m depends only on H^(1)..H^(m), so every value equals that of a single
-    call.  The Bell tail models and tails are built once, before the ladder.
-    """
-    P_models = bell_p_models(max(ms, default=0), x)
-    inner_models = [pow_shift(float(ai), 0.0) for ai in a[:-1]]
-    last_model = pow_shift(float(a[-1]), 0.0)
-    beta = beta_model(x)
-    tails = [nested_tail_series(inner_models + [beta * P_models[m] * last_model])
-             for m in ms]
+    def rung(N):
+        B, P = _outer_arrays(N, m, x)
+        weights = [_power_weights(N, ai) for ai in a[:-1]]
+        weights.append(_product(_product(B, _power_weights(N, a[-1])), P))
+        return _dp_em_tail(weights, tails, len(a) + m + 1)
 
-    def rung(N, todo):
-        B, P = _outer_arrays(N, max(ms[k] for k in todo), x)
-        inner = [_power_weights(N, ai) for ai in a[:-1]]
-        last = _product(B, _power_weights(N, a[-1]))
-        return [_dp_em_tail(inner + [_product(last, P[ms[k]])], tails[k], len(a) + ms[k] + 1)
-                for k in todo]
-
-    return tuple(_choose_cutoff(rungs, rung, "dp+em-tail", len(ms)))
+    return _choose_cutoff(rungs, rung, "dp+em-tail")
 
 
 def eval_ak_lhs(alpha, p: float, m: int, x: float,
@@ -315,7 +298,7 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
     if not (math.isfinite(pf) and pf >= 1):
         raise DomainError(f"require a finite p >= 1, got {pf}")
     if pf == 1.0:
-        return _ak_lhs_p1(a, (m,), xf, _tail_rungs(xf, ctx))[0]
+        return _ak_lhs_p1(a, m, xf, _tail_rungs(xf, ctx))
     return _ak_lhs_geom(a, pf, m, xf, _rungs(ctx.default_cutoff))
 
 
@@ -330,16 +313,16 @@ def _ak_lhs_geom(a: tuple[int, ...], pf: float, m: int, xf: float,
     g = max(2.0, 1.0 / (1.0 + xf))
     D = (g ** max(m - 1, 0) + m) ** m / math.factorial(m)
 
-    def rung(N, _):
+    def rung(N):
         B, P = _outer_arrays(N, m, xf)
         weights = [_power_weights(N, ai) for ai in a[:-1]]
-        weights.append(_product(B, P[m], _power_weights(N, a[-1]), _geometric(N, 1 / Fraction(pf))))
+        weights.append(_product(B, P, _power_weights(N, a[-1]), _geometric(N, 1 / Fraction(pf))))
         value = _dp_nested(weights)[0] / _ONE
         K = B[-1] / _ONE * N ** (-float(a[-1])) * D
         tail_bd = _geom_row_bound(N, pf, float(m + r - 1), K, c)
-        return [(value, tail_bd, _roundoff(N, r + m + 1, value))]
+        return value, tail_bd, _roundoff(N, r + m + 1, value)
 
-    return _choose_cutoff(rungs, rung, "dp+geom-tail")[0]
+    return _choose_cutoff(rungs, rung, "dp+geom-tail")
 
 
 def eval_ak_rhs(alpha, m: int, x: float,
@@ -420,7 +403,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     """Power-series evaluation of the shifted value zeta(alpha; x - z).
 
     ``alpha`` is the displayed admissible exponent tuple; the coefficient of
-    z^m is the beta-weighted nested sum at p = 1 indexed by the dual tuple.
+    z^m is :func:`eval_ak_lhs` at p = 1 and order m, indexed by the dual tuple.
     Valid for |z| < 1 + x; the truncation remainder is a geometric estimate.
     """
     c = Composition(_as_parts(alpha))
@@ -433,7 +416,8 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     bound = 0.0
     last = 0.0
     cutoff = 0
-    for m, ev in enumerate(_ak_lhs_p1(beta, tuple(range(m_terms)), xf, _tail_rungs(xf, ctx))):
+    for m in range(m_terms):
+        ev = eval_ak_lhs(beta, 1, m, xf, ctx)
         term = zf**m * ev.value
         total += term
         bound += abs(zf) ** m * ev.bound

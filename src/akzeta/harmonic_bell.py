@@ -1,10 +1,11 @@
 """Shifted harmonic-number tables, modified Bell polynomials, and the
 alternating-binomial integral-transform kernel.
 
-Tables and the kernel are exact rational.  The Bell recurrence is written
-once for any ring: Fractions, and ``logasym.bell_p_models`` runs it on
-asymptotic series.  The summation engine (``evaluator._outer_arrays``)
-builds the same polynomials as complete homogeneous symmetric polynomials.
+Everything here is exact rational: the reference the float engine is checked
+against.  The engine builds the same Bell polynomials twice over: as complete
+homogeneous symmetric polynomials of the harmonic rows in fixed point
+(``evaluator._outer_arrays``), and as asymptotic tail models by the same
+recurrence (``logasym.bell_p_models``).
 """
 
 from __future__ import annotations
@@ -60,16 +61,12 @@ def harmonic_table(N: int, m: int, x) -> HarmonicTable:
     return HarmonicTable(x=x, N=N, m=m, values=tuple(rows))
 
 
-def bell_modified(x_values: Sequence, one=Fraction(1)) -> list:
+def bell_modified(x_values: Sequence[Fraction]) -> list[Fraction]:
     """P_0..P_m for the generating identity exp(sum x_k z^k / k) = sum P_m z^m.
 
-    Uses the recurrence m*P_m = sum_{k=1}^{m} x_k P_{m-k} in whatever ring
-    the inputs live in: Fractions (exact) or asymptotic series, with ``one``
-    as P_0.  Each inner sum starts at its k = 1 term, so the ring needs no
-    additive zero; that term is a new object, so ``+=`` may add into it in
-    place.
+    Uses the recurrence m*P_m = sum_{k=1}^{m} x_k P_{m-k}, exactly.
     """
-    P = [one]
+    P = [Fraction(1)]
     for j in range(1, len(x_values) + 1):
         s = x_values[0] * P[j - 1]
         for k in range(2, j + 1):

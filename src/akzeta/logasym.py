@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .harmonic_bell import bell_modified
 from .numerics import PrecisionContext, memoized, zeta_em
 from .powerseries import bernoulli_over_factorial
 
@@ -242,10 +241,22 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     return out
 
 
-def bell_p_models(m: int, x: float) -> list[LogSeries]:
-    """Asymptotic models of P_0..P_m evaluated on (H_n^(1)(x),..,H_n^(m)(x))."""
-    hs = [harmonic_model(k, x) for k in range(1, m + 1)]
-    return bell_modified(hs, one=LogSeries.const(1.0))
+@memoized
+def bell_p_models(m: int, x: float) -> tuple[LogSeries, ...]:
+    """Asymptotic models of P_0..P_m evaluated on (H_n^(1)(x),..,H_n^(m)(x)).
+
+    P_m comes from m P_m = sum_k H^(k) P_(m-k) over the memoized models of
+    the orders below m, which the loop asks for from the bottom up, so no
+    call recurses deeper than one level.
+    """
+    if m == 0:
+        return (LogSeries.const(1.0),)
+    for j in range(m):
+        lower = bell_p_models(j, x)
+    s = harmonic_model(1, x) * lower[m - 1]
+    for k in range(2, m + 1):
+        s += harmonic_model(k, x) * lower[m - k]
+    return (*lower, s / m)
 
 
 def nested_tail_series(models: Sequence[LogSeries]) -> list[tuple[LogSeries, LogSeries]]:

@@ -203,13 +203,13 @@ def test_criterion_13_bound_honesty():
             (lambda c: eval_li((1, 1), 0.9, c),
              lambda: _li((1, 1), 0.9, fixed), mp.log(1 - mp.mpf(0.9)) ** 2 / 2),
             (lambda c: eval_ak_lhs((1,), 1.0, 0, 0.0, c),
-             lambda: _ak_lhs_p1((1,), (0,), 0.0, fixed)[0], z(2)),
+             lambda: _ak_lhs_p1((1,), 0, 0.0, fixed), z(2)),
             (lambda c: eval_ak_lhs((1,), 1.0, 1, -0.5, c),
-             lambda: _ak_lhs_p1((1,), (1,), -0.5, fixed)[0], 14 * z(3)),
+             lambda: _ak_lhs_p1((1,), 1, -0.5, fixed), 14 * z(3)),
             (lambda c: eval_ak_lhs((1, 1), 1.0, 2, 0.5, c),
-             lambda: _ak_lhs_p1((1, 1), (2,), 0.5, fixed)[0], None),
+             lambda: _ak_lhs_p1((1, 1), 2, 0.5, fixed), None),
             (lambda c: eval_ak_lhs((2,), 1.0, 1, 0.25, c),
-             lambda: _ak_lhs_p1((2,), (1,), 0.25, fixed)[0], None),
+             lambda: _ak_lhs_p1((2,), 1, 0.25, fixed), None),
             (lambda c: eval_ak_lhs((1,), 4.0, 1, -0.5, c),
              lambda: _ak_lhs_geom((1,), 4.0, 1, -0.5, fixed), None),
             (lambda c: eval_ak_lhs((1, 2), 3.0, 0, 0.0, c),

@@ -16,7 +16,8 @@ from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               _F, _dp_nested, _geometric, _outer_arrays,
                               _power_weights, _product, _roundoff)
 from akzeta.identities import catalog, verify_all
-from akzeta.harmonic_bell import d_operator
+from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
+from akzeta.logasym import bell_p_models
 from akzeta.numerics import PrecisionContext, DEFAULT_CTX, RIGOROUS, zeta_em
 
 CTX = PrecisionContext(default_cutoff=20000)
@@ -316,14 +317,24 @@ def test_prop2_series_reproduces_shift():
         eval_prop2_series(Composition.of(2), 0.0, 1.5, 8, CTX)
 
 
-def test_ak_lhs_p1_shared_build_matches_single_calls():
-    # one build of the outer arrays and models for all m gives, for each m,
-    # the very Evaluation of a single eval_ak_lhs call
+def test_prop2_series_sums_the_p1_coefficients():
+    # the z^m coefficient is the public p = 1 sum at order m, summed in the
+    # same order; the Bell tail models of those sums, each order built on
+    # the cached lower ones, match the exact Bell rows far out
     params = next(case.grid for case in catalog() if case.id == "PROP2")[1]
-    beta = dual(params["alpha"]).alpha()
-    x = params["x"]
-    shared = _ak_lhs_p1(beta, tuple(range(6)), x, _rungs(CTX.default_cutoff))
-    assert shared == tuple(eval_ak_lhs(beta, 1.0, m, x, CTX) for m in range(6))
+    c, x, z = params["alpha"], params["x"], params["z"]
+    beta = dual(c).alpha()
+    total = 0.0
+    for m in range(12):
+        total += z**m * eval_ak_lhs(beta, 1, m, x, CTX).value
+    assert eval_prop2_series(c, x, z, 12, CTX).value == total
+    clear_caches()
+    models = bell_p_models(6, x)
+    assert models[:6] == bell_p_models(5, x)
+    n = 400
+    exact = bell_modified(harmonic_table(n, 6, Fraction(x)).row(n))
+    for m in range(7):
+        assert abs(models[m](n) - float(exact[m])) < 1e-11 * (1 + exact[m]), m
 
 
 def test_ak_lhs_ignores_mpmath_global_precision():
@@ -363,17 +374,17 @@ def test_fixed_point_partial_sums_match_exact(x):
     # far below the cutoff rule's stopping tolerance; the power and
     # geometric weights are at most 1
     for N in (32, 256):
-        B, P = _outer_arrays(N, 3, x)
-        for a in ((1,), (1, 2), (2, 1, 1)):
-            for p in (1, 3):
-                for m in (0, 3):
+        for m in (0, 3):
+            B, P = _outer_arrays(N, m, x)
+            for a in ((1,), (1, 2), (2, 1, 1)):
+                for p in (1, 3):
                     weights = [_power_weights(N, ai) for ai in a[:-1]]
-                    weights.append(_product(B, P[m], _power_weights(N, a[-1]),
+                    weights.append(_product(B, P, _power_weights(N, a[-1]),
                                             _geometric(N, Fraction(1, p))))
                     partial, S_at = _dp_nested(weights)
                     exact = ak_lhs_partial_exact(a, p, m, Fraction(x), N)
                     q = len(a) + m + 1
-                    L = (1 + B[0] / (1 << _F)) * (1 + P[m][-1] / (1 << _F)) * (1 + max(S_at))
+                    L = (1 + B[0] / (1 << _F)) * (1 + P[-1] / (1 << _F)) * (1 + max(S_at))
                     tol = N * (q + 1) * 2.0**-_F * L
                     assert abs(float(Fraction(partial, 1 << _F) - exact)) <= tol
                     assert tol < 2.0**-20 * _roundoff(N, q, float(exact))
@@ -398,7 +409,7 @@ def test_bound_honesty_at_larger_cutoff():
         (lambda c: eval_t((1, 3), c),
          lambda: _mzv_cached((1, 3), -0.5, fixed, 2)),
         (lambda c: eval_ak_lhs((1, 1), 1.0, 1, 0.5, c),
-         lambda: _ak_lhs_p1((1, 1), (1,), 0.5, fixed)[0]),
+         lambda: _ak_lhs_p1((1, 1), 1, 0.5, fixed)),
     ]
     for f, at_fixed in cases:
         a, b = f(small), f(big)
@@ -418,13 +429,12 @@ def test_combination_counts_float_rounding():
 
 
 def test_ak_lhs_closed_form_at_small_caps():
-    # COR2: the x = -1/2 sum with alpha = (1,)^r is C(r+m, m)(2^{r+m+1} - 1) zeta(r+m+1);
-    # the shared build equals single eval_ak_lhs calls (see the test above)
+    # COR2: the x = -1/2 sum with alpha = (1,)^r is C(r+m, m)(2^{r+m+1} - 1) zeta(r+m+1)
     for cap in (32, 64, 128, DEFAULT_CTX.default_cutoff):
         for r in (1, 2, 3):
-            evs = _ak_lhs_p1((1,) * r, tuple(range(24)), -0.5, _rungs(cap))
             with mp.workdps(30):
-                for m, ev in enumerate(evs):
+                for m in range(24):
+                    ev = _ak_lhs_p1((1,) * r, m, -0.5, _rungs(cap))
                     exact = math.comb(r + m, m) * (2 ** (r + m + 1) - 1) * mp.zeta(r + m + 1)
                     assert ev.cutoff_used <= cap
                     assert abs(ev.value - exact) <= ev.bound, (cap, r, m)
@@ -488,10 +498,10 @@ def test_one_cache_policy():
     eval_t((1, 3), CTX)
     caches = _package_caches()
     assert {"evaluator._mzv_cached", "evaluator._ak_lhs_p1", "logasym.beta_model",
-            "logasym.harmonic_model", "logasym._bernoulli_at",
+            "logasym.harmonic_model", "logasym.bell_p_models", "logasym._bernoulli_at",
             "numerics._zeta_em_cached", "numerics._mp_context"} <= caches.keys()
     for name in ("evaluator._li", "evaluator._ak_lhs_geom",
-                 "evaluator.eval_euler_transform", "logasym.bell_p_models"):
+                 "evaluator.eval_euler_transform"):
         assert name not in caches
     assert all(c.cache_info().currsize > 0 for c in caches.values())
     akzeta.clear_caches()

@@ -24,21 +24,22 @@ def test_harmonic_table_shifted():
 
 def test_harmonic_table_float_matches_exact():
     # the exact B(n,1+x) and P_0..P_m(H-row(n)) against the fixed-point
-    # arrays that the summation engine uses, from one build for all m; x is
-    # the float 1/3, which the engine takes as its exact dyadic value
+    # arrays that the summation engine uses, one build per m; x is the float
+    # 1/3, which the engine takes as its exact dyadic value
     x = 1 / 3
     N = 50
     tab = harmonic_table(N, 3, Fraction(x))
-    B, P = _outer_arrays(N, 3, x)
-    assert len(P) == 4
     # within N (m + 2) units of 2^-F times 1 + the size, as `_roundoff` documents
     tol = N * 5 * Fraction(1, 1 << _F)
-    for n in (1, 7, 50):
-        beta = beta_factor_exact(n, Fraction(x))
-        assert abs(Fraction(B[n - 1], 1 << _F) - beta) <= tol * (1 + beta)
-        for m, exact in enumerate(bell_modified(tab.row(n))):
-            assert abs(Fraction(P[m][n - 1], 1 << _F) - exact) <= tol * (1 + exact)
-            assert (abs(Fraction(B[n - 1] * P[m][n - 1], 1 << 2 * _F) - beta * exact)
+    for m in range(4):
+        B, P = _outer_arrays(N, m, x)
+        assert len(B) == len(P) == N
+        for n in (1, 7, 50):
+            beta = beta_factor_exact(n, Fraction(x))
+            exact = bell_modified(tab.row(n))[m]
+            assert abs(Fraction(B[n - 1], 1 << _F) - beta) <= tol * (1 + beta)
+            assert abs(Fraction(P[n - 1], 1 << _F) - exact) <= tol * (1 + exact)
+            assert (abs(Fraction(B[n - 1] * P[n - 1], 1 << 2 * _F) - beta * exact)
                     <= tol * (1 + exact))
 
 
