@@ -71,10 +71,8 @@ def _cmd_eval(args, ctx: PrecisionContext) -> int:
         if args.v is None:
             raise DomainError("kind 'ak' requires --v")
         ev = eval_ak_lhs(Composition.parse(args.v), args.p, args.m, args.x, ctx)
-    elif kind == "euler":
+    else:  # euler
         ev = eval_euler_transform(args.p, args.s, args.x, ctx)
-    else:
-        raise DomainError(f"unknown eval kind {kind!r}")
     _print_eval(ev, args, ctx)
     return 0
 
@@ -106,6 +104,14 @@ def _cmd_verify(args, ctx: PrecisionContext) -> int:
     return 0 if summary.all_passed else 1
 
 
+def _rational(text: str) -> Fraction:
+    """An argparse type: ``text`` as a Fraction, such as 5/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="akzeta",
@@ -131,12 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--p", type=float, default=1.0)
     p_eval.add_argument("--m", type=int, default=0)
     p_eval.add_argument("--s", type=int, default=1)
-    p_eval.add_argument("--v", "--alpha", dest="v", default=None,
-                        help="composition literal for the ak kind")
+    p_eval.add_argument("--v", default=None, help="composition literal for the ak kind")
 
     p_bpoly = sub.add_parser("bpoly", help="Bernoulli-type polynomials")
     p_bpoly.add_argument("--v", required=True, help="composition literal")
-    p_bpoly.add_argument("--p", type=Fraction, default=1, help="rational p >= 1, e.g. 5/2")
+    p_bpoly.add_argument("--p", type=_rational, default=1, help="rational p >= 1, e.g. 5/2")
     p_bpoly.add_argument("--m", type=int, default=5, help="largest degree")
 
     p_verify = sub.add_parser("verify", help="verify catalog identities")
@@ -160,9 +165,7 @@ def main(argv=None) -> int:
             return _cmd_eval(args, ctx)
         if args.command == "bpoly":
             return _cmd_bpoly(args)
-        if args.command == "verify":
-            return _cmd_verify(args, ctx)
-        raise DomainError(f"unknown command {args.command!r}")
+        return _cmd_verify(args, ctx)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,18 +106,24 @@ def _power_of_two(scale: float) -> bool:
     return abs(math.frexp(scale)[0]) == 0.5
 
 
+def _times(scale, value) -> float:
+    """scale * value rounded to float once: a float value is taken exactly."""
+    return float(scale * (Fraction(value) if isinstance(value, float) else value))
+
+
 def _compare(lhs: Evaluation, rhs: Evaluation,
-             scale_l: float = 1.0, scale_r: float = 1.0) -> tuple:
+             scale_l: float | Fraction = 1.0, scale_r: float = 1.0) -> tuple:
     """Report fields for scale_l * lhs against scale_r * rhs.
 
     The rhs value is rounded to float before it is scaled: APERY scales an
     mpf zeta(3) by 7, and that rounding is part of its reported value.  The
     bound counts half an ulp for each float rounding of a reported side: the
     cast of an mpf value, and a product by a scale that is not a power of two.
+    A scale that no float holds is passed as an exact Fraction.
     """
-    lv = float(scale_l * lhs.value)
+    lv = _times(scale_l, lhs.value)
     rf = float(rhs.value)
-    rv = scale_r * rf
+    rv = _times(scale_r, rf)
     bound = float(abs(scale_l) * lhs.bound + abs(scale_r) * rhs.bound)
     if not (isinstance(lhs.value, float) and _power_of_two(scale_l)):
         bound += math.ulp(lv) / 2
@@ -167,7 +173,7 @@ def _do_eq53(params, ctx):
 def _do_cor2(params, ctx):
     r, m = params["r"], params["m"]
     lhs = eval_ak_lhs((1,) * r, 1.0, m, -0.5, ctx)
-    scale = 1.0 / (binomial(r + m, m) * (2.0 ** (r + m + 1) - 1))
+    scale = Fraction(1, binomial(r + m, m) * (2 ** (r + m + 1) - 1))
     oracle = zeta_em(r + m + 1, 0.0, ctx)
     return _compare(lhs, oracle, scale)
 
@@ -181,7 +187,7 @@ def _do_apery(params, ctx):
 def _do_cor3(params, ctx):
     m = params["m"]
     lhs = eval_ak_lhs((1, 1), 1.0, m, -0.5, ctx)
-    scale = 2.0 ** (-m) * 2.0 ** (m + 1) / ((m + 1) * (m + 2) * (2.0 ** (m + 3) - 1))
+    scale = Fraction(2 ** (m + 1), 2**m * (m + 1) * (m + 2) * (2 ** (m + 3) - 1))
     oracle = zeta_em(m + 3, 0.0, ctx)
     return _compare(lhs, oracle, scale)
 
@@ -422,8 +428,9 @@ def verify(id_: str, params: dict | None = None,
            ctx: PrecisionContext = DEFAULT_CTX) -> IdentityReport:
     case = _case(id_)
     params = dict(params) if params else (dict(case.grid[0]) if case.grid else {})
-    if "alpha" in params and not isinstance(params["alpha"], Composition):
-        params["alpha"] = Composition(tuple(params["alpha"]))
+    for key in ("alpha", "v"):  # the exponent-tuple parameters
+        if key in params and not isinstance(params[key], Composition):
+            params[key] = Composition(tuple(params[key]))
     t0 = time.perf_counter()
     lhs, rhs, diff, bound, kind = case.recipe(params, ctx)
     return IdentityReport(id=id_, params=params, lhs=lhs, rhs=rhs, abs_diff=diff,

@@ -88,9 +88,6 @@ class LogSeries:
     def scaled(self, factor: float) -> "LogSeries":
         return LogSeries({key: c * factor for key, c in self.terms.items()}, self.shift)
 
-    def __truediv__(self, d: float) -> "LogSeries":
-        return self.scaled(1.0 / d)
-
     def __mul__(self, other: "LogSeries") -> "LogSeries":
         cap = self._kmin() + other._kmin() + ORDER
         shift = self.shift + other.shift
@@ -256,7 +253,7 @@ def bell_p_models(m: int, x: float) -> tuple[LogSeries, ...]:
     s = harmonic_model(1, x) * lower[m - 1]
     for k in range(2, m + 1):
         s += harmonic_model(k, x) * lower[m - k]
-    return (*lower, s / m)
+    return (*lower, s.scaled(1.0 / m))
 
 
 def nested_tail_series(models: Sequence[LogSeries]) -> list[tuple[LogSeries, LogSeries]]:

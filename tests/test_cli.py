@@ -141,6 +141,23 @@ def test_bpoly(capsys):
     assert exc.value.code == 2
 
 
+def test_bpoly_zero_denominator_exits_2(capsys):
+    # a usage error, not a failed verification with a traceback
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "bpoly", "--v", "1", "--p", "1/0")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --p: invalid rational value: '1/0'" in err
+    assert "Traceback" not in err
+
+
+def test_eval_has_no_alpha_alias(capsys):
+    # the composition of the ak kind is given by --v only
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "eval", "ak", "--alpha", "1")
+    assert exc.value.code == 2
+
+
 def test_verify_single_id(capsys):
     code, out, _ = run(capsys, "--cutoff", "20000", "verify", "APERY")
     assert code == 0

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from akzeta.combinatorics import Composition
 from akzeta.errors import DomainError
+from akzeta.evaluator import eval_ak_lhs
 from akzeta import cli, identities
 from akzeta.identities import IdentityCase, catalog, verify, verify_all
 from akzeta.numerics import PrecisionContext
@@ -66,6 +68,27 @@ def test_verify_dual_params():
 def test_verify_accepts_plain_tuples():
     r = verify("DUAL", {"alpha": (1, 2)}, CTX)
     assert r.passed
+    r = verify("GENFUN_B", {"v": (1, 2)}, CTX)
+    assert r.passed and r.params["v"] == Composition.of(1, 2)
+
+
+def test_cor_scales_round_once():
+    # COR2 and COR3 scale the lhs by factors that no float holds: the
+    # reported lhs is the exact product rounded once, which the half ulp
+    # that the bound counts for it covers
+    cases = [("COR2", {"r": 1, "m": 0}, (1,), 0, Fraction(1, 3)),
+             ("COR2", {"r": 1, "m": 1}, (1,), 1, Fraction(1, 14)),
+             ("COR2", {"r": 1, "m": 2}, (1,), 2, Fraction(1, 45)),
+             ("COR2", {"r": 2, "m": 1}, (1, 1), 1, Fraction(1, 45)),
+             ("COR2", {"r": 3, "m": 0}, (1, 1, 1), 0, Fraction(1, 15)),
+             ("COR3_M0", {"m": 0}, (1, 1), 0, Fraction(1, 7)),
+             ("COR3_M1", {"m": 1}, (1, 1), 1, Fraction(1, 45)),
+             ("COR3_M2", {"m": 2}, (1, 1), 2, Fraction(1, 186))]
+    for id_, params, a, m, scale in cases:
+        ev = eval_ak_lhs(a, 1.0, m, -0.5, CTX)
+        r = verify(id_, params, CTX)
+        assert r.lhs == float(Fraction(ev.value) * scale), (id_, params)
+        assert r.passed
 
 
 def test_report_json_fields():
