@@ -39,13 +39,14 @@ class IdentityCase:
     """One identity: its id, recipe and default parameter grid.
 
     ``recipe(params, ctx)`` computes both sides and returns the report fields
-    (lhs, rhs, abs_diff, bound, bound_kind).
+    (lhs, rhs, abs_diff, bound, bound_kind).  The grid is never empty, and
+    the keys of its first case are the parameters every case must give.
     """
 
     id: str
     description: str
     recipe: Callable[[dict, PrecisionContext], tuple]
-    grid: tuple = ()
+    grid: tuple
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,6 @@ class VerifySummary:
         return self.n_fail == 0
 
 
-def _comps(max_weight: int) -> list[Composition]:
-    return list(admissible_compositions(max_weight))
-
-
 def _exact(equal: bool, value: float) -> tuple:
     return value, value, 0.0 if equal else math.nan, 0.0, EXACT
 
@@ -112,24 +109,19 @@ def _times(scale, value) -> float:
 
 
 def _compare(lhs: Evaluation, rhs: Evaluation,
-             scale_l: float | Fraction = 1.0, scale_r: float = 1.0) -> tuple:
-    """Report fields for scale_l * lhs against scale_r * rhs.
+             scale: float | Fraction = 1.0) -> tuple:
+    """Report fields for scale * lhs against rhs.
 
-    The rhs value is rounded to float before it is scaled: APERY scales an
-    mpf zeta(3) by 7, and that rounding is part of its reported value.  The
-    bound counts half an ulp for each float rounding of a reported side: the
-    cast of an mpf value, and a product by a scale that is not a power of two.
-    A scale that no float holds is passed as an exact Fraction.
+    The bound counts half an ulp for each float rounding of a reported side:
+    the cast of an mpf value, and a product by a scale that is not a power of
+    two.  A scale that no float holds is passed as an exact Fraction.
     """
-    lv = _times(scale_l, lhs.value)
-    rf = float(rhs.value)
-    rv = _times(scale_r, rf)
-    bound = float(abs(scale_l) * lhs.bound + abs(scale_r) * rhs.bound)
-    if not (isinstance(lhs.value, float) and _power_of_two(scale_l)):
+    lv = _times(scale, lhs.value)
+    rv = float(rhs.value)
+    bound = float(abs(scale) * lhs.bound + rhs.bound)
+    if not (isinstance(lhs.value, float) and _power_of_two(scale)):
         bound += math.ulp(lv) / 2
     if not isinstance(rhs.value, float):
-        bound += abs(scale_r) * math.ulp(rf) / 2
-    if not _power_of_two(scale_r):
         bound += math.ulp(rv) / 2
     kind = ESTIMATED if ESTIMATED in (lhs.bound_kind, rhs.bound_kind) else RIGOROUS
     return lv, rv, abs(lv - rv), bound, kind
@@ -153,21 +145,13 @@ def _do_thm3(params, ctx):
     return _compare(lhs, rhs)
 
 
-def _do_xi_q(params, ctx):
-    q, m = params["q"], params["m"]
-    displayed = Composition.of(q + 1)
-    lhs = eval_ak_lhs((q,), 1.0, m, 0.0, ctx)
-    rhs = eval_ak_rhs(dual(displayed).alpha(), m, 0.0, ctx)
-    return _compare(lhs, rhs)
-
-
 def _do_eq53(params, ctx):
     c = params["alpha"]
     m = params["m"]
     a = c.alpha()
     lhs = eval_ak_lhs(dual(c).alpha(), 1.0, m, -0.5, ctx)
     rhs = zeta_combination(a, m, lambda k: eval_t(k, ctx))
-    return _compare(lhs, rhs, 2.0 ** (-m), 2.0 ** (sum(a) + 1))
+    return _compare(lhs, rhs, 2.0 ** -(sum(a) + 1 + m))
 
 
 def _do_cor2(params, ctx):
@@ -178,39 +162,11 @@ def _do_cor2(params, ctx):
     return _compare(lhs, oracle, scale)
 
 
-def _do_apery(params, ctx):
-    lhs = eval_ak_lhs((1,), 1.0, 1, -0.5, ctx)
-    oracle = zeta_em(3, 0.0, ctx)
-    return _compare(lhs, oracle, 0.5, 7.0)
-
-
-def _do_cor3(params, ctx):
-    m = params["m"]
-    lhs = eval_ak_lhs((1, 1), 1.0, m, -0.5, ctx)
-    scale = Fraction(2 ** (m + 1), 2**m * (m + 1) * (m + 2) * (2 ** (m + 3) - 1))
-    oracle = zeta_em(m + 3, 0.0, ctx)
-    return _compare(lhs, oracle, scale)
-
-
-def _do_cor4(params, ctx):
-    q, m = params["q"], params["m"]
-    lhs = eval_ak_lhs((q,), 1.0, m, -0.5, ctx)
-    rhs = zeta_combination((1,) * q, m, lambda k: eval_t(k, ctx))
-    return _compare(lhs, rhs, 2.0 ** (-(q + 1) - m))
-
-
 def _do_eq62(params, ctx):
     p, m, x = params["p"], params["m"], params["x"]
     lhs = eval_ak_lhs((1,), p, m, x, ctx)
     rhs = eval_euler_transform(p, m + 1, x, ctx)
     return _compare(lhs, rhs)
-
-
-def _do_eq63(params, ctx):
-    p, m = params["p"], params["m"]
-    lhs = eval_ak_lhs((1,), p, m, -0.5, ctx)
-    rhs = eval_euler_transform(p, m + 1, -0.5, ctx)
-    return _compare(lhs, rhs, 2.0 ** (-1 - m), 2.0 ** (-(m + 1)))
 
 
 _ARCSIN_TABLE = [
@@ -232,7 +188,7 @@ def _do_arcsin(params, ctx):
 
 
 def _do_clausen_m1(params, ctx):
-    p = params.get("p", 4.0)
+    p = params["p"]
     # the angles at the working precision: a float theta is off by up to an
     # ulp, which Cl_2' ~ 1 carries into the value past its bound
     wp = ctx.mp_ctx()
@@ -264,9 +220,8 @@ def _do_prop2(params, ctx):
 
 def _do_trelation(params, ctx):
     c = params["alpha"]
-    lhs = eval_t(c.parts, ctx)
-    rhs = eval_hurwitz_mzv(c, -0.5, ctx)
-    return _compare(lhs, rhs, 1.0, 2.0 ** (-c.weight))
+    return _compare(eval_hurwitz_mzv(c, -0.5, ctx), eval_t(c.parts, ctx),
+                    2.0 ** -c.weight)
 
 
 def _betaratio_exact(n: int, m: int, x: Fraction) -> bool:
@@ -316,7 +271,7 @@ def _do_bern_classic(params, ctx):
 
 def _do_genfun_b(params, ctx):
     # B^v_{2,m}(1/3) for m = 0..30 against the generating function at t = 1/10
-    v = params.get("v", Composition.of(1, 2))
+    v = params["v"]
     p, x, m_max = 2, Fraction(1, 3), 30
     polys = ak_bernoulli_polys(v, p, m_max)
     wp = DEFAULT_CTX.mp_ctx()  # 60 digits, whatever the working precision
@@ -342,55 +297,55 @@ def _do_genfun_b(params, ctx):
 
 # ---------------------------------------------------------------- catalog
 
-def _grid_thm3(max_weight=4):
-    return tuple({"alpha": c, "m": m, "x": x}
-                 for c in _comps(max_weight)
-                 for m in (0, 1, 2)
-                 for x in (0.0, 0.5, -0.5))
-
-
 def catalog() -> list[IdentityCase]:
+    """The identity families.  A corollary of a theorem runs the theorem's
+    recipe, with the corollary's fixed parameters written in its grid."""
+    comps = {w: list(admissible_compositions(w)) for w in (4, 5, 6)}
     return [
         IdentityCase("DUAL", "equality of a nested zeta value and its dual",
-                     _do_dual,
-                     tuple({"alpha": c} for c in _comps(6))),
+                     _do_dual, tuple({"alpha": c} for c in comps[6])),
         IdentityCase("THM3", "Bell-weighted beta sum vs shifted zeta combination",
-                     _do_thm3, _grid_thm3(4)),
+                     _do_thm3,
+                     tuple({"alpha": c, "m": m, "x": x} for c in comps[4]
+                           for m in (0, 1, 2) for x in (0.0, 0.5, -0.5))),
         IdentityCase("EQ13_X0", "x = 0 specialization of THM3",
                      _do_thm3,
                      tuple({"alpha": c, "m": m, "x": 0.0}
-                           for c in _comps(5) for m in (0, 1, 2))),
+                           for c in comps[5] for m in (0, 1, 2))),
         IdentityCase("XI_Q", "single-index Bell-weighted sum vs zeta combination",
-                     _do_xi_q,
-                     tuple({"q": q, "m": m} for q in (1, 2, 3) for m in (0, 1, 2))),
+                     _do_thm3,
+                     tuple({"alpha": dual(Composition.of(q + 1)), "m": m, "x": 0.0}
+                           for q in (1, 2, 3) for m in (0, 1, 2))),
         IdentityCase("EQ53", "inverse-binomial sum vs odd-zeta combination",
                      _do_eq53,
-                     tuple({"alpha": c, "m": m}
-                           for c in _comps(4) for m in (0, 1, 2))),
+                     tuple({"alpha": c, "m": m} for c in comps[4] for m in (0, 1, 2))),
         IdentityCase("COR2", "zeta(r+m+1) from an inverse-binomial sum",
                      _do_cor2,
                      tuple({"r": r, "m": m}
                            for (r, m) in ((1, 0), (1, 1), (1, 2), (2, 1), (3, 0)))),
         IdentityCase("APERY", "classical inverse-binomial series for zeta(3)",
-                     _do_apery, ({},)),
+                     _do_cor2, ({"r": 1, "m": 1},)),
         IdentityCase("COR3_M0", "7 zeta(3) from a harmonic-weighted binomial sum",
-                     _do_cor3, ({"m": 0},)),
+                     _do_cor2, ({"r": 2, "m": 0},)),
         IdentityCase("COR3_M1", "45 zeta(4) from a harmonic-weighted binomial sum",
-                     _do_cor3, ({"m": 1},)),
+                     _do_cor2, ({"r": 2, "m": 1},)),
         IdentityCase("COR3_M2", "93 zeta(5) from a harmonic-weighted binomial sum",
-                     _do_cor3, ({"m": 2},)),
+                     _do_cor2, ({"r": 2, "m": 2},)),
         IdentityCase("COR4_M0", "odd-zeta values from central-binomial sums, m = 0",
-                     _do_cor4, tuple({"q": q, "m": 0} for q in (1, 2, 3))),
+                     _do_eq53,
+                     tuple({"alpha": Composition.from_alpha((1,) * q), "m": 0} for q in (1, 2, 3))),
         IdentityCase("COR4_M1", "odd-zeta values from central-binomial sums, m = 1",
-                     _do_cor4, tuple({"q": q, "m": 1} for q in (1, 2))),
+                     _do_eq53,
+                     tuple({"alpha": Composition.from_alpha((1,) * q), "m": 1} for q in (1, 2))),
         IdentityCase("EQ62", "geometric Bell sum vs alternating harmonic sum",
                      _do_eq62,
                      tuple({"p": p, "m": m, "x": x}
                            for p in (2.0, 3.0, 4.0) for m in (0, 1, 2)
                            for x in (0.0, -0.5))),
         IdentityCase("EQ63", "x = -1/2 variant of the transform identity",
-                     _do_eq63,
-                     tuple({"p": p, "m": m} for p in (2.0, 3.0, 4.0) for m in (0, 1))),
+                     _do_eq62,
+                     tuple({"p": p, "m": m, "x": -0.5}
+                           for p in (2.0, 3.0, 4.0) for m in (0, 1))),
         IdentityCase("ARCSIN", "alternating odd-harmonic sums equal to pi^2/k",
                      _do_arcsin,
                      tuple({"p": p, "denom": d} for (p, d) in _ARCSIN_TABLE)),
@@ -406,11 +361,11 @@ def catalog() -> list[IdentityCase]:
                       {"alpha": Composition.of(1, 2), "x": 0.5, "z": 0.25},
                       {"alpha": Composition.of(3), "x": 0.25, "z": -0.25})),
         IdentityCase("GENFUN_B", "numeric generating-function consistency",
-                     _do_genfun_b, ({},)),
+                     _do_genfun_b, ({"v": Composition.of(1, 2)},)),
         IdentityCase("BERN_CLASSIC", "collapse to classical Bernoulli polynomials",
                      _do_bern_classic, ({},)),
         IdentityCase("TRELATION", "odd nested sums as rescaled shifted zeta values",
-                     _do_trelation, tuple({"alpha": c} for c in _comps(5))),
+                     _do_trelation, tuple({"alpha": c} for c in comps[5])),
     ]
 
 
@@ -427,7 +382,11 @@ def _case(id_: str) -> IdentityCase:
 def verify(id_: str, params: dict | None = None,
            ctx: PrecisionContext = DEFAULT_CTX) -> IdentityReport:
     case = _case(id_)
-    params = dict(params) if params else (dict(case.grid[0]) if case.grid else {})
+    params = dict(params) if params else dict(case.grid[0])
+    missing = case.grid[0].keys() - params.keys()
+    if missing:
+        raise DomainError(f"{id_} takes parameters {', '.join(case.grid[0])}; "
+                          f"missing {', '.join(sorted(missing))}")
     for key in ("alpha", "v"):  # the exponent-tuple parameters
         if key in params and not isinstance(params[key], Composition):
             params[key] = Composition(tuple(params[key]))
@@ -443,6 +402,6 @@ def verify_all(id_: str | None = None,
     """Every grid case of the family ``id_``, or of the whole catalog."""
     summary = VerifySummary()
     for case in (_CASES.values() if id_ is None else (_case(id_),)):
-        for params in case.grid or ({},):
+        for params in case.grid:
             summary.reports.append(verify(case.id, dict(params), ctx))
     return summary

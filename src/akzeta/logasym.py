@@ -41,8 +41,8 @@ __all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
 ORDER = 10  # kept Laurent depth beyond the leading exponent
 # the models are float series: their zeta and psi constants need float precision
 _FLOAT_CTX = PrecisionContext(digits=17)
-# B_i/i!, i = 0..ORDER+1: the Taylor coefficients of t/(e^t - 1), exact
-_BERNOULLI = tuple(bernoulli_over_factorial(i) for i in range(ORDER + 2))
+# B_i/i!, i = 0..ORDER: the Taylor coefficients of t/(e^t - 1), exact
+_BERNOULLI = tuple(bernoulli_over_factorial(i) for i in range(ORDER + 1))
 # B_2k/(2k)!, k = 1..5: the Euler-Maclaurin correction coefficients of ztail
 _EM_COEFF = [float(_BERNOULLI[2 * k]) for k in range(1, 6)]
 
@@ -130,7 +130,7 @@ def pow_shift(s: float, a: float) -> LogSeries:
     base = math.floor(s)
     out = LogSeries(shift=s - base)
     coef = 1.0
-    for k in range(ORDER + 3):
+    for k in range(ORDER + 1):
         if k > 0:
             coef *= (-s - k + 1) / k * a
         out.add_term(0, base + k, coef)
@@ -177,7 +177,7 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
 
 @memoized
 def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
-    """B_i(a)/i! for i = 0..ORDER+1, exact at the float a: the Taylor
+    """B_i(a)/i! for i = 0..ORDER, exact at the float a: the Taylor
     coefficients of e^(at) t/(e^t - 1).  One row per a serves every
     :func:`harmonic_model` order k."""
     f = _BERNOULLI
@@ -232,7 +232,7 @@ def harmonic_model(k: int, x: float) -> LogSeries:
         out = LogSeries({(1, 0): 1.0, (0, 0): -float(_FLOAT_CTX.mp_ctx().digamma(a))})
     else:
         out = LogSeries.const(float(zeta_em(k, x, _FLOAT_CTX).value))
-    for i in range(1 if k == 1 else 0, ORDER + 3 - k):
+    for i in range(1 if k == 1 else 0, ORDER + 2 - k):
         rising = Fraction(math.factorial(k + i - 2), math.factorial(k - 1))
         out.add_term(0, k - 1 + i, float((-1) ** (i + 1) * Ba[i] * rising))
     return out

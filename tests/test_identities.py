@@ -48,8 +48,33 @@ def test_verify_unknown_id():
 def test_verify_apery():
     r = verify("APERY", None, CTX)
     assert r.passed
-    assert abs(r.rhs - 8.414398322117961) < 1e-9  # 7 zeta(3)
+    assert abs(r.rhs - 1.2020569031595942) < 1e-15  # zeta(3)
     assert r.abs_diff <= 1e-6
+
+
+def test_derived_families_run_their_general_identity():
+    # each corollary family is its theorem at fixed parameters, and reports
+    # exactly what the theorem's family reports there
+    general = {"XI_Q": "THM3", "COR3_M0": "COR2", "COR3_M1": "COR2",
+               "COR3_M2": "COR2", "APERY": "COR2", "COR4_M0": "EQ53",
+               "COR4_M1": "EQ53", "EQ63": "EQ62"}
+    fields = ("lhs", "rhs", "abs_diff", "bound", "bound_kind")
+    for case in catalog():
+        for params in case.grid if case.id in general else ():
+            derived = verify(case.id, params)
+            theorem = verify(general[case.id], params)
+            assert derived.passed, (case.id, params)
+            assert ([getattr(derived, f) for f in fields]
+                    == [getattr(theorem, f) for f in fields]), (case.id, params)
+
+
+def test_verify_names_missing_parameters():
+    with pytest.raises(DomainError, match="alpha, m, x; missing m, x"):
+        verify("THM3", {"alpha": (2,)}, CTX)
+    with pytest.raises(DomainError, match="missing alpha"):
+        verify("XI_Q", {"q": 1, "m": 0}, CTX)
+    with pytest.raises(DomainError, match="missing p"):
+        verify("CLAUSEN_M1", {"m": 1}, CTX)
 
 
 def test_verify_arcsin_rows():
@@ -81,9 +106,9 @@ def test_cor_scales_round_once():
              ("COR2", {"r": 1, "m": 2}, (1,), 2, Fraction(1, 45)),
              ("COR2", {"r": 2, "m": 1}, (1, 1), 1, Fraction(1, 45)),
              ("COR2", {"r": 3, "m": 0}, (1, 1, 1), 0, Fraction(1, 15)),
-             ("COR3_M0", {"m": 0}, (1, 1), 0, Fraction(1, 7)),
-             ("COR3_M1", {"m": 1}, (1, 1), 1, Fraction(1, 45)),
-             ("COR3_M2", {"m": 2}, (1, 1), 2, Fraction(1, 186))]
+             ("COR3_M0", {"r": 2, "m": 0}, (1, 1), 0, Fraction(1, 7)),
+             ("COR3_M1", {"r": 2, "m": 1}, (1, 1), 1, Fraction(1, 45)),
+             ("COR3_M2", {"r": 2, "m": 2}, (1, 1), 2, Fraction(1, 186))]
     for id_, params, a, m, scale in cases:
         ev = eval_ak_lhs(a, 1.0, m, -0.5, CTX)
         r = verify(id_, params, CTX)
