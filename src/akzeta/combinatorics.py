@@ -41,6 +41,16 @@ class Composition:
         return cls(tuple(parts))
 
     @classmethod
+    def coerce(cls, c) -> "Composition":
+        """``c`` itself if it is a Composition, else its tuple validated as one."""
+        if isinstance(c, cls):
+            return c
+        try:
+            return cls(tuple(c))
+        except TypeError:
+            raise DomainError(f"exponents must be a tuple of positive integers, got {c!r}") from None
+
+    @classmethod
     def parse(cls, literal: str) -> "Composition":
         """Parse a comma-separated literal such as ``"1,2,2,4"``."""
         try:

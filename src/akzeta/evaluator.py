@@ -42,15 +42,6 @@ _ROUNDOFF_UNIT = 2.0 ** -63   # unit of the stopping tolerance, as the cutoffs w
 _FIRST_RUNG = 32
 
 
-def _as_parts(c) -> tuple[int, ...]:
-    """The exponent tuple of ``c``, validated as a :class:`Composition`: a
-    non-empty tuple of positive integers."""
-    try:
-        return (c if isinstance(c, Composition) else Composition(tuple(c))).parts
-    except TypeError:
-        raise DomainError(f"exponents must be a tuple of positive integers, got {c!r}") from None
-
-
 def _integer(v, least: int, name: str) -> int:
     """``v`` as an int; fractional, non-finite or smaller values than
     ``least`` are rejected."""
@@ -175,7 +166,7 @@ def _dp_em_tail(weights: list[list[int]], tails: list, q: int) -> tuple:
 
 def _convergent_parts(parts) -> tuple[int, ...]:
     """The exponent tuple of ``parts``, whose outer sum must converge."""
-    e = _as_parts(parts)
+    e = Composition.coerce(parts).parts
     if e[-1] < 2:
         raise DivergenceError(f"outer exponent must exceed 1: {e}")
     return e
@@ -225,7 +216,7 @@ def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
 
 def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Multiple polylogarithm: sum over n_1 < ... < n_q of z^{n_q} / prod n_i^{e_i}."""
-    e = _as_parts(parts)
+    e = Composition.coerce(parts).parts
     zf = float(z)
     if zf == 1.0:
         return eval_hurwitz_mzv(e, 0.0, ctx)
@@ -274,6 +265,9 @@ def _ak_lhs_p1(a: tuple[int, ...], m: int, x: float, rungs: tuple[int, ...]) -> 
     models = [pow_shift(float(ai), 0.0) for ai in a]
     models[-1] = beta_model(x) * bell_p_models(m, x)[m] * models[-1]
     tails = nested_tail_series(models)
+    if not all(math.isfinite(c) for pair in tails for s in pair
+               for band in s.bands.values() for c in band):
+        raise DomainError(f"the tail model of B(n, 1+x) overflows a float at x = {x}")
 
     def rung(N):
         B, P = _outer_arrays(N, m, x)
@@ -291,7 +285,7 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
         sum_{n_1 < ... < n_r} B(n_r,1+x) P_m(H-row(n_r)) p^{-n_r}
                               / (n_1^{a_1} ... n_r^{a_r}).
     """
-    a = _as_parts(alpha)
+    a = Composition.coerce(alpha).parts
     xf = real_shift(x)
     pf = float(p)
     m = _integer(m, 0, "m")
@@ -341,7 +335,7 @@ def zeta_combination(alpha, m: int,
     """The weighted sum of :func:`eval_ak_rhs` with ``zeta(c)`` evaluating
     each index c = (a_1+d_1, ..., a_q+d_q+1); the bound is the weighted sum
     of the parts' bounds plus the round-off of the float sum."""
-    a = _as_parts(alpha)
+    a = Composition.coerce(alpha).parts
     m = _integer(m, 0, "m")
     total = 0.0
     bound = 0.0
@@ -406,7 +400,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     z^m is :func:`eval_ak_lhs` at p = 1 and order m, indexed by the dual tuple.
     Valid for |z| < 1 + x; the truncation remainder is a geometric estimate.
     """
-    c = Composition(_as_parts(alpha))
+    c = Composition.coerce(alpha)
     xf, zf = real_shift(x), float(z)
     m_terms = _integer(m_terms, 1, "m_terms")
     if not abs(zf) < 1.0 + xf:

@@ -214,7 +214,7 @@ def _do_prop2(params, ctx):
     c = params["alpha"]
     x, z = params["x"], params["z"]
     lhs = eval_hurwitz_mzv(c, x - z, ctx)
-    rhs = eval_prop2_series(c, x, z, params.get("m_terms", 24), ctx)
+    rhs = eval_prop2_series(c, x, z, params["m_terms"], ctx)
     return _compare(lhs, rhs)
 
 
@@ -357,9 +357,9 @@ def catalog() -> list[IdentityCase]:
                      _do_prop7, ({},)),
         IdentityCase("PROP2", "power-series expansion of the shifted zeta value",
                      _do_prop2,
-                     ({"alpha": Composition.of(2), "x": 0.5, "z": 0.25},
-                      {"alpha": Composition.of(1, 2), "x": 0.5, "z": 0.25},
-                      {"alpha": Composition.of(3), "x": 0.25, "z": -0.25})),
+                     ({"alpha": Composition.of(2), "x": 0.5, "z": 0.25, "m_terms": 24},
+                      {"alpha": Composition.of(1, 2), "x": 0.5, "z": 0.25, "m_terms": 24},
+                      {"alpha": Composition.of(3), "x": 0.25, "z": -0.25, "m_terms": 24})),
         IdentityCase("GENFUN_B", "numeric generating-function consistency",
                      _do_genfun_b, ({"v": Composition.of(1, 2)},)),
         IdentityCase("BERN_CLASSIC", "collapse to classical Bernoulli polynomials",
@@ -383,13 +383,15 @@ def verify(id_: str, params: dict | None = None,
            ctx: PrecisionContext = DEFAULT_CTX) -> IdentityReport:
     case = _case(id_)
     params = dict(params) if params else dict(case.grid[0])
-    missing = case.grid[0].keys() - params.keys()
-    if missing:
-        raise DomainError(f"{id_} takes parameters {', '.join(case.grid[0])}; "
-                          f"missing {', '.join(sorted(missing))}")
+    missing = sorted(case.grid[0].keys() - params.keys())
+    unknown = sorted(params.keys() - case.grid[0].keys())
+    if missing or unknown:
+        raise DomainError(f"{id_} takes parameters {', '.join(case.grid[0]) or 'none'}; "
+                          f"missing {', '.join(missing) or 'none'}, "
+                          f"unknown {', '.join(unknown) or 'none'}")
     for key in ("alpha", "v"):  # the exponent-tuple parameters
-        if key in params and not isinstance(params[key], Composition):
-            params[key] = Composition(tuple(params[key]))
+        if key in params:
+            params[key] = Composition.coerce(params[key])
     t0 = time.perf_counter()
     lhs, rhs, diff, bound, kind = case.recipe(params, ctx)
     return IdentityReport(id=id_, params=params, lhs=lhs, rhs=rhs, abs_diff=diff,

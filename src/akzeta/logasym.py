@@ -1,16 +1,15 @@
 """Asymptotic log-Laurent series and exact Euler-Maclaurin tails for nested
 prefix sums.
 
-A series here is a finite sum of terms  c * ln(n)^j * n^-(k + shift)  stored
-as a mapping of integer pairs (j, k) -> c, with one fractional shift in
-[0, 1) held by the whole series.  The shift is non-zero only for the beta
-factor's exponent a = 1 + x and the products and tails built from it; a
-product adds the shifts and carries their integer part into k, so an
-exponent near the pole s = 1 keeps every bit of a.  Weight functions of the
-summation engine (shifted power weights, beta factors, harmonic numbers,
-Bell polynomials thereof) all admit asymptotic expansions in this ring, and
-the models of the beta factor and the harmonic numbers are closed forms
-(DLMF 5.11.17 and 25.11.43).  This lets the tail of a nested sum
+A series here is a finite sum of terms  c * ln(n)^j * n^-(k + shift)  held
+as log-power bands, bands[k][j] = c, with one fractional shift in [0, 1)
+held by the whole series.  The shift is non-zero only for the beta
+factor's exponent a = 1 + x and what is built from it; a product carries
+the integer part of its shifts into k, so an exponent near the pole s = 1
+keeps every bit of a.  The weights of the summation engine (shifted powers,
+beta factors, Bell polynomials of harmonic numbers) all expand in this
+ring, by closed forms (DLMF 5.11.17 and 25.11.43).  This lets the tail of a
+nested sum
 
     sum_{n > M} S_{q-1}(n) g_q(n),   S_i(n) = sum_{j < n} S_{i-1}(j) g_i(j)
 
@@ -19,9 +18,10 @@ be peeled level by level:
     T_i(M) = S_{i-1}(M+1) * Z_i(M) + T_{i-1}(M),
 
 where Z_i = tail-sum of the current weight and the next level's weight picks
-up the symbolic factor Z_i.  Every tail-sum of a single term is a closed-form
-Euler-Maclaurin sum, so the result is exact up to the (tiny) EM and
-truncation remainders, which are tracked and reported as the error estimate.
+up the symbolic factor Z_i.  The tail-sum of a band is one closed-form
+Euler-Maclaurin map of its coefficients, so the result is exact up to the
+(tiny) EM and truncation remainders, which are tracked and reported as the
+error estimate.
 """
 
 from __future__ import annotations
@@ -48,56 +48,45 @@ _EM_COEFF = [float(_BERNOULLI[2 * k]) for k in range(1, 6)]
 
 
 class LogSeries:
-    """Finite sum of terms c * ln(n)^j * n^-(k + shift): integer keys (j, k)
-    and one fractional shift in [0, 1) shared by the whole series.  The
-    models are memoized and share what they return: never mutate a series."""
+    """Finite sum of terms c * ln(n)^j * n^-(k + shift), held as log-power
+    bands ``bands[k][j] = c`` with no all-zero band, and one fractional shift
+    in [0, 1) shared by the whole series.  The models are memoized and share
+    what they return: never mutate a series."""
 
-    __slots__ = ("terms", "shift")
+    __slots__ = ("bands", "shift")
 
-    def __init__(self, terms=None, shift: float = 0.0):
-        self.terms: dict[tuple[int, int], float] = dict(terms or {})
+    def __init__(self, bands: dict[int, list[float]], shift: float = 0.0):
+        self.bands = {k: b for k, b in bands.items() if any(b)}
         self.shift = shift
-
-    @classmethod
-    def const(cls, c: float) -> "LogSeries":
-        return cls({(0, 0): float(c)})
-
-    def _kmin(self):
-        return min((k for _, k in self.terms), default=math.inf)
 
     @property
     def lead(self) -> float:
-        return self._kmin() + self.shift
-
-    def add_term(self, j: int, k: int, c: float):
-        if c == 0.0:
-            return
-        key = (j, k)
-        self.terms[key] = self.terms.get(key, 0.0) + c
-        if self.terms[key] == 0.0:
-            del self.terms[key]
+        return min(self.bands, default=math.inf) + self.shift
 
     def __add__(self, other: "LogSeries") -> "LogSeries":
         if other.shift != self.shift:
             raise DomainError("cannot add series with different shifts")
-        out = LogSeries(self.terms, self.shift)
-        for (j, k), c in other.terms.items():
-            out.add_term(j, k, c)
-        return out
+        bands = {k: list(b) for k, b in self.bands.items()}
+        for k, b in other.bands.items():
+            _accumulate(bands, k, b)
+        return LogSeries(bands, self.shift)
 
     def scaled(self, factor: float) -> "LogSeries":
-        return LogSeries({key: c * factor for key, c in self.terms.items()}, self.shift)
+        return LogSeries({k: [c * factor for c in b] for k, b in self.bands.items()}, self.shift)
 
     def __mul__(self, other: "LogSeries") -> "LogSeries":
-        cap = self._kmin() + other._kmin() + ORDER
+        """Band convolution, up to the sum of the two leading bands + ORDER."""
+        cap = min(self.bands, default=math.inf) + min(other.bands, default=math.inf) + ORDER
         shift = self.shift + other.shift
         carry = int(shift >= 1.0)
-        out = LogSeries(shift=shift - carry)
-        for (j1, k1), c1 in self.terms.items():
-            for (j2, k2), c2 in other.terms.items():
-                if k1 + k2 <= cap:
-                    out.add_term(j1 + j2, k1 + k2 + carry, c1 * c2)
-        return out
+        out = {}
+        for k1, b1 in self.bands.items():
+            for k2, b2 in other.bands.items():
+                if k1 + k2 > cap:
+                    continue
+                for j1, c1 in enumerate(b1):  # c1 ln(n)^j1 raises b2's log powers by j1
+                    _accumulate(out, k1 + k2 + carry, [0.0] * j1 + b2 if j1 else b2, c1)
+        return LogSeries(out, shift - carry)
 
     def __call__(self, M: float) -> float:
         return self.at(M)[0]
@@ -109,70 +98,82 @@ class LogSeries:
         exponent, which estimates the truncation."""
         logM = math.log(M)
         Ms = M ** -self.shift
-        kmax = max((k for _, k in self.terms), default=0)
-        total = size = band = 0.0
-        for (j, k), c in self.terms.items():
-            term = c * logM**j * M ** -k * Ms
-            total += term
-            size += abs(term)
-            if k >= kmax - 1:
-                band += abs(term)
-        return total, size, band
+        kmax = max(self.bands, default=0)
+        total = size = deep = 0.0
+        for k, b in self.bands.items():
+            Mk = M ** -k
+            for j in range(len(b) - 1, -1, -1) if len(b) > 1 else (0,):  # top log power first
+                term = b[j] * logM**j * Mk * Ms
+                total += term
+                size += abs(term)
+                if k >= kmax - 1:
+                    deep += abs(term)
+        return total, size, deep
 
-    def __repr__(self) -> str:
-        parts = sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        body = " + ".join(f"{c:.6g}*ln^{j}*n^-{k + self.shift:g}" for (j, k), c in parts)
-        return f"LogSeries({body or '0'})"
+
+def _accumulate(bands: dict[int, list[float]], k: int, b: list[float], scale: float = 1.0):
+    """bands[k] += scale * b, padding with zeros; bands[k] must be a list
+    made for the series under construction."""
+    band = bands.get(k)
+    if band is None:
+        bands[k] = [scale * b[0]] if len(b) == 1 else [scale * c for c in b]
+    elif len(b) == 1:  # the usual band of one term, without the loop
+        band[0] += scale * b[0]
+    else:
+        band.extend([0.0] * (len(b) - len(band)))
+        for j, c in enumerate(b):
+            band[j] += scale * c
 
 
 def pow_shift(s: float, a: float) -> LogSeries:
     """(n+a)^(-s) expanded around n = infinity."""
     base = math.floor(s)
-    out = LogSeries(shift=s - base)
-    coef = 1.0
-    for k in range(ORDER + 1):
-        if k > 0:
-            coef *= (-s - k + 1) / k * a
-        out.add_term(0, base + k, coef)
-    return out
+    coef = [1.0]
+    for k in range(1, ORDER + 1):
+        coef.append(coef[-1] * ((-s - k + 1) / k * a))
+    return LogSeries({base + k: [c] for k, c in enumerate(coef)}, s - base)
 
 
 def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     """Symbolic sum_{n > M} series(n) as a LogSeries in M.
 
-    Each term f(n) = c ln(n)^j n^-s sums by Euler-Maclaurin in closed form:
-    the integral sum_i c j!/i! ln(M)^i M^(1-s) / (s-1)^(j-i+1), then -f(M)/2
-    and -B_2r/(2r)! f^(2r-1)(M) for r = 1..4, where f^(r)(M) is
-    M^(-s-r) sum_i d_i ln(M)^i and each derivative maps d_i to
-    (i+1) d_(i+1) - (s+r-1) d_i.  s - 1 is (k - 1) + shift, exact near the
-    pole s = 1.  Returns (tail, err) where err collects the magnitude of the
-    first omitted correction of every term.
+    Each band f(n) = n^-s sum_j b_j ln(n)^j sums by Euler-Maclaurin as one
+    linear map of b: the integral M^(1-s) sum_j t_j ln(M)^j with
+    t_j = (b_j + (j+1) t_(j+1)) / (s-1), then -f(M)/2 as -b/2, and
+    -B_2r/(2r)! f^(2r-1)(M) for r = 1..4, where f^(r)(M) is
+    M^(-s-r) sum_j d_j ln(M)^j and each derivative maps d_j to
+    (j+1) d_(j+1) - (s+r-1) d_j.  s - 1 is (k - 1) + shift, exact near the
+    pole s = 1.  Returns (tail, err), where err sums over the terms the
+    magnitude of the first omitted correction: one term's derivatives never
+    cancel, so that is the map e_j -> (j+1) e_(j+1) + (s+r-1) e_j on |b|.
     """
     shift = series.shift
     if series.lead <= 1.0:
         raise DomainError(f"tail sum requires decay exponent > 1, got {series.lead}")
-    cap = series._kmin() - 1 + ORDER
-    tail = LogSeries(shift=shift)
-    err = LogSeries(shift=shift)
-    for (j, k), c in series.terms.items():
+    cap = min(series.bands, default=0) - 1 + ORDER
+    tail, err = {}, {}
+    for k, b in series.bands.items():
         if k - 1 > cap:
             continue
+        n = len(b)
         sm1 = k - 1 + shift
-        coef = c / sm1
-        for i in range(j, -1, -1):
-            tail.add_term(i, k - 1, coef * math.perm(j, j - i) / sm1 ** (j - i))
-        tail.add_term(j, k, -0.5 * c)
-        d = [0.0] * j + [c]
+        t, acc = [0.0] * n, 0.0
+        for j in range(n - 1, -1, -1):  # t_j from the top log power down
+            t[j] = acc = (b[j] + (j + 1) * acc) / sm1
+        _accumulate(tail, k - 1, t)
+        _accumulate(tail, k, b, -0.5)
+        d, e = list(b), list(map(abs, b))  # f^(r) and its magnitude, in place
         for r in range(1, 10):
             sr = k + r - 1 + shift
-            d = [(i + 1) * d[i + 1] - sr * d[i] for i in range(j)] + [-sr * d[j]]
-            if r == 9:  # the first omitted correction
-                for i in range(j, -1, -1):
-                    err.add_term(i, k + r, abs(_EM_COEFF[4] * d[i]))
-            elif r % 2 and k + r <= cap:
-                for i in range(j, -1, -1):
-                    tail.add_term(i, k + r, -_EM_COEFF[r // 2] * d[i])
-    return tail, err
+            for j in range(n - 1):
+                d[j] = (j + 1) * d[j + 1] - sr * d[j]
+                e[j] = (j + 1) * e[j + 1] + sr * e[j]
+            d[-1] *= -sr
+            e[-1] *= sr
+            if r % 2 and r < 9 and k + r <= cap:
+                _accumulate(tail, k + r, d, -_EM_COEFF[r // 2])
+        _accumulate(err, k + 9, e, _EM_COEFF[4])
+    return LogSeries(tail, shift), LogSeries(err, shift)
 
 
 @memoized
@@ -205,14 +206,17 @@ def beta_model(x: float) -> LogSeries:
     g = [Fraction(1)]  # B_k^(1-a)/k!
     for k in range(1, len(f)):
         g.append(sum(((2 - A) * i - k) * f[i] * g[k - i] for i in range(1, k + 1)) / k)
-    amp = math.gamma(a)
+    try:
+        amp = math.gamma(a)
+    except OverflowError:
+        raise DomainError(f"Gamma(1 + x) overflows a float at x = {x}") from None
     base = math.floor(a)
-    out = LogSeries(shift=a - base)
+    bands = {}
     binom = Fraction(1)  # C(-a, k) k!
     for k, gk in enumerate(g):
-        out.add_term(0, base + k, amp * float(binom * gk))
+        bands[base + k] = [amp * float(binom * gk)]
         binom *= -A - k
-    return out
+    return LogSeries(bands, a - base)
 
 
 @memoized
@@ -229,13 +233,13 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     a = 1.0 + x
     Ba = _bernoulli_at(a)
     if k == 1:
-        out = LogSeries({(1, 0): 1.0, (0, 0): -float(_FLOAT_CTX.mp_ctx().digamma(a))})
+        bands = {0: [-float(_FLOAT_CTX.mp_ctx().digamma(a)), 1.0]}
     else:
-        out = LogSeries.const(float(zeta_em(k, x, _FLOAT_CTX).value))
+        bands = {0: [float(zeta_em(k, x, _FLOAT_CTX).value)]}
     for i in range(1 if k == 1 else 0, ORDER + 2 - k):
         rising = Fraction(math.factorial(k + i - 2), math.factorial(k - 1))
-        out.add_term(0, k - 1 + i, float((-1) ** (i + 1) * Ba[i] * rising))
-    return out
+        bands[k - 1 + i] = [float((-1) ** (i + 1) * Ba[i] * rising)]
+    return LogSeries(bands)
 
 
 @memoized
@@ -247,7 +251,7 @@ def bell_p_models(m: int, x: float) -> tuple[LogSeries, ...]:
     call recurses deeper than one level.
     """
     if m == 0:
-        return (LogSeries.const(1.0),)
+        return (LogSeries({0: [1.0]}),)
     for j in range(m):
         lower = bell_p_models(j, x)
     s = harmonic_model(1, x) * lower[m - 1]
@@ -263,13 +267,9 @@ def nested_tail_series(models: Sequence[LogSeries]) -> list[tuple[LogSeries, Log
     of the result is the tail that multiplies S_i(M+1).  The series do not
     depend on M, so one call serves every cutoff.
     """
-    tails = []
-    G = models[-1]
-    for i in range(len(models) - 1, 0, -1):
-        Z, zerr = ztail(G)
-        tails.append((Z, zerr))
-        G = models[i - 1] * Z
-    tails.append(ztail(G))
+    tails = [ztail(models[-1])]
+    for g in reversed(models[:-1]):
+        tails.append(ztail(g * tails[-1][0]))
     return tails[::-1]
 
 
@@ -285,8 +285,7 @@ def nested_tail_sum(S_vals: Sequence[float], tails: Sequence[tuple[LogSeries, Lo
     if len(S_vals) != len(tails):
         raise DomainError("need S_0..S_{q-1} at the cutoff")
     Mf = float(M)
-    total = 0.0
-    err = 0.0
+    total = err = 0.0
     for S, (Z, zerr) in zip(reversed(S_vals), reversed(tails)):
         z, size, band = Z.at(Mf)
         total += S * z

@@ -16,6 +16,7 @@ Appell sequence.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -210,7 +211,7 @@ def li_series(v: Composition, M: int) -> TruncSeries:
     return TruncSeries(coeffs, M)
 
 
-def ak_bernoulli_polys(v: Composition, p, m_max: int) -> list[PolyRat]:
+def ak_bernoulli_polys(v, p, m_max: int) -> list[PolyRat]:
     """Polynomials B^v_{p,m}(x) for m = 0..m_max, exact in x.
 
     Their values at x = 0 are
@@ -218,11 +219,15 @@ def ak_bernoulli_polys(v: Composition, p, m_max: int) -> list[PolyRat]:
     coefficients of :func:`li_series`; each polynomial is the Appell sum of
     those.
     """
-    p = Fraction(p)
+    v = Composition.coerce(v)
+    try:
+        p = Fraction(p)
+    except (ValueError, OverflowError, TypeError):
+        raise DomainError(f"p must be a finite rational, got {p!r}") from None
     if p < 1:
         raise DomainError("p must be >= 1")
-    if m_max < 0:
-        raise DomainError("m_max must be non-negative")
+    if not (isinstance(m_max, numbers.Integral) and m_max >= 0):
+        raise DomainError(f"m_max must be a non-negative integer, got {m_max!r}")
     c = li_series(v, max(m_max + 1, v.depth)).coeffs
     at_zero = [(-1) ** i * sum(c[n] / p**n * d_operator(n, -i, 0) for n in range(1, i + 2))
                for i in range(m_max + 1)]

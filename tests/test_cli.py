@@ -119,6 +119,14 @@ def test_eval_shift_at_the_cap_exits_2(capsys):
         assert "cutoff cap" in err
 
 
+def test_eval_ak_overflowing_tail_model_exits_2(capsys):
+    # below the cap, but Gamma(1+x) in the p = 1 tail model overflows a float
+    for x in ("150", "200"):
+        code, out, err = run(capsys, "--json", "eval", "ak", "--v", "1", "--p", "1", "--x", x)
+        assert code == 2 and out == ""
+        assert f"x = {float(x)}" in err
+
+
 def test_bpoly(capsys):
     code, out, _ = run(capsys, "bpoly", "--v", "1", "--p", "1", "--m", "1")
     assert code == 0

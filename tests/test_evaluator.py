@@ -309,6 +309,22 @@ def test_p1_sums_reject_shifts_at_the_cap():
         eval_prop2_series(Composition.of(2), 128.0, 0.25, 4, PrecisionContext(default_cutoff=128))
 
 
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("x", [146, 150, 170, 200])
+def test_p1_sums_at_large_shifts_are_bounded_or_refused(x, m):
+    # below the cap, but the tail model of B(n, 1+x) carries Gamma(1+x) and
+    # coefficients that grow like x^2k: where they overflow a float the sum
+    # must refuse, naming the shift, and otherwise stay within its bound
+    try:
+        ev = eval_ak_lhs((1,), 1, m, x)
+    except DomainError as exc:
+        assert f"x = {float(x)}" in str(exc)
+        return
+    with mp.workdps(30):
+        exact = (m + 1) * mp.zeta(m + 2, 1 + x)
+    assert abs(ev.value - exact) <= ev.bound
+
+
 def test_prop2_series_reproduces_shift():
     lhs = eval_hurwitz_mzv((2,), 0.25, CTX)
     rhs = eval_prop2_series(Composition.of(2), 0.5, 0.25, 16, CTX)

@@ -77,6 +77,15 @@ def test_verify_names_missing_parameters():
         verify("CLAUSEN_M1", {"m": 1}, CTX)
 
 
+def test_verify_rejects_unknown_parameters():
+    # a misspelt m_terms must not run silently with some default
+    with pytest.raises(DomainError, match="alpha, x, z, m_terms; missing m_terms, unknown m_term$"):
+        verify("PROP2", {"alpha": (2,), "x": 0.5, "z": 0.25, "m_term": 3}, CTX)
+    # EQ62 is the p-only family: an alpha would be reported but never summed
+    with pytest.raises(DomainError, match="unknown alpha"):
+        verify("EQ62", {"p": 2.0, "m": 0, "x": 0.0, "alpha": (5,)}, CTX)
+
+
 def test_verify_arcsin_rows():
     import math
     for p, denom in [(4.0, 36), (2.0, 16)]:

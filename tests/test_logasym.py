@@ -11,16 +11,16 @@ from akzeta.logasym import (LogSeries, pow_shift, ztail,
 
 
 def test_logseries_ring_basics():
-    a = LogSeries({(0, 2): 1.0})
-    b = LogSeries({(1, 1): 2.0})
+    a = LogSeries({2: [1.0]})
+    b = LogSeries({1: [0.0, 2.0]})
     prod = a * b
-    assert prod.terms == {(1, 3): 2.0}
+    assert prod.bands == {3: [0.0, 2.0]}
     s = a + a.scaled(-1.0)
-    assert s.terms == {}
+    assert s.bands == {}
     assert a.lead == 2.0
     # shifts add, and their integer part moves into the integer exponents
-    c = LogSeries({(0, 1): 3.0}, shift=0.5) * LogSeries({(0, 1): 2.0}, shift=0.75)
-    assert (c.terms, c.shift) == ({(0, 3): 6.0}, 0.25)
+    c = LogSeries({1: [3.0]}, shift=0.5) * LogSeries({1: [2.0]}, shift=0.75)
+    assert (c.bands, c.shift) == ({3: [6.0]}, 0.25)
 
 
 def test_pow_shift_accuracy():
@@ -40,7 +40,7 @@ def test_ztail_simple_power():
 
 def test_ztail_with_logs():
     # sum_{n > M} ln(n)/n^2 against a high-precision reference
-    t, _ = ztail(LogSeries({(1, 2): 1.0}))
+    t, _ = ztail(LogSeries({2: [0.0, 1.0]}))
     M = 80
     with mp.workdps(40):
         full = -mp.diff(lambda s: mp.zeta(s), 2)
@@ -54,10 +54,33 @@ def test_ztail_near_the_pole():
     # at s = 1 + a; the tail's 1/a^(j+1) must not amplify a rounded exponent
     a, M = 0.1, 100
     for j in range(5):
-        t, _ = ztail(LogSeries({(j, 1): 1.0}, shift=a))
+        t, _ = ztail(LogSeries({1: [0.0] * j + [1.0]}, shift=a))
         with mp.workdps(30):
             ref = (-1) ** j * mp.zeta(1 + mp.mpf(a), M + 1, derivative=j)
         assert abs(t(M) - ref) <= 2e-15 * abs(ref), j
+
+
+def test_ztail_of_a_band_is_the_sum_over_its_terms():
+    # a band with several log powers, mixed signs and a shift sums term by
+    # term; err is the sum over the terms of each one's omitted correction
+    shift = 0.3
+    series = LogSeries({2: [0.7, -1.3], 3: [0.0, 2.1, -0.4, 0.9]}, shift=shift)
+    single = [ztail(LogSeries({k: [0.0] * j + [c]}, shift=shift))
+              for k, b in series.bands.items() for j, c in enumerate(b) if c]
+    tail, err = ztail(series)
+    for M in (20.0, 64.0, 1000.0):
+        ref = math.fsum(t(M) for t, _ in single)
+        assert abs(tail(M) - ref) <= 1e-15 * abs(ref)
+        ref_err = math.fsum(e(M) for _, e in single)
+        assert abs(err(M) - ref_err) <= 1e-15 * ref_err
+
+
+@pytest.mark.parametrize("M", [32, 100])
+def test_ztail_deepest_band_is_its_last_em_correction(M):
+    # sum_{n > M} n^-2 keeps EM corrections up to B_8/8! f^(7)(M) = M^-9/30,
+    # and no zero band is stored past it, so that is the deepest band
+    deep = ztail(pow_shift(2.0, 0.0))[0].at(M)[2]
+    assert deep == pytest.approx(M**-9 / 30, rel=1e-15)
 
 
 def test_ztail_requires_convergence():
@@ -93,7 +116,7 @@ def test_harmonic_constant_matches_mpmath_zeta():
         for x in (0.5, 0.25, -0.5):
             with mp.workdps(30):
                 ref = float(mp.zeta(k, 1 + x))
-            assert harmonic_model(k, x).terms[(0, 0)] == ref
+            assert harmonic_model(k, x).bands[0][0] == ref
 
 
 def test_bell_p_models_match_exact_rows():

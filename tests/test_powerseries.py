@@ -96,6 +96,16 @@ def test_ak_bernoulli_basic_shapes():
     assert ak_bernoulli_polys(Composition.of(1, 1, 3), 2, 1) == [PolyRat(), PolyRat()]
     with pytest.raises(DomainError):
         ak_bernoulli_polys(Composition.of(1), 0, 2)
+    for p in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite rational"):
+            ak_bernoulli_polys(Composition.of(1), p, 2)
+    with pytest.raises(DomainError, match="m_max"):
+        ak_bernoulli_polys(Composition.of(1), 2, 2.5)
+    # a plain tuple is taken as a Composition, a bad one refused
+    assert ak_bernoulli_polys((1, 2), 2, 3) == ak_bernoulli_polys(Composition.of(1, 2), 2, 3)
+    for v in ((1, 0), (), 2):
+        with pytest.raises(DomainError):
+            ak_bernoulli_polys(v, 2, 3)
 
 
 def test_ak_bernoulli_at_one_is_kaneko_poly_bernoulli():
