@@ -12,13 +12,10 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath as mp
-
 from .combinatorics import Composition, dual
 from .errors import DomainError
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                         eval_euler_transform)
-from .identities import verify_all
 from .numerics import Evaluation, PrecisionContext
 from .powerseries import ak_bernoulli_polys
 
@@ -35,11 +32,12 @@ def _print_eval(ev: Evaluation, args, ctx: PrecisionContext):
             "cutoff": ev.cutoff_used,
         }))
         return
+    wp = ctx.mp_ctx()  # loads mpmath, which JSON output does without
     # a float is exact in the working context, whatever mpmath's global precision
     if isinstance(ev.value, float):
-        value = mp.nstr(ctx.mp_ctx().mpf(ev.value), min(args.precision, 17))
+        value = wp.nstr(wp.mpf(ev.value), min(args.precision, 17))
     else:  # an mpf at the working precision: mp.mpf would round it to 15 digits
-        value = mp.nstr(ev.value, args.precision)
+        value = wp.nstr(ev.value, args.precision)
     print(f"value      = {value}")
     print(f"bound      = {float(ev.bound):.3e} ({ev.bound_kind})")
     print(f"method     = {ev.method}")
@@ -88,6 +86,8 @@ def _cmd_bpoly(args) -> int:
 
 
 def _cmd_verify(args, ctx: PrecisionContext) -> int:
+    from .identities import verify_all  # the catalog loads for verify alone
+
     if args.id is None and not args.all:
         raise DomainError("give an identity id or --all")
     summary = verify_all(args.id, ctx)

@@ -123,12 +123,12 @@ def _rungs(cap: int) -> tuple[int, ...]:
 
 
 def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
-    """The cutoff ladder of a p = 1 sum at shift x.  Its tail models expand
-    in powers of x/N and diverge at every rung N <= x, so x must lie below
-    the cap."""
+    """The cutoff ladder of a p = 1 sum at shift x: the rungs N > x.  Its
+    tail models expand in powers of x/N and diverge at every rung N <= x, so
+    x must lie below the cap, which is then the last rung."""
     if xf >= ctx.default_cutoff:
         raise DomainError(f"shift x = {xf} must be below the cutoff cap {ctx.default_cutoff}")
-    return _rungs(ctx.default_cutoff)
+    return tuple(N for N in _rungs(ctx.default_cutoff) if N > xf)
 
 
 def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str) -> Evaluation:

@@ -12,8 +12,6 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
-import mpmath as mp
-
 from .errors import DomainError, DivergenceError
 from .powerseries import bernoulli_over_factorial
 
@@ -71,13 +69,16 @@ class PrecisionContext:
 
     def mp_ctx(self):
         """The mpmath context at digits + 10, one shared per ``digits``:
-        callers must not change its precision."""
+        callers must not change its precision.  The first call imports
+        mpmath, so a float-only evaluation never loads it."""
         return _mp_context(self.digits + 10)
 
 
 @memoized
 def _mp_context(dps: int):
-    ctx = mp.mp.clone()
+    import mpmath
+
+    ctx = mpmath.mp.clone()
     ctx.dps = dps
     return ctx
 

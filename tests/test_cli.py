@@ -190,12 +190,37 @@ def test_verify_requires_id_or_all(capsys):
     assert code == 2
 
 
-def test_import_leaves_numpy_out():
-    # the runtime needs mpmath only: a one-off CLI call must not pay for numpy
+def _fresh_python(code, *argv):
     src = os.path.dirname(os.path.dirname(akzeta.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run(
-        [sys.executable, "-c", "import akzeta.cli, sys; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, check=True, env=env).stdout
+
+
+_FOOTPRINT = """
+import json, sys
+import akzeta.cli
+code = akzeta.cli.main(sys.argv[1:])
+print(json.dumps([code] + [m in sys.modules for m in ("numpy", "mpmath", "akzeta.identities")]))
+"""
+
+
+def test_import_leaves_numpy_out():
+    # the runtime needs mpmath only: a one-off CLI call must not pay for numpy
+    out = _fresh_python("import akzeta.cli, sys; print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+    # the package exports lazily: importing it loads no submodule
+    out = _fresh_python("import akzeta, sys; print(sorted(m for m in sys.modules "
+                        "if m.startswith('akzeta.')))")
+    assert out.strip() == "[]"
+    # float-only commands with JSON output load neither mpmath nor the catalog
+    for argv in (["eval", "zeta", "1,2"], ["dual", "1,2"],
+                 ["bpoly", "--v", "1,2", "--p", "5/2", "--m", "3"],
+                 ["eval", "ak", "--v", "1", "--p", "4", "--m", "0", "--x", "-0.5"]):
+        last = _fresh_python(_FOOTPRINT, "--json", *argv).splitlines()[-1]
+        assert json.loads(last) == [0, False, False, False], argv  # exit code, loaded?
+    # text output formats through mpmath, loaded on demand
+    out = _fresh_python("import sys, akzeta.cli; akzeta.cli.main(sys.argv[1:])",
+                        "eval", "zeta", "3")
+    assert out.splitlines()[0] == "value      = 1.2020569031595942"

@@ -325,6 +325,16 @@ def test_p1_sums_at_large_shifts_are_bounded_or_refused(x, m):
     assert abs(ev.value - exact) <= ev.bound
 
 
+def test_p1_ladder_starts_above_the_shift():
+    # the tail models expand in x/N and diverge at N <= x, where their
+    # truncation estimate can read 0: the ladder must not stop at N = 128
+    ev = eval_ak_lhs((1,), 1, 0, 145)
+    assert ev.cutoff_used > 145
+    with mp.workdps(30):
+        exact = mp.zeta(2, 146)
+    assert abs(ev.value - exact) <= ev.bound
+
+
 def test_prop2_series_reproduces_shift():
     lhs = eval_hurwitz_mzv((2,), 0.25, CTX)
     rhs = eval_prop2_series(Composition.of(2), 0.5, 0.25, 16, CTX)
