@@ -21,15 +21,13 @@ _EXPORTS = {
         "evaluator": ("eval_hurwitz_mzv", "eval_t", "eval_li", "eval_ak_lhs",
                       "eval_ak_rhs", "eval_euler_transform", "eval_prop2_series",
                       "clear_caches"),
-        "harmonic_bell": ("HarmonicTable", "harmonic_table", "bell_modified",
-                          "d_operator"),
+        "harmonic_bell": ("harmonic_table", "bell_modified", "d_operator"),
         "identities": ("IdentityCase", "IdentityReport", "catalog", "verify",
                        "verify_all"),
         "numerics": ("PrecisionContext", "DEFAULT_CTX", "Evaluation", "zeta_em",
                      "clausen", "accelerate_alternating"),
-        "powerseries": ("PolyRat", "TruncSeries", "bernoulli_numbers",
-                        "classical_bernoulli_polynomial", "li_series",
-                        "ak_bernoulli_polys"),
+        "powerseries": ("PolyRat", "bernoulli_numbers", "classical_bernoulli_polynomial",
+                        "li_series", "ak_bernoulli_polys"),
     }.items()
     for name in names
 }

@@ -156,8 +156,8 @@ def m_coeff(alpha: Sequence[int], d: Sequence[int]) -> int:
     return out
 
 
-def admissible_compositions(max_weight: int, min_weight: int = 2) -> Iterator[Composition]:
-    """Every admissible composition with weight in [min_weight, max_weight]."""
+def admissible_compositions(max_weight: int) -> Iterator[Composition]:
+    """Every admissible composition with weight in [2, max_weight]."""
 
     def comps(total: int):
         if total == 0:
@@ -167,7 +167,7 @@ def admissible_compositions(max_weight: int, min_weight: int = 2) -> Iterator[Co
             for rest in comps(total - first):
                 yield (first,) + rest
 
-    for w in range(max(2, min_weight), max_weight + 1):
+    for w in range(2, max_weight + 1):
         for parts in comps(w):
             if parts[-1] >= 2:
                 yield Composition(parts)

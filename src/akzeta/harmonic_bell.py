@@ -1,9 +1,11 @@
-"""Shifted harmonic-number tables, modified Bell polynomials, and the
+"""Shifted harmonic-number rows, modified Bell polynomials, and the
 alternating-binomial integral-transform kernel.
 
 Everything here is exact rational: the reference the float engine is checked
-against.  The engine builds the same Bell polynomials twice over: as complete
-homogeneous symmetric polynomials of the harmonic rows in fixed point
+against.  A harmonic table is the plain list of its rows, one tuple of
+Fractions per n, and the Bell values are a plain list.  The engine builds
+the same Bell polynomials twice over: as complete homogeneous symmetric
+polynomials of the harmonic rows in fixed point
 (``evaluator._outer_arrays``), and as asymptotic tail models by the same
 recurrence (``logasym.bell_p_models``).
 """
@@ -11,54 +13,29 @@ recurrence (``logasym.bell_p_models``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
 
-__all__ = [
-    "HarmonicTable",
-    "harmonic_table",
-    "bell_modified",
-    "d_operator",
-]
+__all__ = ["harmonic_table", "bell_modified", "d_operator"]
 
 
-@dataclass(frozen=True)
-class HarmonicTable:
-    """Prefix table of H_n^(k)(x) = sum_{j<=n} (j+x)^{-k}.
+def harmonic_table(N: int, m: int, x) -> list[tuple[Fraction, ...]]:
+    """The rows n = 0..N of H_n^(k)(x) = sum_{j<=n} (j+x)^{-k}, exactly.
 
-    values[k][n] holds H_n^(k)(x) for 1 <= k <= m, 0 <= n <= N.  Immutable
-    once built; share freely.
+    Row n is (H_n^(1)(x), ..., H_n^(m)(x)), the arguments of the Bell
+    polynomials; row 0 is all zeros.  x must be rational.
     """
-
-    x: Fraction
-    N: int
-    m: int
-    values: tuple  # values[k-1][n]
-
-    def row(self, n: int) -> tuple:
-        """(H_n^(1)(x), ..., H_n^(m)(x)) — the Bell polynomial arguments."""
-        return tuple(self.values[k][n] for k in range(self.m))
-
-
-def harmonic_table(N: int, m: int, x) -> HarmonicTable:
-    """Build H_n^(k)(x) for k <= m, n <= N as Fractions; x must be rational."""
     if N < 0 or m < 1:
         raise DomainError("need N >= 0 and m >= 1")
     x = Fraction(x)
     if x <= -1:
         raise DomainError("require x > -1")
-    rows = []
-    for k in range(1, m + 1):
-        row = [Fraction(0)]
-        acc = Fraction(0)
-        for n in range(1, N + 1):
-            acc += 1 / (n + x) ** k
-            row.append(acc)
-        rows.append(tuple(row))
-    return HarmonicTable(x=x, N=N, m=m, values=tuple(rows))
+    rows = [(Fraction(0),) * m]
+    for n in range(1, N + 1):
+        rows.append(tuple(h + 1 / (n + x) ** k for k, h in enumerate(rows[-1], 1)))
+    return rows
 
 
 def bell_modified(x_values: Sequence[Fraction]) -> list[Fraction]:

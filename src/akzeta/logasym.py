@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import DomainError
 from .numerics import PrecisionContext, memoized, zeta_em
-from .powerseries import bernoulli_over_factorial
+from .powerseries import bernoulli_over_factorial, classical_bernoulli_polynomial
 
 __all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
@@ -181,12 +181,9 @@ def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
     """B_i(a)/i! for i = 0..ORDER, exact at the float a: the Taylor
     coefficients of e^(at) t/(e^t - 1).  One row per a serves every
     :func:`harmonic_model` order k."""
-    f = _BERNOULLI
     A = Fraction(a)
-    e = [Fraction(1)]  # a^i/i!
-    for i in range(1, len(f)):
-        e.append(e[-1] * A / i)
-    return tuple(sum(f[k] * e[i - k] for k in range(i + 1)) for i in range(len(f)))
+    return tuple(classical_bernoulli_polynomial(i)(A) / math.factorial(i)
+                 for i in range(ORDER + 1))
 
 
 @memoized

@@ -1,6 +1,9 @@
 """Exact truncated power series over the rationals, and the Bernoulli-type
 polynomials of the generalized Arakawa-Kaneko zeta function.
 
+A truncated series is the plain list of its coefficients c_0..c_M, lowest
+order first; a polynomial in x is a :class:`PolyRat`.
+
 With c_n the w^n coefficient of Li_v(w), that function expands as
 Z(s; x) = sum_n c_n p^{-n} D(n, s, x) over the kernel D of
 :func:`~akzeta.harmonic_bell.d_operator`, since
@@ -26,7 +29,6 @@ from .harmonic_bell import d_operator
 
 __all__ = [
     "PolyRat",
-    "TruncSeries",
     "series_inverse",
     "bernoulli_over_factorial",
     "bernoulli_numbers",
@@ -92,55 +94,16 @@ class PolyRat:
         return f"PolyRat({self})"
 
 
-class TruncSeries:
-    """A formal power series with rational coefficients, truncated at order M;
-    arithmetic is closed at the truncation order."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence[Scalar], order: int):
-        if order < 0:
-            raise DomainError("truncation order must be non-negative")
-        cs = list(coeffs)[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = cs
-        self.order = order
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls([Fraction(1)], order)
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b == 0:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(out, order)
-
-    def __repr__(self) -> str:
-        return f"TruncSeries({self.coeffs}, order={self.order})"
-
-
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse; requires an invertible constant term."""
-    c0 = f.coeffs[0]
-    if c0 == 0:
+def series_inverse(f: Sequence[Scalar]) -> list[Fraction]:
+    """The coefficients of 1/f to the order of f, from the coefficient list
+    of f; requires an invertible constant term."""
+    if not f or f[0] == 0:
         raise DomainError("series with zero constant term has no inverse")
-    inv0 = Fraction(1) / c0
-    out = [inv0] + [Fraction(0)] * f.order
-    for n in range(1, f.order + 1):
-        s = 0
-        for k in range(1, n + 1):
-            s = s + f.coeffs[k] * out[n - k]
-        out[n] = -1 * s * inv0
-    return TruncSeries(out, f.order)
+    inv0 = 1 / Fraction(f[0])
+    out = [inv0]
+    for n in range(1, len(f)):
+        out.append(-sum(f[k] * out[n - k] for k in range(1, n + 1)) * inv0)
+    return out
 
 
 # B_k/k!, k = 0, 1, ...: the Taylor coefficients of t/(e^t - 1), exact,
@@ -185,8 +148,9 @@ def classical_bernoulli_polynomial(m: int) -> PolyRat:
     return _appell(bernoulli_numbers(m), m)
 
 
-def li_series(v: Composition, M: int) -> TruncSeries:
-    """Multiple polylogarithm Li_v(w) as an exact series in w to order M.
+def li_series(v: Composition, M: int) -> list[Fraction]:
+    """Multiple polylogarithm Li_v(w) as an exact series in w to order M:
+    the list c_0..c_M, with c_0 = 0.
 
     Coefficient of w^n is the nested sum over n_1 < ... < n_k = n of
     prod n_i^{-v_i}; computed by prefix-sum dynamic programming.
@@ -208,7 +172,7 @@ def li_series(v: Composition, M: int) -> TruncSeries:
     coeffs = [Fraction(0)] * (M + 1)
     for n in range(1, M + 1):
         coeffs[n] = S[n] / Fraction(n**e_last)
-    return TruncSeries(coeffs, M)
+    return coeffs
 
 
 def ak_bernoulli_polys(v, p, m_max: int) -> list[PolyRat]:
@@ -228,7 +192,7 @@ def ak_bernoulli_polys(v, p, m_max: int) -> list[PolyRat]:
         raise DomainError("p must be >= 1")
     if not (isinstance(m_max, numbers.Integral) and m_max >= 0):
         raise DomainError(f"m_max must be a non-negative integer, got {m_max!r}")
-    c = li_series(v, max(m_max + 1, v.depth)).coeffs
+    c = li_series(v, max(m_max + 1, v.depth))
     at_zero = [(-1) ** i * sum(c[n] / p**n * d_operator(n, -i, 0) for n in range(1, i + 2))
                for i in range(m_max + 1)]
     return [_appell(at_zero, m) for m in range(m_max + 1)]

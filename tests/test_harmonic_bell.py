@@ -11,15 +11,20 @@ from akzeta.numerics import beta_factor_exact
 
 def test_harmonic_table_exact_values():
     tab = harmonic_table(4, 2, Fraction(0))
-    assert tab.row(3)[0] == Fraction(11, 6)
-    assert tab.row(4)[1] == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)
-    assert tab.row(0) == (0, 0)
+    assert tab[3][0] == Fraction(11, 6)
+    assert tab[4][1] == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)
+    assert tab[0] == (0, 0)
+    # row n of a longer table is row n of the table that stops at n
+    for x in (Fraction(0), Fraction(-1, 2), Fraction(1, 3)):
+        tab = harmonic_table(6, 3, x)
+        assert len(tab) == 7 and tab[0] == (0, 0, 0)
+        assert all(tab[n] == harmonic_table(n, 3, x)[n] for n in range(7))
 
 
 def test_harmonic_table_shifted():
     tab = harmonic_table(3, 1, Fraction(-1, 2))
     # sum of 1/(j - 1/2) = 2/(2j-1)
-    assert tab.row(2)[0] == Fraction(2, 1) + Fraction(2, 3)
+    assert tab[2][0] == Fraction(2, 1) + Fraction(2, 3)
 
 
 def test_harmonic_table_float_matches_exact():
@@ -36,7 +41,7 @@ def test_harmonic_table_float_matches_exact():
         assert len(B) == len(P) == N
         for n in (1, 7, 50):
             beta = beta_factor_exact(n, Fraction(x))
-            exact = bell_modified(tab.row(n))[m]
+            exact = bell_modified(tab[n])[m]
             assert abs(Fraction(B[n - 1], 1 << _F) - beta) <= tol * (1 + beta)
             assert abs(Fraction(P[n - 1], 1 << _F) - exact) <= tol * (1 + exact)
             assert (abs(Fraction(B[n - 1] * P[n - 1], 1 << 2 * _F) - beta * exact)
@@ -52,7 +57,7 @@ def test_harmonic_table_validation():
 
 def test_odd_harmonic_values():
     # O_n^(k) = sum_{j<=n} (2j-1)^{-k} = 2^{-k} H_n^(k)(-1/2)
-    row = harmonic_table(3, 2, Fraction(-1, 2)).row(2)
+    row = harmonic_table(3, 2, Fraction(-1, 2))[2]
     # O_2 = 1 + 1/3; O_2^(2) = 1 + 1/9
     assert row[0] / 2 == Fraction(4, 3)
     assert row[1] / 4 == Fraction(10, 9)
@@ -84,7 +89,7 @@ def test_d_operator_exact_matches_kernel_factorization():
             for x in (Fraction(0), Fraction(1, 2), Fraction(-1, 2)):
                 tab = harmonic_table(n, max(m, 1), x)
                 lhs = d_operator(n, m + 1, x)
-                rhs = beta_factor_exact(n, x) * bell_modified(tab.row(n))[m]
+                rhs = beta_factor_exact(n, x) * bell_modified(tab[n])[m]
                 assert lhs == rhs
 
 

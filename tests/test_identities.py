@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,25 @@ def test_verify_exact_cases():
         assert r.passed
         assert r.bound == 0.0
         assert r.bound_kind == "exact"
+
+
+def _last_plus_one(fn):
+    """fn with 1 added to its last coefficient, or to its value."""
+    def wrong(*args):
+        out = fn(*args)
+        return [*out[:-1], out[-1] + 1] if isinstance(out, list) else out + 1
+    return wrong
+
+
+@pytest.mark.parametrize("name, ids", [("bell_modified", ("BETARATIO", "PROP7")),
+                                       ("d_operator", ("PROP7",))])
+def test_exact_families_fail_on_a_wrong_side(monkeypatch, name, ids):
+    # both exact checks compare every coefficient they build
+    monkeypatch.setattr(identities, name, _last_plus_one(getattr(identities, name)))
+    for id_ in ids:
+        r = verify(id_)
+        assert not r.passed
+        assert math.isnan(r.abs_diff)
 
 
 def test_verify_thm3_instance():

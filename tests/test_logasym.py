@@ -124,7 +124,7 @@ def test_bell_p_models_match_exact_rows():
     n = 400
     P = bell_p_models(3, -0.5)
     tab = harmonic_table(n, 3, Fraction(-1, 2))
-    exact = [float(v) for v in bell_modified(tab.row(n))]
+    exact = [float(v) for v in bell_modified(tab[n])]
     for m in range(4):
         assert abs(P[m](n) - exact[m]) < 1e-11 * (1 + abs(exact[m]))
 
