@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 __all__ = [
     "Composition",
@@ -33,8 +33,7 @@ class Composition:
     def __post_init__(self):
         if len(self.parts) == 0:
             raise DomainError("composition must be non-empty")
-        if any((not isinstance(p, int)) or p < 1 for p in self.parts):
-            raise DomainError(f"composition parts must be positive integers: {self.parts}")
+        object.__setattr__(self, "parts", tuple(integer(p, 1, "composition part") for p in self.parts))
 
     @classmethod
     def of(cls, *parts: int) -> "Composition":
@@ -47,7 +46,7 @@ class Composition:
             return c
         try:
             return cls(tuple(c))
-        except TypeError:
+        except (TypeError, DomainError):
             raise DomainError(f"exponents must be a tuple of positive integers, got {c!r}") from None
 
     @classmethod
@@ -92,9 +91,7 @@ class Composition:
 
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient, 0 when k > n."""
-    if n < 0 or k < 0:
-        raise DomainError("binomial requires non-negative arguments")
-    return math.comb(n, k)
+    return math.comb(integer(n, 0, "n"), integer(k, 0, "k"))
 
 
 def _to_word(c: Composition) -> list[int]:
@@ -133,8 +130,7 @@ def dual(c: Composition) -> Composition:
 
 def weak_compositions(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-tuples of non-negative integers summing to m, lexicographically."""
-    if m < 0 or k < 1:
-        raise DomainError("need m >= 0 and k >= 1")
+    m, k = integer(m, 0, "m"), integer(k, 1, "k")
 
     def rec(prefix: tuple[int, ...], remaining: int, slots: int):
         if slots == 1:
@@ -167,7 +163,7 @@ def admissible_compositions(max_weight: int) -> Iterator[Composition]:
             for rest in comps(total - first):
                 yield (first,) + rest
 
-    for w in range(2, max_weight + 1):
+    for w in range(2, integer(max_weight, None, "max_weight") + 1):
         for parts in comps(w):
             if parts[-1] >= 2:
                 yield Composition(parts)

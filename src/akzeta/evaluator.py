@@ -12,17 +12,16 @@ one rule, :func:`_choose_cutoff`; ``ctx.default_cutoff`` is only its cap.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
 
 from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomial
-from .errors import DomainError, DivergenceError
+from .errors import DomainError, DivergenceError, integer, real
 from .logasym import pow_shift, nested_tail_series, nested_tail_sum, beta_model, bell_p_models
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS, ESTIMATED,
-                       accelerate_alternating, clear_caches, memoized, real_shift)
+                       accelerate_alternating, clear_caches, memoized)
 
 __all__ = [
     "eval_hurwitz_mzv",
@@ -40,14 +39,6 @@ _F = 96                       # fractional bits of the fixed-point DP
 _ONE = 1 << _F
 _ROUNDOFF_UNIT = 2.0 ** -63   # unit of the stopping tolerance, as the cutoffs were sized
 _FIRST_RUNG = 32
-
-
-def _integer(v, least: int, name: str) -> int:
-    """``v`` as an int; fractional, non-finite or smaller values than
-    ``least`` are rejected."""
-    if not (isinstance(v, numbers.Real) and v == v // 1 >= least):
-        raise DomainError(f"require an integer {name} >= {least}, got {v!r}")
-    return int(v)
 
 
 def _power_weights(N: int, e: int, x: float = 0.0, c: int = 1) -> list[int]:
@@ -131,20 +122,21 @@ def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
     return tuple(N for N in _rungs(ctx.default_cutoff) if N > xf)
 
 
-def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str) -> Evaluation:
-    """The one cutoff rule of the DP paths.
+def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) -> Evaluation:
+    """The one cutoff rule of the DP paths, for a sum of depth q.
 
-    ``rung(N)`` sums to cutoff N and returns (value, trunc, roundoff): the
-    fixed-point value rounded to float once, the part of its bound that
-    shrinks as N grows (truncation, and the float evaluation of a symbolic
-    tail; infinite when no majorant exists at N), and the stopping tolerance
-    :func:`_roundoff`, which grows linearly in N.  The sum keeps the first
-    rung where trunc <= roundoff, else the last: its bound, at most
+    ``rung(N)`` sums to cutoff N and returns (value, trunc): the fixed-point
+    value rounded to float once, and the part of its bound that shrinks as
+    N grows (truncation, and the float evaluation of a symbolic tail;
+    infinite when no majorant exists at N).  The stopping tolerance
+    :func:`_roundoff` grows linearly in N.  The sum keeps the first rung
+    where trunc <= roundoff, else the last: its bound, at most
     2 * roundoff, is then no larger than at any rung >= 2N.  Half an ulp of
     the value, for its rounding to float, joins the bound.
     """
     for N in rungs:
-        value, trunc, roundoff = rung(N)
+        value, trunc = rung(N)
+        roundoff = _roundoff(N, q, value)
         if trunc <= roundoff or N == rungs[-1]:
             break
     if math.isinf(trunc):
@@ -153,15 +145,13 @@ def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, method: str) -> Evalu
                       bound_kind=RIGOROUS, method=method, cutoff_used=N)
 
 
-def _dp_em_tail(weights: list[list[int]], tails: list, q: int) -> tuple:
+def _dp_em_tail(weights: list[list[int]], tails: list) -> tuple[float, float]:
     """A rung of a nested sum: the prefix-sum DP of ``weights`` plus the
-    symbolic Euler-Maclaurin ``tails`` (a :func:`nested_tail_series`); ``q``
-    sizes the round-off term."""
+    symbolic Euler-Maclaurin ``tails`` (a :func:`nested_tail_series`)."""
     N = len(weights[0])
     partial, S_at = _dp_nested(weights)
     tail, terr = nested_tail_sum(S_at, tails, N)
-    value = (partial + int(tail * _ONE)) / _ONE
-    return value, 10.0 * terr, _roundoff(N, q, value)
+    return (partial + int(tail * _ONE)) / _ONE, 10.0 * terr
 
 
 def _convergent_parts(parts) -> tuple[int, ...]:
@@ -178,7 +168,7 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
     ``parts`` is the exponent tuple, innermost first; the last exponent must
     be at least 2 for convergence.
     """
-    xf = real_shift(x)
+    xf = real(x, "x", above=-1)
     return _mzv_cached(_convergent_parts(parts), xf, _tail_rungs(xf, ctx))
 
 
@@ -196,9 +186,9 @@ def _mzv_cached(e: tuple[int, ...], xf: float, rungs: tuple[int, ...],
     tails = nested_tail_series([pow_shift(float(ei), xf).scaled(float(c) ** -ei) for ei in e])
 
     def rung(N):
-        return _dp_em_tail([_power_weights(N, ei, xf, c) for ei in e], tails, len(e))
+        return _dp_em_tail([_power_weights(N, ei, xf, c) for ei in e], tails)
 
-    return _choose_cutoff(rungs, rung, "dp+em-tail")
+    return _choose_cutoff(rungs, rung, len(e), "dp+em-tail")
 
 
 def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
@@ -217,7 +207,10 @@ def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
 def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Multiple polylogarithm: sum over n_1 < ... < n_q of z^{n_q} / prod n_i^{e_i}."""
     e = Composition.coerce(parts).parts
-    zf = float(z)
+    try:
+        zf = real(z, "z")
+    except DomainError as exc:  # NaN and inf lie outside the disc of convergence too
+        raise DivergenceError(str(exc)) from None
     if zf == 1.0:
         return eval_hurwitz_mzv(e, 0.0, ctx)
     if not abs(zf) < 1.0:
@@ -233,9 +226,9 @@ def _li(e: tuple[int, ...], zf: float, rungs: tuple[int, ...]) -> Evaluation:
         value = _dp_nested(weights)[0] / _ONE
         # tail: |S_{q-1}(n)| <= (1 + ln n)^{q-1}, n^{-e_q} <= 1
         tail_bd = _geom_row_bound(N, 1.0 / abs(zf) if zf else math.inf, len(e) - 1, 1.0, 1.0)
-        return value, tail_bd, _roundoff(N, len(e), value)
+        return value, tail_bd
 
-    return _choose_cutoff(rungs, rung, "dp+geom-tail")
+    return _choose_cutoff(rungs, rung, len(e), "dp+geom-tail")
 
 
 def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
@@ -273,9 +266,9 @@ def _ak_lhs_p1(a: tuple[int, ...], m: int, x: float, rungs: tuple[int, ...]) -> 
         B, P = _outer_arrays(N, m, x)
         weights = [_power_weights(N, ai) for ai in a[:-1]]
         weights.append(_product(_product(B, _power_weights(N, a[-1])), P))
-        return _dp_em_tail(weights, tails, len(a) + m + 1)
+        return _dp_em_tail(weights, tails)
 
-    return _choose_cutoff(rungs, rung, "dp+em-tail")
+    return _choose_cutoff(rungs, rung, len(a) + m + 1, "dp+em-tail")
 
 
 def eval_ak_lhs(alpha, p: float, m: int, x: float,
@@ -286,11 +279,9 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
                               / (n_1^{a_1} ... n_r^{a_r}).
     """
     a = Composition.coerce(alpha).parts
-    xf = real_shift(x)
-    pf = float(p)
-    m = _integer(m, 0, "m")
-    if not (math.isfinite(pf) and pf >= 1):
-        raise DomainError(f"require a finite p >= 1, got {pf}")
+    xf, pf, m = real(x, "x", above=-1), real(p, "p"), integer(m, 0, "m")
+    if pf < 1:
+        raise DomainError(f"require p >= 1, got {pf}")
     if pf == 1.0:
         return _ak_lhs_p1(a, m, xf, _tail_rungs(xf, ctx))
     return _ak_lhs_geom(a, pf, m, xf, _rungs(ctx.default_cutoff))
@@ -305,7 +296,10 @@ def _ak_lhs_geom(a: tuple[int, ...], pf: float, m: int, xf: float,
     # P_m on arguments <= X is at most (X+m)^m / m!
     c = max(1.0, 1.0 / (1.0 + xf))
     g = max(2.0, 1.0 / (1.0 + xf))
-    D = (g ** max(m - 1, 0) + m) ** m / math.factorial(m)
+    try:
+        D = (g ** max(m - 1, 0) + m) ** m / math.factorial(m)
+    except OverflowError:
+        raise DomainError(f"the majorant of P_m overflows a float at m = {m}, x = {xf}") from None
 
     def rung(N):
         B, P = _outer_arrays(N, m, xf)
@@ -314,9 +308,9 @@ def _ak_lhs_geom(a: tuple[int, ...], pf: float, m: int, xf: float,
         value = _dp_nested(weights)[0] / _ONE
         K = B[-1] / _ONE * N ** (-float(a[-1])) * D
         tail_bd = _geom_row_bound(N, pf, float(m + r - 1), K, c)
-        return value, tail_bd, _roundoff(N, r + m + 1, value)
+        return value, tail_bd
 
-    return _choose_cutoff(rungs, rung, "dp+geom-tail")
+    return _choose_cutoff(rungs, rung, r + m + 1, "dp+geom-tail")
 
 
 def eval_ak_rhs(alpha, m: int, x: float,
@@ -336,7 +330,7 @@ def zeta_combination(alpha, m: int,
     each index c = (a_1+d_1, ..., a_q+d_q+1); the bound is the weighted sum
     of the parts' bounds plus the round-off of the float sum."""
     a = Composition.coerce(alpha).parts
-    m = _integer(m, 0, "m")
+    m = integer(m, 0, "m")
     total = 0.0
     bound = 0.0
     size = 0.0
@@ -372,12 +366,8 @@ def eval_euler_transform(p: float, s: int, x: float,
     divided once, so its relative error is at most n eps, as that bound
     requires.  The value is an mpf.
     """
-    pf = float(p)
-    xf = real_shift(x)
-    s = _integer(s, 1, "s")
-    if not math.isfinite(pf):
-        raise DomainError(f"require a finite p, got {pf}")
-    if not pf >= 2:
+    pf, s, xf = real(p, "p"), integer(s, 1, "s"), real(x, "x", above=-1)
+    if pf < 2:
         raise DivergenceError("alternating transform needs p >= 2")
     wp = ctx.mp_ctx()
     xn, xd = xf.as_integer_ratio()
@@ -401,8 +391,7 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     Valid for |z| < 1 + x; the truncation remainder is a geometric estimate.
     """
     c = Composition.coerce(alpha)
-    xf, zf = real_shift(x), float(z)
-    m_terms = _integer(m_terms, 1, "m_terms")
+    xf, zf, m_terms = real(x, "x", above=-1), real(z, "z"), integer(m_terms, 1, "m_terms")
     if not abs(zf) < 1.0 + xf:
         raise DomainError(f"need |z| < 1 + x, got |{zf}| vs {1.0 + xf}")
     beta = dual(c).alpha()

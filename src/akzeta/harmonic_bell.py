@@ -2,12 +2,12 @@
 alternating-binomial integral-transform kernel.
 
 Everything here is exact rational: the reference the float engine is checked
-against.  A harmonic table is the plain list of its rows, one tuple of
-Fractions per n, and the Bell values are a plain list.  The engine builds
-the same Bell polynomials twice over: as complete homogeneous symmetric
-polynomials of the harmonic rows in fixed point
-(``evaluator._outer_arrays``), and as asymptotic tail models by the same
-recurrence (``logasym.bell_p_models``).
+against, so every shift x is an int or a Fraction.  A harmonic table is the
+plain list of its rows, one tuple of Fractions per n, and the Bell values
+are a plain list.  The engine builds the same Bell polynomials twice over:
+as complete homogeneous symmetric polynomials of the harmonic rows in fixed
+point (``evaluator._outer_arrays``), and as asymptotic tail models by the
+same recurrence (``logasym.bell_p_models``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import integer, rational
 
 __all__ = ["harmonic_table", "bell_modified", "d_operator"]
 
@@ -25,13 +25,9 @@ def harmonic_table(N: int, m: int, x) -> list[tuple[Fraction, ...]]:
     """The rows n = 0..N of H_n^(k)(x) = sum_{j<=n} (j+x)^{-k}, exactly.
 
     Row n is (H_n^(1)(x), ..., H_n^(m)(x)), the arguments of the Bell
-    polynomials; row 0 is all zeros.  x must be rational.
+    polynomials; row 0 is all zeros.  x is an int or a Fraction.
     """
-    if N < 0 or m < 1:
-        raise DomainError("need N >= 0 and m >= 1")
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError("require x > -1")
+    N, m, x = integer(N, 0, "N"), integer(m, 1, "m"), rational(x, "x", above=-1)
     rows = [(Fraction(0),) * m]
     for n in range(1, N + 1):
         rows.append(tuple(h + 1 / (n + x) ** k for k, h in enumerate(rows[-1], 1)))
@@ -60,15 +56,9 @@ def d_operator(n: int, s: int, x) -> Fraction:
     times the (n-1)-th forward difference of (x+1)^m in x, a polynomial of
     degree m - n + 1 and zero for n > m + 1, from which
     :func:`~akzeta.powerseries.ak_bernoulli_polys` builds the polynomials.
-    ``s`` may be any integer; ``x`` must be rational (int or Fraction).
+    ``s`` may be any integer; ``x`` is an int or a Fraction.
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    if not (isinstance(s, int) and isinstance(x, (int, Fraction))):
-        raise DomainError(f"need an integer s and a rational x, got s={s!r}, x={x!r}")
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError("require x > -1")
+    n, s, x = integer(n, 1, "n"), integer(s, None, "s"), rational(x, "x", above=-1)
     total = Fraction(0)
     for k in range(n):
         total += (-1) ** k * math.comb(n - 1, k) / (x + k + 1) ** s

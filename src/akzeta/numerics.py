@@ -6,13 +6,12 @@ acceleration.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DomainError, DivergenceError
+from .errors import DomainError, DivergenceError, integer, rational, real
 from .powerseries import bernoulli_over_factorial
 
 __all__ = [
@@ -59,10 +58,10 @@ class PrecisionContext:
     default_cutoff: int = 100_000
 
     def __post_init__(self):
-        if not (isinstance(self.digits, numbers.Integral) and 15 <= self.digits <= 300):
-            raise DomainError(f"precision must be an integer from 15 to 300, got {self.digits!r}")
-        if not (isinstance(self.default_cutoff, numbers.Integral) and self.default_cutoff >= 10):
-            raise DomainError(f"cutoff must be an integer >= 10, got {self.default_cutoff!r}")
+        object.__setattr__(self, "digits", integer(self.digits, 15, "precision"))
+        object.__setattr__(self, "default_cutoff", integer(self.default_cutoff, 10, "cutoff"))
+        if self.digits > 300:
+            raise DomainError(f"require a precision <= 300, got {self.digits}")
 
     def with_cutoff(self, N: int) -> "PrecisionContext":
         return replace(self, default_cutoff=N)
@@ -106,21 +105,9 @@ class Evaluation:
         return float(self.value)
 
 
-def real_shift(x) -> float:
-    """The shift x of (n + x)^{-s} as a float, checked to be finite and > -1."""
-    xf = float(x)
-    if not (math.isfinite(xf) and xf > -1):
-        raise DomainError(f"require a finite x > -1, got {xf}")
-    return xf
-
-
 def beta_factor_exact(n: int, x) -> Fraction:
-    """B(n, 1+x) as an exact rational, for rational x."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError("require x > -1")
+    """B(n, 1+x) as an exact rational, for x an int or a Fraction."""
+    n, x = integer(n, 1, "n"), rational(x, "x", above=-1)
     out = 1 / (1 + x)
     for j in range(1, n):
         out *= Fraction(j) / (j + 1 + x)
@@ -133,10 +120,7 @@ def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     The bound is twice the first omitted correction term, a majorant of the
     remainder for this completely monotone integrand, plus the round-off.
     """
-    sf = float(s)
-    if not math.isfinite(sf):
-        raise DomainError(f"require a finite s, got {sf}")
-    return _zeta_em_cached(sf, real_shift(x), ctx.digits, ctx.default_cutoff)
+    return _zeta_em_cached(real(s, "s"), real(x, "x", above=-1), ctx.digits, ctx.default_cutoff)
 
 
 @memoized
@@ -184,12 +168,12 @@ def clausen(order: int, theta, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluatio
     precision); the bound is that precision's last digits, not a proven
     majorant, and does not cover an error in the angle itself.
     """
-    if order not in (2, 3):
+    order = integer(order, 2, "order")
+    if order > 3:
         raise DomainError("order must be 2 or 3")
+    real(theta, "theta")  # its float only checks the angle: an mpf keeps its precision
     wp = ctx.mp_ctx()
     th = wp.mpf(theta)
-    if not wp.isfinite(th):
-        raise DomainError("theta must be finite")
     fn = wp.clsin if order == 2 else wp.clcos
     return Evaluation(
         value=fn(order, th),

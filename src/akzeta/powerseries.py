@@ -19,12 +19,11 @@ Appell sequence.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .combinatorics import Composition
-from .errors import DomainError
+from .errors import DomainError, integer, rational
 from .harmonic_bell import d_operator
 
 __all__ = [
@@ -47,7 +46,7 @@ class PolyRat:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [rational(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -114,8 +113,7 @@ _BERNOULLI_OVER_FACTORIAL = [Fraction(1)]
 def bernoulli_over_factorial(k: int) -> Fraction:
     """B_k/k!, from t/(e^t - 1) * (e^t - 1)/t = 1 at the order t^k:
     sum_{i<=k} B_i/i! / (k-i+1)! = 0 for k >= 1, and B_k = 0 at odd k > 1."""
-    if k < 0:
-        raise DomainError("k must be non-negative")
+    k = integer(k, 0, "k")
     table = _BERNOULLI_OVER_FACTORIAL
     while len(table) <= k:
         j = len(table)
@@ -129,8 +127,7 @@ def bernoulli_over_factorial(k: int) -> Fraction:
 
 def bernoulli_numbers(M: int) -> list[Fraction]:
     """B_0..B_M for t/(e^t - 1), so B_1 = -1/2."""
-    if M < 0:
-        raise DomainError("M must be non-negative")
+    M = integer(M, 0, "M")
     return [bernoulli_over_factorial(k) * math.factorial(k) for k in range(M + 1)]
 
 
@@ -145,6 +142,7 @@ def _appell(numbers: Sequence[Fraction], m: int) -> PolyRat:
 
 def classical_bernoulli_polynomial(m: int) -> PolyRat:
     """B_m(x) = sum_k C(m,k) B_k x^{m-k}."""
+    m = integer(m, 0, "m")
     return _appell(bernoulli_numbers(m), m)
 
 
@@ -155,8 +153,8 @@ def li_series(v: Composition, M: int) -> list[Fraction]:
     Coefficient of w^n is the nested sum over n_1 < ... < n_k = n of
     prod n_i^{-v_i}; computed by prefix-sum dynamic programming.
     """
-    if M < v.depth:
-        raise DomainError("truncation order below the depth of v")
+    v = Composition.coerce(v)
+    M = integer(M, v.depth, "truncation order M")
     k = v.depth
     # S[n] for the current level; level 0 is the empty product = 1 for all n.
     S = [Fraction(1)] * (M + 1)  # index by n = 0..M (n=0 unused)
@@ -183,15 +181,9 @@ def ak_bernoulli_polys(v, p, m_max: int) -> list[PolyRat]:
     coefficients of :func:`li_series`; each polynomial is the Appell sum of
     those.
     """
-    v = Composition.coerce(v)
-    try:
-        p = Fraction(p)
-    except (ValueError, OverflowError, TypeError):
-        raise DomainError(f"p must be a finite rational, got {p!r}") from None
+    v, p, m_max = Composition.coerce(v), rational(p, "p"), integer(m_max, 0, "m_max")
     if p < 1:
         raise DomainError("p must be >= 1")
-    if not (isinstance(m_max, numbers.Integral) and m_max >= 0):
-        raise DomainError(f"m_max must be a non-negative integer, got {m_max!r}")
     c = li_series(v, max(m_max + 1, v.depth))
     at_zero = [(-1) ** i * sum(c[n] / p**n * d_operator(n, -i, 0) for n in range(1, i + 2))
                for i in range(m_max + 1)]

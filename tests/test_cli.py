@@ -127,6 +127,14 @@ def test_eval_ak_overflowing_tail_model_exits_2(capsys):
         assert f"x = {float(x)}" in err
 
 
+def test_eval_ak_overflowing_majorant_exits_2(capsys):
+    # at p > 1 the tail majorant of P_m overflows a float from m = 19 at x = -0.9
+    code, out, err = run(capsys, "--json", "eval", "ak", "--v", "1", "--p", "2",
+                         "--m", "40", "--x", "-0.9")
+    assert code == 2 and out == ""
+    assert "m = 40, x = -0.9" in err and "Traceback" not in err
+
+
 def test_bpoly(capsys):
     code, out, _ = run(capsys, "bpoly", "--v", "1", "--p", "1", "--m", "1")
     assert code == 0

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -183,6 +184,17 @@ def test_ak_lhs_geometric_case():
     ev = eval_ak_lhs((1,), 4.0, 0, -0.5, CTX)
     assert abs(ev.value - math.pi**2 / 18) <= ev.bound
     assert ev.bound < 1e-12
+
+
+def test_ak_lhs_geometric_majorant_overflow_is_refused():
+    # the tail majorant (g^(m-1) + m)^m / m! of P_m, g = max(2, 1/(1+x)),
+    # passes the float range from m = 33 at x = 0 and from m = 19 at
+    # x = -0.9: the sum must refuse, naming m and x, not raise OverflowError
+    for m, x in ((33, 0.0), (33, 2.0), (19, -0.9), (200, -0.5)):
+        with pytest.raises(DomainError, match=re.escape(f"m = {m}, x = {x}")):
+            eval_ak_lhs((1,), 2, m, x)
+    # the catalog's orders keep their majorant
+    assert eval_ak_lhs((1,), 2, 2, -0.9).bound < 1e-12
 
 
 def test_ak_lhs_guards():
