@@ -9,10 +9,9 @@ exponent 1 and outer exponent 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DomainError, integer
+from .errors import DomainError, Record, integer
 
 __all__ = [
     "Composition",
@@ -24,16 +23,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Record):
     """An ordered tuple of positive integer exponents, innermost first."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) == 0:
+    def __init__(self, parts: Sequence[int]):
+        if len(parts) == 0:
             raise DomainError("composition must be non-empty")
-        object.__setattr__(self, "parts", tuple(integer(p, 1, "composition part") for p in self.parts))
+        self._set(tuple(integer(p, 1, "composition part") for p in parts))
 
     @classmethod
     def of(cls, *parts: int) -> "Composition":

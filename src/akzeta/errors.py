@@ -1,6 +1,7 @@
-"""Exception types, and the one check for each kind of number an argument
-can be: an integer, a finite real or an exact rational (an int or a
-Fraction).  Bools, strings and complex numbers are none of these."""
+"""Exception types, the one check for each kind of number an argument can
+be (an integer, a finite real or an exact rational, that is an int or a
+Fraction; bools, strings and complex numbers are none of these), and the
+base of the package's record classes."""
 
 import math
 import numbers
@@ -13,6 +14,42 @@ class DomainError(ValueError):
 
 class DivergenceError(DomainError):
     """The requested series does not converge for the given parameters."""
+
+
+class Record:
+    """An immutable record.  A subclass lists its fields in its own
+    ``__slots__`` and sets them once, in order, through ``_set``.  Equality
+    (same class only), hashing and repr go field by field; assigning or
+    deleting a field raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle through the constructor, which validates
+        return type(self), self._fields()
 
 
 def _refused(kind: str, name: str, relation: str, bound, v) -> DomainError:

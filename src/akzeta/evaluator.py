@@ -196,12 +196,20 @@ def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
 
     Uses (c + ln n) <= (c + ln N)(n/N) for n >= N when c + ln N >= 1, then
     (1 + j/N)^A <= exp(A j / N).  Infinite when N is too small for either.
+    Where K (c + ln N)^A overflows and p^-N underflows, the same product is
+    taken in log space, raised by 1e-14 times the size of its logs: more
+    than the roundings of the logs, their products, their sum and exp.
     """
     cl = c + math.log(N)
     rho = math.exp(A / N) / p
     if cl < 1.0 or rho >= 1.0:
         return math.inf
-    return K * cl**A * p ** (-N) * rho / (1.0 - rho)
+    bound = K * cl**A * p ** (-N) * rho / (1.0 - rho)
+    if math.isfinite(bound):
+        return bound
+    logs = (math.log(K), A * math.log(cl), -N * math.log(p), math.log(rho / (1.0 - rho)))
+    log_bound = sum(logs) + 1e-14 * sum(map(abs, logs))
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:

@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .combinatorics import Composition, dual, binomial, admissible_compositions
-from .errors import DomainError
+from .errors import DomainError, Record
 from .evaluator import (eval_hurwitz_mzv, eval_t, eval_ak_lhs, eval_ak_rhs,
                         eval_euler_transform, eval_prop2_series,
                         zeta_combination)
@@ -33,8 +32,7 @@ __all__ = ["IdentityCase", "IdentityReport", "catalog", "verify",
 EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(Record):
     """One identity: its id, recipe and default parameter grid.
 
     ``recipe(params, ctx)`` computes both sides and returns the report fields
@@ -42,23 +40,20 @@ class IdentityCase:
     the keys of its first case are the parameters every case must give.
     """
 
-    id: str
-    description: str
-    recipe: Callable[[dict, PrecisionContext], tuple]
-    grid: tuple
+    __slots__ = ("id", "description", "recipe", "grid")
+
+    def __init__(self, id: str, description: str,
+                 recipe: Callable[[dict, PrecisionContext], tuple], grid: tuple):
+        self._set(id, description, recipe, grid)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    id: str
-    params: dict
-    lhs: float
-    rhs: float
-    abs_diff: float
-    bound: float
-    bound_kind: str
-    passed: bool
-    seconds: float = 0.0
+class IdentityReport(Record):
+    __slots__ = ("id", "params", "lhs", "rhs", "abs_diff", "bound", "bound_kind",
+                 "passed", "seconds")
+
+    def __init__(self, id: str, params: dict, lhs: float, rhs: float, abs_diff: float,
+                 bound: float, bound_kind: str, passed: bool, seconds: float = 0.0):
+        self._set(id, params, lhs, rhs, abs_diff, bound, bound_kind, passed, seconds)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -73,9 +68,15 @@ class IdentityReport:
         })
 
 
-@dataclass
-class VerifySummary:
-    reports: list = field(default_factory=list)
+class VerifySummary(Record):
+    """The reports of a sweep; mutable, as :func:`verify_all` appends to them."""
+
+    __slots__ = ("reports",)
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, reports: list | None = None):
+        self.reports = [] if reports is None else reports
 
     @property
     def n_pass(self) -> int:

@@ -6,12 +6,11 @@ acceleration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DomainError, DivergenceError, integer, rational, real
+from .errors import DomainError, DivergenceError, Record, integer, rational, real
 from .powerseries import bernoulli_over_factorial
 
 __all__ = [
@@ -42,8 +41,7 @@ def clear_caches():
         cached.cache_clear()
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(Record):
     """Working precision and the cap on summation cutoffs.
 
     ``digits`` sets the mpmath precision and the term counts of
@@ -54,17 +52,15 @@ class PrecisionContext:
     own, smaller cutoff from their error model and stop at it at the latest.
     """
 
-    digits: int = 50
-    default_cutoff: int = 100_000
+    __slots__ = ("digits", "default_cutoff")
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", integer(self.digits, 15, "precision"))
-        object.__setattr__(self, "default_cutoff", integer(self.default_cutoff, 10, "cutoff"))
+    def __init__(self, digits: int = 50, default_cutoff: int = 100_000):
+        self._set(integer(digits, 15, "precision"), integer(default_cutoff, 10, "cutoff"))
         if self.digits > 300:
             raise DomainError(f"require a precision <= 300, got {self.digits}")
 
     def with_cutoff(self, N: int) -> "PrecisionContext":
-        return replace(self, default_cutoff=N)
+        return PrecisionContext(self.digits, N)
 
     def mp_ctx(self):
         """The mpmath context at digits + 10, one shared per ``digits``:
@@ -85,21 +81,18 @@ def _mp_context(dps: int):
 DEFAULT_CTX = PrecisionContext()
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record):
     """A numeric result with an explicit truncation-error bound."""
 
-    value: object  # mpf or float
-    bound: float
-    bound_kind: str  # "rigorous" | "estimated"
-    method: str
-    cutoff_used: int
+    __slots__ = ("value", "bound", "bound_kind", "method", "cutoff_used")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.bound) and self.bound >= 0):
-            raise DomainError(f"error bound must be finite and >= 0, got {self.bound}")
-        if self.bound_kind not in (RIGOROUS, ESTIMATED):
-            raise DomainError(f"unknown bound kind {self.bound_kind!r}")
+    def __init__(self, value, bound: float, bound_kind: str, method: str, cutoff_used: int):
+        """``value`` is an mpf or a float; ``bound_kind`` is "rigorous" or "estimated"."""
+        if not (math.isfinite(bound) and bound >= 0):
+            raise DomainError(f"error bound must be finite and >= 0, got {bound}")
+        if bound_kind not in (RIGOROUS, ESTIMATED):
+            raise DomainError(f"unknown bound kind {bound_kind!r}")
+        self._set(value, bound, bound_kind, method, cutoff_used)
 
     def __float__(self) -> float:
         return float(self.value)

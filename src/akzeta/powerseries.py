@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .combinatorics import Composition
-from .errors import DomainError, integer, rational
+from .errors import DomainError, Record, integer, rational
 from .harmonic_bell import d_operator
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
-class PolyRat:
+class PolyRat(Record):
     """A polynomial in one variable x with exact rational coefficients,
     lowest degree first."""
 
@@ -49,17 +49,11 @@ class PolyRat:
         cs = [rational(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._set(tuple(cs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyRat) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)

@@ -210,7 +210,8 @@ _FOOTPRINT = """
 import json, sys
 import akzeta.cli
 code = akzeta.cli.main(sys.argv[1:])
-print(json.dumps([code] + [m in sys.modules for m in ("numpy", "mpmath", "akzeta.identities")]))
+print(json.dumps([code] + [m in sys.modules for m in ("numpy", "mpmath", "akzeta.identities",
+                                                       "dataclasses", "inspect")]))
 """
 
 
@@ -227,7 +228,9 @@ def test_import_leaves_numpy_out():
                  ["bpoly", "--v", "1,2", "--p", "5/2", "--m", "3"],
                  ["eval", "ak", "--v", "1", "--p", "4", "--m", "0", "--x", "-0.5"]):
         last = _fresh_python(_FOOTPRINT, "--json", *argv).splitlines()[-1]
-        assert json.loads(last) == [0, False, False, False], argv  # exit code, loaded?
+        assert json.loads(last) == [0, False, False, False, False, False], argv  # exit code, loaded?
+    last = _fresh_python(_FOOTPRINT, "--json", "verify", "DUAL").splitlines()[-1]
+    assert json.loads(last) == [0, False, False, True, False, False]
     # text output formats through mpmath, loaded on demand
     out = _fresh_python("import sys, akzeta.cli; akzeta.cli.main(sys.argv[1:])",
                         "eval", "zeta", "3")

@@ -197,6 +197,26 @@ def test_ak_lhs_geometric_majorant_overflow_is_refused():
     assert eval_ak_lhs((1,), 2, 2, -0.9).bound < 1e-12
 
 
+def test_ak_lhs_geometric_majorant_past_the_float_range():
+    # at m = 18, x = -0.9 the constant of the tail majorant overflows a float
+    # where p^-N underflows: the bound comes from logs, and holds against a
+    # direct sum (its terms shrink like 2^-n)
+    ev = eval_ak_lhs((1,), 2, 18, -0.9)
+    assert math.isfinite(ev.bound) and ev.bound < 1e-13 * ev.value
+    with mp.workdps(40):
+        x, m = mp.mpf(-0.9), 18
+        H = [mp.mpf(0)] * (m + 1)  # H[k] = H_n^(k)(x)
+        direct = mp.mpf(0)
+        for n in range(1, 301):
+            for k in range(1, m + 1):
+                H[k] += (n + x) ** -k
+            P = [mp.mpf(1)]  # the Bell recurrence j P_j = sum_k H^(k) P_(j-k)
+            for j in range(1, m + 1):
+                P.append(mp.fsum(H[k] * P[j - k] for k in range(1, j + 1)) / j)
+            direct += mp.beta(n, 1 + x) * P[m] / (n * mp.mpf(2) ** n)
+        assert abs(direct - ev.value) <= ev.bound
+
+
 def test_ak_lhs_guards():
     for p in (0.5, math.nan, math.inf):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,22 @@ def test_d_operator_exact_matches_kernel_factorization():
                 lhs = d_operator(n, m + 1, x)
                 rhs = beta_factor_exact(n, x) * bell_modified(tab[n])[m]
                 assert lhs == rhs
+
+
+def test_d_operator_at_non_positive_s():
+    # s = -i <= 0 sums integers; at x = 0 it is (-1)^(n-1) (n-1)! S(i+1, n),
+    # with S the Stirling numbers of the second kind
+    S = [[1] + [0] * 25]  # S[j][n] = n S[j-1][n] + S[j-1][n-1]
+    for _ in range(25):
+        S.append([0] + [n * S[-1][n] + S[-1][n - 1] for n in range(1, 26)])
+    for n in range(1, 20):
+        for i in range(25):
+            assert d_operator(n, -i, 0) == (-1) ** (n - 1) * math.factorial(n - 1) * S[i + 1][n]
+    for x in (Fraction(1, 3), Fraction(-1, 2), Fraction(5, 2)):
+        for n in range(1, 10):
+            for i in range(10):
+                assert d_operator(n, -i, x) == sum((-1) ** k * math.comb(n - 1, k) * (x + k + 1) ** i
+                                                   for k in range(n))
 
 
 def test_d_operator_float_and_validation():

@@ -19,6 +19,9 @@ def test_polyrat_arithmetic_and_eval():
     assert PolyRat([0, 0]) == PolyRat()
     assert PolyRat([0, 2, 0]) == PolyRat([0, Fraction(4, 2)])
     assert hash(PolyRat([1, 0])) == hash(PolyRat([Fraction(1)]))
+    with pytest.raises(AttributeError):  # a polynomial is an immutable value
+        p.coeffs = (1,)
+    assert p.coeffs == (-1, Fraction(3, 2), 1)
 
 
 def test_polyrat_str_canonical():
