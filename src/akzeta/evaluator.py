@@ -19,7 +19,7 @@ from typing import Callable
 
 from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomial
 from .errors import DomainError, DivergenceError, integer, real
-from .logasym import pow_shift, nested_tail_series, nested_tail_sum, beta_model, bell_p_models
+from .logasym import pow_shift, nested_tail_series, nested_tail_sum, bell_p_models
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS, ESTIMATED,
                        accelerate_alternating, clear_caches, memoized)
 
@@ -239,32 +239,36 @@ def _li(e: tuple[int, ...], zf: float, rungs: tuple[int, ...]) -> Evaluation:
     return _choose_cutoff(rungs, rung, len(e), "dp+geom-tail")
 
 
+@memoized
 def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
     """B(n,1+x) and P_m of (H_n^(1)(x),..,H_n^(m)(x)) for n = 1..N, in
     fixed point.
 
     P_j of the harmonic numbers is the complete homogeneous symmetric
     polynomial h_j(y_1, .., y_n) of y_i = 1/(i+x), so
-    P_j(n) = sum_{i<=n} y_i P_(j-1)(i): one product and one prefix sum per
-    order, where the Bell recurrence takes j of each.
+    P_j(n) = sum_{i<=n} y_i P_(j-1)(i): one product and one prefix sum on
+    the memoized arrays of order j - 1, where the Bell recurrence takes j of
+    each.  The orders below m are asked for from the bottom up, so no call
+    recurses deeper than one level.
     """
+    if m:
+        for j in range(m):
+            B, P = _outer_arrays(N, j, x)
+        y = _power_weights(N, 1, x)
+        return B, list(accumulate([(a * b) >> _F for a, b in zip(y, P)]))
     xn, xd = x.as_integer_ratio()
     # B(1,1+x) = 1/(1+x), B(n+1,1+x) = B(n,1+x) * n/(n+1+x)
     B = [(xd << _F) // (xd + xn)]
     for n in range(1, N):
         B.append(B[-1] * n * xd // ((n + 1) * xd + xn))
-    y = _power_weights(N, 1, x)
-    P = [_ONE] * N
-    for _ in range(m):
-        P = list(accumulate([(a * b) >> _F for a, b in zip(y, P)]))
-    return B, P
+    return B, [_ONE] * N
 
 
 @memoized
 def _ak_lhs_p1(a: tuple[int, ...], m: int, x: float, rungs: tuple[int, ...]) -> Evaluation:
     """:func:`eval_ak_lhs` at p = 1, to a cutoff N from ``rungs``."""
     models = [pow_shift(float(ai), 0.0) for ai in a]
-    models[-1] = beta_model(x) * bell_p_models(m, x)[m] * models[-1]
+    models[-1] = bell_p_models(m, x)[m] * models[-1]
     tails = nested_tail_series(models)
     if not all(math.isfinite(c) for pair in tails for s in pair
                for band in s.bands.values() for c in band):

@@ -4,10 +4,12 @@ alternating-binomial integral-transform kernel.
 Everything here is exact rational: the reference the float engine is checked
 against, so every shift x is an int or a Fraction.  A harmonic table is the
 plain list of its rows, one tuple of Fractions per n, and the Bell values
-are a plain list.  The engine builds the same Bell polynomials twice over:
-as complete homogeneous symmetric polynomials of the harmonic rows in fixed
-point (``evaluator._outer_arrays``), and as asymptotic tail models by the
-same recurrence (``logasym.bell_p_models``).
+are a plain list.  The engine builds the same Bell polynomials twice over,
+neither by the recurrence of :func:`bell_modified`: as complete homogeneous
+symmetric polynomials of the harmonic rows in fixed point
+(``evaluator._outer_arrays``), and, times B(n, 1+x), as the z-power
+coefficients of the asymptotic series of B(n, 1+x-z)
+(``logasym.bell_p_models``).
 """
 
 from __future__ import annotations

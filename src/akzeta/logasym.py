@@ -6,10 +6,11 @@ as log-power bands, bands[k][j] = c, with one fractional shift in [0, 1)
 held by the whole series.  The shift is non-zero only for the beta
 factor's exponent a = 1 + x and what is built from it; a product carries
 the integer part of its shifts into k, so an exponent near the pole s = 1
-keeps every bit of a.  The weights of the summation engine (shifted powers,
-beta factors, Bell polynomials of harmonic numbers) all expand in this
-ring, by closed forms (DLMF 5.11.17 and 25.11.43).  This lets the tail of a
-nested sum
+keeps every bit of a.  The weights of the summation engine expand in this
+ring by closed forms: shifted powers by the binomial series, and the beta
+factors times Bell polynomials of harmonic numbers, B(n, 1+x) P_j, as the
+z^j coefficients of one series of B(n, 1+x-z) (DLMF 5.11.17).  This lets
+the tail of a nested sum
 
     sum_{n > M} S_{q-1}(n) g_q(n),   S_i(n) = sum_{j < n} S_{i-1}(j) g_i(j)
 
@@ -39,12 +40,13 @@ __all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
-# the models are float series: their zeta and psi constants need float precision
+# the models are float series: their psi constant needs float precision, and
+# their zeta constants use the default cutoff cap whatever the caller's
 _FLOAT_CTX = PrecisionContext(digits=17)
-# B_i/i!, i = 0..ORDER: the Taylor coefficients of t/(e^t - 1), exact
-_BERNOULLI = tuple(bernoulli_over_factorial(i) for i in range(ORDER + 1))
+# B_i/i!, i = 0..ORDER: the Taylor coefficients of t/(e^t - 1), rounded once
+_BERNOULLI = [float(bernoulli_over_factorial(i)) for i in range(ORDER + 1)]
 # B_2k/(2k)!, k = 1..5: the Euler-Maclaurin correction coefficients of ztail
-_EM_COEFF = [float(_BERNOULLI[2 * k]) for k in range(1, 6)]
+_EM_COEFF = [_BERNOULLI[2 * k] for k in range(1, 6)]
 
 
 class LogSeries:
@@ -176,47 +178,20 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     return LogSeries(tail, shift), LogSeries(err, shift)
 
 
-@memoized
 def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
     """B_i(a)/i! for i = 0..ORDER, exact at the float a: the Taylor
-    coefficients of e^(at) t/(e^t - 1).  One row per a serves every
-    :func:`harmonic_model` order k."""
+    coefficients of e^(at) t/(e^t - 1), for :func:`harmonic_model`."""
     A = Fraction(a)
     return tuple(classical_bernoulli_polynomial(i)(A) / math.factorial(i)
                  for i in range(ORDER + 1))
 
 
-@memoized
 def beta_model(x: float) -> LogSeries:
-    """Asymptotics of B(n, a) = Gamma(a) Gamma(n) / Gamma(n+a), a = 1+x.
-
-    By DLMF 5.11.17, Gamma(n)/Gamma(n+a) ~ n^(-a) sum_k C(-a, k) B_k^(1-a) n^(-k),
-    where B_k^(1-a)/k! is the t^k coefficient of (t/(e^t - 1))^(1-a), from
-    J. C. P. Miller's recurrence for a power of a power series.  Each
-    coefficient is exact until it is rounded once.
-    """
-    if x <= -1:
-        raise DomainError("require x > -1")
-    a = 1.0 + x
-    A = Fraction(a)
-    f = _BERNOULLI
-    g = [Fraction(1)]  # B_k^(1-a)/k!
-    for k in range(1, len(f)):
-        g.append(sum(((2 - A) * i - k) * f[i] * g[k - i] for i in range(1, k + 1)) / k)
-    try:
-        amp = math.gamma(a)
-    except OverflowError:
-        raise DomainError(f"Gamma(1 + x) overflows a float at x = {x}") from None
-    base = math.floor(a)
-    bands = {}
-    binom = Fraction(1)  # C(-a, k) k!
-    for k, gk in enumerate(g):
-        bands[base + k] = [amp * float(binom * gk)]
-        binom *= -A - k
-    return LogSeries(bands, a - base)
+    """Asymptotics of B(n, a) = Gamma(a) Gamma(n) / Gamma(n+a), a = 1+x: the
+    order-0 entry of :func:`bell_p_models`."""
+    return bell_p_models(0, x)[0]
 
 
-@memoized
 def harmonic_model(k: int, x: float) -> LogSeries:
     """Asymptotics of H_n^(k)(x) = sum_{j<=n} (j+x)^{-k}.
 
@@ -224,6 +199,9 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     k = 1), and by DLMF 25.11.43 zeta(k, n+a) is
     sum_i (-1)^i B_i(a) (k)_(i-1)/i! n^(1-k-i), with the rising factorial
     (k)_(i-1) = (k+i-2)!/(k-1)!; at k = 1 the i = 0 term is ln(n) instead.
+    The summation engine does not use it (:func:`bell_p_models` takes the
+    harmonic numbers' constants into one series); ``bench/spans.py`` traces
+    it by name.
     """
     if x <= -1:
         raise DomainError("require x > -1")
@@ -239,22 +217,78 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     return LogSeries(bands)
 
 
-@memoized
 def bell_p_models(m: int, x: float) -> tuple[LogSeries, ...]:
-    """Asymptotic models of P_0..P_m evaluated on (H_n^(1)(x),..,H_n^(m)(x)).
+    """Asymptotic models of B(n, 1+x) P_j(H_n^(1)(x),..,H_n^(j)(x)) for
+    j = 0..m: the orders below the next 2^k - 1 >= m of one memoized
+    :func:`_beta_series`, which are the same floats at every size."""
+    return _beta_series(1 << m.bit_length(), x)[:m + 1]
 
-    P_m comes from m P_m = sum_k H^(k) P_(m-k) over the memoized models of
-    the orders below m, which the loop asks for from the bottom up, so no
-    call recurses deeper than one level.
+
+def _truncated_product(p: list[float], q: list[float], size: int) -> list[float]:
+    """The coefficients of z^0..z^(size-1) in the product of the polynomials
+    p and q; coefficient j sums its products in the same order at any size."""
+    return [sum(p[i] * q[j - i] for i in range(max(0, j + 1 - len(q)), min(j + 1, len(p))))
+            for j in range(min(size, len(p) + len(q) - 1))]
+
+
+@memoized
+def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
+    """The z^j coefficients, j < size, of the asymptotics of B(n, a - z),
+    a = 1+x: by B(n, a - z) = B(n, a) sum_j P_j(H_n(x)) z^j, the models of
+    B(n, a) P_j, each a polynomial in z with float coefficients truncated
+    below z^size.
+
+    B(n, a - z) is the product of three series in z:
+
+    - Gamma(n)/Gamma(n+A) ~ n^(-A) sum_k C(-A, k) B_k^(1-A) n^(-k) at
+      A = a - z (DLMF 5.11.17), where B_k^(1-A)/k! is the t^k coefficient of
+      (t/(e^t - 1))^(1-A), from J. C. P. Miller's recurrence for a power of
+      a power series;
+    - n^z = sum_l ln(n)^l z^l/l!, the log-power bands;
+    - Gamma(a - z) = Gamma(a) exp(-psi(a) z + sum_(j>=2) zeta(j, a) z^j/j),
+      whose coefficients e_j follow from j e_j = sum_i c_i e_(j-i) with
+      c_1 = -psi(a) and c_i = zeta(i, a), the Bell recurrence of P_j.
+
+    psi(a) comes from mpmath, and zeta(j, a) from :func:`eval_hurwitz_mzv`.
     """
-    if m == 0:
-        return (LogSeries({0: [1.0]}),)
-    for j in range(m):
-        lower = bell_p_models(j, x)
-    s = harmonic_model(1, x) * lower[m - 1]
-    for k in range(2, m + 1):
-        s += harmonic_model(k, x) * lower[m - k]
-    return (*lower, s.scaled(1.0 / m))
+    if x <= -1:
+        raise DomainError("require x > -1")
+    a = 1.0 + x
+    try:
+        amp = math.gamma(a)
+    except OverflowError:
+        raise DomainError(f"Gamma(1 + x) overflows a float at x = {x}") from None
+    gam = [amp]  # Gamma(a - z)
+    if size > 1:
+        from .evaluator import eval_hurwitz_mzv
+
+        c = [0.0, -float(_FLOAT_CTX.mp_ctx().digamma(a))]
+        for i in range(2, size):
+            try:
+                c.append(eval_hurwitz_mzv((i,), x, _FLOAT_CTX).value)
+            except OverflowError:  # zeta(i, a) ~ a^-i at a < 1: the orders from i overflow
+                c.append(math.inf)
+        for j in range(1, size):
+            gam.append(sum(c[i] * gam[j - i] for i in range(1, j + 1)) / j)
+    f = _BERNOULLI
+    g = [[1.0]]  # B_k^(1-A)/k!, polynomials in z
+    for k in range(1, ORDER + 1):
+        acc = [0.0] * min(k + 1, size)
+        for i in range(1, k + 1):  # ((2 - A) i - k) f_i g_(k-i) with A = a - z
+            lin = [((2.0 - a) * i - k) * f[i], i * f[i]]
+            for d, t in enumerate(_truncated_product(lin, g[k - i], size)):
+                acc[d] += t
+        g.append([t / k for t in acc])
+    base = math.floor(a)
+    coef = []  # coef[k]: Gamma(A) C(-A, k) B_k^(1-A), the factor of n^(-A-k)
+    binom = [1.0]  # C(-A, k) k!
+    for k, gk in enumerate(g):
+        coef.append(_truncated_product(_truncated_product(binom, gk, size), gam, size))
+        binom = _truncated_product(binom, [-a - k, 1.0], size)
+    inv_fact = [1 / math.factorial(l) for l in range(size)]
+    return tuple(LogSeries({base + k: [ck[j - l] * inv_fact[l] for l in range(j + 1)]
+                            for k, ck in enumerate(coef)}, a - base)
+                 for j in range(size))
 
 
 def nested_tail_series(models: Sequence[LogSeries]) -> list[tuple[LogSeries, LogSeries]]:

@@ -4,6 +4,7 @@ import pkgutil
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath as mp
 import pytest
@@ -16,9 +17,8 @@ from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_prop2_series, clear_caches, _ak_lhs_p1, _mzv_cached, _rungs,
                               _F, _dp_nested, _geometric, _outer_arrays,
                               _power_weights, _product, _roundoff)
-from akzeta.identities import catalog, verify_all
+from akzeta.identities import catalog, verify, verify_all
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
-from akzeta.logasym import bell_p_models
 from akzeta.numerics import PrecisionContext, DEFAULT_CTX, RIGOROUS, zeta_em
 
 CTX = PrecisionContext(default_cutoff=20000)
@@ -357,6 +357,16 @@ def test_p1_sums_at_large_shifts_are_bounded_or_refused(x, m):
     assert abs(ev.value - exact) <= ev.bound
 
 
+def test_p1_sum_whose_tail_series_passes_the_float_range():
+    # the tail series of order m = 64 is built to order 127, and at x = -0.999
+    # zeta(j, 1+x) ~ 1000^j passes the float range from j = 103: the orders
+    # above m must not stop the sum, which THM3 ties to the zeta combination
+    c = Composition.of(2)
+    lhs = eval_ak_lhs(dual(c).alpha(), 1, 64, -0.999)
+    rhs = eval_ak_rhs(c.alpha(), 64, -0.999)
+    assert abs(lhs.value - rhs.value) <= lhs.bound + rhs.bound
+
+
 def test_p1_ladder_starts_above_the_shift():
     # the tail models expand in x/N and diverge at N <= x, where their
     # truncation estimate can read 0: the ladder must not stop at N = 128
@@ -377,8 +387,7 @@ def test_prop2_series_reproduces_shift():
 
 def test_prop2_series_sums_the_p1_coefficients():
     # the z^m coefficient is the public p = 1 sum at order m, summed in the
-    # same order; the Bell tail models of those sums, each order built on
-    # the cached lower ones, match the exact Bell rows far out
+    # same order
     params = next(case.grid for case in catalog() if case.id == "PROP2")[1]
     c, x, z = params["alpha"], params["x"], params["z"]
     beta = dual(c).alpha()
@@ -386,13 +395,30 @@ def test_prop2_series_sums_the_p1_coefficients():
     for m in range(12):
         total += z**m * eval_ak_lhs(beta, 1, m, x, CTX).value
     assert eval_prop2_series(c, x, z, 12, CTX).value == total
-    clear_caches()
-    models = bell_p_models(6, x)
-    assert models[:6] == bell_p_models(5, x)
-    n = 400
-    exact = bell_modified(harmonic_table(n, 6, Fraction(x))[n])
-    for m in range(7):
-        assert abs(models[m](n) - float(exact[m])) < 1e-11 * (1 + exact[m]), m
+
+
+# (alpha, m_terms) -> (rhs, bound) of the PROP2 reports, measured when the
+# Bell tail models were built order by order from products of harmonic
+# models; the series built from one generating function must not move a
+# value by more than 2 ulps nor loosen a bound
+_PROP2_PINS = {
+    ("2", 12): (1.1973291512706277, 8.832029889973284e-09),
+    ("1,2", 12): (0.9360101720882985, 1.803430499530223e-09),
+    ("3", 12): (0.41439816708720795, 6.135815944170217e-07),
+    ("2", 24): (1.1973291545071105, 5.289822665946297e-16),
+    ("1,2", 24): (0.9360101726907627, 6.67337378795765e-16),
+    ("3", 24): (0.4143983221171577, 1.0381121470670577e-14),
+}
+
+
+@pytest.mark.parametrize("m_terms", [12, 24])
+def test_prop2_reports_are_pinned(m_terms):
+    for params in next(case.grid for case in catalog() if case.id == "PROP2"):
+        report = verify("PROP2", dict(params, m_terms=m_terms))
+        rhs, bound = _PROP2_PINS[str(params["alpha"]), m_terms]
+        assert report.passed
+        assert abs(report.rhs - rhs) <= 2 * math.ulp(rhs), params
+        assert report.bound <= bound, params
 
 
 def test_ak_lhs_ignores_mpmath_global_precision():
@@ -539,6 +565,25 @@ def test_clear_caches_clears_zeta_em():
     assert zeta_em(3, 0.0) is not a
 
 
+@pytest.mark.parametrize("N", [32, 64])
+def test_outer_arrays_memo_matches_a_fresh_build(N):
+    # each order is one product and one prefix sum on the memoized order
+    # below it: the same integers as the whole recurrence run from scratch
+    x = 0.25
+    xn, xd = x.as_integer_ratio()
+    B = [(xd << _F) // (xd + xn)]
+    for n in range(1, N):
+        B.append(B[-1] * n * xd // ((n + 1) * xd + xn))
+    y = _power_weights(N, 1, x)
+    P = [1 << _F] * N
+    clear_caches()
+    for m in (3, 6, 0, 1, 2, 4, 5):  # cold, then each order again from the memo
+        fresh = P
+        for _ in range(m):
+            fresh = list(accumulate([(a * b) >> _F for a, b in zip(y, fresh)]))
+        assert _outer_arrays(N, m, x) == (B, fresh), m
+
+
 def _package_caches() -> dict[str, object]:
     """Every memoized function bound in an akzeta module, by qualified name."""
     found = {}
@@ -554,10 +599,11 @@ def test_one_cache_policy():
     # every cache keeps 4096 results and clear_caches empties all of them
     verify_all("THM3")
     eval_t((1, 3), CTX)
+    zeta_em(3, 0.0, CTX)
     caches = _package_caches()
-    assert {"evaluator._mzv_cached", "evaluator._ak_lhs_p1", "logasym.beta_model",
-            "logasym.harmonic_model", "logasym.bell_p_models", "logasym._bernoulli_at",
-            "numerics._zeta_em_cached", "numerics._mp_context"} <= caches.keys()
+    assert {"evaluator._mzv_cached", "evaluator._ak_lhs_p1", "evaluator._outer_arrays",
+            "logasym._beta_series", "numerics._zeta_em_cached",
+            "numerics._mp_context"} <= caches.keys()
     for name in ("evaluator._li", "evaluator._ak_lhs_geom",
                  "evaluator.eval_euler_transform"):
         assert name not in caches

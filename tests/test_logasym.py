@@ -5,9 +5,11 @@ import mpmath as mp
 import pytest
 
 from akzeta.errors import DomainError
+from akzeta.harmonic_bell import bell_modified, harmonic_table
 from akzeta.logasym import (LogSeries, pow_shift, ztail,
-                            beta_model, harmonic_model,
-                            bell_p_models, nested_tail_series, nested_tail_sum)
+                            beta_model, harmonic_model, bell_p_models, _beta_series,
+                            nested_tail_series, nested_tail_sum)
+from akzeta.numerics import beta_factor_exact
 
 
 def test_logseries_ring_basics():
@@ -119,14 +121,25 @@ def test_harmonic_constant_matches_mpmath_zeta():
             assert harmonic_model(k, x).bands[0][0] == ref
 
 
-def test_bell_p_models_match_exact_rows():
-    from akzeta.harmonic_bell import harmonic_table, bell_modified
+@pytest.mark.parametrize("x", [0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 4)], ids=str)
+def test_bell_p_models_match_exact_beta_bell_rows(x):
+    # the z^j coefficient of B(n, 1+x-z) is B(n, 1+x) P_j of the harmonic
+    # row; B(n, 1+x) is small at n = 400, so the tolerance is relative
     n = 400
-    P = bell_p_models(3, -0.5)
-    tab = harmonic_table(n, 3, Fraction(-1, 2))
-    exact = [float(v) for v in bell_modified(tab[n])]
-    for m in range(4):
-        assert abs(P[m](n) - exact[m]) < 1e-11 * (1 + abs(exact[m]))
+    models = bell_p_models(6, float(x))
+    beta = beta_factor_exact(n, x)
+    exact = [float(beta * p) for p in bell_modified(harmonic_table(n, 6, x)[n])]
+    for j in range(7):
+        assert abs(models[j](n) - exact[j]) < 1e-11 * abs(exact[j]), j
+
+
+def test_beta_series_is_the_same_floats_at_every_size():
+    # a truncated polynomial product sums each coefficient in the same order
+    # at any size, so a larger build extends a smaller one float for float
+    small, large = _beta_series(8, 0.25), _beta_series(16, 0.25)
+    for j in range(8):
+        assert (small[j].bands, small[j].shift) == (large[j].bands, large[j].shift), j
+    assert bell_p_models(7, 0.25) == small and bell_p_models(8, 0.25) == large[:9]
 
 
 def test_nested_tail_sum_depth2():
