@@ -2,11 +2,14 @@
 
 Every public entry point returns a :class:`~akzeta.numerics.Evaluation`
 carrying the value, an error bound, and how the bound was obtained.  The
-workhorse is a prefix-sum dynamic program over Python integers scaled by
-2^_F (fixed point) combined with symbolic Euler-Maclaurin tails from
-:mod:`.logasym`, which makes even deep, slowly-converging sums exact to near
-machine precision at modest cutoffs.  Every such sum chooses its cutoff by
-one rule, :func:`_choose_cutoff`; ``ctx.default_cutoff`` is only its cap.
+workhorse is one memoized nested-sum core, :func:`_nested`, behind
+``eval_hurwitz_mzv``, ``eval_t``, ``eval_li`` and ``eval_ak_lhs``: a
+prefix-sum dynamic program over Python integers scaled by 2^_F (fixed
+point), combined with symbolic Euler-Maclaurin tails from :mod:`.logasym`
+or, for a geometric outer factor, a majorant of the rest.  That makes even
+deep, slowly-converging sums exact to near machine precision at modest
+cutoffs.  The core chooses its cutoff by one rule, :func:`_choose_cutoff`;
+``ctx.default_cutoff`` is only its cap.
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ def _roundoff(N: int, q: int, scale: float) -> float:
     depth-q sum of size ``scale``; it also bounds the fixed-point rounding.
 
     Every weight, geometric or beta factor and product is rounded down to a
-    multiple of 2^-_F, and a floored recurrence t_n = floor(t_(n-1) r) with
-    |r| <= 1 is off by at most n units.  Prefix sums add no rounding.  So a
+    multiple of 2^-_F (the outer level's weight and all its factors make one
+    product, rounded once), and a floored recurrence t_n = floor(t_(n-1) r)
+    with |r| <= 1 is off by at most n units.  Prefix sums add no rounding.  So a
     number that went through k roundings is off by at most k units times the
     factors it was multiplied by afterwards, and the partial sum is off by
     at most about N (q + 1) 2^-_F L, where L is the product of 1 + the
@@ -145,15 +149,6 @@ def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) 
                       bound_kind=RIGOROUS, method=method, cutoff_used=N)
 
 
-def _dp_em_tail(weights: list[list[int]], tails: list) -> tuple[float, float]:
-    """A rung of a nested sum: the prefix-sum DP of ``weights`` plus the
-    symbolic Euler-Maclaurin ``tails`` (a :func:`nested_tail_series`)."""
-    N = len(weights[0])
-    partial, S_at = _dp_nested(weights)
-    tail, terr = nested_tail_sum(S_at, tails, N)
-    return (partial + int(tail * _ONE)) / _ONE, 10.0 * terr
-
-
 def _convergent_parts(parts) -> tuple[int, ...]:
     """The exponent tuple of ``parts``, whose outer sum must converge."""
     e = Composition.coerce(parts).parts
@@ -169,26 +164,12 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
     be at least 2 for convergence.
     """
     xf = real(x, "x", above=-1)
-    return _mzv_cached(_convergent_parts(parts), xf, _tail_rungs(xf, ctx))
+    return _nested(_convergent_parts(parts), xf, 1, None, None, _tail_rungs(xf, ctx))
 
 
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Odd-denominator analogue: sum over n_1 < ... < n_q of prod (2 n_i - 1)^{-e_i}."""
-    return _mzv_cached(_convergent_parts(parts), -0.5, _rungs(ctx.default_cutoff), 2)
-
-
-@memoized
-def _mzv_cached(e: tuple[int, ...], xf: float, rungs: tuple[int, ...],
-                c: int = 1) -> Evaluation:
-    """sum over n_1 < ... < n_q of prod (c (n_i + x))^{-e_i}: the DP to a
-    cutoff N from ``rungs``, plus the tail beyond it.
-    """
-    tails = nested_tail_series([pow_shift(float(ei), xf).scaled(float(c) ** -ei) for ei in e])
-
-    def rung(N):
-        return _dp_em_tail([_power_weights(N, ei, xf, c) for ei in e], tails)
-
-    return _choose_cutoff(rungs, rung, len(e), "dp+em-tail")
+    return _nested(_convergent_parts(parts), -0.5, 2, None, None, _rungs(ctx.default_cutoff))
 
 
 def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
@@ -223,20 +204,7 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
         return eval_hurwitz_mzv(e, 0.0, ctx)
     if not abs(zf) < 1.0:
         raise DivergenceError(f"need |z| < 1 or z = 1, got {z}")
-    return _li(e, zf, _rungs(ctx.default_cutoff))
-
-
-def _li(e: tuple[int, ...], zf: float, rungs: tuple[int, ...]) -> Evaluation:
-    """:func:`eval_li` for |z| < 1, to a cutoff N from ``rungs``."""
-    def rung(N):
-        weights = [_power_weights(N, ei) for ei in e]
-        weights[-1] = _product(weights[-1], _geometric(N, Fraction(zf)))
-        value = _dp_nested(weights)[0] / _ONE
-        # tail: |S_{q-1}(n)| <= (1 + ln n)^{q-1}, n^{-e_q} <= 1
-        tail_bd = _geom_row_bound(N, 1.0 / abs(zf) if zf else math.inf, len(e) - 1, 1.0, 1.0)
-        return value, tail_bd
-
-    return _choose_cutoff(rungs, rung, len(e), "dp+geom-tail")
+    return _nested(e, 0.0, 1, None, Fraction(zf), _rungs(ctx.default_cutoff))
 
 
 @memoized
@@ -265,22 +233,67 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
 
 
 @memoized
-def _ak_lhs_p1(a: tuple[int, ...], m: int, x: float, rungs: tuple[int, ...]) -> Evaluation:
-    """:func:`eval_ak_lhs` at p = 1, to a cutoff N from ``rungs``."""
-    models = [pow_shift(float(ai), 0.0) for ai in a]
-    models[-1] = bell_p_models(m, x)[m] * models[-1]
-    tails = nested_tail_series(models)
-    if not all(math.isfinite(c) for pair in tails for s in pair
-               for band in s.bands.values() for c in band):
-        raise DomainError(f"the tail model of B(n, 1+x) overflows a float at x = {x}")
+def _nested(e: tuple[int, ...], x: float, c: int, bell: tuple[int, float] | None,
+            r: Fraction | None, rungs: tuple[int, ...]) -> Evaluation:
+    """The one nested sum of the DP paths, to a cutoff N from ``rungs``:
+
+        sum over n_1 < ... < n_q of prod_i (c (n_i + x))^{-e_i},
+
+    its outer term also multiplied by B(n, 1+y) P_m(H_n(y)) when
+    ``bell`` = (m, y), and by r^n when ``r`` is a Fraction.
+
+    The outer level's power weights and extra factors make one product,
+    rounded down once; a level without extra factors is its power weights.
+    Without r the rest of the sum is the symbolic Euler-Maclaurin tail of
+    the levels' asymptotic models.  With r it is the majorant
+    :func:`_geom_row_bound`, which holds only if the inner levels are powers
+    n^-e at x = 0, c = 1 and e >= 1, as for every caller: then
+    S_(q-1)(n) <= (1 + ln n)^(q-1), and B(n, 1+y) <= B(N, 1+y) for n >= N.
+    """
+    m, y = bell or (0, 0.0)
+    what = (f"the Bell-weighted sum {e} at m = {m}, x = {y}" if bell
+            else f"the nested sum {e} at x = {x}, c = {c}")
+    if r is None:
+        models = [pow_shift(float(ei), x).scaled(float(c) ** -ei) for ei in e]
+        if bell:
+            models[-1] = bell_p_models(m, y)[m] * models[-1]
+        tails = nested_tail_series(models)
+        if not all(math.isfinite(v) for pair in tails for s in pair
+                   for band in s.bands.values() for v in band):
+            raise DomainError(f"the tail model of {what} overflows a float")
+    else:
+        # majorant constants: H_n^(k)(y) <= g^{k-1} H_n^(1)(y), H_n^(1)(y) <= h + ln n,
+        # P_m on arguments <= X is at most (X+m)^m / m!
+        h = max(1.0, 1.0 / (1.0 + y))
+        g = max(2.0, 1.0 / (1.0 + y))
+        try:
+            D = (g ** max(m - 1, 0) + m) ** m / math.factorial(m)
+        except OverflowError:
+            raise DomainError(f"the majorant of P_m overflows a float at m = {m}, x = {y}") from None
+        p = float(1 / abs(r)) if r else math.inf
 
     def rung(N):
-        B, P = _outer_arrays(N, m, x)
-        weights = [_power_weights(N, ai) for ai in a[:-1]]
-        weights.append(_product(_product(B, _power_weights(N, a[-1])), P))
-        return _dp_em_tail(weights, tails)
+        levels = [_power_weights(N, ei, x, c) for ei in e]
+        outer = [*_outer_arrays(N, m, y)] if bell else []
+        if r is not None:
+            outer.append(_geometric(N, r))
+        if outer:
+            levels[-1] = _product(levels[-1], *outer)
+        try:
+            partial, S_at = _dp_nested(levels)
+            if r is None:
+                tail, terr = nested_tail_sum(S_at, tails, N)
+                partial += int(tail * _ONE)
+            value = partial / _ONE
+        except (OverflowError, ValueError):  # a value or tail past the float range, or NaN
+            raise DomainError(f"{what} leaves the float range at cutoff {N}") from None
+        if r is None:
+            return value, 10.0 * terr
+        K = outer[0][-1] / _ONE * N ** (-float(e[-1])) * D if bell else 1.0
+        return value, _geom_row_bound(N, p, m + len(e) - 1, K, h)
 
-    return _choose_cutoff(rungs, rung, len(a) + m + 1, "dp+em-tail")
+    q = len(e) + (m + 1 if bell else 0)
+    return _choose_cutoff(rungs, rung, q, "dp+em-tail" if r is None else "dp+geom-tail")
 
 
 def eval_ak_lhs(alpha, p: float, m: int, x: float,
@@ -295,34 +308,8 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
     if pf < 1:
         raise DomainError(f"require p >= 1, got {pf}")
     if pf == 1.0:
-        return _ak_lhs_p1(a, m, xf, _tail_rungs(xf, ctx))
-    return _ak_lhs_geom(a, pf, m, xf, _rungs(ctx.default_cutoff))
-
-
-def _ak_lhs_geom(a: tuple[int, ...], pf: float, m: int, xf: float,
-                 rungs: tuple[int, ...]) -> Evaluation:
-    """:func:`eval_ak_lhs` at p > 1 (geometric convergence), to a cutoff N
-    from ``rungs``."""
-    r = len(a)
-    # majorant constants: H_n^(k)(x) <= g^{k-1} H_n^(1)(x), H_n^(1)(x) <= c + ln n,
-    # P_m on arguments <= X is at most (X+m)^m / m!
-    c = max(1.0, 1.0 / (1.0 + xf))
-    g = max(2.0, 1.0 / (1.0 + xf))
-    try:
-        D = (g ** max(m - 1, 0) + m) ** m / math.factorial(m)
-    except OverflowError:
-        raise DomainError(f"the majorant of P_m overflows a float at m = {m}, x = {xf}") from None
-
-    def rung(N):
-        B, P = _outer_arrays(N, m, xf)
-        weights = [_power_weights(N, ai) for ai in a[:-1]]
-        weights.append(_product(B, P, _power_weights(N, a[-1]), _geometric(N, 1 / Fraction(pf))))
-        value = _dp_nested(weights)[0] / _ONE
-        K = B[-1] / _ONE * N ** (-float(a[-1])) * D
-        tail_bd = _geom_row_bound(N, pf, float(m + r - 1), K, c)
-        return value, tail_bd
-
-    return _choose_cutoff(rungs, rung, r + m + 1, "dp+geom-tail")
+        return _nested(a, 0.0, 1, (m, xf), None, _tail_rungs(xf, ctx))
+    return _nested(a, 0.0, 1, (m, xf), 1 / Fraction(pf), _rungs(ctx.default_cutoff))
 
 
 def eval_ak_rhs(alpha, m: int, x: float,

@@ -266,7 +266,7 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
         for i in range(2, size):
             try:
                 c.append(eval_hurwitz_mzv((i,), x, _FLOAT_CTX).value)
-            except OverflowError:  # zeta(i, a) ~ a^-i at a < 1: the orders from i overflow
+            except DomainError:  # zeta(i, a) ~ a^-i at a < 1: the orders from i overflow
                 c.append(math.inf)
         for j in range(1, size):
             gam.append(sum(c[i] * gam[j - i] for i in range(1, j + 1)) / j)

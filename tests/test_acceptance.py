@@ -9,8 +9,7 @@ import pytest
 
 from akzeta.combinatorics import Composition, dual, admissible_compositions
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
-                              eval_ak_rhs, eval_euler_transform, _mzv_cached,
-                              _li, _ak_lhs_p1, _ak_lhs_geom)
+                              eval_ak_rhs, eval_euler_transform, _nested)
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.identities import verify, _betaratio_exact
 from akzeta.numerics import (PrecisionContext, zeta_em, beta_factor_exact,
@@ -178,41 +177,42 @@ def test_criterion_13_bound_honesty():
         z = mp.zeta
         calls = [
             (lambda c: eval_hurwitz_mzv((2,), 0.0, c),
-             lambda: _mzv_cached((2,), 0.0, fixed), z(2)),
+             lambda: _nested((2,), 0.0, 1, None, None, fixed), z(2)),
             (lambda c: eval_hurwitz_mzv((1, 2), 0.0, c),
-             lambda: _mzv_cached((1, 2), 0.0, fixed), z(3)),
+             lambda: _nested((1, 2), 0.0, 1, None, None, fixed), z(3)),
             (lambda c: eval_hurwitz_mzv((1, 1, 2), 0.5, c),
-             lambda: _mzv_cached((1, 1, 2), 0.5, fixed), None),
+             lambda: _nested((1, 1, 2), 0.5, 1, None, None, fixed), None),
             (lambda c: eval_hurwitz_mzv((2, 5), 0.0, c),
-             lambda: _mzv_cached((2, 5), 0.0, fixed), None),
+             lambda: _nested((2, 5), 0.0, 1, None, None, fixed), None),
             (lambda c: eval_hurwitz_mzv((3, 4), -0.5, c),
-             lambda: _mzv_cached((3, 4), -0.5, fixed), None),
+             lambda: _nested((3, 4), -0.5, 1, None, None, fixed), None),
             (lambda c: eval_hurwitz_mzv((1, 1, 1, 4), 0.0, c),
-             lambda: _mzv_cached((1, 1, 1, 4), 0.0, fixed), None),
+             lambda: _nested((1, 1, 1, 4), 0.0, 1, None, None, fixed), None),
             (lambda c: eval_t((2,), c),
-             lambda: _mzv_cached((2,), -0.5, fixed, 2), z(2, 0.5) / 4),
+             lambda: _nested((2,), -0.5, 2, None, None, fixed), z(2, 0.5) / 4),
             (lambda c: eval_t((1, 3), c),
-             lambda: _mzv_cached((1, 3), -0.5, fixed, 2), None),
+             lambda: _nested((1, 3), -0.5, 2, None, None, fixed), None),
             (lambda c: eval_t((1, 1, 2), c),
-             lambda: _mzv_cached((1, 1, 2), -0.5, fixed, 2), None),
+             lambda: _nested((1, 1, 2), -0.5, 2, None, None, fixed), None),
             (lambda c: eval_li((1,), 0.5, c),
-             lambda: _li((1,), 0.5, fixed), mp.polylog(1, 0.5)),
+             lambda: _nested((1,), 0.0, 1, None, Fraction(0.5), fixed), mp.polylog(1, 0.5)),
             (lambda c: eval_li((2,), -0.75, c),
-             lambda: _li((2,), -0.75, fixed), mp.polylog(2, -0.75)),
+             lambda: _nested((2,), 0.0, 1, None, Fraction(-0.75), fixed), mp.polylog(2, -0.75)),
             (lambda c: eval_li((1, 1), 0.9, c),
-             lambda: _li((1, 1), 0.9, fixed), mp.log(1 - mp.mpf(0.9)) ** 2 / 2),
+             lambda: _nested((1, 1), 0.0, 1, None, Fraction(0.9), fixed),
+             mp.log(1 - mp.mpf(0.9)) ** 2 / 2),
             (lambda c: eval_ak_lhs((1,), 1.0, 0, 0.0, c),
-             lambda: _ak_lhs_p1((1,), 0, 0.0, fixed), z(2)),
+             lambda: _nested((1,), 0.0, 1, (0, 0.0), None, fixed), z(2)),
             (lambda c: eval_ak_lhs((1,), 1.0, 1, -0.5, c),
-             lambda: _ak_lhs_p1((1,), 1, -0.5, fixed), 14 * z(3)),
+             lambda: _nested((1,), 0.0, 1, (1, -0.5), None, fixed), 14 * z(3)),
             (lambda c: eval_ak_lhs((1, 1), 1.0, 2, 0.5, c),
-             lambda: _ak_lhs_p1((1, 1), 2, 0.5, fixed), None),
+             lambda: _nested((1, 1), 0.0, 1, (2, 0.5), None, fixed), None),
             (lambda c: eval_ak_lhs((2,), 1.0, 1, 0.25, c),
-             lambda: _ak_lhs_p1((2,), 1, 0.25, fixed), None),
+             lambda: _nested((2,), 0.0, 1, (1, 0.25), None, fixed), None),
             (lambda c: eval_ak_lhs((1,), 4.0, 1, -0.5, c),
-             lambda: _ak_lhs_geom((1,), 4.0, 1, -0.5, fixed), None),
+             lambda: _nested((1,), 0.0, 1, (1, -0.5), 1 / Fraction(4.0), fixed), None),
             (lambda c: eval_ak_lhs((1, 2), 3.0, 0, 0.0, c),
-             lambda: _ak_lhs_geom((1, 2), 3.0, 0, 0.0, fixed), None),
+             lambda: _nested((1, 2), 0.0, 1, (0, 0.0), 1 / Fraction(3.0), fixed), None),
             # the transform's own series, summed directly in mpmath
             (lambda c: eval_euler_transform(3.0, 2, 0.0, c),
              None, _euler_direct(3.0, 2, 0.0)),

@@ -135,6 +135,14 @@ def test_eval_ak_overflowing_majorant_exits_2(capsys):
     assert "m = 40, x = -0.9" in err and "Traceback" not in err
 
 
+def test_eval_sum_past_the_float_range_exits_2(capsys):
+    # (n - 0.9)^-400 is 10^400 at n = 1: an error line, not an OverflowError
+    code, out, err = run(capsys, "--json", "eval", "zeta", "400", "--x", "-0.9")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "leaves the float range" in err
+    assert "Traceback" not in err
+
+
 def test_bpoly(capsys):
     code, out, _ = run(capsys, "bpoly", "--v", "1", "--p", "1", "--m", "1")
     assert code == 0

@@ -14,7 +14,7 @@ from akzeta.combinatorics import Composition, dual, admissible_compositions
 from akzeta.errors import DomainError, DivergenceError
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform,
-                              eval_prop2_series, clear_caches, _ak_lhs_p1, _mzv_cached, _rungs,
+                              eval_prop2_series, clear_caches, _nested, _rungs,
                               _F, _dp_nested, _geometric, _outer_arrays,
                               _power_weights, _product, _roundoff)
 from akzeta.identities import catalog, verify, verify_all
@@ -377,6 +377,18 @@ def test_p1_ladder_starts_above_the_shift():
     assert abs(ev.value - exact) <= ev.bound
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: eval_hurwitz_mzv((400,), -0.9), "the nested sum (400,) at x = -0.9"),
+    (lambda: eval_ak_lhs((2,), 1, 300, -0.9), "the Bell-weighted sum (2,) at m = 300, x = -0.9"),
+], ids=["zeta", "ak"])
+def test_p1_sum_past_the_float_range_is_refused(call, name):
+    # (n - 0.9)^-400 is 10^400 at n = 1, and the order-300 Bell weights at
+    # x = -0.9 pass the float range too: the sum must refuse, naming itself,
+    # not raise OverflowError
+    with pytest.raises(DomainError, match=re.escape(name) + ".* leaves the float range"):
+        call()
+
+
 def test_prop2_series_reproduces_shift():
     lhs = eval_hurwitz_mzv((2,), 0.25, CTX)
     rhs = eval_prop2_series(Composition.of(2), 0.5, 0.25, 16, CTX)
@@ -487,13 +499,13 @@ def test_bound_honesty_at_larger_cutoff():
     fixed = (20000,)
     cases = [
         (lambda c: eval_hurwitz_mzv((1, 1, 3), 0.0, c),
-         lambda: _mzv_cached((1, 1, 3), 0.0, fixed)),
+         lambda: _nested((1, 1, 3), 0.0, 1, None, None, fixed)),
         (lambda c: eval_hurwitz_mzv((2, 3), -0.5, c),
-         lambda: _mzv_cached((2, 3), -0.5, fixed)),
+         lambda: _nested((2, 3), -0.5, 1, None, None, fixed)),
         (lambda c: eval_t((1, 3), c),
-         lambda: _mzv_cached((1, 3), -0.5, fixed, 2)),
+         lambda: _nested((1, 3), -0.5, 2, None, None, fixed)),
         (lambda c: eval_ak_lhs((1, 1), 1.0, 1, 0.5, c),
-         lambda: _ak_lhs_p1((1, 1), 1, 0.5, fixed)),
+         lambda: _nested((1, 1), 0.0, 1, (1, 0.5), None, fixed)),
     ]
     for f, at_fixed in cases:
         a, b = f(small), f(big)
@@ -518,7 +530,7 @@ def test_ak_lhs_closed_form_at_small_caps():
         for r in (1, 2, 3):
             with mp.workdps(30):
                 for m in range(24):
-                    ev = _ak_lhs_p1((1,) * r, m, -0.5, _rungs(cap))
+                    ev = _nested((1,) * r, 0.0, 1, (m, -0.5), None, _rungs(cap))
                     exact = math.comb(r + m, m) * (2 ** (r + m + 1) - 1) * mp.zeta(r + m + 1)
                     assert ev.cutoff_used <= cap
                     assert abs(ev.value - exact) <= ev.bound, (cap, r, m)
@@ -538,13 +550,21 @@ def test_euler_transform_p_above_2_reads_cap():
         assert abs(ev.value - mp.pi**2 / 18) <= ev.bound
 
 
-def test_mzv_cache_consistency():
+@pytest.mark.parametrize("call", [
+    lambda: eval_hurwitz_mzv((1, 2), 0.0, CTX),
+    lambda: eval_li((1, 1), 0.5, CTX),
+    lambda: eval_ak_lhs((1,), 4.0, 1, -0.5, CTX),
+    lambda: eval_ak_lhs((1, 1), 1, 2, 0.5, CTX),
+], ids=["mzv", "li", "ak-geometric", "ak-p1"])
+def test_mzv_cache_consistency(call):
+    # every nested sum goes through the one memoized core
     clear_caches()
-    a = eval_hurwitz_mzv((1, 2), 0.0, CTX)
-    b = eval_hurwitz_mzv((1, 2), 0.0, CTX)
+    a = call()
+    b = call()
     assert a is b
     clear_caches()
-    c = eval_hurwitz_mzv((1, 2), 0.0, CTX)
+    c = call()
+    assert c is not a
     assert c.value == a.value
 
 
@@ -601,12 +621,11 @@ def test_one_cache_policy():
     eval_t((1, 3), CTX)
     zeta_em(3, 0.0, CTX)
     caches = _package_caches()
-    assert {"evaluator._mzv_cached", "evaluator._ak_lhs_p1", "evaluator._outer_arrays",
+    assert {"evaluator._nested", "evaluator._outer_arrays",
             "logasym._beta_series", "numerics._zeta_em_cached",
             "numerics._mp_context"} <= caches.keys()
-    for name in ("evaluator._li", "evaluator._ak_lhs_geom",
-                 "evaluator.eval_euler_transform"):
-        assert name not in caches
+    assert {name for name in caches if name.startswith("evaluator.")} == {
+        "evaluator._nested", "evaluator._outer_arrays"}
     assert all(c.cache_info().currsize > 0 for c in caches.values())
     akzeta.clear_caches()
     for name, cache in caches.items():
