@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,8 +41,8 @@ __all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
-# the models are float series: their psi constant needs float precision, and
-# their zeta constants use the default cutoff cap whatever the caller's
+# the models are float series: their zeta constants need float precision
+# only, and use the default cutoff cap whatever the caller's
 _FLOAT_CTX = PrecisionContext(digits=17)
 # B_i/i!, i = 0..ORDER: the Taylor coefficients of t/(e^t - 1), rounded once
 _BERNOULLI = [float(bernoulli_over_factorial(i)) for i in range(ORDER + 1)]
@@ -178,6 +179,27 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     return LogSeries(tail, shift), LogSeries(err, shift)
 
 
+def _digamma(a: float) -> float:
+    """psi(a) at a float a > 0, rounded once from 40 digits of decimal
+    arithmetic: psi(a) = psi(t) - sum_(j<n) 1/(a+j) up to t = a+n >= 40, and
+    psi(t) ~ ln(t) - 1/(2t) - sum_(k<=10) B_2k/(2k t^2k), whose first omitted
+    term is below 1e-32 there."""
+    with localcontext(Context(prec=40)):
+        a = Decimal(a)  # exact
+        n = max(0, math.ceil(40 - a))
+        t = a + n
+        u = 1 / (t * t)
+        acc = t.ln() - 1 / (2 * t)
+        power = Decimal(1)
+        for k in range(1, 11):
+            power *= u
+            c = bernoulli_over_factorial(2 * k) * math.factorial(2 * k - 1)  # B_2k/(2k)
+            acc -= Decimal(c.numerator) / c.denominator * power
+        for j in range(n):
+            acc -= 1 / (a + j)
+        return float(acc)
+
+
 def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
     """B_i(a)/i! for i = 0..ORDER, exact at the float a: the Taylor
     coefficients of e^(at) t/(e^t - 1), for :func:`harmonic_model`."""
@@ -208,7 +230,7 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     a = 1.0 + x
     Ba = _bernoulli_at(a)
     if k == 1:
-        bands = {0: [-float(_FLOAT_CTX.mp_ctx().digamma(a)), 1.0]}
+        bands = {0: [-_digamma(a), 1.0]}
     else:
         bands = {0: [float(zeta_em(k, x, _FLOAT_CTX).value)]}
     for i in range(1 if k == 1 else 0, ORDER + 2 - k):
@@ -249,7 +271,10 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
       whose coefficients e_j follow from j e_j = sum_i c_i e_(j-i) with
       c_1 = -psi(a) and c_i = zeta(i, a), the Bell recurrence of P_j.
 
-    psi(a) comes from mpmath, and zeta(j, a) from :func:`eval_hurwitz_mzv`.
+    psi(a) comes from :func:`_digamma`, and zeta(j, a) from
+    :func:`eval_hurwitz_mzv`.  At a < 1, zeta(i, a) > a^-i grows with i, so
+    once one order leaves the float range every later one does too: the
+    orders from the first refused one are inf, without asking for them.
     """
     if x <= -1:
         raise DomainError("require x > -1")
@@ -262,12 +287,13 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
     if size > 1:
         from .evaluator import eval_hurwitz_mzv
 
-        c = [0.0, -float(_FLOAT_CTX.mp_ctx().digamma(a))]
+        c = [0.0, -_digamma(a)]
         for i in range(2, size):
             try:
                 c.append(eval_hurwitz_mzv((i,), x, _FLOAT_CTX).value)
-            except DomainError:  # zeta(i, a) ~ a^-i at a < 1: the orders from i overflow
-                c.append(math.inf)
+            except DomainError:  # zeta(i, a) > a^-i at a < 1: the orders from i overflow
+                c.extend([math.inf] * (size - i))
+                break
         for j in range(1, size):
             gam.append(sum(c[i] * gam[j - i] for i in range(1, j + 1)) / j)
     f = _BERNOULLI

@@ -234,7 +234,9 @@ def test_import_leaves_numpy_out():
     # float-only commands with JSON output load neither mpmath nor the catalog
     for argv in (["eval", "zeta", "1,2"], ["dual", "1,2"],
                  ["bpoly", "--v", "1,2", "--p", "5/2", "--m", "3"],
-                 ["eval", "ak", "--v", "1", "--p", "4", "--m", "0", "--x", "-0.5"]):
+                 ["eval", "ak", "--v", "1", "--p", "4", "--m", "0", "--x", "-0.5"],
+                 ["eval", "ak", "--v", "1", "--p", "1", "--m", "1", "--x", "-0.5"],
+                 ["eval", "ak", "--v", "1,1", "--p", "1", "--m", "2", "--x", "0.5"]):
         last = _fresh_python(_FOOTPRINT, "--json", *argv).splitlines()[-1]
         assert json.loads(last) == [0, False, False, False, False, False], argv  # exit code, loaded?
     last = _fresh_python(_FOOTPRINT, "--json", "verify", "DUAL").splitlines()[-1]

@@ -1,3 +1,4 @@
+import decimal
 import importlib
 import math
 import pkgutil
@@ -433,15 +434,19 @@ def test_prop2_reports_are_pinned(m_terms):
         assert report.bound <= bound, params
 
 
-def test_ak_lhs_ignores_mpmath_global_precision():
-    # the tail models' psi and zeta constants use their own mpmath contexts
+@pytest.mark.parametrize("library", ["mpmath", "decimal"])
+def test_ak_lhs_ignores_mpmath_global_precision(library):
+    # the tail models' psi and zeta constants use their own mpmath and
+    # decimal contexts, not the global ones
     ref = eval_ak_lhs((1, 2), 1, 2, 0.5)
     clear_caches()
-    dps, mp.mp.dps = mp.mp.dps, 5
+    glob, attr = (mp.mp, "dps") if library == "mpmath" else (decimal.getcontext(), "prec")
+    saved = getattr(glob, attr)
+    setattr(glob, attr, 5)
     try:
         low = eval_ak_lhs((1, 2), 1, 2, 0.5)
     finally:
-        mp.mp.dps = dps
+        setattr(glob, attr, saved)
     assert low == ref
 
 

@@ -1,15 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from akzeta import evaluator
 from akzeta.errors import DomainError
 from akzeta.harmonic_bell import bell_modified, harmonic_table
 from akzeta.logasym import (LogSeries, pow_shift, ztail,
                             beta_model, harmonic_model, bell_p_models, _beta_series,
-                            nested_tail_series, nested_tail_sum)
-from akzeta.numerics import beta_factor_exact
+                            _digamma, nested_tail_series, nested_tail_sum)
+from akzeta.numerics import beta_factor_exact, clear_caches
 
 
 def test_logseries_ring_basics():
@@ -112,6 +114,17 @@ def test_harmonic_models():
             assert abs(harmonic_model(k, x)(n) - ref) <= 2e-15 * abs(ref), (k, x)
 
 
+def test_digamma_matches_mpmath_float_for_float():
+    # psi(1 + x) from 40 decimal digits rounds to the same float as mpmath's
+    # 27-digit value, near the pole at x = -1 and past the recurrence's t = 40
+    rng = random.Random(2017)
+    xs = [0.0, 0.5, -0.5, 0.25, 1 / 3, -0.9, -0.99, -0.999, -1 + 1e-12, 2.5, 145.5]
+    xs += [rng.uniform(-1.0, 150.0) for _ in range(2000)]
+    with mp.workdps(27):
+        for x in xs:
+            assert _digamma(1 + x) == float(mp.digamma(1 + x)), x
+
+
 def test_harmonic_constant_matches_mpmath_zeta():
     # the constant term of H_n^(k)(x) is zeta(k, 1+x), rounded to float
     for k in range(2, 13):
@@ -140,6 +153,33 @@ def test_beta_series_is_the_same_floats_at_every_size():
     for j in range(8):
         assert (small[j].bands, small[j].shift) == (large[j].bands, large[j].shift), j
     assert bell_p_models(7, 0.25) == small and bell_p_models(8, 0.25) == large[:9]
+
+
+def test_beta_series_stops_at_the_first_refused_order(monkeypatch):
+    # zeta(i, 0.1) > 10^i: once one order leaves the float range every later
+    # one does too, so a fresh series asks for no order past the first refused
+    hurwitz, calls = evaluator.eval_hurwitz_mzv, []
+
+    def counting(alpha, x, ctx):
+        calls.append(alpha[0])
+        try:
+            return hurwitz(alpha, x, ctx)
+        except DomainError:
+            calls.append(None)
+            raise
+
+    monkeypatch.setattr(evaluator, "eval_hurwitz_mzv", counting)
+    clear_caches()
+    try:
+        series = _beta_series(512, -0.9)
+        first = calls[-2]
+        assert calls == list(range(2, first + 1)) + [None] and 2 < first < 512
+        # the low orders are the floats of a small build, where no order is refused
+        small = _beta_series(16, -0.9)
+    finally:
+        clear_caches()
+    assert len(series) == 512
+    assert [(s.bands, s.shift) for s in series[:16]] == [(s.bands, s.shift) for s in small]
 
 
 def test_nested_tail_sum_depth2():
