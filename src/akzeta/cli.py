@@ -36,8 +36,9 @@ def _print_eval(ev: Evaluation, args, ctx: PrecisionContext):
     # a float is exact in the working context, whatever mpmath's global precision
     if isinstance(ev.value, float):
         value = wp.nstr(wp.mpf(ev.value), min(args.precision, 17))
-    else:  # an mpf at the working precision: mp.mpf would round it to 15 digits
-        value = wp.nstr(ev.value, args.precision)
+    else:  # an exact Fraction, rounded to the working precision
+        num, den = ev.value.as_integer_ratio()
+        value = wp.nstr(wp.mpf(num) / den, args.precision)
     print(f"value      = {value}")
     print(f"bound      = {float(ev.bound):.3e} ({ev.bound_kind})")
     print(f"method     = {ev.method}")

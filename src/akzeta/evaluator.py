@@ -360,25 +360,37 @@ def eval_euler_transform(p: float, s: int, x: float,
     and (1 - v^n)/n = int_v^1 u^(n-1) du, b_n = int_0^1 u^(n-1) w(u) du with
     w >= 0 at p = 2, and u = (p-1) t turns that into moments of a measure on
     [0, 1/(p-1)].  So the accelerator's bound is proven at every p >= 2.
-    Each b_n is formed at the exact rationals of the float p and x: a
-    running sum of terms rounded once each, scaled by a power of two and
-    divided once, so its relative error is at most n eps, as that bound
-    requires.  The value is an mpf.
+    Each b_n is formed in fixed point at the exact rationals of the float p
+    and x: a running sum of the terms 2^F (j+x)^-s, each rounded down, is
+    below 2^F H_n^{(s)}(x) by less than n units, which n (p-1)^n >= n
+    shrinks to one; the product by (p-1)^-n / n, rounded down once, adds
+    the other, so b_n is within the 2 units the accelerator asks for.  F is
+    sized from the working precision and b_1 so that the round-off part of
+    the bound, 2 n 2^-F, is at most eps b_1.  The value is an exact Fraction.
     """
     pf, s, xf = real(p, "p"), integer(s, 1, "s"), real(x, "x", above=-1)
     if pf < 2:
         raise DivergenceError("alternating transform needs p >= 2")
-    wp = ctx.mp_ctx()
     xn, xd = xf.as_integer_ratio()
     qn, qd = (Fraction(pf) - 1).as_integer_ratio()
-    h = [wp.mpf(0)]  # h[n] = H_n^{(s)}(x), extended as a running sum
+    b1 = Fraction(xd, xd + xn) ** s * Fraction(qd, qn)
+    # 2 n 2^-F <= eps b_1 = 2^(1 - bits) b_1, as the term count n is below
+    # bits < 2^len(bits) and b_1 > 2^(len(num) - 1 - len(den)), len the bit length
+    bits = ctx.bits()
+    F = max(0, bits + b1.denominator.bit_length() - b1.numerator.bit_length()
+            + 1 + bits.bit_length())
+    num = xd**s << F
+    t = qd.bit_length() - 1  # p - 1 = qn / 2^t, as for every float p
+    h = [0]  # h[n] = 2^F H_n^{(s)}(x), extended as a running sum
+    g = [1]  # g[n] = qn^n
 
-    def b(n: int):
+    def b(n: int) -> int:
         while len(h) <= n:
-            h.append(h[-1] + wp.fdiv(xd**s, (len(h) * xd + xn) ** s))
-        return wp.fdiv(h[n] * qd**n, n * qn**n)
+            h.append(h[-1] + num // (len(h) * xd + xn) ** s)
+            g.append(g[-1] * qn)
+        return (h[n] << t * n) // (n * g[n])
 
-    return accelerate_alternating(b, ctx)
+    return accelerate_alternating(b, F, ctx)
 
 
 def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,

@@ -104,8 +104,9 @@ def _power_of_two(scale: float) -> bool:
 
 
 def _times(scale, value) -> float:
-    """scale * value rounded to float once: a float value is taken exactly."""
-    return float(scale * (Fraction(value) if isinstance(value, float) else value))
+    """scale * value rounded to float once: the scale and a float or Fraction
+    value are taken exactly."""
+    return float(Fraction(scale) * Fraction(value))
 
 
 def _compare(lhs: Evaluation, rhs: Evaluation,
@@ -113,8 +114,9 @@ def _compare(lhs: Evaluation, rhs: Evaluation,
     """Report fields for scale * lhs against rhs.
 
     The bound counts half an ulp for each float rounding of a reported side:
-    the cast of an mpf value, and a product by a scale that is not a power of
-    two.  A scale that no float holds is passed as an exact Fraction.
+    the cast of a Fraction or mpf value, and a product by a scale that is
+    not a power of two.  A scale that no float holds is passed as an exact
+    Fraction.
     """
     lv = _times(scale, lhs.value)
     rv = float(rhs.value)

@@ -44,8 +44,9 @@ def clear_caches():
 class PrecisionContext(Record):
     """Working precision and the cap on summation cutoffs.
 
-    ``digits`` sets the mpmath precision and the term counts of
-    :func:`zeta_em` and the alternating transforms.  It is at most 300: the
+    ``digits`` sets the mpmath precision, the term counts of :func:`zeta_em`,
+    and the term count and fixed-point width of the alternating transforms,
+    which work in Python integers at :meth:`bits`.  It is at most 300: the
     bounds are floats, and past that the ones sized from the precision turn
     subnormal and then 0.  ``default_cutoff`` is
     the largest cutoff any series may use: the prefix-sum DP paths pick their
@@ -61,6 +62,12 @@ class PrecisionContext(Record):
 
     def with_cutoff(self, N: int) -> "PrecisionContext":
         return PrecisionContext(self.digits, N)
+
+    def bits(self) -> int:
+        """The binary precision of digits + 10 decimal digits, as mpmath's
+        ``dps`` sets it: the precision of :meth:`mp_ctx`, whose rounding
+        unit eps = 2^(1 - bits) sizes the alternating transforms."""
+        return round((self.digits + 11) * 3.3219280948873626)
 
     def mp_ctx(self):
         """The mpmath context at digits + 10, one shared per ``digits``:
@@ -87,7 +94,9 @@ class Evaluation(Record):
     __slots__ = ("value", "bound", "bound_kind", "method", "cutoff_used")
 
     def __init__(self, value, bound: float, bound_kind: str, method: str, cutoff_used: int):
-        """``value`` is an mpf or a float; ``bound_kind`` is "rigorous" or "estimated"."""
+        """``value`` is a float (the nested sums), an exact Fraction (the
+        alternating transform) or an mpf (``zeta_em``, ``clausen``);
+        ``bound_kind`` is "rigorous" or "estimated"."""
         if not (math.isfinite(bound) and bound >= 0):
             raise DomainError(f"error bound must be finite and >= 0, got {bound}")
         if bound_kind not in (RIGOROUS, ESTIMATED):
@@ -177,60 +186,59 @@ def clausen(order: int, theta, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluatio
     )
 
 
-def accelerate_alternating(b: Callable[[int], object],
+def accelerate_alternating(b: Callable[[int], int], F: int,
                            ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
-    """sum_{n>=1} (-1)^(n+1) b(n) from the magnitudes b(n) >= 0.
+    """sum_{k>=1} (-1)^(k+1) b_k from fixed-point magnitudes b(k): integers
+    with 2^F b_k - 2 < b(k) <= 2^F b_k, for magnitudes b_k >= 0.
 
     One order n of Algorithm 1 of Cohen, Rodriguez Villegas and Zagier,
     "Convergence acceleration of alternating series", Exp. Math. 9 (2000),
     with n = ceil(ln(2/eps) / ln(3 + sqrt 8)) terms for the working
-    context's eps, capped by ``ctx.default_cutoff``.  When b is a Hausdorff
-    moment sequence, b(n) = int_0^1 t^(n-1) dmu(t) for a measure mu >= 0,
-    their Proposition 1 bounds the acceleration error by S/d_n <=
-    2 b(1) (3 + sqrt 8)^-n, since the sum S is at most b(1).  A negative
-    magnitude raises ``DomainError``; the moment property itself is the
-    caller's to prove.
+    context's eps = 2^(1 - ``ctx.bits()``), capped by ``ctx.default_cutoff``.
+    Its weights are exact integers: d_n = T_n(3) by d_(k+1) = 6 d_k - d_(k-1),
+    the Chebyshev coefficients w_(k+1) = w_k 2 (k+n)(k-n) / ((2k+1)(k+1)),
+    a division without remainder, and c_k = w_k - c_(k-1), c_(-1) = -d_n.
+    When b is a Hausdorff moment sequence, b_k = int_0^1 t^(k-1) dmu(t)
+    for a measure mu >= 0, their Proposition 1 bounds the acceleration
+    error by S/d_n, and the sum S is at most b_1 (so this is at most
+    2 b_1 (3 + sqrt 8)^-n).  A magnitude that is not an integer >= 0 raises
+    ``DomainError``; the moment property itself is the caller's to prove.
 
-    Round-off, in units of eps = 2u, u the rounding unit of the context:
-    with d_n = sum_j |w_j| over the Chebyshev coefficients w_j (``weight``),
-    the weights c_k = (-1)^k sum_(j>k) |w_j| have |c_k| <= d_n and shrink
-    with k, and a moment sequence does not grow, so every partial sum of
-    sum_k c_k b(k+1) lies within d_n b(1).  The recurrence for the w_j
-    rounds twice a step, each c_k once, so c_k is off
-    by at most (3k + 1) u d_n; with the product and sum roundings the sum is
-    off by 1.5 n(n + 1) u d_n b(1).  d_n itself is off by (2n + 4) u, which
-    moves the result by at most that times b(1), and the last division adds
-    u b(1).  Magnitudes given with relative errors up to k eps at k, as a
-    running sum of k terms each rounded once and divided once has, add at
-    most n(n + 1)/2 eps b(1).  The total, (1.25 n^2 + 2.25 n + 2.5) eps b(1)
-    to first order, is within C n^2 eps b(1) with C = 5 for every n >= 2,
-    with room for the second-order terms.  The bound is
+    Round-off: sum_k c_k b(k+1) is an exact integer, each b(k) is below
+    2^F b_k by less than 2 units, and |c_k| <= d_n = sum_j |w_j|, so it
+    differs from 2^F sum_k c_k b_(k+1) by less than 2 n d_n.  The value,
+    the exact rational sum_k c_k b(k+1) / (d_n 2^F), is thus within
+    2 n 2^-F of the accelerated sum, and the bound, the rational
 
-        b(1) (2 (3 + sqrt 8)^-n + 5 n^2 eps),
+        (b(1) + 2) / (d_n 2^F) + 2 n 2^-F
 
-    and its kind ``rigorous``.
+    rounded up to a float, is ``rigorous``.  A value or bound past the float
+    range raises ``DomainError``.
     """
-    wp = ctx.mp_ctx()
-    r = 3 + wp.sqrt(8)
-    n = min(ctx.default_cutoff, int(wp.ceil(wp.log(2 / wp.eps) / wp.log(r))))
-    mags = []
-    for k in range(1, n + 1):
-        bk = wp.mpf(b(k))
-        if not bk >= 0:
-            raise DomainError(f"magnitude b({k}) = {bk} is not >= 0")
-        mags.append(bk)
-    d = r**n
-    d = (d + 1 / d) / 2
-    weight = wp.mpf(-1)
-    c = -d
-    s = wp.mpf(0)
+    F = integer(F, 0, "F")
+    # n is the first order with (3 + sqrt 8)^n >= 2/eps = 2^bits, that is
+    # with 2 d_n > 2^bits, as (3 + sqrt 8)^n = 2 d_n - (3 + sqrt 8)^-n
+    top = 1 << (ctx.bits() - 1)
+    d_prev, d, n = 1, 3, 1
+    while d <= top and n < ctx.default_cutoff:
+        d_prev, d, n = d, 6 * d - d_prev, n + 1
+    mags = [integer(b(k), 0, "magnitude b(k)") for k in range(1, n + 1)]
+    w, c, s = -1, -d, 0
     for k, bk in enumerate(mags):
-        c = weight - c
+        c = w - c
         s += c * bk
-        weight = weight * (2 * (k + n) * (k - n)) / ((2 * k + 1) * (k + 1))
+        w = w * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    value = Fraction(s, d << F)
+    bound = Fraction(mags[0] + 2 + 2 * n * d, d << F)
+    try:
+        float(value)
+        bound_up = float(bound)
+    except OverflowError:
+        raise DomainError("the alternating sum leaves the float range: b(1) is about "
+                          f"2^{mags[0].bit_length() - F}") from None
     return Evaluation(
-        value=s / d,
-        bound=float(mags[0] * (2 / r**n + 5 * n**2 * wp.eps)),
+        value=value,
+        bound=bound_up if bound_up >= bound else math.nextafter(bound_up, math.inf),
         bound_kind=RIGOROUS,
         method="chebyshev_alternating",
         cutoff_used=n,

@@ -16,7 +16,8 @@ from akzeta.errors import DomainError, integer, rational, real
 from akzeta.evaluator import (eval_ak_lhs, eval_ak_rhs, eval_euler_transform, eval_hurwitz_mzv,
                               eval_li, eval_prop2_series, zeta_combination)
 from akzeta.harmonic_bell import d_operator, harmonic_table
-from akzeta.numerics import PrecisionContext, beta_factor_exact, clausen, zeta_em
+from akzeta.numerics import (PrecisionContext, accelerate_alternating, beta_factor_exact,
+                             clausen, zeta_em)
 from akzeta.powerseries import (PolyRat, ak_bernoulli_polys, bernoulli_numbers,
                                 bernoulli_over_factorial, classical_bernoulli_polynomial,
                                 li_series)
@@ -55,6 +56,7 @@ ARGUMENTS = [
     (zeta_em, "x", REAL, lambda v: zeta_em(2, v)),
     (clausen, "order", INTEGER, lambda v: clausen(v, 1.0)),
     (clausen, "theta", REAL, lambda v: clausen(2, v)),
+    (accelerate_alternating, "F", INTEGER, lambda v: accelerate_alternating(lambda k: 1, v)),
     (eval_hurwitz_mzv, "x", REAL, lambda v: eval_hurwitz_mzv((2,), v)),
     (eval_li, "z", REAL, lambda v: eval_li((2,), v)),
     (eval_ak_lhs, "p", REAL, lambda v: eval_ak_lhs((1,), v, 0, 0)),

@@ -79,6 +79,18 @@ def test_eval_prints_working_precision_digits(capsys):
         assert abs(mp.mpf(printed) - exact) <= 5e-38 * exact
 
 
+def test_eval_prints_300_digits(capsys):
+    # the exact Fraction value is printed at the working precision
+    code, out, _ = run(capsys, "--precision", "300", "eval", "euler", "--p", "4",
+                       "--s", "1", "--x", "-0.5")
+    assert code == 0
+    printed = out.split("value      = ")[1].split()[0]
+    assert len(printed) >= 300
+    with mp.workdps(320):
+        exact = mp.pi**2 / 18
+        assert abs(mp.mpf(printed) - exact) <= 5e-298 * exact
+
+
 def test_eval_ak_json_roundtrip(capsys):
     code, out, _ = run(capsys, "--json", "eval", "ak", "--v", "1", "--p", "4",
                        "--m", "0", "--x", "-0.5")
@@ -231,12 +243,14 @@ def test_import_leaves_numpy_out():
     out = _fresh_python("import akzeta, sys; print(sorted(m for m in sys.modules "
                         "if m.startswith('akzeta.')))")
     assert out.strip() == "[]"
-    # float-only commands with JSON output load neither mpmath nor the catalog
+    # eval, dual and bpoly with JSON output load neither mpmath nor the catalog
     for argv in (["eval", "zeta", "1,2"], ["dual", "1,2"],
                  ["bpoly", "--v", "1,2", "--p", "5/2", "--m", "3"],
                  ["eval", "ak", "--v", "1", "--p", "4", "--m", "0", "--x", "-0.5"],
                  ["eval", "ak", "--v", "1", "--p", "1", "--m", "1", "--x", "-0.5"],
-                 ["eval", "ak", "--v", "1,1", "--p", "1", "--m", "2", "--x", "0.5"]):
+                 ["eval", "ak", "--v", "1,1", "--p", "1", "--m", "2", "--x", "0.5"],
+                 ["eval", "euler", "--p", "2", "--s", "1", "--x", "-0.5"],
+                 ["eval", "euler", "--p", "4", "--s", "1", "--x", "-0.5"]):
         last = _fresh_python(_FOOTPRINT, "--json", *argv).splitlines()[-1]
         assert json.loads(last) == [0, False, False, False, False, False], argv  # exit code, loaded?
     last = _fresh_python(_FOOTPRINT, "--json", "verify", "DUAL").splitlines()[-1]

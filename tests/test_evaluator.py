@@ -25,6 +25,12 @@ from akzeta.numerics import PrecisionContext, DEFAULT_CTX, RIGOROUS, zeta_em
 CTX = PrecisionContext(default_cutoff=20000)
 
 
+def _mpf(value):
+    """A float or Fraction value as an mpf at the current precision."""
+    num, den = value.as_integer_ratio()
+    return mp.mpf(num) / den
+
+
 @lru_cache(maxsize=4)
 def _beta_bell_numerators(m: int, x: Fraction, N: int) -> tuple[list[int], int]:
     """B(n, 1+x) P_m(H-row(n)) for n = 1..N as integer numerators over one
@@ -253,9 +259,9 @@ def test_thm_consistency_lhs_rhs():
 
 def test_euler_transform_values():
     ev = eval_euler_transform(4.0, 1, -0.5, CTX)
-    # the value is an mpf at the working precision, so the reference is too
+    # the value is an exact Fraction, so the reference is at 70 digits
     with mp.workdps(70):
-        assert abs(ev.value / 2 - mp.pi**2 / 36) <= ev.bound
+        assert abs(_mpf(ev.value) / 2 - mp.pi**2 / 36) <= ev.bound
     ev = eval_euler_transform(2.0, 1, -0.5, CTX)
     assert abs(float(ev.value) / 2.0 - math.pi**2 / 16) <= max(ev.bound, 1e-12)
 
@@ -267,7 +273,7 @@ def test_euler_transform_p2_working_precision():
         ev = eval_euler_transform(2.0, 1, -0.5, PrecisionContext(digits=digits))
         assert ev.bound <= 10.0 ** -(digits - 2)
         with mp.workdps(digits + 20):
-            assert abs(ev.value - mp.pi**2 / 8) <= ev.bound
+            assert abs(_mpf(ev.value) - mp.pi**2 / 8) <= ev.bound
 
 
 def test_euler_transform_guard():
@@ -282,11 +288,20 @@ def test_euler_transform_guard():
             eval_euler_transform(3.0, s, 0.0, CTX)
 
 
-def _transform_reference(p, s, x):
-    """sum_{n>=1} (-1)^(n+1) H_n^(s)(x) / (n (p-1)^n) at 80 digits, by
-    mpmath alone: summed directly for p >= 2.5, where 90 digits' worth of
-    terms leave a remainder below the last one, and by mp.nsum at p = 2."""
-    with mp.workdps(80):
+def test_euler_transform_past_the_float_range():
+    # b_1 = 10^s / 2 at x = -0.9, p = 3: at s = 331 the value leaves the float
+    # range while its bound, about b_1 / d_n, does not; at s = 400 both do
+    for s in (331, 400):
+        with pytest.raises(DomainError, match="float range"):
+            eval_euler_transform(3.0, s, -0.9, CTX)
+
+
+def _transform_reference(p, s, x, digits=80):
+    """sum_{n>=1} (-1)^(n+1) H_n^(s)(x) / (n (p-1)^n) at ``digits`` digits, by
+    mpmath alone: summed directly for p >= 2.5, where digits + 10 digits'
+    worth of terms leave a remainder below the last one, and by mp.nsum at
+    p = 2."""
+    with mp.workdps(digits):
         xm, q = mp.mpf(x), mp.mpf(p) - 1
         h = [mp.mpf(0)]
 
@@ -297,7 +312,8 @@ def _transform_reference(p, s, x):
             return (-1) ** (n + 1) * h[n] / (n * q**n)
 
         if p >= 2.5:
-            return mp.fsum(term(n) for n in range(1, int(90 * math.log(10) / math.log(p - 1)) + 10))
+            count = int((digits + 10) * math.log(10) / math.log(p - 1)) + 10
+            return mp.fsum(term(n) for n in range(1, count))
         return mp.nsum(term, [1, mp.inf], method="shanks")
 
 
@@ -314,7 +330,32 @@ def test_euler_transform_within_bound_against_mpmath(p):
                     ev = eval_euler_transform(p, s, x, PrecisionContext(digits, cap))
                     assert ev.bound_kind == RIGOROUS
                     with mp.workdps(80):
-                        assert abs(ev.value - ref) <= ev.bound, (s, x, digits, cap)
+                        assert abs(_mpf(ev.value) - ref) <= ev.bound, (s, x, digits, cap)
+
+
+@pytest.mark.parametrize("p", [4.0, 14.93])
+def test_euler_transform_terms_and_bound(p):
+    # the term count is ceil(ln(2/eps) / ln(3 + sqrt 8)) at the mpmath
+    # context's eps, capped; the bound is at most b_1 (2 (3 + sqrt 8)^-n +
+    # 5 n^2 eps) plus the ulp of its rounding up, below that at the default
+    # cap, and it holds against a direct sum at 340 digits
+    for s, x in ((1, -0.5), (3, 0.25)):
+        ref = _transform_reference(p, s, x, 340)
+        for digits in (15, 50, 100, 300):
+            wp = PrecisionContext(digits=digits).mp_ctx()
+            r = 3 + wp.sqrt(8)
+            uncapped = int(wp.ceil(wp.log(2 / wp.eps) / wp.log(r)))
+            b1 = (1 + wp.mpf(x)) ** -s / (wp.mpf(p) - 1)
+            for cap in (12, 20, DEFAULT_CTX.default_cutoff):
+                ev = eval_euler_transform(p, s, x, PrecisionContext(digits, cap))
+                n = min(cap, uncapped)
+                assert ev.cutoff_used == n, (s, x, digits, cap)
+                old = float(b1 * (2 / r**n + 5 * n**2 * wp.eps))
+                assert ev.bound <= old + math.ulp(old), (s, x, digits, cap)
+                if cap == DEFAULT_CTX.default_cutoff:
+                    assert ev.bound < old
+                with mp.workdps(340):
+                    assert abs(_mpf(ev.value) - ref) <= ev.bound, (s, x, digits, cap)
 
 
 def test_euler_vs_ak_transform():
@@ -552,7 +593,7 @@ def test_euler_transform_p_above_2_reads_cap():
     ev = eval_euler_transform(4.0, 1, -0.5, PrecisionContext(default_cutoff=20))
     assert ev.cutoff_used <= 20
     with mp.workdps(30):
-        assert abs(ev.value - mp.pi**2 / 18) <= ev.bound
+        assert abs(_mpf(ev.value) - mp.pi**2 / 18) <= ev.bound
 
 
 @pytest.mark.parametrize("call", [

@@ -50,6 +50,13 @@ def test_mp_ctx_is_shared_per_digits():
     assert PrecisionContext(digits=31).mp_ctx().dps == 41
 
 
+def test_bits_is_the_mp_ctx_precision():
+    # the alternating transforms size their terms from bits() without mpmath
+    for digits in range(15, 301):
+        ctx = PrecisionContext(digits=digits)
+        assert ctx.bits() == ctx.mp_ctx().prec, digits
+
+
 def test_beta_factor_exact_and_float():
     # B(n, 1+x) by the recurrence against the Gamma definition
     for n in (1, 2, 7, 40):
@@ -143,16 +150,22 @@ def test_clausen_rejects_bad_order():
             clausen(2, theta, DEFAULT_CTX)
 
 
+def _mpf(value):
+    """A float or Fraction value as an mpf at the current precision."""
+    num, den = value.as_integer_ratio()
+    return mp.mpf(num) / den
+
+
 def _alternating_within_bound(power, exact):
-    # magnitudes 1/n^power at the working precision, a moment sequence
+    # magnitudes 1/n^power in fixed point, rounded down: a moment sequence
     for digits in (15, 50):
         ctx = PrecisionContext(digits=digits)
-        wp = ctx.mp_ctx()
-        ev = accelerate_alternating(lambda n: 1 / wp.mpf(n) ** power, ctx)
+        F = ctx.bits() + 16
+        ev = accelerate_alternating(lambda n: (1 << F) // n**power, F, ctx)
         assert ev.bound_kind == RIGOROUS
         assert ev.bound < 10.0 ** -digits
         with mp.workdps(digits + 20):
-            assert abs(ev.value - exact()) <= ev.bound, digits
+            assert abs(_mpf(ev.value) - exact()) <= ev.bound, digits
 
 
 def test_accelerate_alternating_log2():
@@ -166,7 +179,7 @@ def test_accelerate_alternating_eta2():
 def test_accelerate_rejects_non_alternating():
     # the terms are given as magnitudes; a negative one would not alternate
     with pytest.raises(DomainError):
-        accelerate_alternating(lambda n: 1.0 / n if n < 3 else -1.0 / n)
+        accelerate_alternating(lambda n: (1 << 60) // n if n < 3 else -((1 << 60) // n), 60)
 
 
 def test_evaluation_rejects_bad_bound():
