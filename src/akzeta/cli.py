@@ -1,6 +1,9 @@
 """Command-line front end: evaluation, duality, polynomial generation, and
 identity verification with machine-readable output.
 
+``--json`` prints an evaluation's exact value rounded to the nearest float;
+text output prints it in decimal to the digits its bound supports.
+
 Exit codes: 0 on success (and all verifications passing), 1 when a
 verification case fails, 2 on usage or domain errors.
 """
@@ -22,7 +25,7 @@ from .powerseries import ak_bernoulli_polys
 __all__ = ["main"]
 
 
-def _print_eval(ev: Evaluation, args, ctx: PrecisionContext):
+def _print_eval(ev: Evaluation, args):
     if args.json:
         print(json.dumps({
             "value": float(ev.value),
@@ -32,14 +35,12 @@ def _print_eval(ev: Evaluation, args, ctx: PrecisionContext):
             "cutoff": ev.cutoff_used,
         }))
         return
-    wp = ctx.mp_ctx()  # loads mpmath, which JSON output does without
-    # a float is exact in the working context, whatever mpmath's global precision
-    if isinstance(ev.value, float):
-        value = wp.nstr(wp.mpf(ev.value), min(args.precision, 17))
-    else:  # an exact Fraction, rounded to the working precision
-        num, den = ev.value.as_integer_ratio()
-        value = wp.nstr(wp.mpf(num) / den, args.precision)
-    print(f"value      = {value}")
+    from decimal import Context  # text output alone uses decimal
+
+    # the digits the bound supports: min(precision, floor(log10(|value| / bound))), at least 1
+    ratio = int(abs(ev.value) / Fraction(ev.bound)) if ev.bound else 10**args.precision
+    digits = max(1, min(args.precision, len(str(ratio)) - 1))
+    print(f"value      = {Context(prec=digits).divide(*ev.value.as_integer_ratio())}")
     print(f"bound      = {float(ev.bound):.3e} ({ev.bound_kind})")
     print(f"method     = {ev.method}")
     print(f"cutoff     = {ev.cutoff_used}")
@@ -72,7 +73,7 @@ def _cmd_eval(args, ctx: PrecisionContext) -> int:
         ev = eval_ak_lhs(Composition.parse(args.v), args.p, args.m, args.x, ctx)
     else:  # euler
         ev = eval_euler_transform(args.p, args.s, args.x, ctx)
-    _print_eval(ev, args, ctx)
+    _print_eval(ev, args)
     return 0
 
 

@@ -15,7 +15,6 @@ cutoffs.  The core chooses its cutoff by one rule, :func:`_choose_cutoff`;
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
@@ -24,7 +23,7 @@ from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomi
 from .errors import DomainError, DivergenceError, integer, real
 from .logasym import pow_shift, nested_tail_series, nested_tail_sum, bell_p_models
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS, ESTIMATED,
-                       accelerate_alternating, clear_caches, memoized)
+                       accelerate_alternating, clear_caches, memoized, round_up)
 
 __all__ = [
     "eval_hurwitz_mzv",
@@ -129,23 +128,23 @@ def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
 def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) -> Evaluation:
     """The one cutoff rule of the DP paths, for a sum of depth q.
 
-    ``rung(N)`` sums to cutoff N and returns (value, trunc): the fixed-point
-    value rounded to float once, and the part of its bound that shrinks as
-    N grows (truncation, and the float evaluation of a symbolic tail;
-    infinite when no majorant exists at N).  The stopping tolerance
-    :func:`_roundoff` grows linearly in N.  The sum keeps the first rung
-    where trunc <= roundoff, else the last: its bound, at most
-    2 * roundoff, is then no larger than at any rung >= 2N.  Half an ulp of
-    the value, for its rounding to float, joins the bound.
+    ``rung(N)`` sums to cutoff N and returns (value, trunc): the exact
+    fixed-point value, a Fraction over 2^_F, and the part of its bound that
+    shrinks as N grows (truncation, and the float evaluation of a symbolic
+    tail; infinite when no majorant exists at N).  The stopping tolerance
+    :func:`_roundoff`, scaled by the value's float, grows linearly in N; it
+    also covers int(tail * 2^_F), which truncates by less than 2^-_F.  The
+    sum keeps the first rung where trunc <= roundoff, else the last: its
+    bound, at most 2 * roundoff, is then no larger than at any rung >= 2N.
     """
     for N in rungs:
         value, trunc = rung(N)
-        roundoff = _roundoff(N, q, value)
+        roundoff = _roundoff(N, q, float(value))
         if trunc <= roundoff or N == rungs[-1]:
             break
     if math.isinf(trunc):
         raise DomainError(f"cutoff {N} too small for a geometric majorant")
-    return Evaluation(value=value, bound=trunc + roundoff + math.ulp(value) / 2,
+    return Evaluation(value=value, bound=trunc + roundoff,
                       bound_kind=RIGOROUS, method=method, cutoff_used=N)
 
 
@@ -284,7 +283,8 @@ def _nested(e: tuple[int, ...], x: float, c: int, bell: tuple[int, float] | None
             if r is None:
                 tail, terr = nested_tail_sum(S_at, tails, N)
                 partial += int(tail * _ONE)
-            value = partial / _ONE
+            value = Fraction(partial, _ONE)
+            float(value)
         except (OverflowError, ValueError):  # a value or tail past the float range, or NaN
             raise DomainError(f"{what} leaves the float range at cutoff {N}") from None
         if r is None:
@@ -326,27 +326,21 @@ def eval_ak_rhs(alpha, m: int, x: float,
 def zeta_combination(alpha, m: int,
                      zeta: Callable[[Composition], Evaluation]) -> Evaluation:
     """The weighted sum of :func:`eval_ak_rhs` with ``zeta(c)`` evaluating
-    each index c = (a_1+d_1, ..., a_q+d_q+1); the bound is the weighted sum
-    of the parts' bounds plus the round-off of the float sum."""
+    each index c = (a_1+d_1, ..., a_q+d_q+1).  The weights are integers, so
+    the value is the exact weighted sum of the parts' values, and the bound
+    the weighted sum of their bounds, rounded up to a float."""
     a = Composition.coerce(alpha).parts
     m = integer(m, 0, "m")
-    total = 0.0
-    bound = 0.0
-    size = 0.0
-    count = 0
+    total = Fraction(0)
+    bound = Fraction(0)
     cutoff = 0
     for d in weak_compositions(m, len(a)):
         coef = m_coeff(a[:-1], d[:-1]) * binomial(a[-1] + d[-1], d[-1])
         ev = zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, d))))
-        term = coef * ev.value
-        total += term
-        size += abs(term)
-        count += 1
-        bound += coef * ev.bound
+        total += coef * ev.value
+        bound += coef * Fraction(ev.bound)
         cutoff = max(cutoff, ev.cutoff_used)
-    # count products and sums, each rounding by at most eps/2 of size
-    bound += count * sys.float_info.epsilon * size
-    return Evaluation(value=total, bound=bound, bound_kind=RIGOROUS,
+    return Evaluation(value=total, bound=round_up(bound), bound_kind=RIGOROUS,
                       method="mzv-combination", cutoff_used=cutoff)
 
 
@@ -400,22 +394,24 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     ``alpha`` is the displayed admissible exponent tuple; the coefficient of
     z^m is :func:`eval_ak_lhs` at p = 1 and order m, indexed by the dual tuple.
     Valid for |z| < 1 + x; the truncation remainder is a geometric estimate.
+    The value sums exactly, with z as the Fraction of its float.
     """
     c = Composition.coerce(alpha)
     xf, zf, m_terms = real(x, "x", above=-1), real(z, "z"), integer(m_terms, 1, "m_terms")
     if not abs(zf) < 1.0 + xf:
         raise DomainError(f"need |z| < 1 + x, got |{zf}| vs {1.0 + xf}")
     beta = dual(c).alpha()
-    total = 0.0
+    zq = Fraction(zf)
+    total = Fraction(0)
     bound = 0.0
     last = 0.0
     cutoff = 0
     for m in range(m_terms):
         ev = eval_ak_lhs(beta, 1, m, xf, ctx)
-        term = zf**m * ev.value
+        term = zq**m * ev.value
         total += term
         bound += abs(zf) ** m * ev.bound
-        last = abs(term)
+        last = float(abs(term))
         cutoff = max(cutoff, ev.cutoff_used)
     ratio = abs(zf) / (1.0 + xf)
     trunc = 3.0 * last * ratio / (1.0 - ratio) if ratio > 0 else 0.0

@@ -23,7 +23,8 @@ from .evaluator import (eval_hurwitz_mzv, eval_t, eval_ak_lhs, eval_ak_rhs,
                         zeta_combination)
 from .harmonic_bell import harmonic_table, bell_modified, d_operator
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
-                       ESTIMATED, zeta_em, clausen, beta_factor_exact)
+                       ESTIMATED, zeta_em, clausen, beta_factor_exact, mpf_fraction,
+                       round_up)
 from .powerseries import series_inverse, ak_bernoulli_polys, classical_bernoulli_polynomial
 
 __all__ = ["IdentityCase", "IdentityReport", "catalog", "verify",
@@ -36,7 +37,8 @@ class IdentityCase(Record):
     """One identity: its id, recipe and default parameter grid.
 
     ``recipe(params, ctx)`` computes both sides and returns the report fields
-    (lhs, rhs, abs_diff, bound, bound_kind).  The grid is never empty, and
+    (lhs, rhs, abs_diff, bound, bound_kind), abs_diff possibly an exact
+    Fraction that the report rounds to float.  The grid is never empty, and
     the keys of its first case are the parameters every case must give.
     """
 
@@ -99,34 +101,18 @@ def _exact(equal: bool, value: float) -> tuple:
     return value, value, 0.0 if equal else math.nan, 0.0, EXACT
 
 
-def _power_of_two(scale: float) -> bool:
-    return abs(math.frexp(scale)[0]) == 0.5
-
-
-def _times(scale, value) -> float:
-    """scale * value rounded to float once: the scale and a float or Fraction
-    value are taken exactly."""
-    return float(Fraction(scale) * Fraction(value))
-
-
 def _compare(lhs: Evaluation, rhs: Evaluation,
              scale: float | Fraction = 1.0) -> tuple:
-    """Report fields for scale * lhs against rhs.
-
-    The bound counts half an ulp for each float rounding of a reported side:
-    the cast of a Fraction or mpf value, and a product by a scale that is
-    not a power of two.  A scale that no float holds is passed as an exact
-    Fraction.
+    """Report fields for scale * lhs against rhs: the exact residual
+    |scale L - R| and the bound |scale| b_L + b_R rounded up to a float.  A
+    scale that no float holds is passed as a Fraction; the reported sides
+    are each rounded to float once.
     """
-    lv = _times(scale, lhs.value)
-    rv = float(rhs.value)
-    bound = float(abs(scale) * lhs.bound + rhs.bound)
-    if not (isinstance(lhs.value, float) and _power_of_two(scale)):
-        bound += math.ulp(lv) / 2
-    if not isinstance(rhs.value, float):
-        bound += math.ulp(rv) / 2
+    scale = Fraction(scale)
+    lv = scale * lhs.value
+    bound = round_up(abs(scale) * Fraction(lhs.bound) + Fraction(rhs.bound))
     kind = ESTIMATED if ESTIMATED in (lhs.bound_kind, rhs.bound_kind) else RIGOROUS
-    return lv, rv, abs(lv - rv), bound, kind
+    return float(lv), float(rhs.value), abs(lv - rhs.value), bound, kind
 
 
 # ---------------------------------------------------------------- recipes
@@ -183,7 +169,7 @@ _ARCSIN_TABLE = [
 def _do_arcsin(params, ctx):
     p, denom = params["p"], params["denom"]
     lhs = eval_euler_transform(p, 1, -0.5, ctx)
-    oracle = math.pi**2 / denom
+    oracle = Fraction(math.pi**2 / denom)
     ev = Evaluation(value=oracle, bound=1e-15, bound_kind=RIGOROUS,
                     method="closed-form", cutoff_used=0)
     return _compare(lhs, ev, 0.5)
@@ -201,12 +187,11 @@ def _do_clausen_m1(params, ctx):
     cl3a = clausen(3, theta, ctx)
     cl3b = clausen(3, wp.pi - theta, ctx)
     z3 = zeta_em(3, 0.0, ctx)
-    value = (-2.0 * cl3a.value + 2.0 * cl3b.value - theta * cl2b.value
-             - theta * cl2a.value + 3.5 * z3.value)
-    bound = float(2.0 * cl3a.bound + 2.0 * cl3b.bound + theta * cl2b.bound
-                  + theta * cl2a.bound + 3.5 * z3.bound)
-    parts = (cl2a, cl2b, cl3a, cl3b, z3)
-    kind = ESTIMATED if any(e.bound_kind == ESTIMATED for e in parts) else RIGOROUS
+    th = mpf_fraction(theta)
+    parts = ((-2, cl3a), (2, cl3b), (-th, cl2b), (-th, cl2a), (Fraction(7, 2), z3))
+    value = sum(w * e.value for w, e in parts)
+    bound = round_up(sum(abs(w) * Fraction(e.bound) for w, e in parts))
+    kind = ESTIMATED if any(e.bound_kind == ESTIMATED for _, e in parts) else RIGOROUS
     rhs = Evaluation(value=value, bound=bound, bound_kind=kind,
                      method="clausen-combination", cutoff_used=0)
     return _compare(lhs, rhs, 0.5)
@@ -396,7 +381,7 @@ def verify(id_: str, params: dict | None = None,
             params[key] = Composition.coerce(params[key])
     t0 = time.perf_counter()
     lhs, rhs, diff, bound, kind = case.recipe(params, ctx)
-    return IdentityReport(id=id_, params=params, lhs=lhs, rhs=rhs, abs_diff=diff,
+    return IdentityReport(id=id_, params=params, lhs=lhs, rhs=rhs, abs_diff=float(diff),
                           bound=bound, bound_kind=kind, passed=diff <= bound,
                           seconds=time.perf_counter() - t0)
 

@@ -66,14 +66,6 @@ class LogSeries:
     def lead(self) -> float:
         return min(self.bands, default=math.inf) + self.shift
 
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        if other.shift != self.shift:
-            raise DomainError("cannot add series with different shifts")
-        bands = {k: list(b) for k, b in self.bands.items()}
-        for k, b in other.bands.items():
-            _accumulate(bands, k, b)
-        return LogSeries(bands, self.shift)
-
     def scaled(self, factor: float) -> "LogSeries":
         return LogSeries({k: [c * factor for c in b] for k, b in self.bands.items()}, self.shift)
 

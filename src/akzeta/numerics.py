@@ -46,9 +46,10 @@ class PrecisionContext(Record):
 
     ``digits`` sets the mpmath precision, the term counts of :func:`zeta_em`,
     and the term count and fixed-point width of the alternating transforms,
-    which work in Python integers at :meth:`bits`.  It is at most 300: the
-    bounds are floats, and past that the ones sized from the precision turn
-    subnormal and then 0.  ``default_cutoff`` is
+    which work in Python integers at :meth:`bits`.  Values are exact
+    Fractions at any precision: their bounds say how many digits hold.  It
+    is at most 300: the bounds are floats, and past that the ones sized from
+    the precision turn subnormal and then 0.  ``default_cutoff`` is
     the largest cutoff any series may use: the prefix-sum DP paths pick their
     own, smaller cutoff from their error model and stop at it at the latest.
     """
@@ -94,9 +95,10 @@ class Evaluation(Record):
     __slots__ = ("value", "bound", "bound_kind", "method", "cutoff_used")
 
     def __init__(self, value, bound: float, bound_kind: str, method: str, cutoff_used: int):
-        """``value`` is a float (the nested sums), an exact Fraction (the
-        alternating transform) or an mpf (``zeta_em``, ``clausen``);
-        ``bound_kind`` is "rigorous" or "estimated"."""
+        """``value`` is held as an exact Fraction: a float or an mpf raises
+        ``DomainError``.  ``bound`` bounds its distance from the true value,
+        and ``bound_kind`` is "rigorous" or "estimated"."""
+        value = rational(value, "value")
         if not (math.isfinite(bound) and bound >= 0):
             raise DomainError(f"error bound must be finite and >= 0, got {bound}")
         if bound_kind not in (RIGOROUS, ESTIMATED):
@@ -105,6 +107,23 @@ class Evaluation(Record):
 
     def __float__(self) -> float:
         return float(self.value)
+
+
+def round_up(q: Fraction) -> float:
+    """The least float >= the rational ``q``; past the float range raises
+    ``OverflowError``."""
+    n, d = q.as_integer_ratio()
+    f = n / d  # correctly rounded; compared below in integers, without a Fraction
+    fn, fd = f.as_integer_ratio()
+    return f if fn * d >= n * fd else math.nextafter(f, math.inf)
+
+
+def mpf_fraction(v) -> Fraction:
+    """The exact Fraction of an mpf, from its ``man_exp``, which leaves out
+    the sign; NaN, or a value past the float range, raises ``DomainError``."""
+    real(v, "value")
+    man, exp = v.man_exp
+    return (-man if v < 0 else man) * Fraction(2) ** exp
 
 
 def beta_factor_exact(n: int, x) -> Fraction:
@@ -121,6 +140,7 @@ def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
 
     The bound is twice the first omitted correction term, a majorant of the
     remainder for this completely monotone integrand, plus the round-off.
+    The value is the exact Fraction of the mpf sum.
     """
     return _zeta_em_cached(real(s, "s"), real(x, "x", above=-1), ctx.digits, ctx.default_cutoff)
 
@@ -154,7 +174,7 @@ def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluatio
         poch *= (s + 2 * k - 1) * (s + 2 * k)
         k += 1
     return Evaluation(
-        value=value,
+        value=mpf_fraction(value),
         bound=2.0 * omitted + 10.0 ** (-(digits + 4)),
         bound_kind=RIGOROUS,
         method="euler_maclaurin",
@@ -178,7 +198,7 @@ def clausen(order: int, theta, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluatio
     th = wp.mpf(theta)
     fn = wp.clsin if order == 2 else wp.clcos
     return Evaluation(
-        value=fn(order, th),
+        value=mpf_fraction(fn(order, th)),
         bound=10.0 ** (-(ctx.digits + 2)),
         bound_kind=ESTIMATED,
         method="mpmath_clausen",
@@ -232,13 +252,13 @@ def accelerate_alternating(b: Callable[[int], int], F: int,
     bound = Fraction(mags[0] + 2 + 2 * n * d, d << F)
     try:
         float(value)
-        bound_up = float(bound)
+        bound_up = round_up(bound)
     except OverflowError:
         raise DomainError("the alternating sum leaves the float range: b(1) is about "
                           f"2^{mags[0].bit_length() - F}") from None
     return Evaluation(
         value=value,
-        bound=bound_up if bound_up >= bound else math.nextafter(bound_up, math.inf),
+        bound=bound_up,
         bound_kind=RIGOROUS,
         method="chebyshev_alternating",
         cutoff_used=n,

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -47,9 +49,10 @@ def test_dual_non_admissible_exits_2(capsys):
 
 
 def test_eval_zeta(capsys):
+    # a 2.0e-16 bound on 1.64... supports 15 significant digits
     code, out, _ = run(capsys, "eval", "zeta", "2", "--x", "0")
     assert code == 0
-    assert "1.644934066848226" in out
+    assert out.splitlines()[0] == "value      = 1.64493406684823"
 
 
 def test_eval_ignores_mpmath_global_precision(capsys):
@@ -63,9 +66,41 @@ def test_eval_ignores_mpmath_global_precision(capsys):
 
 
 def test_eval_t(capsys):
+    # a 9.6e-17 bound on 1.23... supports 16 significant digits
     code, out, _ = run(capsys, "eval", "t", "2")
     assert code == 0
-    assert "1.23370055013616" in out
+    assert out.splitlines()[0] == "value      = 1.233700550136170"
+
+
+# argv of an eval command and its value to 60 digits, computed without akzeta
+_REFERENCES = [
+    (("eval", "zeta", "3"), lambda: mp.zeta(3)),
+    (("eval", "zeta", "4", "--x", "-0.5"), lambda: mp.zeta(4, 0.5)),
+    (("eval", "t", "2"), lambda: mp.pi**2 / 8),
+    (("eval", "li", "2", "--z", "0.5"), lambda: mp.polylog(2, 0.5)),
+    # Theorem 3 at c = (1, 3): 6 zeta(1,5) + 3 zeta(2,4) + zeta(3,3), by the
+    # weight-6 double zeta closed forms zeta(3)^2 / 2
+    (("eval", "ak", "--v", "1,2", "--p", "1", "--m", "2"), lambda: mp.zeta(3)**2 / 2),
+]
+
+
+@pytest.mark.parametrize("cap", [(), ("--cutoff", "64")], ids=["default", "cutoff64"])
+@pytest.mark.parametrize("argv, reference", _REFERENCES, ids=[" ".join(a) for a, _ in _REFERENCES])
+def test_printed_values_within_bound_of_reference(capsys, cap, argv, reference):
+    # JSON prints the exact value rounded to the nearest float with the exact
+    # value's bound; text prints the digits that bound supports, rounded to nearest
+    code, out, _ = run(capsys, *cap, "--json", *argv)
+    assert code == 0
+    rec = json.loads(out)
+    value, bound = rec["value"], rec["bound"]
+    code, out, _ = run(capsys, *cap, *argv)
+    assert code == 0
+    printed = out.splitlines()[0].split("value      = ")[1]
+    with mp.workdps(60):
+        ref = reference()
+        assert abs(mp.mpf(value) - ref) <= mp.mpf(bound) + mp.mpf(math.ulp(value)) / 2
+        half_unit = mp.mpf(10) ** Decimal(printed).as_tuple().exponent / 2
+        assert abs(mp.mpf(printed) - ref) <= mp.mpf(bound) + half_unit
 
 
 def test_eval_prints_working_precision_digits(capsys):
@@ -255,7 +290,8 @@ def test_import_leaves_numpy_out():
         assert json.loads(last) == [0, False, False, False, False, False], argv  # exit code, loaded?
     last = _fresh_python(_FOOTPRINT, "--json", "verify", "DUAL").splitlines()[-1]
     assert json.loads(last) == [0, False, False, True, False, False]
-    # text output formats through mpmath, loaded on demand
-    out = _fresh_python("import sys, akzeta.cli; akzeta.cli.main(sys.argv[1:])",
-                        "eval", "zeta", "3")
-    assert out.splitlines()[0] == "value      = 1.2020569031595942"
+    # text output formats through decimal: it loads no mpmath either
+    for argv in (["eval", "zeta", "3"],
+                 ["eval", "euler", "--p", "4", "--s", "1", "--x", "-0.5"]):
+        last = _fresh_python(_FOOTPRINT, *argv).splitlines()[-1]
+        assert json.loads(last) == [0, False, False, False, False, False], argv

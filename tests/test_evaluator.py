@@ -20,7 +20,8 @@ from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               _power_weights, _product, _roundoff)
 from akzeta.identities import catalog, verify, verify_all
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
-from akzeta.numerics import PrecisionContext, DEFAULT_CTX, RIGOROUS, zeta_em
+from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS, Evaluation, clausen,
+                             zeta_em)
 
 CTX = PrecisionContext(default_cutoff=20000)
 
@@ -183,7 +184,7 @@ def test_ak_lhs_single_index_at_non_dyadic_shifts(x):
             ev = eval_ak_lhs((1,), 1.0, m, x, PrecisionContext(default_cutoff=cap))
             with mp.workdps(30):
                 exact = (m + 1) * mp.zeta(m + 2, 1 + mp.mpf(x))
-            assert abs(ev.value - exact) <= ev.bound, (cap, m)
+                assert abs(_mpf(ev.value) - exact) <= ev.bound, (cap, m)
 
 
 def test_ak_lhs_geometric_case():
@@ -371,7 +372,7 @@ def test_p1_sums_reject_shifts_at_the_cap():
     # N <= x: below the cap the bound stays honest, at it the call fails
     ev = eval_hurwitz_mzv((2,), 100.0, PrecisionContext(default_cutoff=128))
     with mp.workdps(30):
-        assert abs(ev.value - mp.zeta(2, 101)) <= ev.bound
+        assert abs(_mpf(ev.value) - mp.zeta(2, 101)) <= ev.bound
     for x in (1e6, 1e300):
         with pytest.raises(DomainError):
             eval_hurwitz_mzv((2,), x)
@@ -396,7 +397,7 @@ def test_p1_sums_at_large_shifts_are_bounded_or_refused(x, m):
         return
     with mp.workdps(30):
         exact = (m + 1) * mp.zeta(m + 2, 1 + x)
-    assert abs(ev.value - exact) <= ev.bound
+        assert abs(_mpf(ev.value) - exact) <= ev.bound
 
 
 def test_p1_sum_whose_tail_series_passes_the_float_range():
@@ -416,7 +417,7 @@ def test_p1_ladder_starts_above_the_shift():
     assert ev.cutoff_used > 145
     with mp.workdps(30):
         exact = mp.zeta(2, 146)
-    assert abs(ev.value - exact) <= ev.bound
+        assert abs(_mpf(ev.value) - exact) <= ev.bound
 
 
 @pytest.mark.parametrize("call, name", [
@@ -445,9 +446,9 @@ def test_prop2_series_sums_the_p1_coefficients():
     params = next(case.grid for case in catalog() if case.id == "PROP2")[1]
     c, x, z = params["alpha"], params["x"], params["z"]
     beta = dual(c).alpha()
-    total = 0.0
+    total = Fraction(0)
     for m in range(12):
-        total += z**m * eval_ak_lhs(beta, 1, m, x, CTX).value
+        total += Fraction(z)**m * eval_ak_lhs(beta, 1, m, x, CTX).value
     assert eval_prop2_series(c, x, z, 12, CTX).value == total
 
 
@@ -563,11 +564,11 @@ def test_bound_honesty_at_larger_cutoff():
 
 
 def test_combination_counts_float_rounding():
-    # at a small cap the float cast of each part and the float sum of the
-    # combination are a visible share of the error: 10 zeta(6; -1/2) ~ 641
+    # at a small cap the parts' round-off is a visible share of the error:
+    # 10 zeta(6; -1/2) ~ 641, summed exactly from the parts' exact values
     ev = eval_ak_rhs((3,), 2, -0.5, PrecisionContext(default_cutoff=50))
     with mp.workdps(30):
-        assert abs(ev.value - 10 * mp.zeta(6, 0.5)) <= ev.bound
+        assert abs(_mpf(ev.value) - 10 * mp.zeta(6, 0.5)) <= ev.bound
 
 
 def test_ak_lhs_closed_form_at_small_caps():
@@ -579,7 +580,7 @@ def test_ak_lhs_closed_form_at_small_caps():
                     ev = _nested((1,) * r, 0.0, 1, (m, -0.5), None, _rungs(cap))
                     exact = math.comb(r + m, m) * (2 ** (r + m + 1) - 1) * mp.zeta(r + m + 1)
                     assert ev.cutoff_used <= cap
-                    assert abs(ev.value - exact) <= ev.bound, (cap, r, m)
+                    assert abs(_mpf(ev.value) - exact) <= ev.bound, (cap, r, m)
 
 
 def test_rungs_cap_the_cutoff():
@@ -686,3 +687,24 @@ def test_catalog_reports_do_not_depend_on_the_caches():
     clear_caches()
     again = [r.to_json() for r in verify_all("THM3").reports]
     assert cold == warm == again
+
+
+def test_every_evaluation_value_is_exact():
+    evaluations = [
+        eval_hurwitz_mzv((1, 2), 0.5, CTX),
+        eval_t((1, 3), CTX),
+        eval_li((1, 1), 0.5, CTX),
+        eval_ak_lhs((1, 2), 1, 2, -0.5, CTX),
+        eval_ak_lhs((1,), 4, 1, -0.5, CTX),
+        eval_ak_rhs((1, 2), 2, 0.5, CTX),
+        eval_euler_transform(3, 2, -0.5, CTX),
+        eval_prop2_series(Composition.of(2), 0.5, 0.25, 4, CTX),
+        zeta_em(3, 0.25, CTX),
+        clausen(2, math.pi / 3, CTX),
+    ]
+    for ev in evaluations:
+        assert type(ev.value) is Fraction, ev
+    # the type holds the invariant: a float, an mpf or a NaN is refused
+    for value in (1.5, mp.mpf(1) / 3, math.nan):
+        with pytest.raises(DomainError):
+            Evaluation(value, 0.0, RIGOROUS, "test", 0)

@@ -19,8 +19,7 @@ def test_logseries_ring_basics():
     b = LogSeries({1: [0.0, 2.0]})
     prod = a * b
     assert prod.bands == {3: [0.0, 2.0]}
-    s = a + a.scaled(-1.0)
-    assert s.bands == {}
+    assert LogSeries({2: [0.0]}).bands == {}  # an all-zero band is dropped
     assert a.lead == 2.0
     # shifts add, and their integer part moves into the integer exponents
     c = LogSeries({1: [3.0]}, shift=0.5) * LogSeries({1: [2.0]}, shift=0.75)

@@ -8,7 +8,8 @@ from akzeta.errors import DomainError
 from akzeta.evaluator import eval_euler_transform
 from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS,
                              ESTIMATED, Evaluation, beta_factor_exact,
-                             zeta_em, clausen, accelerate_alternating)
+                             zeta_em, clausen, accelerate_alternating, mpf_fraction,
+                             round_up)
 
 
 def test_precision_context_defaults_and_cutoff():
@@ -102,7 +103,7 @@ def test_zeta_em_within_bound_at_high_precision():
                      (1.5, 0.25), (2, -0.9)]:
             ev = zeta_em(s, x, ctx)
             with mp.workdps(digits + 10):
-                err = abs(ev.value - mp.zeta(s, 1 + mp.mpf(x)))
+                err = abs(_mpf(ev.value) - mp.zeta(s, 1 + mp.mpf(x)))
             assert err <= ev.bound, (digits, s, x)
 
 
@@ -130,7 +131,7 @@ def test_clausen_values():
         for order, th, ref, tol in cases:
             ev = clausen(order, th, ctx)
             assert ev.bound_kind == ESTIMATED
-            assert abs(ev.value - ref) <= ev.bound + tol, (order, th)
+            assert abs(_mpf(ev.value) - ref) <= ev.bound + tol, (order, th)
         # odd symmetry of the order-2 function
         th = math.pi / 3
         assert abs(clausen(2, -th, ctx).value + clausen(2, th, ctx).value) \
@@ -139,7 +140,7 @@ def test_clausen_values():
         # series would need ~1e10 terms here
         t = mp.mpf(1e-9)
         ev = clausen(2, 1e-9, ctx)
-        assert abs(ev.value - (t - t * mp.log(t) + t**3 / 72)) <= ev.bound + t**5
+        assert abs(_mpf(ev.value) - (t - t * mp.log(t) + t**3 / 72)) <= ev.bound + t**5
 
 
 def test_clausen_rejects_bad_order():
@@ -187,3 +188,19 @@ def test_evaluation_rejects_bad_bound():
         with pytest.raises(DomainError):
             Evaluation(value=1.0, bound=bad, bound_kind=RIGOROUS,
                        method="test", cutoff_used=0)
+
+
+def test_round_up_and_mpf_fraction_are_exact():
+    # round_up is the least float >= q; mpf_fraction keeps every bit and the sign
+    for q in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 10**320), Fraction(10**300, 7)):
+        f = round_up(q)
+        assert f >= q and math.nextafter(f, -math.inf) < q
+    assert round_up(Fraction(1, 2)) == 0.5
+    with mp.workdps(60):
+        v = -mp.mpf(1) / 3
+        q = mpf_fraction(v)
+        assert q < 0 and mp.mpf(q.numerator) / q.denominator == v
+        assert mpf_fraction(mp.mpf(3) * 2**70) == 3 * 2**70
+    for bad in (mp.mpf("nan"), mp.mpf("inf"), mp.mpf("1e400")):
+        with pytest.raises(DomainError):
+            mpf_fraction(bad)

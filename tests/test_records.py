@@ -4,6 +4,7 @@ or by keyword.  VerifySummary alone stays mutable."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -26,9 +27,10 @@ CASES = [
     (Composition((1, 2)), Composition(parts=[1, 2]), Composition((2, 1))),
     (PrecisionContext(30, 500), PrecisionContext(default_cutoff=500, digits=30),
      PrecisionContext(30)),
-    (Evaluation(1.5, 0.25, "rigorous", "dp", 64),
-     Evaluation(value=1.5, bound=0.25, bound_kind="rigorous", method="dp", cutoff_used=64),
-     Evaluation(1.5, 0.25, "estimated", "dp", 64)),
+    (Evaluation(Fraction(3, 2), 0.25, "rigorous", "dp", 64),
+     Evaluation(value=Fraction(3, 2), bound=0.25, bound_kind="rigorous", method="dp",
+                cutoff_used=64),
+     Evaluation(Fraction(3, 2), 0.25, "estimated", "dp", 64)),
     (IdentityCase("ID", "an identity", _recipe, ({},)),
      IdentityCase(id="ID", description="an identity", recipe=_recipe, grid=({},)),
      IdentityCase("ID", "an identity", _recipe, ({"m": 1},))),
