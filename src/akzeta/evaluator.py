@@ -23,7 +23,7 @@ from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomi
 from .errors import DomainError, DivergenceError, integer, real
 from .logasym import pow_shift, nested_tail_series, nested_tail_sum, bell_p_models
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS, ESTIMATED,
-                       accelerate_alternating, clear_caches, memoized, round_up)
+                       accelerate_alternating, clear_caches, exact_sum, memoized, round_up)
 
 __all__ = [
     "eval_hurwitz_mzv",
@@ -128,23 +128,23 @@ def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
 def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) -> Evaluation:
     """The one cutoff rule of the DP paths, for a sum of depth q.
 
-    ``rung(N)`` sums to cutoff N and returns (value, trunc): the exact
-    fixed-point value, a Fraction over 2^_F, and the part of its bound that
-    shrinks as N grows (truncation, and the float evaluation of a symbolic
-    tail; infinite when no majorant exists at N).  The stopping tolerance
-    :func:`_roundoff`, scaled by the value's float, grows linearly in N; it
+    ``rung(N)`` sums to cutoff N and returns (partial, scale, trunc): the
+    exact value in units of 2^-_F, its float, and the part of its bound
+    that shrinks as N grows (truncation, and the float evaluation of a
+    symbolic tail; infinite when no majorant exists at N).  The stopping
+    tolerance :func:`_roundoff`, sized by the float, grows linearly in N; it
     also covers int(tail * 2^_F), which truncates by less than 2^-_F.  The
     sum keeps the first rung where trunc <= roundoff, else the last: its
     bound, at most 2 * roundoff, is then no larger than at any rung >= 2N.
     """
     for N in rungs:
-        value, trunc = rung(N)
-        roundoff = _roundoff(N, q, float(value))
+        partial, scale, trunc = rung(N)
+        roundoff = _roundoff(N, q, scale)
         if trunc <= roundoff or N == rungs[-1]:
             break
     if math.isinf(trunc):
         raise DomainError(f"cutoff {N} too small for a geometric majorant")
-    return Evaluation(value=value, bound=trunc + roundoff,
+    return Evaluation(value=Fraction(partial, _ONE), bound=trunc + roundoff,
                       bound_kind=RIGOROUS, method=method, cutoff_used=N)
 
 
@@ -283,14 +283,13 @@ def _nested(e: tuple[int, ...], x: float, c: int, bell: tuple[int, float] | None
             if r is None:
                 tail, terr = nested_tail_sum(S_at, tails, N)
                 partial += int(tail * _ONE)
-            value = Fraction(partial, _ONE)
-            float(value)
+            scale = partial / _ONE
         except (OverflowError, ValueError):  # a value or tail past the float range, or NaN
             raise DomainError(f"{what} leaves the float range at cutoff {N}") from None
         if r is None:
-            return value, 10.0 * terr
+            return partial, scale, 10.0 * terr
         K = outer[0][-1] / _ONE * N ** (-float(e[-1])) * D if bell else 1.0
-        return value, _geom_row_bound(N, p, m + len(e) - 1, K, h)
+        return partial, scale, _geom_row_bound(N, p, m + len(e) - 1, K, h)
 
     q = len(e) + (m + 1 if bell else 0)
     return _choose_cutoff(rungs, rung, q, "dp+em-tail" if r is None else "dp+geom-tail")
@@ -331,17 +330,13 @@ def zeta_combination(alpha, m: int,
     the weighted sum of their bounds, rounded up to a float."""
     a = Composition.coerce(alpha).parts
     m = integer(m, 0, "m")
-    total = Fraction(0)
-    bound = Fraction(0)
-    cutoff = 0
-    for d in weak_compositions(m, len(a)):
-        coef = m_coeff(a[:-1], d[:-1]) * binomial(a[-1] + d[-1], d[-1])
-        ev = zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, d))))
-        total += coef * ev.value
-        bound += coef * Fraction(ev.bound)
-        cutoff = max(cutoff, ev.cutoff_used)
-    return Evaluation(value=total, bound=round_up(bound), bound_kind=RIGOROUS,
-                      method="mzv-combination", cutoff_used=cutoff)
+    terms = [(m_coeff(a[:-1], d[:-1]) * binomial(a[-1] + d[-1], d[-1]),
+              zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, d)))))
+             for d in weak_compositions(m, len(a))]
+    return Evaluation(value=exact_sum((w, ev.value) for w, ev in terms),
+                      bound=round_up(exact_sum((w, ev.bound) for w, ev in terms)),
+                      bound_kind=RIGOROUS, method="mzv-combination",
+                      cutoff_used=max(ev.cutoff_used for _, ev in terms))
 
 
 def eval_euler_transform(p: float, s: int, x: float,

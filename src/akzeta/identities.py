@@ -23,8 +23,8 @@ from .evaluator import (eval_hurwitz_mzv, eval_t, eval_ak_lhs, eval_ak_rhs,
                         zeta_combination)
 from .harmonic_bell import harmonic_table, bell_modified, d_operator
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
-                       ESTIMATED, zeta_em, clausen, beta_factor_exact, mpf_fraction,
-                       round_up)
+                       ESTIMATED, zeta_em, clausen, beta_factor_exact, exact_sum,
+                       mpf_fraction, round_up)
 from .powerseries import series_inverse, ak_bernoulli_polys, classical_bernoulli_polynomial
 
 __all__ = ["IdentityCase", "IdentityReport", "catalog", "verify",
@@ -37,8 +37,7 @@ class IdentityCase(Record):
     """One identity: its id, recipe and default parameter grid.
 
     ``recipe(params, ctx)`` computes both sides and returns the report fields
-    (lhs, rhs, abs_diff, bound, bound_kind), abs_diff possibly an exact
-    Fraction that the report rounds to float.  The grid is never empty, and
+    (lhs, rhs, abs_diff, bound, bound_kind).  The grid is never empty, and
     the keys of its first case are the parameters every case must give.
     """
 
@@ -104,15 +103,17 @@ def _exact(equal: bool, value: float) -> tuple:
 def _compare(lhs: Evaluation, rhs: Evaluation,
              scale: float | Fraction = 1.0) -> tuple:
     """Report fields for scale * lhs against rhs: the exact residual
-    |scale L - R| and the bound |scale| b_L + b_R rounded up to a float.  A
-    scale that no float holds is passed as a Fraction; the reported sides
-    are each rounded to float once.
+    |scale L - R| and the bound |scale| b_L + b_R, both rounded up to a
+    float, so that the residual is within the bound exactly when its float
+    is.  A scale that no float holds is passed as a Fraction; the reported
+    sides are each rounded to float once, from their integer ratios.
     """
-    scale = Fraction(scale)
-    lv = scale * lhs.value
-    bound = round_up(abs(scale) * Fraction(lhs.bound) + Fraction(rhs.bound))
+    (sn, sd), (ln, ld), (rn, rd) = (scale.as_integer_ratio(), lhs.value.as_integer_ratio(),
+                                    rhs.value.as_integer_ratio())
+    residual = round_up(Fraction(abs(sn * ln * rd - rn * sd * ld), sd * ld * rd))
+    bound = round_up(exact_sum(((abs(scale), lhs.bound), (1, rhs.bound))))
     kind = ESTIMATED if ESTIMATED in (lhs.bound_kind, rhs.bound_kind) else RIGOROUS
-    return float(lv), float(rhs.value), abs(lv - rhs.value), bound, kind
+    return sn * ln / (sd * ld), rn / rd, residual, bound, kind
 
 
 # ---------------------------------------------------------------- recipes
@@ -189,8 +190,8 @@ def _do_clausen_m1(params, ctx):
     z3 = zeta_em(3, 0.0, ctx)
     th = mpf_fraction(theta)
     parts = ((-2, cl3a), (2, cl3b), (-th, cl2b), (-th, cl2a), (Fraction(7, 2), z3))
-    value = sum(w * e.value for w, e in parts)
-    bound = round_up(sum(abs(w) * Fraction(e.bound) for w, e in parts))
+    value = exact_sum((w, e.value) for w, e in parts)
+    bound = round_up(exact_sum((abs(w), e.bound) for w, e in parts))
     kind = ESTIMATED if any(e.bound_kind == ESTIMATED for _, e in parts) else RIGOROUS
     rhs = Evaluation(value=value, bound=bound, bound_kind=kind,
                      method="clausen-combination", cutoff_used=0)
@@ -381,7 +382,7 @@ def verify(id_: str, params: dict | None = None,
             params[key] = Composition.coerce(params[key])
     t0 = time.perf_counter()
     lhs, rhs, diff, bound, kind = case.recipe(params, ctx)
-    return IdentityReport(id=id_, params=params, lhs=lhs, rhs=rhs, abs_diff=float(diff),
+    return IdentityReport(id=id_, params=params, lhs=lhs, rhs=rhs, abs_diff=diff,
                           bound=bound, bound_kind=kind, passed=diff <= bound,
                           seconds=time.perf_counter() - t0)
 

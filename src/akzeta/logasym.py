@@ -282,7 +282,7 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
         c = [0.0, -_digamma(a)]
         for i in range(2, size):
             try:
-                c.append(eval_hurwitz_mzv((i,), x, _FLOAT_CTX).value)
+                c.append(float(eval_hurwitz_mzv((i,), x, _FLOAT_CTX).value))
             except DomainError:  # zeta(i, a) > a^-i at a < 1: the orders from i overflow
                 c.extend([math.inf] * (size - i))
                 break

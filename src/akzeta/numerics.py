@@ -118,6 +118,15 @@ def round_up(q: Fraction) -> float:
     return f if fn * d >= n * fd else math.nextafter(f, math.inf)
 
 
+def exact_sum(terms) -> Fraction:
+    """The exact sum of w * q over pairs (w, q) of rationals (ints, floats
+    or Fractions), formed in integers over one common denominator and
+    reduced once, in place of one gcd per Fraction operation."""
+    ratios = [(w.as_integer_ratio(), q.as_integer_ratio()) for w, q in terms]
+    den = math.lcm(*(wd * qd for (_, wd), (_, qd) in ratios))
+    return Fraction(sum(wn * qn * (den // (wd * qd)) for (wn, wd), (qn, qd) in ratios), den)
+
+
 def mpf_fraction(v) -> Fraction:
     """The exact Fraction of an mpf, from its ``man_exp``, which leaves out
     the sign; NaN, or a value past the float range, raises ``DomainError``."""

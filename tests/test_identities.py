@@ -9,7 +9,7 @@ from akzeta.errors import DomainError
 from akzeta.evaluator import eval_ak_lhs
 from akzeta import cli, identities
 from akzeta.identities import IdentityCase, catalog, verify, verify_all
-from akzeta.numerics import PrecisionContext
+from akzeta.numerics import RIGOROUS, Evaluation, PrecisionContext
 
 CTX = PrecisionContext(default_cutoff=20000)
 
@@ -162,6 +162,21 @@ def test_verify_fails_a_residual_above_its_bound(monkeypatch):
     s = verify_all("STUB")
     assert s.n_fail == 1 and not s.all_passed
     assert cli.main(["verify", "STUB"]) == 1
+
+
+def test_verify_fails_a_residual_just_above_its_float_bound(monkeypatch):
+    # the residual 1/3 lies above its nearest float: a bound at that float fails,
+    # one ulp more passes, and the reported residual is within the bound just then
+    third = Fraction(1, 3)
+    for bound, passes in ((float(third), False), (math.nextafter(float(third), 1.0), True)):
+        lhs = Evaluation(value=third, bound=0.0, bound_kind=RIGOROUS, method="t", cutoff_used=0)
+        rhs = Evaluation(value=Fraction(0), bound=bound, bound_kind=RIGOROUS, method="t",
+                         cutoff_used=0)
+        stub = IdentityCase("STUB", "residual at its bound",
+                            lambda params, ctx: identities._compare(lhs, rhs), ({},))
+        monkeypatch.setitem(identities._CASES, "STUB", stub)
+        r = verify("STUB")
+        assert r.bound == bound and r.passed is passes and (r.abs_diff <= r.bound) is passes
 
 
 def test_verify_all_filter():

@@ -8,8 +8,8 @@ from akzeta.errors import DomainError
 from akzeta.evaluator import eval_euler_transform
 from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS,
                              ESTIMATED, Evaluation, beta_factor_exact,
-                             zeta_em, clausen, accelerate_alternating, mpf_fraction,
-                             round_up)
+                             zeta_em, clausen, accelerate_alternating, exact_sum,
+                             mpf_fraction, round_up)
 
 
 def test_precision_context_defaults_and_cutoff():
@@ -185,8 +185,8 @@ def test_accelerate_rejects_non_alternating():
 
 def test_evaluation_rejects_bad_bound():
     for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            Evaluation(value=1.0, bound=bad, bound_kind=RIGOROUS,
+        with pytest.raises(DomainError, match="error bound"):
+            Evaluation(value=Fraction(1), bound=bad, bound_kind=RIGOROUS,
                        method="test", cutoff_used=0)
 
 
@@ -204,3 +204,13 @@ def test_round_up_and_mpf_fraction_are_exact():
     for bad in (mp.mpf("nan"), mp.mpf("inf"), mp.mpf("1e400")):
         with pytest.raises(DomainError):
             mpf_fraction(bad)
+
+
+def test_exact_sum_is_the_fraction_sum():
+    # ints, floats and Fractions as weights and terms, over unlike denominators
+    terms = [(3, Fraction(1, 3)), (-2, 0.1), (Fraction(1, 7), Fraction(5, 2**96)),
+             (0.5, 2**-1000), (7, 4)]
+    expect = sum(Fraction(w) * Fraction(q) for w, q in terms)
+    got = exact_sum(terms)
+    assert type(got) is Fraction and got == expect
+    assert exact_sum([]) == 0
