@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable
 
@@ -24,7 +25,7 @@ from .evaluator import (eval_hurwitz_mzv, eval_t, eval_ak_lhs, eval_ak_rhs,
 from .harmonic_bell import harmonic_table, bell_modified, d_operator
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
                        ESTIMATED, zeta_em, clausen, beta_factor_exact, exact_sum,
-                       mpf_fraction, round_up)
+                       round_up, atan_series, machin_pi, cl2_modulus, decimal_unit)
 from .powerseries import series_inverse, ak_bernoulli_polys, classical_bernoulli_polynomial
 
 __all__ = ["IdentityCase", "IdentityReport", "catalog", "verify",
@@ -176,24 +177,40 @@ def _do_arcsin(params, ctx):
     return _compare(lhs, ev, 0.5)
 
 
+def _clausen_angles(p, digits: int) -> tuple:
+    """theta = 2 asin(p^-1/2) and phi = pi - theta, as exact rationals formed
+    in decimal at digits + 10, and bounds on their errors.  The quarter
+    angle has tan(theta/4) = y = 1/(sqrt p + sqrt(p - 1)) in (0, 1]: theta
+    is 4 atan(y) for y <= 1/2, and phi is 4 atan((1 - y)/(1 + y)) above."""
+    with localcontext(Context(prec=digits + 10)):
+        pi, d_pi = machin_pi()
+        pd = Decimal(float(p))  # the p of the sum, which takes it as a float
+        # p - 1 and the two roots round once each: y is within u y
+        y = 1 / (Fraction(pd.sqrt()) + Fraction((pd - 1).sqrt()))
+        d_y = decimal_unit() * y
+        if y <= Fraction(1, 2):
+            a, d_a = atan_series(y)
+            theta, d_theta = 4 * a, 4 * (d_a + d_y)
+            return theta, pi - theta, d_theta, d_pi + d_theta
+        a, d_a = atan_series((1 - y) / (1 + y))  # its argument moves by at most 2 d_y
+        phi, d_phi = 4 * a, 4 * (d_a + 2 * d_y)
+        return pi - phi, phi, d_pi + d_phi, d_phi
+
+
 def _do_clausen_m1(params, ctx):
     p = params["p"]
-    # the angles at the working precision: a float theta is off by up to an
-    # ulp, which Cl_2' ~ 1 carries into the value past its bound
-    wp = ctx.mp_ctx()
-    theta = 2 * wp.asin(1 / wp.sqrt(p))
     lhs = eval_ak_lhs((1,), p, 1, -0.5, ctx)
-    cl2a = clausen(2, theta, ctx)
-    cl2b = clausen(2, wp.pi - theta, ctx)
-    cl3a = clausen(3, theta, ctx)
-    cl3b = clausen(3, wp.pi - theta, ctx)
-    z3 = zeta_em(3, 0.0, ctx)
-    th = mpf_fraction(theta)
-    parts = ((-2, cl3a), (2, cl3b), (-th, cl2b), (-th, cl2a), (Fraction(7, 2), z3))
+    theta, phi, d_theta, d_phi = _clausen_angles(p, ctx.digits)
+    parts = ((-2, clausen(3, theta, ctx)), (2, clausen(3, phi, ctx)),
+             (-theta, clausen(2, phi, ctx)), (-theta, clausen(2, theta, ctx)),
+             (Fraction(7, 2), zeta_em(3, 0.0, ctx)))
     value = exact_sum((w, e.value) for w, e in parts)
-    bound = round_up(exact_sum((abs(w), e.bound) for w, e in parts))
-    kind = ESTIMATED if any(e.bound_kind == ESTIMATED for _, e in parts) else RIGOROUS
-    rhs = Evaluation(value=value, bound=bound, bound_kind=kind,
+    # the angles' errors move -2 Cl_3(theta) + 2 Cl_3(phi) - theta (Cl_2(phi)
+    # + Cl_2(theta)) by at most 5 (d_theta + d_phi) plus 4 times Cl_2's shift
+    # at each angle: Cl_3' = -Cl_2, |Cl_2| <= 1.015 and theta < 4
+    shift = 5 * (d_theta + d_phi) + 4 * (cl2_modulus(theta, d_theta) + cl2_modulus(phi, d_phi))
+    bound = round_up(exact_sum((abs(w), e.bound) for w, e in parts) + shift)
+    rhs = Evaluation(value=value, bound=bound, bound_kind=RIGOROUS,
                      method="clausen-combination", cutoff_used=0)
     return _compare(lhs, rhs, 0.5)
 
@@ -261,25 +278,25 @@ def _do_genfun_b(params, ctx):
     v = params["v"]
     p, x, m_max = 2, Fraction(1, 3), 30
     polys = ak_bernoulli_polys(v, p, m_max)
-    wp = DEFAULT_CTX.mp_ctx()  # 60 digits, whatever the working precision
-    t = wp.mpf(1) / 10
-    xm = wp.mpf(x.numerator) / x.denominator
-    lhs = wp.mpf(0)
-    for m in range(m_max + 1):
-        c = polys[m](x)
-        lhs += wp.mpf(c.numerator) / c.denominator * t**m / wp.factorial(m)
-    w = (1 - wp.e**(-t)) / p
-    # direct nested summation of the polylogarithm at small argument:
-    # inner[j] = sum over n_1 < ... < n_j < n of prod n_i^{-v_i}
-    inner = [wp.mpf(1)] + [wp.mpf(0)] * (v.depth - 1)
-    rhs_li = wp.mpf(0)
-    for n in range(1, 80):
-        if n > 1:
-            for j in range(v.depth - 1, 0, -1):
-                inner[j] += inner[j - 1] / (n - 1) ** v.parts[j - 1]
-        rhs_li += w**n / n**v.parts[-1] * inner[-1]
-    rhs = wp.e**(xm * t) / (wp.e**t - 1) * rhs_li
-    return float(lhs), float(rhs), float(abs(lhs - rhs)), 1e-25, ESTIMATED
+    with localcontext(Context(prec=60)):  # whatever the working precision
+        t = Decimal(1) / 10
+        xm = Decimal(x.numerator) / x.denominator
+        lhs = Decimal(0)
+        for m in range(m_max + 1):
+            c = polys[m](x)
+            lhs += Decimal(c.numerator) / c.denominator * t**m / math.factorial(m)
+        w = (1 - (-t).exp()) / p
+        # direct nested summation of the polylogarithm at small argument:
+        # inner[j] = sum over n_1 < ... < n_j < n of prod n_i^{-v_i}
+        inner = [Decimal(1)] + [Decimal(0)] * (v.depth - 1)
+        rhs_li = Decimal(0)
+        for n in range(1, 80):
+            if n > 1:
+                for j in range(v.depth - 1, 0, -1):
+                    inner[j] += inner[j - 1] / (n - 1) ** v.parts[j - 1]
+            rhs_li += w**n / n**v.parts[-1] * inner[-1]
+        rhs = (xm * t).exp() / (t.exp() - 1) * rhs_li
+        return float(lhs), float(rhs), float(abs(lhs - rhs)), 1e-25, ESTIMATED
 
 
 # ---------------------------------------------------------------- catalog

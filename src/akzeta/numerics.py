@@ -1,11 +1,17 @@
 """Numeric kernels: precision management, beta factors, zeta series with
 explicit truncation bounds, Clausen functions, and alternating-series
 acceleration.
+
+The transcendental kernels work in :mod:`decimal`, in a local context of
+digits + 10 digits, and return the exact Fraction of their Decimal terms'
+sum.  Their round-off bound counts the correctly rounded operations behind
+each term, one unit in the last place apiece, times the term.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import MAX_PREC, Context, Decimal, getcontext, localcontext
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
@@ -44,14 +50,15 @@ def clear_caches():
 class PrecisionContext(Record):
     """Working precision and the cap on summation cutoffs.
 
-    ``digits`` sets the mpmath precision, the term counts of :func:`zeta_em`,
-    and the term count and fixed-point width of the alternating transforms,
-    which work in Python integers at :meth:`bits`.  Values are exact
-    Fractions at any precision: their bounds say how many digits hold.  It
-    is at most 300: the bounds are floats, and past that the ones sized from
-    the precision turn subnormal and then 0.  ``default_cutoff`` is
-    the largest cutoff any series may use: the prefix-sum DP paths pick their
-    own, smaller cutoff from their error model and stop at it at the latest.
+    ``digits`` sets the term counts and the decimal context (digits + 10
+    digits) of :func:`zeta_em` and :func:`clausen`, and the term count and
+    fixed-point width of the alternating transforms, which work in Python
+    integers at :meth:`bits`.  Values are exact Fractions at any precision:
+    their bounds say how many digits hold.  It is at most 300: the bounds
+    are floats, and past that the ones sized from the precision turn
+    subnormal and then 0.  ``default_cutoff`` is the largest cutoff any
+    series may use: the prefix-sum DP paths pick their own, smaller cutoff
+    from their error model and stop at it at the latest.
     """
 
     __slots__ = ("digits", "default_cutoff")
@@ -65,25 +72,10 @@ class PrecisionContext(Record):
         return PrecisionContext(self.digits, N)
 
     def bits(self) -> int:
-        """The binary precision of digits + 10 decimal digits, as mpmath's
-        ``dps`` sets it: the precision of :meth:`mp_ctx`, whose rounding
-        unit eps = 2^(1 - bits) sizes the alternating transforms."""
+        """The binary precision of digits + 10 decimal digits,
+        round((digits + 11) log2 10); its rounding unit eps = 2^(1 - bits)
+        sizes the alternating transforms."""
         return round((self.digits + 11) * 3.3219280948873626)
-
-    def mp_ctx(self):
-        """The mpmath context at digits + 10, one shared per ``digits``:
-        callers must not change its precision.  The first call imports
-        mpmath, so a float-only evaluation never loads it."""
-        return _mp_context(self.digits + 10)
-
-
-@memoized
-def _mp_context(dps: int):
-    import mpmath
-
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps
-    return ctx
 
 
 DEFAULT_CTX = PrecisionContext()
@@ -95,7 +87,7 @@ class Evaluation(Record):
     __slots__ = ("value", "bound", "bound_kind", "method", "cutoff_used")
 
     def __init__(self, value, bound: float, bound_kind: str, method: str, cutoff_used: int):
-        """``value`` is held as an exact Fraction: a float or an mpf raises
+        """``value`` is held as an exact Fraction: a float raises
         ``DomainError``.  ``bound`` bounds its distance from the true value,
         and ``bound_kind`` is "rigorous" or "estimated"."""
         value = rational(value, "value")
@@ -127,14 +119,6 @@ def exact_sum(terms) -> Fraction:
     return Fraction(sum(wn * qn * (den // (wd * qd)) for (wn, wd), (qn, qd) in ratios), den)
 
 
-def mpf_fraction(v) -> Fraction:
-    """The exact Fraction of an mpf, from its ``man_exp``, which leaves out
-    the sign; NaN, or a value past the float range, raises ``DomainError``."""
-    real(v, "value")
-    man, exp = v.man_exp
-    return (-man if v < 0 else man) * Fraction(2) ** exp
-
-
 def beta_factor_exact(n: int, x) -> Fraction:
     """B(n, 1+x) as an exact rational, for x an int or a Fraction."""
     n, x = integer(n, 1, "n"), rational(x, "x", above=-1)
@@ -144,12 +128,32 @@ def beta_factor_exact(n: int, x) -> Fraction:
     return out
 
 
+def decimal_unit() -> Fraction:
+    """u = 10^(1 - prec) of the current decimal context: a correctly rounded
+    operation is within u/2 of its exact result, relatively, so that c of
+    them, each counted as u, put a result within c u of the exact one."""
+    return Fraction(1, 10 ** (getcontext().prec - 1))
+
+
+def _decimal_sum(pieces) -> tuple[Fraction, Fraction]:
+    """The exact sum of the Decimals t of the pairs (t, c), as a Fraction,
+    and u * sum c |t|, which bounds its distance from the sum of the exact
+    terms when c operations, counted in units of u, formed each t."""
+    u = decimal_unit()
+    with localcontext(Context(prec=MAX_PREC)):  # exact
+        return Fraction(sum(t for t, _ in pieces)), u * Fraction(
+            sum(Decimal(c) * abs(t) for t, c in pieces))
+
+
 def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
-    """sum_{n>=1} (n+x)^{-s} via partial sum plus Euler-Maclaurin tail.
+    """sum_{n>=1} (n+x)^{-s} for real s > 1, x > -1, via a partial sum to
+    N = max(10, digits) plus Euler-Maclaurin tail, in decimal at digits + 10.
 
     The bound is twice the first omitted correction term, a majorant of the
-    remainder for this completely monotone integrand, plus the round-off.
-    The value is the exact Fraction of the mpf sum.
+    remainder for this completely monotone integrand, plus the round-off:
+    u = 10^-(digits + 9) times, summed over the terms, the operations
+    behind each term times the term (see :func:`decimal_unit`).  The value
+    is the exact Fraction of the sum of the Decimal terms.
     """
     return _zeta_em_cached(real(s, "s"), real(x, "x", above=-1), ctx.digits, ctx.default_cutoff)
 
@@ -158,60 +162,169 @@ def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
 def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluation:
     if sf <= 1:
         raise DivergenceError("series diverges for s <= 1")
-    wp = PrecisionContext(digits=digits, default_cutoff=cutoff).mp_ctx()
     # from N ~ digits on, the corrections shrink past the target within a
     # few dozen terms; the configured cutoff caps N
     N = min(max(10, digits), cutoff)
-    s, x = wp.mpf(sf), wp.mpf(xf)
-    base = N + x
-    value = (wp.fsum((n + x) ** (-s) for n in range(1, N))
-             + base ** (1 - s) / (s - 1) + base ** (-s) / 2)
-    # add the corrections B_2k/(2k)! (s)_{2k-1} base^{1-s-2k} until one
-    # clears the target or stops shrinking: that one is the first omitted
     target = 10.0 ** (-(digits + 2))
-    poch = s  # (s)_{2k-1}
-    last = math.inf
-    k = 1
-    while True:
-        c = bernoulli_over_factorial(2 * k)
-        term = c.numerator * poch * base ** (1 - s - 2 * k) / c.denominator
-        omitted = float(abs(term))
-        if omitted <= target or omitted >= last:
-            break
-        value += term
-        last = omitted
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-        k += 1
+    with localcontext(Context(prec=digits + 10)):
+        s, x = Decimal(sf), Decimal(xf)  # exact
+        minus_s = s.copy_negate()  # exact: an exponent rounded would move every power
+        # n + x rounds once, which the power raises s-fold, and a power
+        # counts 2: Decimal's is "almost always correctly rounded"
+        pieces = [((n + x) ** minus_s, sf + 2) for n in range(1, N)]
+        base = N + x
+        power = base ** minus_s
+        pieces += [(power * base / (s - 1), sf + 6), (power / 2, sf + 3)]
+        # add the corrections B_2k/(2k)! (s)_{2k-1} base^{1-s-2k} until one
+        # clears the target or stops shrinking: that one is the first
+        # omitted.  With base^2 formed once, base^{1-s-2k} takes s + 4 + 4k
+        # operations, (s)_{2k-1} 4k - 4, and the term 3 more.
+        w, base2, poch = power * base, base * base, s
+        last = math.inf
+        k = 1
+        while True:
+            c = bernoulli_over_factorial(2 * k)
+            w /= base2
+            term = c.numerator * poch * w / c.denominator
+            size = float(abs(term))
+            if size <= target or size >= last:
+                break
+            pieces.append((term, sf + 8 * k + 3))
+            last = size
+            poch *= (s + 2 * k - 1) * (s + 2 * k)
+            k += 1
+        value, roundoff = _decimal_sum(pieces)
+        omitted = abs(Fraction(term)) * (1 + Fraction(sf + 8 * k + 3) * decimal_unit())
+    try:
+        bound = round_up(roundoff + 2 * omitted)
+    except OverflowError:
+        raise DomainError(f"zeta({sf}, 1 + {xf}) leaves the float range") from None
     return Evaluation(
-        value=mpf_fraction(value),
-        bound=2.0 * omitted + 10.0 ** (-(digits + 4)),
+        value=value,
+        bound=bound,
         bound_kind=RIGOROUS,
         method="euler_maclaurin",
         cutoff_used=N,
     )
 
 
-def clausen(order: int, theta, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
-    """Clausen function Cl_2 (sine series) or Cl_3 (cosine series).
+def atan_series(z: Fraction) -> tuple[Fraction, Fraction]:
+    """atan(z) for |z| <= 1/2 by z - z^3/3 + z^5/5 - ... in the current
+    decimal context, as a Fraction, and a bound on its error: the
+    round-off, twice the first omitted term, which the alternating,
+    shrinking terms majorize the rest by, and the rounding of z, which
+    atan' <= 1 passes on."""
+    zd = Decimal(z.numerator) / z.denominator
+    z2, power, eps = zd * zd, zd, Decimal(10) ** -getcontext().prec
+    pieces, j = [], 0
+    while abs(term := power / (2 * j + 1)) > eps:
+        pieces.append((-term if j % 2 else term, 2 * j + 1))  # z^(2j+1): 2j operations
+        power *= z2
+        j += 1
+    value, roundoff = _decimal_sum(pieces)
+    return value, roundoff + 2 * abs(Fraction(term)) + decimal_unit() * abs(z)
 
-    Evaluated by mpmath's ``clsin``/``clcos`` at the working precision, at
-    the angle as given (a float, or an mpf rounded to the working
-    precision); the bound is that precision's last digits, not a proven
-    majorant, and does not cover an error in the angle itself.
+
+def machin_pi() -> tuple[Fraction, Fraction]:
+    """pi by Machin's formula 16 atan(1/5) - 4 atan(1/239) in the current
+    decimal context, as a Fraction, and a bound on its error."""
+    a, da = atan_series(Fraction(1, 5))
+    b, db = atan_series(Fraction(1, 239))
+    return 16 * a - 4 * b, 16 * da + 4 * db
+
+
+def cl2_modulus(t: Fraction, delta: Fraction) -> Fraction:
+    """A bound on |Cl_2(a) - Cl_2(b)| for |a| = t <= pi + delta and b within
+    delta of a.  On [t - delta, t + delta] within [t/2, pi + delta],
+    |Cl_2'| = |ln(2 sin(a/2))| <= max(ln 2, ln(pi/t)) <= 2 + |ln t|, as
+    sin(a/2) >= a/pi.  Where t <= 2 delta, both angles lie within
+    h = 3 delta of 0, where |Cl_2| <= h (2 + |ln h|)."""
+    if not delta:
+        return Fraction(0)
+    a, factor = (t, delta) if t > 2 * delta else (3 * delta, 6 * delta)
+    with localcontext(Context(prec=20)):  # 2 in place of ln(pi) ~ 1.14 absorbs its rounding
+        return factor * (2 + abs(Fraction((Decimal(a.numerator) / a.denominator).ln())))
+
+
+def _exact_angle(theta) -> Fraction:
+    """theta, an int, a float, a Fraction or a finite Decimal, as its exact
+    rational."""
+    if not isinstance(theta, Decimal):
+        real(theta, "theta")
+    try:
+        return Fraction(theta)
+    except (TypeError, ValueError, OverflowError):  # another type, or a Decimal NaN or inf
+        raise DomainError("require a finite angle theta (an int, a float, a Fraction or "
+                          f"a Decimal), got {theta!r}") from None
+
+
+def clausen(order: int, theta, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
+    """Clausen function Cl_2 (sine series) or Cl_3 (cosine series) at the
+    exact rational of ``theta`` (an int, a float, a Fraction or a Decimal).
+
+    Reduced by the period 2 pi to t = |theta - 2 pi m| <= pi (Cl_2 is odd,
+    Cl_3 even), then summed in decimal at digits + 10 by the Bernoulli
+    series (Lewin, *Polylogarithms and Associated Functions*, 1981, ch. 4)
+
+        Cl_2(t) = t - t ln t + sum_k |B_2k|/(2k)! t^(2k+1) / (2k (2k+1)),
+        Cl_3(t) = zeta(3) - 3 t^2/4 + (t^2/2) ln t
+                  - sum_k |B_2k|/(2k)! t^(2k+2) / (2k (2k+1) (2k+2)).
+
+    As |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)^(2k) <= 4/(2 pi)^(2k), the terms
+    from k on sum to at most 4 t^(order-1) q^k / ((1 - q) den_k), with
+    q = (t/2 pi)^2 <= 1/4 and den_k the term's integer denominator; the sum
+    stops where that is below 10^-(digits + 2).  The ``rigorous`` bound adds
+    that remainder, the round-off, the error of the reduced angle (pi from
+    :func:`machin_pi`, t rounded to the context) times the function's
+    slope, and for Cl_3 the bound of :func:`zeta_em` (3).
     """
     order = integer(order, 2, "order")
     if order > 3:
         raise DomainError("order must be 2 or 3")
-    real(theta, "theta")  # its float only checks the angle: an mpf keeps its precision
-    wp = ctx.mp_ctx()
-    th = wp.mpf(theta)
-    fn = wp.clsin if order == 2 else wp.clcos
+    theta = _exact_angle(theta)
+    with localcontext(Context(prec=ctx.digits + 10)):
+        pi, d_pi = machin_pi()
+        m = round(theta / (2 * pi))
+        r = theta - 2 * m * pi
+        t = abs(Decimal(r.numerator) / r.denominator)
+        delta = 2 * abs(m) * d_pi + decimal_unit() * abs(r)  # t against |reduced theta|
+        pieces = []
+        if t:
+            log = t.ln()
+            pieces += ([(t, 0), (-t * log, 2)] if order == 2
+                       else [(-3 * t * t / 4, 3), (t * t / 2 * log, 4)])
+        # t^(2k+order-1) = power t2^k takes 2k + 1 operations, the term 2 more;
+        # 6.28 < 2 pi leaves room for the roundings of the majorant itself
+        t2, q = t * t, (t / Decimal("6.28")) ** 2
+        power = t if order == 2 else t2
+        tail = 4 * power / (1 - q)
+        target = Decimal(10) ** -(ctx.digits + 2)
+        k = 0
+        while True:
+            k += 1
+            den = 2 * k * (2 * k + 1) * (2 * k + 2 if order == 3 else 1)
+            tail *= q
+            if tail / den <= target:
+                break
+            power *= t2
+            c = bernoulli_over_factorial(2 * k)
+            term = abs(c.numerator) * power / (c.denominator * den)
+            pieces.append((term if order == 2 else -term, 2 * k + 4))
+        value, roundoff = _decimal_sum(pieces)
+        bound = roundoff + Fraction(tail / den)
+    if order == 2:
+        value = -value if r < 0 else value
+        bound += cl2_modulus(Fraction(t), delta)
+    else:  # |Cl_3'| = |Cl_2| <= Cl_2(pi/3) < 1.015
+        z3 = zeta_em(3, 0, ctx)
+        value += z3.value
+        bound += Fraction(z3.bound) + Fraction(203, 200) * delta
     return Evaluation(
-        value=mpf_fraction(fn(order, th)),
-        bound=10.0 ** (-(ctx.digits + 2)),
-        bound_kind=ESTIMATED,
-        method="mpmath_clausen",
-        cutoff_used=0,
+        value=value,
+        bound=round_up(bound),
+        bound_kind=RIGOROUS,
+        method="bernoulli_series",
+        cutoff_used=k - 1,
     )
 
 

@@ -99,24 +99,39 @@ def series_inverse(f: Sequence[Scalar]) -> list[Fraction]:
     return out
 
 
-# B_k/k!, k = 0, 1, ...: the Taylor coefficients of t/(e^t - 1), exact,
-# grown as far as some caller needed them
-_BERNOULLI_OVER_FACTORIAL = [Fraction(1)]
+# B_2j/(2j)!, j = 0, 1, ...: the even Taylor coefficients of t/(e^t - 1),
+# exact; empty until a caller needs them, then rebuilt at twice the length
+_EVEN_BERNOULLI = []
+
+
+def _even_bernoulli(n: int) -> list[Fraction]:
+    """B_2j/(2j)! for j = 0..n, from the tangent numbers T_1..T_n:
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), with T_j formed in integers
+    by the in-place recurrence of Brent and Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers" (2011), Algorithm TangentNumbers."""
+    T = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    out, fact = [Fraction(1)], 1
+    for j in range(1, n + 1):
+        fact *= 2 * j - 1  # (2j - 1)!
+        out.append(Fraction((-1) ** (j - 1) * T[j], 4**j * (4**j - 1) * fact))
+        fact *= 2 * j
+    return out
 
 
 def bernoulli_over_factorial(k: int) -> Fraction:
-    """B_k/k!, from t/(e^t - 1) * (e^t - 1)/t = 1 at the order t^k:
-    sum_{i<=k} B_i/i! / (k-i+1)! = 0 for k >= 1, and B_k = 0 at odd k > 1."""
+    """B_k/k!, the t^k coefficient of t/(e^t - 1): B_1 = -1/2, and B_k = 0
+    at odd k > 1."""
     k = integer(k, 0, "k")
-    table = _BERNOULLI_OVER_FACTORIAL
-    while len(table) <= k:
-        j = len(table)
-        if j > 1 and j % 2:
-            table.append(Fraction(0))
-        else:
-            table.append(-sum(b / math.factorial(j - i + 1)
-                              for i, b in enumerate(table) if b))
-    return table[k]
+    if k % 2:
+        return Fraction(-1, 2) if k == 1 else Fraction(0)
+    if k // 2 >= len(_EVEN_BERNOULLI):
+        _EVEN_BERNOULLI[:] = _even_bernoulli(max(k // 2, 2 * len(_EVEN_BERNOULLI)))
+    return _EVEN_BERNOULLI[k // 2]
 
 
 def bernoulli_numbers(M: int) -> list[Fraction]:

@@ -271,7 +271,7 @@ print(json.dumps([code] + [m in sys.modules for m in ("numpy", "mpmath", "akzeta
 
 
 def test_import_leaves_numpy_out():
-    # the runtime needs mpmath only: a one-off CLI call must not pay for numpy
+    # the runtime has no dependency: a one-off CLI call must not pay for numpy
     out = _fresh_python("import akzeta.cli, sys; print('numpy' in sys.modules)")
     assert out.strip() == "False"
     # the package exports lazily: importing it loads no submodule
@@ -288,8 +288,11 @@ def test_import_leaves_numpy_out():
                  ["eval", "euler", "--p", "4", "--s", "1", "--x", "-0.5"]):
         last = _fresh_python(_FOOTPRINT, "--json", *argv).splitlines()[-1]
         assert json.loads(last) == [0, False, False, False, False, False], argv  # exit code, loaded?
-    last = _fresh_python(_FOOTPRINT, "--json", "verify", "DUAL").splitlines()[-1]
-    assert json.loads(last) == [0, False, False, True, False, False]
+    # the catalog's closed forms (zeta values, Clausen functions, the
+    # generating function) work in decimal: verify loads no mpmath either
+    for family in ("DUAL", "COR2", "CLAUSEN_M1", "GENFUN_B"):
+        last = _fresh_python(_FOOTPRINT, "--json", "verify", family).splitlines()[-1]
+        assert json.loads(last) == [0, False, False, True, False, False], family
     # text output formats through decimal: it loads no mpmath either
     for argv in (["eval", "zeta", "3"],
                  ["eval", "euler", "--p", "4", "--s", "1", "--x", "-0.5"]):

@@ -336,27 +336,27 @@ def test_euler_transform_within_bound_against_mpmath(p):
 
 @pytest.mark.parametrize("p", [4.0, 14.93])
 def test_euler_transform_terms_and_bound(p):
-    # the term count is ceil(ln(2/eps) / ln(3 + sqrt 8)) at the mpmath
-    # context's eps, capped; the bound is at most b_1 (2 (3 + sqrt 8)^-n +
+    # the term count is ceil(ln(2/eps) / ln(3 + sqrt 8)) at the eps of
+    # mpmath at bits(), capped; the bound is at most b_1 (2 (3 + sqrt 8)^-n +
     # 5 n^2 eps) plus the ulp of its rounding up, below that at the default
     # cap, and it holds against a direct sum at 340 digits
     for s, x in ((1, -0.5), (3, 0.25)):
         ref = _transform_reference(p, s, x, 340)
         for digits in (15, 50, 100, 300):
-            wp = PrecisionContext(digits=digits).mp_ctx()
-            r = 3 + wp.sqrt(8)
-            uncapped = int(wp.ceil(wp.log(2 / wp.eps) / wp.log(r)))
-            b1 = (1 + wp.mpf(x)) ** -s / (wp.mpf(p) - 1)
-            for cap in (12, 20, DEFAULT_CTX.default_cutoff):
-                ev = eval_euler_transform(p, s, x, PrecisionContext(digits, cap))
-                n = min(cap, uncapped)
-                assert ev.cutoff_used == n, (s, x, digits, cap)
-                old = float(b1 * (2 / r**n + 5 * n**2 * wp.eps))
-                assert ev.bound <= old + math.ulp(old), (s, x, digits, cap)
-                if cap == DEFAULT_CTX.default_cutoff:
-                    assert ev.bound < old
-                with mp.workdps(340):
-                    assert abs(_mpf(ev.value) - ref) <= ev.bound, (s, x, digits, cap)
+            with mp.workprec(PrecisionContext(digits=digits).bits()):
+                r = 3 + mp.sqrt(8)
+                uncapped = int(mp.ceil(mp.log(2 / mp.eps) / mp.log(r)))
+                b1 = (1 + mp.mpf(x)) ** -s / (mp.mpf(p) - 1)
+                for cap in (12, 20, DEFAULT_CTX.default_cutoff):
+                    ev = eval_euler_transform(p, s, x, PrecisionContext(digits, cap))
+                    n = min(cap, uncapped)
+                    assert ev.cutoff_used == n, (s, x, digits, cap)
+                    old = float(b1 * (2 / r**n + 5 * n**2 * mp.eps))
+                    assert ev.bound <= old + math.ulp(old), (s, x, digits, cap)
+                    if cap == DEFAULT_CTX.default_cutoff:
+                        assert ev.bound < old
+                    with mp.workdps(340):
+                        assert abs(_mpf(ev.value) - ref) <= ev.bound, (s, x, digits, cap)
 
 
 def test_euler_vs_ak_transform():
@@ -669,8 +669,7 @@ def test_one_cache_policy():
     zeta_em(3, 0.0, CTX)
     caches = _package_caches()
     assert {"evaluator._nested", "evaluator._outer_arrays",
-            "logasym._beta_series", "numerics._zeta_em_cached",
-            "numerics._mp_context"} <= caches.keys()
+            "logasym._beta_series", "numerics._zeta_em_cached"} <= caches.keys()
     assert {name for name in caches if name.startswith("evaluator.")} == {
         "evaluator._nested", "evaluator._outer_arrays"}
     assert all(c.cache_info().currsize > 0 for c in caches.values())

@@ -220,10 +220,11 @@ def test_verify_thm3_instance():
 
 
 def test_verify_clausen_kind_follows_parts():
-    # the Clausen values carry estimated bounds, so the combination does too
+    # the Clausen values, zeta(3) and the angles' error all carry proven
+    # bounds, so the combination does too
     r = verify("CLAUSEN_M1", None, CTX)
     assert r.passed
-    assert r.bound_kind == "estimated"
+    assert r.bound_kind == "rigorous"
     # the angles are formed at the working precision: a float angle put the
     # value one ulp off, past the bound
     assert r.abs_diff <= r.bound

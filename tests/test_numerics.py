@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,9 +8,9 @@ import pytest
 from akzeta.errors import DomainError
 from akzeta.evaluator import eval_euler_transform
 from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS,
-                             ESTIMATED, Evaluation, beta_factor_exact,
+                             Evaluation, beta_factor_exact,
                              zeta_em, clausen, accelerate_alternating, exact_sum,
-                             mpf_fraction, round_up)
+                             round_up)
 
 
 def test_precision_context_defaults_and_cutoff():
@@ -44,18 +45,12 @@ def test_precision_context_requires_integer_settings():
             DEFAULT_CTX.with_cutoff(bad)
 
 
-def test_mp_ctx_is_shared_per_digits():
-    a = PrecisionContext(digits=30).mp_ctx()
-    assert PrecisionContext(digits=30, default_cutoff=50).mp_ctx() is a
-    assert a.dps == 40
-    assert PrecisionContext(digits=31).mp_ctx().dps == 41
-
-
-def test_bits_is_the_mp_ctx_precision():
-    # the alternating transforms size their terms from bits() without mpmath
+def test_bits_is_mpmath_precision():
+    # bits() is the binary precision mpmath sets for digits + 10 decimal digits
     for digits in range(15, 301):
         ctx = PrecisionContext(digits=digits)
-        assert ctx.bits() == ctx.mp_ctx().prec, digits
+        with mp.workdps(digits + 10):
+            assert mp.mp.prec == ctx.bits(), digits
 
 
 def test_beta_factor_exact_and_float():
@@ -97,12 +92,26 @@ def test_zeta_em_domain():
 def test_zeta_em_within_bound_at_high_precision():
     # the bound must majorize the error at the working precision, so the
     # Euler-Maclaurin coefficients have to be exact there
-    for digits in (30, 50):
+    for digits in (15, 30, 50, 300):
         ctx = PrecisionContext(digits=digits)
         for s, x in [(3, 0.0), (2, 0.5), (5, -0.5), (4, 0.25), (2, 0.0),
-                     (1.5, 0.25), (2, -0.9)]:
+                     (1.5, 0.25), (2, -0.9), (2.5, 0.0), (2.5, -0.5)]:
             ev = zeta_em(s, x, ctx)
+            assert ev.bound < 10.0 ** -digits
             with mp.workdps(digits + 10):
+                err = abs(_mpf(ev.value) - mp.zeta(s, 1 + mp.mpf(x)))
+            assert err <= ev.bound, (digits, s, x)
+
+
+def test_zeta_em_within_bound_near_minus_one():
+    # (1 + x)^-s dominates the sum: the round-off scales with the value, and
+    # an absolute 10^-(digits + 4) fell short of it
+    for digits in (15, 30, 50):
+        ctx = PrecisionContext(digits=digits)
+        for s, x in [(7, -0.999), (3, -0.9999999), (5, -0.99), (2.5, -0.999)]:
+            ev = zeta_em(s, x, ctx)
+            assert ev.bound_kind == RIGOROUS
+            with mp.workdps(digits + 60):
                 err = abs(_mpf(ev.value) - mp.zeta(s, 1 + mp.mpf(x)))
             assert err <= ev.bound, (digits, s, x)
 
@@ -124,13 +133,13 @@ def test_clausen_values():
             (3, 0.0, mp.zeta(3), 0.0),
             (3, math.pi / 3, mp.zeta(3) / 3, slack),
             (2, math.pi / 2, mp.catalan, slack),
-            # an mpf angle is kept at the working precision, not rounded to a double
-            (3, mp.pi / 3, mp.zeta(3) / 3, 0.0),
-            (2, mp.pi / 2, mp.catalan, 0.0),
+            # a Decimal angle is taken exactly, not rounded to a double
+            (3, Decimal(str(mp.pi / 3)), mp.zeta(3) / 3, 0.0),
+            (2, Decimal(str(mp.pi / 2)), mp.catalan, 0.0),
         ]
         for order, th, ref, tol in cases:
             ev = clausen(order, th, ctx)
-            assert ev.bound_kind == ESTIMATED
+            assert ev.bound_kind == RIGOROUS
             assert abs(_mpf(ev.value) - ref) <= ev.bound + tol, (order, th)
         # odd symmetry of the order-2 function
         th = math.pi / 3
@@ -141,6 +150,23 @@ def test_clausen_values():
         t = mp.mpf(1e-9)
         ev = clausen(2, 1e-9, ctx)
         assert abs(_mpf(ev.value) - (t - t * mp.log(t) + t**3 / 72)) <= ev.bound + t**5
+
+
+@pytest.mark.parametrize("digits", [15, 50, 300])
+def test_clausen_against_mpmath_oracle(digits):
+    # the rigorous bound majorizes the error at the exact rational of the
+    # angle, given as a float or as a Fraction, within [0, pi] or outside it
+    ctx = PrecisionContext(digits=digits)
+    for th in (0.0, 1e-9, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 3.0, -1.0, 7.0):
+        with mp.workdps(digits + 60):
+            exact = _mpf(th)
+            refs = {2: mp.clsin(2, exact), 3: mp.clcos(3, exact)}
+        for angle in (th, Fraction(th)):
+            for order, ref in refs.items():
+                ev = clausen(order, angle, ctx)
+                assert ev.bound_kind == RIGOROUS and ev.bound < 10.0 ** -digits
+                with mp.workdps(digits + 60):
+                    assert abs(_mpf(ev.value) - ref) <= ev.bound, (digits, order, angle)
 
 
 def test_clausen_rejects_bad_order():
@@ -190,20 +216,12 @@ def test_evaluation_rejects_bad_bound():
                        method="test", cutoff_used=0)
 
 
-def test_round_up_and_mpf_fraction_are_exact():
-    # round_up is the least float >= q; mpf_fraction keeps every bit and the sign
+def test_round_up_is_exact():
+    # round_up is the least float >= q
     for q in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 10**320), Fraction(10**300, 7)):
         f = round_up(q)
         assert f >= q and math.nextafter(f, -math.inf) < q
     assert round_up(Fraction(1, 2)) == 0.5
-    with mp.workdps(60):
-        v = -mp.mpf(1) / 3
-        q = mpf_fraction(v)
-        assert q < 0 and mp.mpf(q.numerator) / q.denominator == v
-        assert mpf_fraction(mp.mpf(3) * 2**70) == 3 * 2**70
-    for bad in (mp.mpf("nan"), mp.mpf("inf"), mp.mpf("1e400")):
-        with pytest.raises(DomainError):
-            mpf_fraction(bad)
 
 
 def test_exact_sum_is_the_fraction_sum():

@@ -7,8 +7,8 @@ import pytest
 from akzeta.combinatorics import Composition
 from akzeta.errors import DomainError
 from akzeta.powerseries import (PolyRat, series_inverse, bernoulli_numbers,
-                                classical_bernoulli_polynomial, li_series,
-                                ak_bernoulli_polys)
+                                bernoulli_over_factorial, classical_bernoulli_polynomial,
+                                li_series, ak_bernoulli_polys)
 
 
 def test_polyrat_arithmetic_and_eval():
@@ -49,6 +49,19 @@ def test_bernoulli_numbers():
     assert B[3] == 0
     assert B[4] == Fraction(-1, 30)
     assert B[8] == Fraction(-1, 30)
+
+
+def test_bernoulli_over_factorial_matches_the_convolution_recurrence():
+    # the tangent-number values equal those of t/(e^t - 1) (e^t - 1)/t = 1,
+    # sum_{i<=k} B_i/i! / (k-i+1)! = 0, whatever order the table grew in
+    ref = [Fraction(1)]
+    for k in range(1, 201):
+        ref.append(Fraction(0) if k > 1 and k % 2 else
+                   -sum(b / math.factorial(k - i + 1) for i, b in enumerate(ref) if b))
+    for k in (200, *range(200)):
+        assert bernoulli_over_factorial(k) == ref[k], k
+    B100 = ref[100] * math.factorial(100)
+    assert mp.bernoulli(100) == mp.mpf(B100.numerator) / B100.denominator
 
 
 def test_classical_bernoulli_polynomials():
