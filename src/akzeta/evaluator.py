@@ -3,7 +3,8 @@
 Every public entry point returns a :class:`~akzeta.numerics.Evaluation`
 carrying the value, an error bound, and how the bound was obtained.  The
 workhorse is one memoized nested-sum core, :func:`_nested`, behind
-``eval_hurwitz_mzv``, ``eval_t``, ``eval_li`` and ``eval_ak_lhs``: a
+``eval_hurwitz_mzv``, ``eval_li`` and ``eval_ak_lhs``; ``eval_t`` is the
+exact 2^-|e| multiple of ``eval_hurwitz_mzv`` at x = -1/2.  The core is a
 prefix-sum dynamic program over Python integers scaled by 2^_F (fixed
 point), combined with symbolic Euler-Maclaurin tails from :mod:`.logasym`
 or, for a geometric outer factor, a majorant of the rest.  That makes even
@@ -43,12 +44,12 @@ _ROUNDOFF_UNIT = 2.0 ** -63   # unit of the stopping tolerance, as the cutoffs w
 _FIRST_RUNG = 32
 
 
-def _power_weights(N: int, e: int, x: float = 0.0, c: int = 1) -> list[int]:
-    """(c (n + x))^-e for n = 1..N in fixed point, x taken as the exact
-    dyadic rational of its float; each weight is rounded down once."""
+def _power_weights(N: int, e: int, x: float = 0.0) -> list[int]:
+    """(n + x)^-e for n = 1..N in fixed point, x taken as the exact dyadic
+    rational of its float; each weight is rounded down once."""
     xn, xd = x.as_integer_ratio()
     num = xd**e << _F
-    return [num // (c * (n * xd + xn)) ** e for n in range(1, N + 1)]
+    return [num // (n * xd + xn) ** e for n in range(1, N + 1)]
 
 
 def _geometric(N: int, r: Fraction) -> list[int]:
@@ -148,27 +149,29 @@ def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) 
                       bound_kind=RIGOROUS, method=method, cutoff_used=N)
 
 
-def _convergent_parts(parts) -> tuple[int, ...]:
-    """The exponent tuple of ``parts``, whose outer sum must converge."""
-    e = Composition.coerce(parts).parts
-    if e[-1] < 2:
-        raise DivergenceError(f"outer exponent must exceed 1: {e}")
-    return e
-
-
 def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Shifted multiple zeta value over n_1 < ... < n_q of prod (n_i+x)^{-e_i}.
 
     ``parts`` is the exponent tuple, innermost first; the last exponent must
     be at least 2 for convergence.
     """
+    e = Composition.coerce(parts).parts
+    if e[-1] < 2:
+        raise DivergenceError(f"outer exponent must exceed 1: {e}")
     xf = real(x, "x", above=-1)
-    return _nested(_convergent_parts(parts), xf, 1, None, None, _tail_rungs(xf, ctx))
+    return _nested(e, xf, None, None, _tail_rungs(xf, ctx))
 
 
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
-    """Odd-denominator analogue: sum over n_1 < ... < n_q of prod (2 n_i - 1)^{-e_i}."""
-    return _nested(_convergent_parts(parts), -0.5, 2, None, None, _rungs(ctx.default_cutoff))
+    """Odd-denominator analogue: sum over n_1 < ... < n_q of prod (2 n_i - 1)^{-e_i},
+    which is 2^-w zeta(e; -1/2) at weight w = |e|, scaled exactly from that
+    memoized sum.  zeta(e; -1/2) >= 2^(e_1), so a tuple whose innermost
+    exponent is near 1024 or more leaves the float range there."""
+    e = Composition.coerce(parts)
+    ev = eval_hurwitz_mzv(e, -0.5, ctx)
+    scale = 2 ** e.weight
+    return Evaluation(value=ev.value / scale, bound=round_up(Fraction(ev.bound) / scale),
+                      bound_kind=ev.bound_kind, method=ev.method, cutoff_used=ev.cutoff_used)
 
 
 def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
@@ -203,7 +206,7 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
         return eval_hurwitz_mzv(e, 0.0, ctx)
     if not abs(zf) < 1.0:
         raise DivergenceError(f"need |z| < 1 or z = 1, got {z}")
-    return _nested(e, 0.0, 1, None, Fraction(zf), _rungs(ctx.default_cutoff))
+    return _nested(e, 0.0, None, Fraction(zf), _rungs(ctx.default_cutoff))
 
 
 @memoized
@@ -232,11 +235,11 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
 
 
 @memoized
-def _nested(e: tuple[int, ...], x: float, c: int, bell: tuple[int, float] | None,
+def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
             r: Fraction | None, rungs: tuple[int, ...]) -> Evaluation:
     """The one nested sum of the DP paths, to a cutoff N from ``rungs``:
 
-        sum over n_1 < ... < n_q of prod_i (c (n_i + x))^{-e_i},
+        sum over n_1 < ... < n_q of prod_i (n_i + x)^{-e_i},
 
     its outer term also multiplied by B(n, 1+y) P_m(H_n(y)) when
     ``bell`` = (m, y), and by r^n when ``r`` is a Fraction.
@@ -246,14 +249,14 @@ def _nested(e: tuple[int, ...], x: float, c: int, bell: tuple[int, float] | None
     Without r the rest of the sum is the symbolic Euler-Maclaurin tail of
     the levels' asymptotic models.  With r it is the majorant
     :func:`_geom_row_bound`, which holds only if the inner levels are powers
-    n^-e at x = 0, c = 1 and e >= 1, as for every caller: then
+    n^-e at x = 0 and e >= 1, as for every caller: then
     S_(q-1)(n) <= (1 + ln n)^(q-1), and B(n, 1+y) <= B(N, 1+y) for n >= N.
     """
     m, y = bell or (0, 0.0)
     what = (f"the Bell-weighted sum {e} at m = {m}, x = {y}" if bell
-            else f"the nested sum {e} at x = {x}, c = {c}")
+            else f"the nested sum {e} at x = {x}")
     if r is None:
-        models = [pow_shift(float(ei), x).scaled(float(c) ** -ei) for ei in e]
+        models = [pow_shift(float(ei), x) for ei in e]
         if bell:
             models[-1] = bell_p_models(m, y)[m] * models[-1]
         tails = nested_tail_series(models)
@@ -272,7 +275,7 @@ def _nested(e: tuple[int, ...], x: float, c: int, bell: tuple[int, float] | None
         p = float(1 / abs(r)) if r else math.inf
 
     def rung(N):
-        levels = [_power_weights(N, ei, x, c) for ei in e]
+        levels = [_power_weights(N, ei, x) for ei in e]
         outer = [*_outer_arrays(N, m, y)] if bell else []
         if r is not None:
             outer.append(_geometric(N, r))
@@ -307,8 +310,8 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
     if pf < 1:
         raise DomainError(f"require p >= 1, got {pf}")
     if pf == 1.0:
-        return _nested(a, 0.0, 1, (m, xf), None, _tail_rungs(xf, ctx))
-    return _nested(a, 0.0, 1, (m, xf), 1 / Fraction(pf), _rungs(ctx.default_cutoff))
+        return _nested(a, 0.0, (m, xf), None, _tail_rungs(xf, ctx))
+    return _nested(a, 0.0, (m, xf), 1 / Fraction(pf), _rungs(ctx.default_cutoff))
 
 
 def eval_ak_rhs(alpha, m: int, x: float,

@@ -224,9 +224,8 @@ def _do_prop2(params, ctx):
 
 
 def _do_trelation(params, ctx):
-    c = params["alpha"]
-    return _compare(eval_hurwitz_mzv(c, -0.5, ctx), eval_t(c.parts, ctx),
-                    2.0 ** -c.weight)
+    k = params["k"]
+    return _compare(eval_t((k,), ctx), zeta_em(k, 0.0, ctx), Fraction(2**k, 2**k - 1))
 
 
 def _betaratio_exact(n_max: int, m: int, x: Fraction) -> bool:
@@ -368,9 +367,9 @@ def catalog() -> list[IdentityCase]:
                      _do_genfun_b, ({"v": Composition.of(1, 2)},)),
         IdentityCase("BERN_CLASSIC", "collapse to classical Bernoulli polynomials",
                      _do_bern_classic, ({},)),
-        IdentityCase("TRELATION", "odd nested sums as rescaled shifted zeta values (one DP "
-                     "on both sides, weights exactly 2^e apart: checks rounding only)",
-                     _do_trelation, tuple({"alpha": c} for c in comps[5])),
+        IdentityCase("TRELATION", "depth-1 odd sums t(k) = (1 - 2^-k) zeta(k), "
+                     "against Euler-Maclaurin",
+                     _do_trelation, tuple({"k": k} for k in range(2, 17))),
     ]
 
 

@@ -66,9 +66,6 @@ class LogSeries:
     def lead(self) -> float:
         return min(self.bands, default=math.inf) + self.shift
 
-    def scaled(self, factor: float) -> "LogSeries":
-        return LogSeries({k: [c * factor for c in b] for k, b in self.bands.items()}, self.shift)
-
     def __mul__(self, other: "LogSeries") -> "LogSeries":
         """Band convolution, up to the sum of the two leading bands + ORDER."""
         cap = min(self.bands, default=math.inf) + min(other.bands, default=math.inf) + ORDER

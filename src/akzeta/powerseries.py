@@ -100,7 +100,7 @@ def series_inverse(f: Sequence[Scalar]) -> list[Fraction]:
 
 
 # B_2j/(2j)!, j = 0, 1, ...: the even Taylor coefficients of t/(e^t - 1),
-# exact; empty until a caller needs them, then rebuilt at twice the length
+# exact; empty until a caller needs them, then rebuilt at 1.5 times the length
 _EVEN_BERNOULLI = []
 
 
@@ -130,7 +130,7 @@ def bernoulli_over_factorial(k: int) -> Fraction:
     if k % 2:
         return Fraction(-1, 2) if k == 1 else Fraction(0)
     if k // 2 >= len(_EVEN_BERNOULLI):
-        _EVEN_BERNOULLI[:] = _even_bernoulli(max(k // 2, 2 * len(_EVEN_BERNOULLI)))
+        _EVEN_BERNOULLI[:] = _even_bernoulli(max(k // 2, 3 * len(_EVEN_BERNOULLI) // 2))
     return _EVEN_BERNOULLI[k // 2]
 
 

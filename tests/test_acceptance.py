@@ -12,7 +12,7 @@ from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform, _nested)
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.identities import verify, _betaratio_exact
-from akzeta.numerics import (PrecisionContext, zeta_em, beta_factor_exact,
+from akzeta.numerics import (PrecisionContext, Evaluation, zeta_em, beta_factor_exact,
                              RIGOROUS)
 from akzeta.powerseries import ak_bernoulli_polys, classical_bernoulli_polynomial
 
@@ -173,6 +173,14 @@ def _euler_direct(p, s, x):
     return total
 
 
+def _t_at_fixed(e, fixed):
+    """t(e) at the cutoffs ``fixed``: 2^-|e| times the x = -1/2 nested sum."""
+    ev = _nested(e, -0.5, None, None, fixed)
+    scale = 2 ** sum(e)
+    return Evaluation(value=ev.value / scale, bound=ev.bound / scale,
+                      bound_kind=ev.bound_kind, method=ev.method, cutoff_used=ev.cutoff_used)
+
+
 def test_criterion_13_bound_honesty():
     small = PrecisionContext(default_cutoff=8000)
     big = PrecisionContext(default_cutoff=32000)
@@ -183,42 +191,42 @@ def test_criterion_13_bound_honesty():
         z = mp.zeta
         calls = [
             (lambda c: eval_hurwitz_mzv((2,), 0.0, c),
-             lambda: _nested((2,), 0.0, 1, None, None, fixed), z(2)),
+             lambda: _nested((2,), 0.0, None, None, fixed), z(2)),
             (lambda c: eval_hurwitz_mzv((1, 2), 0.0, c),
-             lambda: _nested((1, 2), 0.0, 1, None, None, fixed), z(3)),
+             lambda: _nested((1, 2), 0.0, None, None, fixed), z(3)),
             (lambda c: eval_hurwitz_mzv((1, 1, 2), 0.5, c),
-             lambda: _nested((1, 1, 2), 0.5, 1, None, None, fixed), None),
+             lambda: _nested((1, 1, 2), 0.5, None, None, fixed), None),
             (lambda c: eval_hurwitz_mzv((2, 5), 0.0, c),
-             lambda: _nested((2, 5), 0.0, 1, None, None, fixed), None),
+             lambda: _nested((2, 5), 0.0, None, None, fixed), None),
             (lambda c: eval_hurwitz_mzv((3, 4), -0.5, c),
-             lambda: _nested((3, 4), -0.5, 1, None, None, fixed), None),
+             lambda: _nested((3, 4), -0.5, None, None, fixed), None),
             (lambda c: eval_hurwitz_mzv((1, 1, 1, 4), 0.0, c),
-             lambda: _nested((1, 1, 1, 4), 0.0, 1, None, None, fixed), None),
+             lambda: _nested((1, 1, 1, 4), 0.0, None, None, fixed), None),
             (lambda c: eval_t((2,), c),
-             lambda: _nested((2,), -0.5, 2, None, None, fixed), z(2, 0.5) / 4),
+             lambda: _t_at_fixed((2,), fixed), z(2, 0.5) / 4),
             (lambda c: eval_t((1, 3), c),
-             lambda: _nested((1, 3), -0.5, 2, None, None, fixed), None),
+             lambda: _t_at_fixed((1, 3), fixed), None),
             (lambda c: eval_t((1, 1, 2), c),
-             lambda: _nested((1, 1, 2), -0.5, 2, None, None, fixed), None),
+             lambda: _t_at_fixed((1, 1, 2), fixed), None),
             (lambda c: eval_li((1,), 0.5, c),
-             lambda: _nested((1,), 0.0, 1, None, Fraction(0.5), fixed), mp.polylog(1, 0.5)),
+             lambda: _nested((1,), 0.0, None, Fraction(0.5), fixed), mp.polylog(1, 0.5)),
             (lambda c: eval_li((2,), -0.75, c),
-             lambda: _nested((2,), 0.0, 1, None, Fraction(-0.75), fixed), mp.polylog(2, -0.75)),
+             lambda: _nested((2,), 0.0, None, Fraction(-0.75), fixed), mp.polylog(2, -0.75)),
             (lambda c: eval_li((1, 1), 0.9, c),
-             lambda: _nested((1, 1), 0.0, 1, None, Fraction(0.9), fixed),
+             lambda: _nested((1, 1), 0.0, None, Fraction(0.9), fixed),
              mp.log(1 - mp.mpf(0.9)) ** 2 / 2),
             (lambda c: eval_ak_lhs((1,), 1.0, 0, 0.0, c),
-             lambda: _nested((1,), 0.0, 1, (0, 0.0), None, fixed), z(2)),
+             lambda: _nested((1,), 0.0, (0, 0.0), None, fixed), z(2)),
             (lambda c: eval_ak_lhs((1,), 1.0, 1, -0.5, c),
-             lambda: _nested((1,), 0.0, 1, (1, -0.5), None, fixed), 14 * z(3)),
+             lambda: _nested((1,), 0.0, (1, -0.5), None, fixed), 14 * z(3)),
             (lambda c: eval_ak_lhs((1, 1), 1.0, 2, 0.5, c),
-             lambda: _nested((1, 1), 0.0, 1, (2, 0.5), None, fixed), None),
+             lambda: _nested((1, 1), 0.0, (2, 0.5), None, fixed), None),
             (lambda c: eval_ak_lhs((2,), 1.0, 1, 0.25, c),
-             lambda: _nested((2,), 0.0, 1, (1, 0.25), None, fixed), None),
+             lambda: _nested((2,), 0.0, (1, 0.25), None, fixed), None),
             (lambda c: eval_ak_lhs((1,), 4.0, 1, -0.5, c),
-             lambda: _nested((1,), 0.0, 1, (1, -0.5), 1 / Fraction(4.0), fixed), None),
+             lambda: _nested((1,), 0.0, (1, -0.5), 1 / Fraction(4.0), fixed), None),
             (lambda c: eval_ak_lhs((1, 2), 3.0, 0, 0.0, c),
-             lambda: _nested((1, 2), 0.0, 1, (0, 0.0), 1 / Fraction(3.0), fixed), None),
+             lambda: _nested((1, 2), 0.0, (0, 0.0), 1 / Fraction(3.0), fixed), None),
             # the transform's own series, summed directly in mpmath
             (lambda c: eval_euler_transform(3.0, 2, 0.0, c),
              None, _euler_direct(3.0, 2, 0.0)),

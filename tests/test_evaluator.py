@@ -142,12 +142,38 @@ def test_t_values():
     assert abs(ev.value - 7.0 * float(mp.zeta(3)) / 8.0) <= ev.bound
 
 
-def test_t_relation_small_weights():
+def test_eval_t_is_the_exact_scaling_of_the_half_shift_sum():
+    # t(e) = 2^-|e| zeta(e; -1/2): the value exactly, the bound to the last
+    # bit (a power-of-two scaling of a normal float is exact)
     for c in admissible_compositions(6):
-        lhs = eval_t(c.parts, CTX)
-        rhs = eval_hurwitz_mzv(c, -0.5, CTX)
-        assert abs(lhs.value - 2.0 ** (-c.weight) * rhs.value) <= \
-            lhs.bound + 2.0 ** (-c.weight) * rhs.bound
+        t, z = eval_t(c.parts, CTX), eval_hurwitz_mzv(c, -0.5, CTX)
+        assert t.value == z.value / 2**c.weight, c
+        assert t.bound == math.ldexp(z.bound, -c.weight), c
+        assert (t.bound_kind, t.method, t.cutoff_used) == \
+            (z.bound_kind, z.method, z.cutoff_used), c
+
+
+@pytest.mark.parametrize("cap", [32, 64, DEFAULT_CTX.default_cutoff])
+def test_t_values_against_mpmath(cap):
+    # t(k) = (1 - 2^-k) zeta(k), and Hoffman's t({2}^n) = pi^(2n) / (4^n (2n)!)
+    ctx = PrecisionContext(default_cutoff=cap)
+    with mp.workdps(40):
+        cases = [((k,), (1 - mp.mpf(2) ** -k) * mp.zeta(k)) for k in range(2, 12)]
+        cases += [((2,) * n, mp.pi ** (2 * n) / (4**n * mp.factorial(2 * n)))
+                  for n in range(1, 5)]
+        for e, exact in cases:
+            ev = eval_t(e, ctx)
+            assert ev.bound_kind == RIGOROUS and ev.cutoff_used <= cap
+            assert abs(_mpf(ev.value) - exact) <= ev.bound, (cap, e)
+
+
+def test_eval_t_at_the_float_range():
+    # zeta(e; -1/2) >= 2^(e_1): an innermost exponent past 1023 leaves the
+    # float range there, and is refused
+    with pytest.raises(DomainError, match="float range"):
+        eval_t((1030,), CTX)
+    # a t-value far below the smallest float keeps a positive bound
+    assert eval_t((1, 1100), CTX).bound > 0
 
 
 def test_li_values():
@@ -539,6 +565,14 @@ def test_exact_truncation_approaches_float_value():
     assert abs(float(v) - ev.value) < 1e-15
 
 
+def _t_at_fixed(e, fixed):
+    """t(e) at the cutoffs ``fixed``: 2^-|e| times the x = -1/2 nested sum."""
+    ev = _nested(e, -0.5, None, None, fixed)
+    scale = 2 ** sum(e)
+    return Evaluation(value=ev.value / scale, bound=ev.bound / scale,
+                      bound_kind=ev.bound_kind, method=ev.method, cutoff_used=ev.cutoff_used)
+
+
 def test_bound_honesty_at_larger_cutoff():
     small = PrecisionContext(default_cutoff=5000)
     big = PrecisionContext(default_cutoff=20000)
@@ -546,13 +580,13 @@ def test_bound_honesty_at_larger_cutoff():
     fixed = (20000,)
     cases = [
         (lambda c: eval_hurwitz_mzv((1, 1, 3), 0.0, c),
-         lambda: _nested((1, 1, 3), 0.0, 1, None, None, fixed)),
+         lambda: _nested((1, 1, 3), 0.0, None, None, fixed)),
         (lambda c: eval_hurwitz_mzv((2, 3), -0.5, c),
-         lambda: _nested((2, 3), -0.5, 1, None, None, fixed)),
+         lambda: _nested((2, 3), -0.5, None, None, fixed)),
         (lambda c: eval_t((1, 3), c),
-         lambda: _nested((1, 3), -0.5, 2, None, None, fixed)),
+         lambda: _t_at_fixed((1, 3), fixed)),
         (lambda c: eval_ak_lhs((1, 1), 1.0, 1, 0.5, c),
-         lambda: _nested((1, 1), 0.0, 1, (1, 0.5), None, fixed)),
+         lambda: _nested((1, 1), 0.0, (1, 0.5), None, fixed)),
     ]
     for f, at_fixed in cases:
         a, b = f(small), f(big)
@@ -577,7 +611,7 @@ def test_ak_lhs_closed_form_at_small_caps():
         for r in (1, 2, 3):
             with mp.workdps(30):
                 for m in range(24):
-                    ev = _nested((1,) * r, 0.0, 1, (m, -0.5), None, _rungs(cap))
+                    ev = _nested((1,) * r, 0.0, (m, -0.5), None, _rungs(cap))
                     exact = math.comb(r + m, m) * (2 ** (r + m + 1) - 1) * mp.zeta(r + m + 1)
                     assert ev.cutoff_used <= cap
                     assert abs(_mpf(ev.value) - exact) <= ev.bound, (cap, r, m)
@@ -616,13 +650,19 @@ def test_mzv_cache_consistency(call):
 
 
 def test_eval_t_cache():
+    # t(e) scales the memoized x = -1/2 sum: a second call, and the shifted
+    # zeta value itself, are hits on that one entry
     clear_caches()
     a = eval_t((1, 3), CTX)
-    assert eval_t((1, 3), CTX) is a
-    clear_caches()
+    info = _nested.cache_info()
     b = eval_t((1, 3), CTX)
-    assert b is not a
-    assert b.value == a.value
+    eval_hurwitz_mzv((1, 3), -0.5, CTX)
+    assert _nested.cache_info().hits == info.hits + 2
+    assert _nested.cache_info().misses == info.misses
+    assert (b.value, b.bound) == (a.value, a.bound)
+    clear_caches()
+    c = eval_t((1, 3), CTX)
+    assert (c.value, c.bound) == (a.value, a.bound)
 
 
 def test_clear_caches_clears_zeta_em():
