@@ -87,23 +87,29 @@ def _dp_nested(weights: list[list[int]]) -> tuple[int, list[float]]:
     return sum(terms), S_at
 
 
-def _roundoff(N: int, q: int, scale: float) -> float:
+def _roundoff(N: int, q: int, scale: float, size: float) -> float:
     """The stopping tolerance of :func:`_choose_cutoff` at cutoff N for a
     depth-q sum of size ``scale``; it also bounds the fixed-point rounding.
 
     Every weight, geometric or beta factor and product is rounded down to a
     multiple of 2^-_F (the outer level's weight and all its factors make one
     product, rounded once), and a floored recurrence t_n = floor(t_(n-1) r)
-    with |r| <= 1 is off by at most n units.  Prefix sums add no rounding.  So a
-    number that went through k roundings is off by at most k units times the
-    factors it was multiplied by afterwards, and the partial sum is off by
-    at most about N (q + 1) 2^-_F L, where L is the product of 1 + the
-    largest value of each factor of a term (the weights, B(n, 1+x), P_m and
-    the prefix sum).  This tolerance, 4 * 2^-63 N (q + 1) (1 + |scale|), is
-    2^(_F - 61) times that error when L <= 1 + |scale|, and majorizes it
-    while L <= 2^(_F - 61) (1 + |scale|).
+    with |r| <= 1 is off by at most n units.  Prefix sums add no rounding.
+    ``size`` is L, the product of 1 + the largest value of each factor of a
+    term that can exceed 1: the prefix sum S_i(N) and, in a Bell sum,
+    B(1, 1+x) and P_m.  For power weights at any x > -1 the partial sum is
+    off by less than 2 N (q + 1) 2^-_F L: a rounding at level i is under
+    2^-_F (1 + S_(i-1)(N)), and the later levels multiply it by at most a
+    nested sum of (n + x)^-e over n >= 2, below zeta(e_(i+1), .., e_q) <=
+    zeta(2) < 2 because n + x > n - 1.  The Bell and geometric factors, off
+    by at most n (m + 2) units times 1 + their size, multiply inner levels
+    at x = 0, whose prefix sums stay small, and the margin below covers them.
+    The tolerance is 4 * 2^-63 N (q + 1) max(1 + |scale|, 2^(62 - _F) L):
+    at least that error bound, and 2^(_F - 62) times it while L <= 1 + |scale|.
+    At x < 0 the inner prefix sums reach (1 + x)^-e_1, far above the value
+    when the outer weights are small, and then L sets the tolerance.
     """
-    return 4.0 * _ROUNDOFF_UNIT * N * (q + 1) * (1.0 + abs(scale))
+    return 4.0 * _ROUNDOFF_UNIT * N * (q + 1) * max(1.0 + abs(scale), 2.0 ** (62 - _F) * size)
 
 
 def _rungs(cap: int) -> tuple[int, ...]:
@@ -129,18 +135,19 @@ def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
 def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) -> Evaluation:
     """The one cutoff rule of the DP paths, for a sum of depth q.
 
-    ``rung(N)`` sums to cutoff N and returns (partial, scale, trunc): the
-    exact value in units of 2^-_F, its float, and the part of its bound
+    ``rung(N)`` sums to cutoff N and returns (partial, scale, trunc, size):
+    the exact value in units of 2^-_F, its float, the part of its bound
     that shrinks as N grows (truncation, and the float evaluation of a
-    symbolic tail; infinite when no majorant exists at N).  The stopping
-    tolerance :func:`_roundoff`, sized by the float, grows linearly in N; it
-    also covers int(tail * 2^_F), which truncates by less than 2^-_F.  The
+    symbolic tail; infinite when no majorant exists at N), and the size of
+    the outer term's factors.  The stopping tolerance :func:`_roundoff`,
+    sized by the float and the factors, grows linearly in N; it also covers
+    int(tail * 2^_F), which truncates by less than 2^-_F.  The
     sum keeps the first rung where trunc <= roundoff, else the last: its
     bound, at most 2 * roundoff, is then no larger than at any rung >= 2N.
     """
     for N in rungs:
-        partial, scale, trunc = rung(N)
-        roundoff = _roundoff(N, q, scale)
+        partial, scale, trunc, size = rung(N)
+        roundoff = _roundoff(N, q, scale, size)
         if trunc <= roundoff or N == rungs[-1]:
             break
     if math.isinf(trunc):
@@ -165,8 +172,8 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     """Odd-denominator analogue: sum over n_1 < ... < n_q of prod (2 n_i - 1)^{-e_i},
     which is 2^-w zeta(e; -1/2) at weight w = |e|, scaled exactly from that
-    memoized sum.  zeta(e; -1/2) >= 2^(e_1), so a tuple whose innermost
-    exponent is near 1024 or more leaves the float range there."""
+    memoized sum.  Its innermost prefix sum is at least 2^(e_1), so a tuple
+    whose innermost exponent is near 1024 or more leaves the float range."""
     e = Composition.coerce(parts)
     ev = eval_hurwitz_mzv(e, -0.5, ctx)
     scale = 2 ** e.weight
@@ -287,12 +294,15 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
                 tail, terr = nested_tail_sum(S_at, tails, N)
                 partial += int(tail * _ONE)
             scale = partial / _ONE
+            size = 1.0 + max(S_at)
+            if bell:
+                size *= (1.0 + outer[0][0] / _ONE) * (1.0 + outer[1][-1] / _ONE)
         except (OverflowError, ValueError):  # a value or tail past the float range, or NaN
             raise DomainError(f"{what} leaves the float range at cutoff {N}") from None
         if r is None:
-            return partial, scale, 10.0 * terr
+            return partial, scale, 10.0 * terr, size
         K = outer[0][-1] / _ONE * N ** (-float(e[-1])) * D if bell else 1.0
-        return partial, scale, _geom_row_bound(N, p, m + len(e) - 1, K, h)
+        return partial, scale, _geom_row_bound(N, p, m + len(e) - 1, K, h), size
 
     q = len(e) + (m + 1 if bell else 0)
     return _choose_cutoff(rungs, rung, q, "dp+em-tail" if r is None else "dp+geom-tail")

@@ -12,9 +12,9 @@ from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform, _nested)
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.identities import verify, _betaratio_exact
-from akzeta.numerics import (PrecisionContext, Evaluation, zeta_em, beta_factor_exact,
-                             RIGOROUS)
+from akzeta.numerics import PrecisionContext, zeta_em, beta_factor_exact, RIGOROUS
 from akzeta.powerseries import ak_bernoulli_polys, classical_bernoulli_polynomial
+from test_evaluator import _t_at_fixed
 
 CTX = PrecisionContext(default_cutoff=60000)
 
@@ -171,14 +171,6 @@ def _euler_direct(p, s, x):
         h += (n + xm) ** -s
         total += (-1) ** (n + 1) * h / (n * q**n)
     return total
-
-
-def _t_at_fixed(e, fixed):
-    """t(e) at the cutoffs ``fixed``: 2^-|e| times the x = -1/2 nested sum."""
-    ev = _nested(e, -0.5, None, None, fixed)
-    scale = 2 ** sum(e)
-    return Evaluation(value=ev.value / scale, bound=ev.bound / scale,
-                      bound_kind=ev.bound_kind, method=ev.method, cutoff_used=ev.cutoff_used)
 
 
 def test_criterion_13_bound_honesty():

@@ -136,10 +136,18 @@ def test_exponents_must_be_positive_integers():
 
 
 def test_t_values():
-    ev = eval_t((2,), CTX)
-    assert abs(ev.value - math.pi**2 / 8) <= ev.bound
-    ev = eval_t((3,), CTX)
-    assert abs(ev.value - 7.0 * float(mp.zeta(3)) / 8.0) <= ev.bound
+    # t(k) = (1 - 2^-k) zeta(k), and Hoffman's t({2}^n) = pi^(2n) / (4^n (2n)!),
+    # at small caps and the default
+    with mp.workdps(40):
+        cases = [((k,), (1 - mp.mpf(2) ** -k) * mp.zeta(k)) for k in range(2, 12)]
+        cases += [((2,) * n, mp.pi ** (2 * n) / (4**n * mp.factorial(2 * n)))
+                  for n in range(1, 5)]
+        for cap in (32, 64, DEFAULT_CTX.default_cutoff, CTX.default_cutoff):
+            ctx = PrecisionContext(default_cutoff=cap)
+            for e, exact in cases:
+                ev = eval_t(e, ctx)
+                assert ev.bound_kind == RIGOROUS and ev.cutoff_used <= cap
+                assert abs(_mpf(ev.value) - exact) <= ev.bound, (cap, e)
 
 
 def test_eval_t_is_the_exact_scaling_of_the_half_shift_sum():
@@ -153,27 +161,34 @@ def test_eval_t_is_the_exact_scaling_of_the_half_shift_sum():
             (z.bound_kind, z.method, z.cutoff_used), c
 
 
-@pytest.mark.parametrize("cap", [32, 64, DEFAULT_CTX.default_cutoff])
-def test_t_values_against_mpmath(cap):
-    # t(k) = (1 - 2^-k) zeta(k), and Hoffman's t({2}^n) = pi^(2n) / (4^n (2n)!)
-    ctx = PrecisionContext(default_cutoff=cap)
-    with mp.workdps(40):
-        cases = [((k,), (1 - mp.mpf(2) ** -k) * mp.zeta(k)) for k in range(2, 12)]
-        cases += [((2,) * n, mp.pi ** (2 * n) / (4**n * mp.factorial(2 * n)))
-                  for n in range(1, 5)]
-        for e, exact in cases:
-            ev = eval_t(e, ctx)
-            assert ev.bound_kind == RIGOROUS and ev.cutoff_used <= cap
-            assert abs(_mpf(ev.value) - exact) <= ev.bound, (cap, e)
-
-
 def test_eval_t_at_the_float_range():
-    # zeta(e; -1/2) >= 2^(e_1): an innermost exponent past 1023 leaves the
-    # float range there, and is refused
+    # the innermost prefix sum at x = -1/2 is at least 2^(e_1): an innermost
+    # exponent past 1023 leaves the float range there, and is refused
     with pytest.raises(DomainError, match="float range"):
         eval_t((1030,), CTX)
     # a t-value far below the smallest float keeps a positive bound
     assert eval_t((1, 1100), CTX).bound > 0
+
+
+def test_half_shift_sums_whose_inner_prefix_sums_outgrow_the_value():
+    # at x = -1/2 the inner prefix sums reach 2^(e_1), far above the value
+    # when the outer exponent is large, and every outer weight's rounding is
+    # multiplied by them; against the exact sum over odd n_1 < .. < n_q <= K
+    # plus a majorant of the rest: the inner sums over odd n of n^-e with
+    # e >= 2 multiply to at most (pi^2/8)^2 < 2, and the sum over odd
+    # n > K of n^-e_q is below (K+2)^-e_q (1 + (K+2) / (2 (e_q - 1)))
+    K = 41
+    for e in ((60, 100), (100, 100), (40, 80), (200, 20), (60, 2, 40), (40, 2, 30)):
+        S = [Fraction(1)] + [Fraction(0)] * len(e)
+        for n in range(1, K + 1, 2):
+            for i in reversed(range(len(e))):
+                S[i + 1] += S[i] / n ** e[i]
+        a = K + 2
+        rest = 2 * Fraction(1, a ** e[-1]) * (1 + Fraction(a, 2 * (e[-1] - 1)))
+        t, z = eval_t(e, CTX), eval_hurwitz_mzv(e, -0.5, CTX)
+        assert abs(t.value - S[-1]) <= t.bound + rest, e
+        assert abs(z.value - 2**sum(e) * S[-1]) <= z.bound + 2**sum(e) * rest, e
+        assert t.bound < 1e-8 * S[-1], e
 
 
 def test_li_values():
@@ -556,7 +571,7 @@ def test_fixed_point_partial_sums_match_exact(x):
                     L = (1 + B[0] / (1 << _F)) * (1 + P[-1] / (1 << _F)) * (1 + max(S_at))
                     tol = N * (q + 1) * 2.0**-_F * L
                     assert abs(float(Fraction(partial, 1 << _F) - exact)) <= tol
-                    assert tol < 2.0**-20 * _roundoff(N, q, float(exact))
+                    assert tol < 2.0**-20 * _roundoff(N, q, float(exact), L)
 
 
 def test_exact_truncation_approaches_float_value():
