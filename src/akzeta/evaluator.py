@@ -267,9 +267,6 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
         if bell:
             models[-1] = bell_p_models(m, y)[m] * models[-1]
         tails = nested_tail_series(models)
-        if not all(math.isfinite(v) for pair in tails for s in pair
-                   for band in s.bands.values() for v in band):
-            raise DomainError(f"the tail model of {what} overflows a float")
     else:
         # majorant constants: H_n^(k)(y) <= g^{k-1} H_n^(1)(y), H_n^(1)(y) <= h + ln n,
         # P_m on arguments <= X is at most (X+m)^m / m!
@@ -292,6 +289,8 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
             partial, S_at = _dp_nested(levels)
             if r is None:
                 tail, terr = nested_tail_sum(S_at, tails, N)
+                if not math.isfinite(terr):  # a tail model that overflowed a float
+                    raise OverflowError
                 partial += int(tail * _ONE)
             scale = partial / _ONE
             size = 1.0 + max(S_at)
@@ -300,7 +299,7 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
         except (OverflowError, ValueError):  # a value or tail past the float range, or NaN
             raise DomainError(f"{what} leaves the float range at cutoff {N}") from None
         if r is None:
-            return partial, scale, 10.0 * terr, size
+            return partial, scale, terr, size
         K = outer[0][-1] / _ONE * N ** (-float(e[-1])) * D if bell else 1.0
         return partial, scale, _geom_row_bound(N, p, m + len(e) - 1, K, h), size
 

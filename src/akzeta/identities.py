@@ -26,7 +26,8 @@ from .harmonic_bell import harmonic_table, bell_modified, d_operator
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
                        ESTIMATED, zeta_em, clausen, beta_factor_exact, exact_sum,
                        round_up, atan_series, machin_pi, cl2_modulus, decimal_unit)
-from .powerseries import series_inverse, ak_bernoulli_polys, classical_bernoulli_polynomial
+from .powerseries import (series_inverse, ak_bernoulli_polys, classical_bernoulli_polynomial,
+                          li_series)
 
 __all__ = ["IdentityCase", "IdentityReport", "catalog", "verify",
            "verify_all", "VerifySummary"]
@@ -285,15 +286,9 @@ def _do_genfun_b(params, ctx):
             c = polys[m](x)
             lhs += Decimal(c.numerator) / c.denominator * t**m / math.factorial(m)
         w = (1 - (-t).exp()) / p
-        # direct nested summation of the polylogarithm at small argument:
-        # inner[j] = sum over n_1 < ... < n_j < n of prod n_i^{-v_i}
-        inner = [Decimal(1)] + [Decimal(0)] * (v.depth - 1)
-        rhs_li = Decimal(0)
-        for n in range(1, 80):
-            if n > 1:
-                for j in range(v.depth - 1, 0, -1):
-                    inner[j] += inner[j - 1] / (n - 1) ** v.parts[j - 1]
-            rhs_li += w**n / n**v.parts[-1] * inner[-1]
+        # the polylogarithm at small argument from its exact coefficients
+        rhs_li = sum(Decimal(c.numerator) / c.denominator * w**n
+                     for n, c in enumerate(li_series(v, 79)))
         rhs = (xm * t).exp() / (t.exp() - 1) * rhs_li
         return float(lhs), float(rhs), float(abs(lhs - rhs)), 1e-25, ESTIMATED
 

@@ -21,8 +21,11 @@ be peeled level by level:
 where Z_i = tail-sum of the current weight and the next level's weight picks
 up the symbolic factor Z_i.  The tail-sum of a band is one closed-form
 Euler-Maclaurin map of its coefficients, so the result is exact up to the
-(tiny) EM and truncation remainders, which are tracked and reported as the
-error estimate.
+(tiny) EM and truncation remainders, which are tracked and reported, times
+a safety factor, as the error estimate.
+
+The module is a leaf: psi(1+x) and zeta(j, 1+x), the constants of its
+models, come from :func:`_digamma` and :func:`~akzeta.numerics.zeta_em`.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ __all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
-# the models are float series: their zeta constants need float precision
-# only, and use the default cutoff cap whatever the caller's
+# the models are float series: the zeta constants that zeta_em gives them
+# need float precision only, whatever the caller's
 _FLOAT_CTX = PrecisionContext(digits=17)
 # B_i/i!, i = 0..ORDER: the Taylor coefficients of t/(e^t - 1), rounded once
 _BERNOULLI = [float(bernoulli_over_factorial(i)) for i in range(ORDER + 1)]
@@ -261,9 +264,9 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
       c_1 = -psi(a) and c_i = zeta(i, a), the Bell recurrence of P_j.
 
     psi(a) comes from :func:`_digamma`, and zeta(j, a) from
-    :func:`eval_hurwitz_mzv`.  At a < 1, zeta(i, a) > a^-i grows with i, so
-    once one order leaves the float range every later one does too: the
-    orders from the first refused one are inf, without asking for them.
+    :func:`~akzeta.numerics.zeta_em` at 17 digits.  At a < 1,
+    zeta(i, a) > a^-i grows with i, so once one order's float overflows
+    every later one does too: the orders from it are inf, unasked for.
     """
     if x <= -1:
         raise DomainError("require x > -1")
@@ -274,13 +277,11 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
         raise DomainError(f"Gamma(1 + x) overflows a float at x = {x}") from None
     gam = [amp]  # Gamma(a - z)
     if size > 1:
-        from .evaluator import eval_hurwitz_mzv
-
         c = [0.0, -_digamma(a)]
         for i in range(2, size):
             try:
-                c.append(float(eval_hurwitz_mzv((i,), x, _FLOAT_CTX).value))
-            except DomainError:  # zeta(i, a) > a^-i at a < 1: the orders from i overflow
+                c.append(float(zeta_em(i, x, _FLOAT_CTX).value))
+            except (DomainError, OverflowError):  # past the float range: so is every later order
                 c.extend([math.inf] * (size - i))
                 break
         for j in range(1, size):
@@ -325,8 +326,12 @@ def nested_tail_sum(S_vals: Sequence[float], tails: Sequence[tuple[LogSeries, Lo
 
     S_vals[i] must be the exact S_i(M+1) (S_0 = 1); ``tails`` the
     :func:`nested_tail_series` of the level weights.  Returns (tail,
-    error_estimate); the estimate includes the float64 round-off of
-    evaluating each level, eps times the sum of its |terms|.
+    error_estimate): 10 times the sum over the levels of |S| times the first
+    omitted EM correction, the deepest kept band and the float64 round-off
+    eps * sum |terms|.  The 10 is a safety factor, not a proof: the omitted
+    correction majorizes only completely monotone summands, and the band
+    estimates the truncation without bounding it.  A model that overflowed
+    a float makes the estimate inf or NaN.
     """
     if len(S_vals) != len(tails):
         raise DomainError("need S_0..S_{q-1} at the cutoff")
@@ -336,4 +341,4 @@ def nested_tail_sum(S_vals: Sequence[float], tails: Sequence[tuple[LogSeries, Lo
         z, size, band = Z.at(Mf)
         total += S * z
         err += abs(S) * (zerr(Mf) + band + sys.float_info.epsilon * size)
-    return total, err
+    return total, 10.0 * err

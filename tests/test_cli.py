@@ -278,6 +278,11 @@ def test_import_leaves_numpy_out():
     out = _fresh_python("import akzeta, sys; print(sorted(m for m in sys.modules "
                         "if m.startswith('akzeta.')))")
     assert out.strip() == "[]"
+    # the tail models are a leaf under the evaluator: building the Bell
+    # series, zeta constants and all, loads no evaluator
+    out = _fresh_python("import akzeta.logasym, sys; akzeta.logasym.bell_p_models(3, 0.5); "
+                        "print('akzeta.evaluator' in sys.modules)")
+    assert out.strip() == "False"
     # eval, dual and bpoly with JSON output load neither mpmath nor the catalog
     for argv in (["eval", "zeta", "1,2"], ["dual", "1,2"],
                  ["bpoly", "--v", "1,2", "--p", "5/2", "--m", "3"],

@@ -430,11 +430,14 @@ def test_p1_sums_reject_shifts_at_the_cap():
 def test_p1_sums_at_large_shifts_are_bounded_or_refused(x, m):
     # below the cap, but the tail model of B(n, 1+x) carries Gamma(1+x) and
     # coefficients that grow like x^2k: where they overflow a float the sum
-    # must refuse, naming the shift, and otherwise stay within its bound
+    # must refuse, naming the shift, and otherwise stay within its bound.
+    # A refusal other than Gamma(1+x)'s comes at the first rung above x, 256:
+    # an overflowed model must not send the ladder to the cap
     try:
         ev = eval_ak_lhs((1,), 1, m, x)
     except DomainError as exc:
         assert f"x = {float(x)}" in str(exc)
+        assert str(exc).startswith("Gamma(1 + x) overflows") or "at cutoff 256" in str(exc)
         return
     with mp.workdps(30):
         exact = (m + 1) * mp.zeta(m + 2, 1 + x)

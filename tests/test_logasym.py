@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from akzeta import evaluator
+from akzeta import logasym
 from akzeta.errors import DomainError
 from akzeta.harmonic_bell import bell_modified, harmonic_table
 from akzeta.logasym import (LogSeries, pow_shift, ztail,
@@ -157,22 +157,23 @@ def test_beta_series_is_the_same_floats_at_every_size():
 def test_beta_series_stops_at_the_first_refused_order(monkeypatch):
     # zeta(i, 0.1) > 10^i: once one order leaves the float range every later
     # one does too, so a fresh series asks for no order past the first refused
-    hurwitz, calls = evaluator.eval_hurwitz_mzv, []
+    zeta, calls = logasym.zeta_em, []
 
-    def counting(alpha, x, ctx):
-        calls.append(alpha[0])
-        try:
-            return hurwitz(alpha, x, ctx)
-        except DomainError:
-            calls.append(None)
-            raise
+    def counting(s, x, ctx):
+        ev = zeta(s, x, ctx)
+        calls.append((s, ev.value))
+        return ev
 
-    monkeypatch.setattr(evaluator, "eval_hurwitz_mzv", counting)
+    monkeypatch.setattr(logasym, "zeta_em", counting)
     clear_caches()
     try:
         series = _beta_series(512, -0.9)
-        first = calls[-2]
-        assert calls == list(range(2, first + 1)) + [None] and 2 < first < 512
+        first = calls[-1][0]
+        assert [s for s, _ in calls] == list(range(2, first + 1)) and 2 < first < 512
+        # float overflows on the value before the bound of zeta_em leaves the range
+        with pytest.raises(OverflowError):
+            float(calls[-1][1])
+        assert all(math.isfinite(float(v)) for _, v in calls[:-1])
         # the low orders are the floats of a small build, where no order is refused
         small = _beta_series(16, -0.9)
     finally:
