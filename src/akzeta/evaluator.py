@@ -11,6 +11,19 @@ or, for a geometric outer factor, a majorant of the rest.  That makes even
 deep, slowly-converging sums exact to near machine precision at modest
 cutoffs.  The core chooses its cutoff by one rule, :func:`_choose_cutoff`;
 ``ctx.default_cutoff`` is only its cap.
+
+Sums of one catalog pass overlap: they share inner levels, and the sums
+of one combination differ mostly in their outer exponents.  So each piece
+of a sum is memoized by the smallest key that determines it, under the
+one :func:`~akzeta.numerics.memoized` policy.  The DP of the plain inner
+levels e[:-1] at (x, N) is :func:`_dp_prefix`, built from the entry of
+e[:-2] and one step; the outer level, with its Bell and geometric factors,
+is the sum's own.  The tail chain of each outer suffix e[i:] and its values
+at N are :func:`~akzeta.logasym.tail_chain` and
+:func:`~akzeta.logasym.tail_values`.  Every float is formed by the same
+operations in the same order as without the sharing, so no result depends
+on which sum filled an entry.  Entries are shared: never mutate a list or
+tuple they return.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from typing import Callable
 
 from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomial
 from .errors import DomainError, DivergenceError, integer, real
-from .logasym import pow_shift, nested_tail_series, nested_tail_sum, bell_p_models
+from .logasym import tail_values, nested_tail_sum
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS, ESTIMATED,
                        accelerate_alternating, clear_caches, exact_sum, memoized, round_up)
 
@@ -69,22 +82,40 @@ def _product(*vectors: list[int]) -> list[int]:
     return [math.prod(t) >> shift for t in zip(*vectors)]
 
 
-def _dp_nested(weights: list[list[int]]) -> tuple[int, list[float]]:
-    """Prefix-sum DP for sum over n_1 < ... < n_q of prod_i w_i[n_i].
+def _dp_nested(weights: list[list[int]]) -> tuple[list[int], tuple[float, ...]]:
+    """Prefix-sum DP for the terms of sum over n_1 < ... < n_q of
+    prod_i w_i[n_i].
 
-    The weights are fixed-point integers (value * 2^_F).  Returns the
-    fixed-point partial sum over n_q <= N together with the S_i(N+1) values,
-    each correctly rounded to float, needed by the symbolic tail recursion.
-    The prefix sums are exact; each product rounds down once.
+    The weights are fixed-point integers (value * 2^_F); weights[0] may
+    also be the terms of an inner level that a :func:`_dp_prefix` entry
+    keeps.  Returns the last level's terms for n = 1..N, whose sum is the
+    fixed-point partial sum over n_q <= N, together with each earlier
+    level's S(N+1), the sum of its terms, correctly rounded to float, as
+    the symbolic tail recursion needs them.  The prefix sums are exact;
+    each product rounds down once.  It mutates no list, as a prefix entry
+    it is given is shared.
     """
-    S_at = [1.0]
+    S = []
     terms = weights[0]
     for w in weights[1:]:
-        cs = list(accumulate(terms))
-        S_at.append(cs[-1] / _ONE)
-        # S_i(1) = 0, S_i(n) = cs[n - 2]
-        terms = [0] + [(s * wn) >> _F for s, wn in zip(cs, w[1:])]
-    return sum(terms), S_at
+        S.append(sum(terms) / _ONE)
+        # S_i(1) = 0, S_i(n) = the sum of the terms below n, streamed
+        terms = [0] + [(s * wn) >> _F for s, wn in zip(accumulate(terms), w[1:])]
+    return terms, tuple(S)
+
+
+@memoized
+def _dp_prefix(e: tuple[int, ...], x: float, N: int) -> tuple[list[int], tuple[float, ...]]:
+    """:func:`_dp_nested` of the plain power levels (n + x)^-e_i at cutoff N:
+    the memoized entry of e[:-1] and one more step.  Every sum whose inner
+    levels are e shares it; its outer level, with any extra factor, is
+    the sum's own."""
+    w = _power_weights(N, e[-1], x)
+    if len(e) == 1:
+        return w, ()
+    inner, S = _dp_prefix(e[:-1], x, N)
+    terms, S_last = _dp_nested([inner, w])
+    return terms, S + S_last
 
 
 def _roundoff(N: int, q: int, scale: float, size: float) -> float:
@@ -253,8 +284,12 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
 
     The outer level's power weights and extra factors make one product,
     rounded down once; a level without extra factors is its power weights.
+    At each rung N the inner levels come from the shared :func:`_dp_prefix`
+    entry of e[:-1], and one :func:`_dp_nested` step adds the outer level.
     Without r the rest of the sum is the symbolic Euler-Maclaurin tail of
-    the levels' asymptotic models.  With r it is the majorant
+    the levels' asymptotic models: :func:`~akzeta.logasym.nested_tail_sum`
+    combines the S values with the shared tail values of the outer
+    suffixes of e at N.  With r it is the majorant
     :func:`_geom_row_bound`, which holds only if the inner levels are powers
     n^-e at x = 0 and e >= 1, as for every caller: then
     S_(q-1)(n) <= (1 + ln n)^(q-1), and B(n, 1+y) <= B(N, 1+y) for n >= N.
@@ -262,12 +297,7 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
     m, y = bell or (0, 0.0)
     what = (f"the Bell-weighted sum {e} at m = {m}, x = {y}" if bell
             else f"the nested sum {e} at x = {x}")
-    if r is None:
-        models = [pow_shift(float(ei), x) for ei in e]
-        if bell:
-            models[-1] = bell_p_models(m, y)[m] * models[-1]
-        tails = nested_tail_series(models)
-    else:
+    if r is not None:
         # majorant constants: H_n^(k)(y) <= g^{k-1} H_n^(1)(y), H_n^(1)(y) <= h + ln n,
         # P_m on arguments <= X is at most (X+m)^m / m!
         h = max(1.0, 1.0 / (1.0 + y))
@@ -279,16 +309,24 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
         p = float(1 / abs(r)) if r else math.inf
 
     def rung(N):
-        levels = [_power_weights(N, ei, x) for ei in e]
+        levels = [_power_weights(N, e[-1], x)]
         outer = [*_outer_arrays(N, m, y)] if bell else []
         if r is not None:
             outer.append(_geometric(N, r))
         if outer:
-            levels[-1] = _product(levels[-1], *outer)
+            levels[0] = _product(levels[0], *outer)
+        # outside the try: a model the tail chain refuses keeps its own DomainError
+        values = tail_values(e, x, bell, N) if r is None else None
         try:
-            partial, S_at = _dp_nested(levels)
+            S_inner = ()
+            if len(e) > 1:
+                inner, S_inner = _dp_prefix(e[:-1], x, N)
+                levels.insert(0, inner)
+            terms, S_outer = _dp_nested(levels)
+            partial = sum(terms)
+            S_at = [1.0, *S_inner, *S_outer]
             if r is None:
-                tail, terr = nested_tail_sum(S_at, tails, N)
+                tail, terr = nested_tail_sum(S_at, values)
                 if not math.isfinite(terr):  # a tail model that overflowed a float
                     raise OverflowError
                 partial += int(tail * _ONE)

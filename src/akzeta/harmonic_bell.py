@@ -61,11 +61,13 @@ def d_operator(n: int, s: int, x) -> Fraction:
     ``s`` may be any integer; ``x`` is an int or a Fraction.
     """
     n, s, x = integer(n, 1, "n"), integer(s, None, "s"), rational(x, "x", above=-1)
+    a, b = x.numerator, x.denominator
     if s <= 0:  # x = a/b: sum the integers (a + (k+1) b)^-s, divide once by b^-s
-        a, b = x.numerator, x.denominator
         return Fraction(sum((-1) ** k * math.comb(n - 1, k) * (a + (k + 1) * b) ** -s
                             for k in range(n)), b ** -s)
-    total = Fraction(0)
-    for k in range(n):
-        total += (-1) ** k * math.comb(n - 1, k) / (x + k + 1) ** s
-    return total
+    # (x + k + 1)^-s = b^s / (a + (k+1) b)^s with a + (k+1) b >= a + b > 0:
+    # sum over the common denominator L^s, L the lcm of the bases, reduce once
+    bases = [a + (k + 1) * b for k in range(n)]
+    L = math.lcm(*bases)
+    return Fraction(b**s * sum((-1) ** k * math.comb(n - 1, k) * (L // c) ** s
+                               for k, c in enumerate(bases)), L**s)

@@ -22,7 +22,9 @@ where Z_i = tail-sum of the current weight and the next level's weight picks
 up the symbolic factor Z_i.  The tail-sum of a band is one closed-form
 Euler-Maclaurin map of its coefficients, so the result is exact up to the
 (tiny) EM and truncation remainders, which are tracked and reported, times
-a safety factor, as the error estimate.
+a safety factor, as the error estimate.  Z_i depends only on the levels
+from i outward, so :func:`tail_chain` memoizes the chain per outer suffix,
+and :func:`tail_values` its values per suffix and cutoff.
 
 The module is a leaf: psi(1+x) and zeta(j, 1+x), the constants of its
 models, come from :func:`_digamma` and :func:`~akzeta.numerics.zeta_em`.
@@ -40,7 +42,7 @@ from .errors import DomainError
 from .numerics import PrecisionContext, memoized, zeta_em
 from .powerseries import bernoulli_over_factorial, classical_bernoulli_polynomial
 
-__all__ = ["LogSeries", "pow_shift", "ztail", "nested_tail_series",
+__all__ = ["LogSeries", "pow_shift", "ztail", "tail_chain", "tail_values",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
@@ -307,38 +309,58 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
                  for j in range(size))
 
 
-def nested_tail_series(models: Sequence[LogSeries]) -> list[tuple[LogSeries, LogSeries]]:
-    """The symbolic tails (Z_i, EM error of Z_i) of :func:`nested_tail_sum`.
+@memoized
+def tail_chain(e: tuple[int, ...], x: float,
+               bell: tuple[int, float] | None) -> tuple[tuple[LogSeries, LogSeries], ...]:
+    """The symbolic tails (Z_i, EM error of Z_i) of :func:`nested_tail_sum`
+    for the levels (n + x)^-e_i, the outer one also times B(n, 1+y) P_m
+    when ``bell`` = (m, y).
 
-    models[i] is the asymptotic expansion of the level-(i+1) weight; entry i
-    of the result is the tail that multiplies S_i(M+1).  The series do not
-    depend on M, so one call serves every cutoff.
+    Entry i is the tail that multiplies S_i(M+1).  It depends only on the
+    outer suffix e[i:], so the chain of e is the memoized chain of e[1:]
+    with one more :func:`ztail` in front, and each suffix is built once.
+    The series do not depend on M, so one chain serves every cutoff.
     """
-    tails = [ztail(models[-1])]
-    for g in reversed(models[:-1]):
-        tails.append(ztail(g * tails[-1][0]))
-    return tails[::-1]
+    model = pow_shift(float(e[0]), x)
+    if len(e) == 1:
+        if bell:
+            m, y = bell
+            model = bell_p_models(m, y)[m] * model
+        return (ztail(model),)
+    rest = tail_chain(e[1:], x, bell)
+    return (ztail(model * rest[0][0]),) + rest
 
 
-def nested_tail_sum(S_vals: Sequence[float], tails: Sequence[tuple[LogSeries, LogSeries]],
-                    M: int) -> tuple[float, float]:
+@memoized
+def tail_values(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
+                M: int) -> tuple[tuple[float, float], ...]:
+    """The entries of :func:`tail_chain` evaluated at M: (Z_i(M), the error
+    weight of level i), the weight being the first omitted EM correction,
+    the deepest kept band and the float64 round-off eps * sum |terms| of
+    Z_i(M).  Memoized per suffix, like the chain."""
+    Mf = float(M)
+    Z, zerr = tail_chain(e, x, bell)[0]
+    z, size, band = Z.at(Mf)
+    head = ((z, zerr(Mf) + band + sys.float_info.epsilon * size),)
+    return head + tail_values(e[1:], x, bell, M) if len(e) > 1 else head
+
+
+def nested_tail_sum(S_vals: Sequence[float], values: Sequence[tuple[float, float]]
+                    ) -> tuple[float, float]:
     """Tail sum_{n > M} S_{q-1}(n) g_q(n) of a nested prefix sum.
 
-    S_vals[i] must be the exact S_i(M+1) (S_0 = 1); ``tails`` the
-    :func:`nested_tail_series` of the level weights.  Returns (tail,
-    error_estimate): 10 times the sum over the levels of |S| times the first
-    omitted EM correction, the deepest kept band and the float64 round-off
-    eps * sum |terms|.  The 10 is a safety factor, not a proof: the omitted
-    correction majorizes only completely monotone summands, and the band
-    estimates the truncation without bounding it.  A model that overflowed
-    a float makes the estimate inf or NaN.
+    S_vals[i] must be the exact S_i(M+1) (S_0 = 1); ``values`` the
+    :func:`tail_values` of the levels at M.  Returns (tail,
+    error_estimate): 10 times the sum over the levels of |S| times the
+    level's error weight.  The 10 is a safety factor, not a proof: the
+    omitted correction majorizes only completely monotone summands, and
+    the band estimates the truncation without bounding it.  A model that
+    overflowed a float makes the estimate inf or NaN.
     """
-    if len(S_vals) != len(tails):
+    if len(S_vals) != len(values):
         raise DomainError("need S_0..S_{q-1} at the cutoff")
-    Mf = float(M)
     total = err = 0.0
-    for S, (Z, zerr) in zip(reversed(S_vals), reversed(tails)):
-        z, size, band = Z.at(Mf)
+    for S, (z, weight) in zip(reversed(S_vals), reversed(values)):
         total += S * z
-        err += abs(S) * (zerr(Mf) + band + sys.float_info.epsilon * size)
+        err += abs(S) * weight
     return total, 10.0 * err

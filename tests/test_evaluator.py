@@ -2,6 +2,7 @@ import decimal
 import importlib
 import math
 import pkgutil
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,7 @@ from akzeta.errors import DomainError, DivergenceError
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform,
                               eval_prop2_series, clear_caches, _nested, _rungs,
-                              _F, _dp_nested, _geometric, _outer_arrays,
+                              _F, _dp_nested, _dp_prefix, _geometric, _outer_arrays,
                               _power_weights, _product, _roundoff)
 from akzeta.identities import catalog, verify, verify_all
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
@@ -568,10 +569,15 @@ def test_fixed_point_partial_sums_match_exact(x):
                     weights = [_power_weights(N, ai) for ai in a[:-1]]
                     weights.append(_product(B, P, _power_weights(N, a[-1]),
                                             _geometric(N, Fraction(1, p))))
-                    partial, S_at = _dp_nested(weights)
+                    terms, S = _dp_nested(weights)
+                    if len(a) > 1:  # the shared prefix entry of the inner levels, plus one step
+                        inner, S_inner = _dp_prefix(a[:-1], 0.0, N)
+                        assert _dp_nested([inner, weights[-1]]) == (terms, S[len(S_inner):])
+                        assert S_inner == S[:len(S_inner)]
+                    partial = sum(terms)
                     exact = ak_lhs_partial_exact(a, p, m, Fraction(x), N)
                     q = len(a) + m + 1
-                    L = (1 + B[0] / (1 << _F)) * (1 + P[-1] / (1 << _F)) * (1 + max(S_at))
+                    L = (1 + B[0] / (1 << _F)) * (1 + P[-1] / (1 << _F)) * (1 + max((1.0, *S)))
                     tol = N * (q + 1) * 2.0**-_F * L
                     assert abs(float(Fraction(partial, 1 << _F) - exact)) <= tol
                     assert tol < 2.0**-20 * _roundoff(N, q, float(exact), L)
@@ -726,10 +732,11 @@ def test_one_cache_policy():
     eval_t((1, 3), CTX)
     zeta_em(3, 0.0, CTX)
     caches = _package_caches()
-    assert {"evaluator._nested", "evaluator._outer_arrays",
-            "logasym._beta_series", "numerics._zeta_em_cached"} <= caches.keys()
+    assert {"evaluator._nested", "evaluator._outer_arrays", "evaluator._dp_prefix",
+            "logasym._beta_series", "logasym.tail_chain", "logasym.tail_values",
+            "numerics._zeta_em_cached"} <= caches.keys()
     assert {name for name in caches if name.startswith("evaluator.")} == {
-        "evaluator._nested", "evaluator._outer_arrays"}
+        "evaluator._nested", "evaluator._outer_arrays", "evaluator._dp_prefix"}
     assert all(c.cache_info().currsize > 0 for c in caches.values())
     akzeta.clear_caches()
     for name, cache in caches.items():
@@ -744,6 +751,43 @@ def test_catalog_reports_do_not_depend_on_the_caches():
     clear_caches()
     again = [r.to_json() for r in verify_all("THM3").reports]
     assert cold == warm == again
+
+
+def test_catalog_reports_do_not_depend_on_the_order():
+    # sums share DP prefix and tail-chain entries: a key that missed
+    # something the entry depends on would make a report depend on which
+    # case filled the entry first
+    cases = [(case.id, params) for case in catalog() if case.id != "PROP2"
+             for params in case.grid or ({},)]
+    runs = []
+    for seed in (1, 2):
+        order = list(range(len(cases)))
+        random.Random(seed).shuffle(order)
+        clear_caches()
+        runs.append({i: verify(*cases[i]).to_json() for i in order})
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("target, fillers", [
+    (lambda: eval_hurwitz_mzv((1, 1, 3), 0.5, CTX),
+     [lambda: eval_hurwitz_mzv((1, 1, 2), -0.5, CTX)]  # the same prefix at another x
+     + [lambda e=e: eval_hurwitz_mzv(e, 0.5, CTX) for e in ((1, 3), (1, 1, 2), (3,))]),
+    (lambda: eval_ak_lhs((1, 2), 1, 2, -0.5, CTX),
+     [lambda: eval_ak_lhs((2,), 1, 2, -0.5, CTX), lambda: eval_ak_lhs((1, 3), 1, 2, -0.5, CTX),
+      lambda: eval_ak_lhs((1, 2), 1, 1, -0.5, CTX), lambda: eval_hurwitz_mzv((1, 2), 0.0, CTX)]),
+    (lambda: eval_li((1, 2), 0.5, CTX),
+     [lambda: eval_li((1, 3), 0.5, CTX), lambda: eval_li((2,), 0.5, CTX),
+      lambda: eval_hurwitz_mzv((1, 2), 0.0, CTX)]),
+], ids=["mzv", "ak_lhs", "li"])
+def test_a_sum_is_the_same_cold_and_after_its_shared_entries(target, fillers):
+    # the fillers share the target's inner-level prefix or outer-level suffix
+    clear_caches()
+    cold = target()
+    clear_caches()
+    for fill in fillers:
+        fill()
+    warm = target()
+    assert warm == cold  # value, bound, kind, method and cutoff
 
 
 def test_every_evaluation_value_is_exact():

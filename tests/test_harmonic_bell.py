@@ -110,6 +110,18 @@ def test_d_operator_at_non_positive_s():
                                                    for k in range(n))
 
 
+def test_d_operator_at_positive_s_is_the_fraction_loop():
+    # s > 0 sums integers over one common denominator: the same Fraction as
+    # the term-by-term rational loop
+    for x in (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3)):
+        for n in range(1, 13):
+            for s in range(1, 7):
+                ref = Fraction(0)
+                for k in range(n):
+                    ref += (-1) ** k * math.comb(n - 1, k) / (x + k + 1) ** s
+                assert d_operator(n, s, x) == ref
+
+
 def test_d_operator_float_and_validation():
     # the operator is exact-only: a fractional s or a float x is rejected
     with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +11,7 @@ from akzeta.errors import DomainError
 from akzeta.harmonic_bell import bell_modified, harmonic_table
 from akzeta.logasym import (LogSeries, pow_shift, ztail,
                             beta_model, harmonic_model, bell_p_models, _beta_series,
-                            _digamma, nested_tail_series, nested_tail_sum)
+                            _digamma, tail_chain, tail_values, nested_tail_sum)
 from akzeta.numerics import beta_factor_exact, clear_caches
 
 
@@ -190,8 +191,7 @@ def test_nested_tail_sum_depth2():
     for n in range(1, M + 1):
         partial += S1 / n**2
         S1 += Fraction(1, n)
-    tails = nested_tail_series([pow_shift(1.0, 0.0), pow_shift(2.0, 0.0)])
-    tail, err = nested_tail_sum([1.0, float(S1)], tails, M)
+    tail, err = nested_tail_sum([1.0, float(S1)], tail_values((1, 2), 0.0, None, M))
     partial = float(partial)
     z3 = float(mp.zeta(3))
     assert abs(partial + tail - z3) < 1e-15
@@ -200,13 +200,37 @@ def test_nested_tail_sum_depth2():
 
 def test_nested_tail_sum_validates_lengths():
     with pytest.raises(DomainError):
-        nested_tail_sum([1.0], nested_tail_series([pow_shift(1.0, 0), pow_shift(2.0, 0)]), 100)
+        nested_tail_sum([1.0], tail_values((1, 2), 0.0, None, 100))
 
 
 def test_nested_tail_error_estimate_honest():
     # coarse cutoff: the reported estimate must cover the true remainder error
     for M in (30, 100):
-        tail, err = nested_tail_sum([1.0], nested_tail_series([pow_shift(2.0, 0.0)]), M)
+        tail, err = nested_tail_sum([1.0], tail_values((2,), 0.0, None, M))
         partial = sum(k**-2.0 for k in range(1, M + 1))
         true_err = abs(partial + tail - math.pi**2 / 6)
         assert true_err <= err + 5e-15
+
+
+@pytest.mark.parametrize("e, x, bell", [((1, 1, 3), 0.5, None), ((2, 1, 2), -0.5, None),
+                                        ((1, 2), 0.0, (2, 0.5)), ((3,), 0.0, (1, -0.5))])
+def test_tail_chain_is_the_level_by_level_recursion(e, x, bell):
+    # the memoized chain gives the floats of the plain recursion over the
+    # level models, Z_q = ztail(g_q) and Z_i = ztail(g_i * Z_(i+1)), and
+    # shares each suffix's entries
+    clear_caches()
+    models = [pow_shift(float(ei), x) for ei in e]
+    if bell:
+        models[-1] = bell_p_models(*bell)[bell[0]] * models[-1]
+    tails = [ztail(models[-1])]
+    for g in reversed(models[:-1]):
+        tails.append(ztail(g * tails[-1][0]))
+    chain = tail_chain(e, x, bell)
+    assert len(chain) == len(e)
+    for (Z, zerr), (Zr, zerr_r) in zip(chain, tails[::-1]):
+        assert (Z.bands, Z.shift, zerr.bands, zerr.shift) == (Zr.bands, Zr.shift,
+                                                              zerr_r.bands, zerr_r.shift)
+    assert len(e) == 1 or chain[1:] == tail_chain(e[1:], x, bell)
+    M = 64
+    assert tail_values(e, x, bell, M) == tuple(
+        (Z(M), zerr(M) + Z.at(M)[2] + sys.float_info.epsilon * Z.at(M)[1]) for Z, zerr in chain)
