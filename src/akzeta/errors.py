@@ -90,4 +90,4 @@ def rational(v, name: str, above=None) -> Fraction:
     if not (isinstance(v, (int, Fraction)) and type(v) is not bool
             and (above is None or v > above)):
         raise _refused("a finite rational", f"{name} (an int or a Fraction)", ">", above, v)
-    return Fraction(v)
+    return v if type(v) is Fraction else Fraction(v)  # a Fraction is immutable: no copy

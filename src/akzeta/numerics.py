@@ -113,19 +113,26 @@ def round_up(q: Fraction) -> float:
 def exact_sum(terms) -> Fraction:
     """The exact sum of w * q over pairs (w, q) of rationals (ints, floats
     or Fractions), formed in integers over one common denominator and
-    reduced once, in place of one gcd per Fraction operation."""
-    ratios = [(w.as_integer_ratio(), q.as_integer_ratio()) for w, q in terms]
-    den = math.lcm(*(wd * qd for (_, wd), (_, qd) in ratios))
-    return Fraction(sum(wn * qn * (den // (wd * qd)) for (wn, wd), (qn, qd) in ratios), den)
+    reduced once, in place of one gcd per Fraction operation.  The
+    denominator widens only when a term needs it: a term whose denominator
+    divides it costs one remainder, not a gcd."""
+    num, den = 0, 1
+    for w, q in terms:
+        (wn, wd), (qn, qd) = w.as_integer_ratio(), q.as_integer_ratio()
+        d = wd * qd
+        if den % d:
+            f = d // math.gcd(den, d)
+            num, den = num * f, den * f
+        num += wn * qn * (den // d)
+    return Fraction(num, den)
 
 
 def beta_factor_exact(n: int, x) -> Fraction:
-    """B(n, 1+x) as an exact rational, for x an int or a Fraction."""
+    """B(n, 1+x) = (n-1)! / prod_{j<=n} (j + x) as an exact rational, for x
+    an int or a Fraction: at x = a/b, (n-1)! b^n / prod_{j<=n} (a + j b)."""
     n, x = integer(n, 1, "n"), rational(x, "x", above=-1)
-    out = 1 / (1 + x)
-    for j in range(1, n):
-        out *= Fraction(j) / (j + 1 + x)
-    return out
+    a, b = x.numerator, x.denominator
+    return Fraction(math.factorial(n - 1) * b**n, math.prod(a + j * b for j in range(1, n + 1)))
 
 
 def decimal_unit() -> Fraction:

@@ -2,7 +2,12 @@
 polynomials of the generalized Arakawa-Kaneko zeta function.
 
 A truncated series is the plain list of its coefficients c_0..c_M, lowest
-order first; a polynomial in x is a :class:`PolyRat`.
+order first; a polynomial in x is a :class:`PolyRat`.  Coefficients and
+arguments are ints or Fractions, and a float is refused.  The loops of
+:func:`series_inverse`, :meth:`PolyRat.__call__` and
+:func:`ak_bernoulli_polys` run in Python integers over one common
+denominator (``_over_one_denominator``) and reduce each returned value to
+a Fraction once, in place of one gcd per Fraction operation.
 
 With c_n the w^n coefficient of Li_v(w), that function expands as
 Z(s; x) = sum_n c_n p^{-n} D(n, s, x) over the kernel D of
@@ -10,8 +15,10 @@ Z(s; x) = sum_n c_n p^{-n} D(n, s, x) over the kernel D of
 (1 - e^{-t})^n/(e^t - 1) = e^{-t} (1 - e^{-t})^{n-1}.  At s = -m the kernel
 is an (n-1)-th finite difference of a degree-m polynomial, so the sum stops
 at n = m + 1, and Z(-m; x) = sum_{n<=m+1} c_n p^{-n} D(n, -m, x) is
-(-1)^m B^v_{p,m}(-x).  The polynomials come from the exact values at x = 0
-by the binomial formula: x enters their generating function
+(-1)^m B^v_{p,m}(-x).  At x = 0 the kernel is a Stirling number of the
+second kind, D(n, -m, 0) = (-1)^(n-1) (n-1)! S(m+1, n), so one table of
+those replaces the kernel sums.  The polynomials come from the exact values
+at x = 0 by the binomial formula: x enters their generating function
 e^{xt}/(e^t - 1) Li_v((1 - e^{-t})/p) only through e^{xt}, so they form an
 Appell sequence.
 """
@@ -24,7 +31,6 @@ from typing import Sequence, Union
 
 from .combinatorics import Composition
 from .errors import DomainError, Record, integer, rational
-from .harmonic_bell import d_operator
 
 __all__ = [
     "PolyRat",
@@ -56,10 +62,15 @@ class PolyRat(Record):
         return len(self.coeffs) - 1
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = rational(x, "x")
+        p, q = x.numerator, x.denominator
+        C, D = _over_one_denominator([(c.numerator, c.denominator) for c in self.coeffs])
+        # Horner's rule on sum_i C_i p^i q^(deg-i); at the end qk = q^(deg+1)
+        acc, qk = 0, 1
+        for c in reversed(C):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc * q, D * qk)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -87,15 +98,36 @@ class PolyRat(Record):
         return f"PolyRat({self})"
 
 
+def _over_one_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The pairs (n_i, d_i), d_i > 0, as integers N_i over one common
+    denominator D, so that n_i/d_i = N_i/D.  D grows only by what a d_i
+    still lacks: a d_i that divides it costs one remainder, not a gcd."""
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den *= d // math.gcd(den, d)
+    return [n * (den // d) for n, d in ratios], den
+
+
 def series_inverse(f: Sequence[Scalar]) -> list[Fraction]:
     """The coefficients of 1/f to the order of f, from the coefficient list
-    of f; requires an invertible constant term."""
+    of f (ints or Fractions); requires an invertible constant term.
+
+    With f = F/D over one denominator, 1/f = D sum_n W_n z^n / F_0^(n+1),
+    where W_0 = 1 and W_n = -sum_k F_k F_0^(k-1) W_(n-k) are integers."""
+    f = [rational(c, "coefficient") for c in f]
     if not f or f[0] == 0:
         raise DomainError("series with zero constant term has no inverse")
-    inv0 = 1 / Fraction(f[0])
-    out = [inv0]
-    for n in range(1, len(f)):
-        out.append(-sum(f[k] * out[n - k] for k in range(1, n + 1)) * inv0)
+    F, D = _over_one_denominator([(c.numerator, c.denominator) for c in f])
+    G, F0k = [0], 1  # G_k = F_k F_0^(k-1)
+    for Fk in F[1:]:
+        G.append(Fk * F0k)
+        F0k *= F[0]
+    W, den, out = [1], F[0], [Fraction(D, F[0])]
+    for n in range(1, len(F)):
+        W.append(-sum(G[k] * W[n - k] for k in range(1, n + 1)))
+        den *= F[0]
+        out.append(Fraction(D * W[n], den))
     return out
 
 
@@ -188,12 +220,23 @@ def ak_bernoulli_polys(v, p, m_max: int) -> list[PolyRat]:
     Their values at x = 0 are
     B_i(0) = (-1)^i sum_{n=1}^{i+1} c_n p^{-n} D(n, -i, 0), with c_n the
     coefficients of :func:`li_series`; each polynomial is the Appell sum of
-    those.
+    those.  The kernel at x = 0 is D(n, -i, 0) = (-1)^(n-1) (n-1)! S(i+1, n),
+    S the Stirling numbers of the second kind (Graham, Knuth and Patashnik,
+    Concrete Mathematics, 2nd ed., section 6.1), so one table row per i
+    replaces the kernel sums, and the weights (-1)^(n-1) (n-1)! c_n p^-n,
+    which do not depend on i, are put over one denominator once.
     """
     v, p, m_max = Composition.coerce(v), rational(p, "p"), integer(m_max, 0, "m_max")
     if p < 1:
         raise DomainError("p must be >= 1")
     c = li_series(v, max(m_max + 1, v.depth))
-    at_zero = [(-1) ** i * sum(c[n] / p**n * d_operator(n, -i, 0) for n in range(1, i + 2))
-               for i in range(m_max + 1)]
+    a, b = p.numerator, p.denominator
+    E, den = _over_one_denominator(
+        [((-1) ** (n - 1) * math.factorial(n - 1) * c[n].numerator * b**n, c[n].denominator * a**n)
+         for n in range(1, m_max + 2)])
+    at_zero, S = [], [0, 1]  # S[n] = S(i+1, n), n = 0..i+1
+    for i in range(m_max + 1):
+        at_zero.append(Fraction((-1) ** i * sum(e * s for e, s in zip(E, S[1:])), den))
+        S.append(0)
+        S = [0] + [n * S[n] + S[n - 1] for n in range(1, len(S))]
     return [_appell(at_zero, m) for m in range(m_max + 1)]

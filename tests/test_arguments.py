@@ -15,12 +15,12 @@ from akzeta.combinatorics import (Composition, admissible_compositions, binomial
 from akzeta.errors import DomainError, integer, rational, real
 from akzeta.evaluator import (eval_ak_lhs, eval_ak_rhs, eval_euler_transform, eval_hurwitz_mzv,
                               eval_li, eval_prop2_series, zeta_combination)
-from akzeta.harmonic_bell import d_operator, harmonic_table
+from akzeta.harmonic_bell import bell_modified, d_operator, harmonic_table
 from akzeta.numerics import (PrecisionContext, accelerate_alternating, beta_factor_exact,
                              clausen, zeta_em)
 from akzeta.powerseries import (PolyRat, ak_bernoulli_polys, bernoulli_numbers,
                                 bernoulli_over_factorial, classical_bernoulli_polynomial,
-                                li_series)
+                                li_series, series_inverse)
 
 INTEGER = (2.5, True)
 REAL = (math.nan, math.inf, "0.5", 0.5 + 1j)
@@ -41,7 +41,10 @@ ARGUMENTS = [
     (d_operator, "n", INTEGER, lambda v: d_operator(v, 1, 0)),
     (d_operator, "s", INTEGER, lambda v: d_operator(3, v, 0)),
     (d_operator, "x", RATIONAL, lambda v: d_operator(3, 2, v)),
+    (bell_modified, "x_values", RATIONAL, lambda v: bell_modified([v, Fraction(1, 4)])),
     (PolyRat, "coeffs", RATIONAL, lambda v: PolyRat([1, v])),
+    (PolyRat.__call__, "x", RATIONAL, lambda v: PolyRat([1, 2])(v)),
+    (series_inverse, "f", RATIONAL, lambda v: series_inverse([v, 1])),
     (bernoulli_over_factorial, "k", INTEGER, bernoulli_over_factorial),
     (bernoulli_numbers, "M", INTEGER, bernoulli_numbers),
     (classical_bernoulli_polynomial, "m", INTEGER, classical_bernoulli_polynomial),
@@ -107,6 +110,7 @@ def test_each_check_normalizes_what_it_accepts():
     for v in (0.25, Fraction(1, 4), np.float64(0.25)):
         assert type(real(v, "x")) is float and real(v, "x", above=-1) == 0.25
     assert rational(2, "x") == Fraction(2) and rational(Fraction(1, 3), "x") == Fraction(1, 3)
+    assert type(rational(2, "x")) is Fraction and type(rational(Fraction(2), "x")) is Fraction
     # the bounds are strict, and an int past the float range is no finite real
     for call in (lambda: integer(0, 1, "n"), lambda: real(-1, "x", above=-1),
                  lambda: rational(-1, "x", above=-1), lambda: real(10**400, "x")):

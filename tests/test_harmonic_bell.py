@@ -64,6 +64,46 @@ def test_odd_harmonic_values():
     assert row[1] / 4 == Fraction(10, 9)
 
 
+def _harmonic_table_loop(N, m, x):
+    """The Fraction loop that harmonic_table replaced: one gcd per operation."""
+    rows = [(Fraction(0),) * m]
+    for n in range(1, N + 1):
+        rows.append(tuple(h + 1 / (n + x) ** k for k, h in enumerate(rows[-1], 1)))
+    return rows
+
+
+def _bell_modified_loop(x_values):
+    """The Fraction loop that bell_modified replaced."""
+    P = [Fraction(1)]
+    for j in range(1, len(x_values) + 1):
+        s = x_values[0] * P[j - 1]
+        for k in range(2, j + 1):
+            s += x_values[k - 1] * P[j - k]
+        P.append(s / j)
+    return P
+
+
+def test_harmonic_table_is_the_fraction_loop():
+    # the integer rows over L^k, L widened base by base, are the Fraction
+    # loop's rows, and so are the Bell values formed from them
+    for x in (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(5, 2),
+              Fraction(-2, 3)):
+        for N, m in ((0, 1), (1, 8), (12, 6), (40, 8)):
+            rows = harmonic_table(N, m, x)
+            assert rows == _harmonic_table_loop(N, m, x)
+            assert all(type(h) is Fraction for row in rows for h in row)
+            for row in rows[:: max(N // 4, 1)]:
+                assert bell_modified(row) == _bell_modified_loop(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), max_size=8))
+def test_bell_modified_is_the_fraction_loop(xs):
+    P = bell_modified(xs)
+    assert P == _bell_modified_loop(xs)
+    assert all(type(v) is Fraction for v in P)
+
+
 def test_bell_modified_low_orders():
     x1, x2, x3 = Fraction(2), Fraction(3), Fraction(5)
     P = bell_modified([x1, x2, x3])

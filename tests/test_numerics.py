@@ -62,6 +62,18 @@ def test_beta_factor_exact_and_float():
             assert abs(float(exact) - float(ref)) < 1e-14
 
 
+def test_beta_factor_exact_is_the_product_loop():
+    # one Fraction from (n-1)! b^n / prod (a + j b): the same value as the
+    # loop 1/(1+x) prod_{j<n} j/(j+1+x) it replaced
+    for x in (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3),
+              Fraction(5, 2), 3):
+        for n in range(1, 41):
+            ref = 1 / (1 + Fraction(x))
+            for j in range(1, n):
+                ref *= Fraction(j) / (j + 1 + x)
+            assert beta_factor_exact(n, x) == ref
+
+
 def test_beta_factor_central_binomial():
     # 4^n / C(2n, n) = n * B(n, 1/2)
     for n in (1, 3, 10):
@@ -232,3 +244,6 @@ def test_exact_sum_is_the_fraction_sum():
     got = exact_sum(terms)
     assert type(got) is Fraction and got == expect
     assert exact_sum([]) == 0
+    # denominators that the running one already divides, and ones that widen it
+    terms = [(1, Fraction(1, 12)), (1, Fraction(1, 4)), (5, Fraction(1, 6)), (1, Fraction(1, 10))]
+    assert exact_sum(terms) == sum(Fraction(w) * q for w, q in terms) == Fraction(19, 15)

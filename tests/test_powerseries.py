@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from akzeta.combinatorics import Composition
 from akzeta.errors import DomainError
+from akzeta.harmonic_bell import d_operator
 from akzeta.powerseries import (PolyRat, series_inverse, bernoulli_numbers,
                                 bernoulli_over_factorial, classical_bernoulli_polynomial,
                                 li_series, ak_bernoulli_polys)
@@ -39,6 +41,35 @@ def test_truncseries_mul_and_inverse():
     for f in ([0, 1, 0, 0, 0], []):
         with pytest.raises(DomainError):
             series_inverse(f)
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=24)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(SMALL_FRACTIONS, min_size=1, max_size=10))
+def test_series_inverse_is_the_fraction_loop(f):
+    if f[0] == 0:
+        f[0] = Fraction(1, 3)
+    # the Fraction loop that the integer recurrence replaced
+    inv0 = 1 / Fraction(f[0])
+    ref = [inv0]
+    for n in range(1, len(f)):
+        ref.append(-sum(f[k] * ref[n - k] for k in range(1, n + 1)) * inv0)
+    got = series_inverse(f)
+    assert got == ref and all(type(c) is Fraction for c in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(SMALL_FRACTIONS, max_size=10), SMALL_FRACTIONS)
+def test_polyrat_call_is_fractional_horner(coeffs, x):
+    p = PolyRat(coeffs)
+    ref = Fraction(0)
+    for c in reversed(p.coeffs):
+        ref = ref * x + c
+    got = p(x)
+    assert got == ref and type(got) is Fraction
+    assert p(x.numerator) == p(Fraction(x.numerator))
 
 
 def test_bernoulli_numbers():
@@ -100,6 +131,21 @@ def test_ak_bernoulli_collapse_to_classical():
     polys = ak_bernoulli_polys(Composition.of(1), 1, 6)
     for m in range(7):
         assert polys[m] == classical_bernoulli_polynomial(m)
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 2), (2, 1, 3)])
+@pytest.mark.parametrize("p", [1, 2, Fraction(5, 2)])
+def test_ak_bernoulli_polys_are_the_kernel_sums(v, p):
+    # the Stirling table and the integer at-zero sums against the sums of
+    # d_operator(n, -i, 0) in Fractions, and the Appell sums of those
+    m_max = 40
+    c = li_series(Composition(v), max(m_max + 1, len(v)))
+    at_zero = [(-1) ** i * sum(c[n] / Fraction(p) ** n * d_operator(n, -i, 0)
+                               for n in range(1, i + 2)) for i in range(m_max + 1)]
+    polys = ak_bernoulli_polys(v, p, m_max)
+    assert len(polys) == m_max + 1
+    for m, poly in enumerate(polys):
+        assert poly == PolyRat([math.comb(m, m - j) * at_zero[m - j] for j in range(m + 1)]), m
 
 
 def test_ak_bernoulli_basic_shapes():
