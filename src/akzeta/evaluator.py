@@ -37,7 +37,7 @@ from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomi
 from .errors import DomainError, DivergenceError, integer, real
 from .logasym import tail_values, nested_tail_sum
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS, ESTIMATED,
-                       accelerate_alternating, clear_caches, exact_sum, memoized, round_up)
+                       accelerate_alternating, clear_caches, combination, memoized)
 
 __all__ = [
     "eval_hurwitz_mzv",
@@ -207,9 +207,7 @@ def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     whose innermost exponent is near 1024 or more leaves the float range."""
     e = Composition.coerce(parts)
     ev = eval_hurwitz_mzv(e, -0.5, ctx)
-    scale = 2 ** e.weight
-    return Evaluation(value=ev.value / scale, bound=round_up(Fraction(ev.bound) / scale),
-                      bound_kind=ev.bound_kind, method=ev.method, cutoff_used=ev.cutoff_used)
+    return combination(((Fraction(1, 2**e.weight), ev),), ev.method)
 
 
 def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
@@ -375,18 +373,14 @@ def eval_ak_rhs(alpha, m: int, x: float,
 def zeta_combination(alpha, m: int,
                      zeta: Callable[[Composition], Evaluation]) -> Evaluation:
     """The weighted sum of :func:`eval_ak_rhs` with ``zeta(c)`` evaluating
-    each index c = (a_1+d_1, ..., a_q+d_q+1).  The weights are integers, so
-    the value is the exact weighted sum of the parts' values, and the bound
-    the weighted sum of their bounds, rounded up to a float."""
+    each index c = (a_1+d_1, ..., a_q+d_q+1), weighted by integers and
+    summed by :func:`~akzeta.numerics.combination`."""
     a = Composition.coerce(alpha).parts
     m = integer(m, 0, "m")
-    terms = [(m_coeff(a[:-1], d[:-1]) * binomial(a[-1] + d[-1], d[-1]),
-              zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, d)))))
-             for d in weak_compositions(m, len(a))]
-    return Evaluation(value=exact_sum((w, ev.value) for w, ev in terms),
-                      bound=round_up(exact_sum((w, ev.bound) for w, ev in terms)),
-                      bound_kind=RIGOROUS, method="mzv-combination",
-                      cutoff_used=max(ev.cutoff_used for _, ev in terms))
+    return combination(
+        ((m_coeff(a[:-1], d[:-1]) * binomial(a[-1] + d[-1], d[-1]),
+          zeta(Composition.from_alpha(tuple(ai + di for ai, di in zip(a, d)))))
+         for d in weak_compositions(m, len(a))), "mzv-combination")
 
 
 def eval_euler_transform(p: float, s: int, x: float,
@@ -439,7 +433,8 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     ``alpha`` is the displayed admissible exponent tuple; the coefficient of
     z^m is :func:`eval_ak_lhs` at p = 1 and order m, indexed by the dual tuple.
     Valid for |z| < 1 + x; the truncation remainder is a geometric estimate.
-    The value sums exactly, with z as the Fraction of its float.
+    The terms sum by :func:`~akzeta.numerics.combination`, with z as the
+    Fraction of its float, and the estimate adds to their bound.
     """
     c = Composition.coerce(alpha)
     xf, zf, m_terms = real(x, "x", above=-1), real(z, "z"), integer(m_terms, 1, "m_terms")
@@ -447,18 +442,10 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
         raise DomainError(f"need |z| < 1 + x, got |{zf}| vs {1.0 + xf}")
     beta = dual(c).alpha()
     zq = Fraction(zf)
-    total = Fraction(0)
-    bound = 0.0
-    last = 0.0
-    cutoff = 0
-    for m in range(m_terms):
-        ev = eval_ak_lhs(beta, 1, m, xf, ctx)
-        term = zq**m * ev.value
-        total += term
-        bound += abs(zf) ** m * ev.bound
-        last = float(abs(term))
-        cutoff = max(cutoff, ev.cutoff_used)
+    terms = [(zq**m, eval_ak_lhs(beta, 1, m, xf, ctx)) for m in range(m_terms)]
+    series = combination(terms, "z-power-series")
+    w, last = terms[-1]
     ratio = abs(zf) / (1.0 + xf)
-    trunc = 3.0 * last * ratio / (1.0 - ratio) if ratio > 0 else 0.0
-    return Evaluation(value=total, bound=bound + trunc, bound_kind=ESTIMATED,
-                      method="z-power-series", cutoff_used=cutoff)
+    trunc = 3.0 * float(abs(w * last.value)) * ratio / (1.0 - ratio) if ratio > 0 else 0.0
+    return Evaluation(value=series.value, bound=series.bound + trunc, bound_kind=ESTIMATED,
+                      method=series.method, cutoff_used=series.cutoff_used)

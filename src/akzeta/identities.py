@@ -24,8 +24,8 @@ from .evaluator import (eval_hurwitz_mzv, eval_t, eval_ak_lhs, eval_ak_rhs,
                         zeta_combination)
 from .harmonic_bell import harmonic_table, bell_modified, d_operator
 from .numerics import (PrecisionContext, DEFAULT_CTX, Evaluation, RIGOROUS,
-                       ESTIMATED, zeta_em, clausen, beta_factor_exact, exact_sum,
-                       round_up, atan_series, machin_pi, cl2_modulus, decimal_unit)
+                       ESTIMATED, zeta_em, clausen, beta_factor_exact, combination,
+                       exact_sum, round_up, atan_series, machin_pi, cl2_modulus, decimal_unit)
 from .powerseries import (series_inverse, ak_bernoulli_polys, classical_bernoulli_polynomial,
                           li_series)
 
@@ -104,18 +104,16 @@ def _exact(equal: bool, value: float) -> tuple:
 
 def _compare(lhs: Evaluation, rhs: Evaluation,
              scale: float | Fraction = 1.0) -> tuple:
-    """Report fields for scale * lhs against rhs: the exact residual
-    |scale L - R| and the bound |scale| b_L + b_R, both rounded up to a
-    float, so that the residual is within the bound exactly when its float
-    is.  A scale that no float holds is passed as a Fraction; the reported
-    sides are each rounded to float once, from their integer ratios.
+    """Report fields for scale * lhs against rhs from their
+    :func:`~akzeta.numerics.combination` scale * lhs - rhs: its exact
+    |value| rounded up to a float, and its bound |scale| b_L + b_R, so that
+    the residual is within the bound exactly when its float is.  A scale
+    that no float holds is passed as a Fraction; the reported sides are
+    each rounded to float once, from their integer ratios.
     """
-    (sn, sd), (ln, ld), (rn, rd) = (scale.as_integer_ratio(), lhs.value.as_integer_ratio(),
-                                    rhs.value.as_integer_ratio())
-    residual = round_up(Fraction(abs(sn * ln * rd - rn * sd * ld), sd * ld * rd))
-    bound = round_up(exact_sum(((abs(scale), lhs.bound), (1, rhs.bound))))
-    kind = ESTIMATED if ESTIMATED in (lhs.bound_kind, rhs.bound_kind) else RIGOROUS
-    return sn * ln / (sd * ld), rn / rd, residual, bound, kind
+    (sn, sd), (ln, ld) = scale.as_integer_ratio(), lhs.value.as_integer_ratio()
+    d = combination(((scale, lhs), (-1, rhs)), "residual")
+    return sn * ln / (sd * ld), float(rhs.value), round_up(abs(d.value)), d.bound, d.bound_kind
 
 
 # ---------------------------------------------------------------- recipes

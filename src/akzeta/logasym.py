@@ -27,26 +27,26 @@ from i outward, so :func:`tail_chain` memoizes the chain per outer suffix,
 and :func:`tail_values` its values per suffix and cutoff.
 
 The module is a leaf: psi(1+x) and zeta(j, 1+x), the constants of its
-models, come from :func:`_digamma` and :func:`~akzeta.numerics.zeta_em`.
+models, come from one Euler-Maclaurin kernel, :func:`~akzeta.numerics.digamma`
+and :func:`~akzeta.numerics.zeta_em`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .numerics import PrecisionContext, memoized, zeta_em
+from .numerics import PrecisionContext, digamma, memoized, zeta_em
 from .powerseries import bernoulli_over_factorial, classical_bernoulli_polynomial
 
 __all__ = ["LogSeries", "pow_shift", "ztail", "tail_chain", "tail_values",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 ORDER = 10  # kept Laurent depth beyond the leading exponent
-# the models are float series: the zeta constants that zeta_em gives them
+# the models are float series: the psi and zeta constants they take
 # need float precision only, whatever the caller's
 _FLOAT_CTX = PrecisionContext(digits=17)
 # B_i/i!, i = 0..ORDER: the Taylor coefficients of t/(e^t - 1), rounded once
@@ -173,27 +173,6 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     return LogSeries(tail, shift), LogSeries(err, shift)
 
 
-def _digamma(a: float) -> float:
-    """psi(a) at a float a > 0, rounded once from 40 digits of decimal
-    arithmetic: psi(a) = psi(t) - sum_(j<n) 1/(a+j) up to t = a+n >= 40, and
-    psi(t) ~ ln(t) - 1/(2t) - sum_(k<=10) B_2k/(2k t^2k), whose first omitted
-    term is below 1e-32 there."""
-    with localcontext(Context(prec=40)):
-        a = Decimal(a)  # exact
-        n = max(0, math.ceil(40 - a))
-        t = a + n
-        u = 1 / (t * t)
-        acc = t.ln() - 1 / (2 * t)
-        power = Decimal(1)
-        for k in range(1, 11):
-            power *= u
-            c = bernoulli_over_factorial(2 * k) * math.factorial(2 * k - 1)  # B_2k/(2k)
-            acc -= Decimal(c.numerator) / c.denominator * power
-        for j in range(n):
-            acc -= 1 / (a + j)
-        return float(acc)
-
-
 def _bernoulli_at(a: float) -> tuple[Fraction, ...]:
     """B_i(a)/i! for i = 0..ORDER, exact at the float a: the Taylor
     coefficients of e^(at) t/(e^t - 1), for :func:`harmonic_model`."""
@@ -224,7 +203,7 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     a = 1.0 + x
     Ba = _bernoulli_at(a)
     if k == 1:
-        bands = {0: [-_digamma(a), 1.0]}
+        bands = {0: [-float(digamma(x, _FLOAT_CTX).value), 1.0]}
     else:
         bands = {0: [float(zeta_em(k, x, _FLOAT_CTX).value)]}
     for i in range(1 if k == 1 else 0, ORDER + 2 - k):
@@ -265,10 +244,11 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
       whose coefficients e_j follow from j e_j = sum_i c_i e_(j-i) with
       c_1 = -psi(a) and c_i = zeta(i, a), the Bell recurrence of P_j.
 
-    psi(a) comes from :func:`_digamma`, and zeta(j, a) from
-    :func:`~akzeta.numerics.zeta_em` at 17 digits.  At a < 1,
-    zeta(i, a) > a^-i grows with i, so once one order's float overflows
-    every later one does too: the orders from it are inf, unasked for.
+    psi(a) and zeta(j, a) come from :func:`~akzeta.numerics.digamma` and
+    :func:`~akzeta.numerics.zeta_em` at 17 digits and the exact 1 + x.  At
+    a < 1, zeta(i, a) > a^-i grows with i, so once one order's float
+    overflows every later one does too: the orders from it are inf,
+    unasked for.
     """
     if x <= -1:
         raise DomainError("require x > -1")
@@ -279,7 +259,7 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
         raise DomainError(f"Gamma(1 + x) overflows a float at x = {x}") from None
     gam = [amp]  # Gamma(a - z)
     if size > 1:
-        c = [0.0, -_digamma(a)]
+        c = [0.0, -float(digamma(x, _FLOAT_CTX).value)]
         for i in range(2, size):
             try:
                 c.append(float(zeta_em(i, x, _FLOAT_CTX).value))

@@ -1,6 +1,6 @@
-"""Numeric kernels: precision management, beta factors, zeta series with
-explicit truncation bounds, Clausen functions, and alternating-series
-acceleration.
+"""Numeric kernels: precision management, beta factors, one weighted-sum
+rule, zeta and digamma series with explicit truncation bounds, Clausen
+functions, and alternating-series acceleration.
 
 The transcendental kernels work in :mod:`decimal`, in a local context of
 digits + 10 digits, and return the exact Fraction of their Decimal terms'
@@ -24,6 +24,8 @@ __all__ = [
     "Evaluation",
     "beta_factor_exact",
     "zeta_em",
+    "digamma",
+    "combination",
     "clausen",
     "accelerate_alternating",
 ]
@@ -127,6 +129,17 @@ def exact_sum(terms) -> Fraction:
     return Fraction(num, den)
 
 
+def combination(terms, method: str) -> Evaluation:
+    """sum w * ev over pairs (w, ev) of a rational w and an Evaluation: the
+    exact sum of w * value, and the exact sum of |w| * bound rounded up
+    once; ``estimated`` if any part is, at the parts' largest cutoff."""
+    terms = tuple(terms)
+    kind = ESTIMATED if any(ev.bound_kind == ESTIMATED for _, ev in terms) else RIGOROUS
+    return Evaluation(exact_sum((w, ev.value) for w, ev in terms),
+                      round_up(exact_sum((abs(w), ev.bound) for w, ev in terms)), kind,
+                      method, max(ev.cutoff_used for _, ev in terms))
+
+
 def beta_factor_exact(n: int, x) -> Fraction:
     """B(n, 1+x) = (n-1)! / prod_{j<=n} (j + x) as an exact rational, for x
     an int or a Fraction: at x = a/b, (n-1)! b^n / prod_{j<=n} (a + j b)."""
@@ -162,13 +175,24 @@ def zeta_em(s, x=0, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
     behind each term times the term (see :func:`decimal_unit`).  The value
     is the exact Fraction of the sum of the Decimal terms.
     """
-    return _zeta_em_cached(real(s, "s"), real(x, "x", above=-1), ctx.digits, ctx.default_cutoff)
+    sf, xf = real(s, "s"), real(x, "x", above=-1)
+    if sf <= 1:
+        raise DivergenceError("series diverges for s <= 1")
+    return _zeta_em_cached(sf, xf, ctx.digits, ctx.default_cutoff)
+
+
+def digamma(x, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
+    """psi(1 + x) for real x > -1: as zeta(s, 1 + x) = 1/(s - 1) - psi(1 + x)
+    + O(s - 1) (DLMF 25.11), minus the sum of :func:`zeta_em` at s = 1 with
+    its integral term replaced by -ln(N + x), with the same bound (DLMF
+    5.11(ii) bounds psi's asymptotic remainder by the first omitted term)."""
+    ev = _zeta_em_cached(1.0, real(x, "x", above=-1), ctx.digits, ctx.default_cutoff)
+    return Evaluation(-ev.value, ev.bound, ev.bound_kind, ev.method, ev.cutoff_used)
 
 
 @memoized
 def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluation:
-    if sf <= 1:
-        raise DivergenceError("series diverges for s <= 1")
+    """zeta(s, 1 + x) for s > 1, and at s = 1 its constant term -psi(1 + x)."""
     # from N ~ digits on, the corrections shrink past the target within a
     # few dozen terms; the configured cutoff caps N
     N = min(max(10, digits), cutoff)
@@ -181,7 +205,10 @@ def _zeta_em_cached(sf: float, xf: float, digits: int, cutoff: int) -> Evaluatio
         pieces = [((n + x) ** minus_s, sf + 2) for n in range(1, N)]
         base = N + x
         power = base ** minus_s
-        pieces += [(power * base / (s - 1), sf + 6), (power / 2, sf + 3)]
+        # the integral, at s = 1 its constant term -ln(base): base > 9 rounds
+        # once, moving ln(base) > 2 by under a unit of it; ln rounds correctly
+        integral = (power * base / (s - 1), sf + 6) if sf > 1 else (-base.ln(), 2)
+        pieces += [integral, (power / 2, sf + 3)]
         # add the corrections B_2k/(2k)! (s)_{2k-1} base^{1-s-2k} until one
         # clears the target or stops shrinking: that one is the first
         # omitted.  With base^2 formed once, base^{1-s-2k} takes s + 4 + 4k

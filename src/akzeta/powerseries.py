@@ -174,11 +174,11 @@ def bernoulli_numbers(M: int) -> list[Fraction]:
 
 def _appell(numbers: Sequence[Fraction], m: int) -> PolyRat:
     """sum_k C(m,k) numbers[k] x^{m-k}: the m-th member of the Appell
-    sequence whose values at x = 0 are ``numbers``."""
-    coeffs = [Fraction(0)] * (m + 1)
-    for k in range(m + 1):
-        coeffs[m - k] = math.comb(m, k) * numbers[k]
-    return PolyRat(coeffs)
+    sequence whose values at x = 0 are ``numbers``.  Each coefficient is
+    one Fraction of the integer C(m,k) times the reduced numerator, over
+    the reduced denominator: one gcd, and no int * Fraction product."""
+    return PolyRat([Fraction(math.comb(m, j) * q.numerator, q.denominator)
+                    for j, q in enumerate(reversed(numbers[:m + 1]))])
 
 
 def classical_bernoulli_polynomial(m: int) -> PolyRat:

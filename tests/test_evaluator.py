@@ -22,7 +22,7 @@ from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
 from akzeta.identities import catalog, verify, verify_all
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS, Evaluation, clausen,
-                             zeta_em)
+                             round_up, zeta_em)
 
 CTX = PrecisionContext(default_cutoff=20000)
 
@@ -483,6 +483,19 @@ def test_prop2_series_reproduces_shift():
     assert abs(lhs.value - rhs.value) <= lhs.bound + rhs.bound + 1e-6
     with pytest.raises(DomainError):
         eval_prop2_series(Composition.of(2), 0.0, 1.5, 8, CTX)
+
+
+def test_prop2_series_bound_covers_the_exact_coefficient_bounds():
+    # the coefficient bounds sum exactly before one rounding up, and the
+    # truncation estimate adds to that: a float sum of |z|^m b_m came out
+    # below the exact sum here, which moved the whole bound down an ulp
+    x, z = 0.5, 0.25
+    beta = dual(Composition.of(2)).alpha()
+    coeffs = [eval_ak_lhs(beta, 1, m, x) for m in range(24)]
+    exact = sum(Fraction(z)**m * Fraction(ev.bound) for m, ev in enumerate(coeffs))
+    ratio = z / (1 + x)
+    trunc = 3.0 * float(abs(Fraction(z)**23 * coeffs[-1].value)) * ratio / (1.0 - ratio)
+    assert eval_prop2_series((2,), x, z).bound >= round_up(exact) + trunc
 
 
 def test_prop2_series_sums_the_p1_coefficients():

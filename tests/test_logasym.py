@@ -11,8 +11,8 @@ from akzeta.errors import DomainError
 from akzeta.harmonic_bell import bell_modified, harmonic_table
 from akzeta.logasym import (LogSeries, pow_shift, ztail,
                             beta_model, harmonic_model, bell_p_models, _beta_series,
-                            _digamma, tail_chain, tail_values, nested_tail_sum)
-from akzeta.numerics import beta_factor_exact, clear_caches
+                            tail_chain, tail_values, nested_tail_sum)
+from akzeta.numerics import beta_factor_exact, clear_caches, digamma
 
 
 def test_logseries_ring_basics():
@@ -115,14 +115,16 @@ def test_harmonic_models():
 
 
 def test_digamma_matches_mpmath_float_for_float():
-    # psi(1 + x) from 40 decimal digits rounds to the same float as mpmath's
-    # 27-digit value, near the pole at x = -1 and past the recurrence's t = 40
+    # the psi(1 + x) of the models, at 17 digits and the exact 1 + x, rounds
+    # to the same float as mpmath's 40-digit value, near the pole at x = -1
+    # and past the Euler-Maclaurin base N + x at N = 17
     rng = random.Random(2017)
     xs = [0.0, 0.5, -0.5, 0.25, 1 / 3, -0.9, -0.99, -0.999, -1 + 1e-12, 2.5, 145.5]
     xs += [rng.uniform(-1.0, 150.0) for _ in range(2000)]
-    with mp.workdps(27):
+    with mp.workdps(40):
         for x in xs:
-            assert _digamma(1 + x) == float(mp.digamma(1 + x)), x
+            got = float(digamma(x, logasym._FLOAT_CTX).value)
+            assert got == float(mp.digamma(1 + mp.mpf(x))), x
 
 
 def test_harmonic_constant_matches_mpmath_zeta():

@@ -7,8 +7,8 @@ import pytest
 
 from akzeta.errors import DomainError
 from akzeta.evaluator import eval_euler_transform
-from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS,
-                             Evaluation, beta_factor_exact,
+from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS, ESTIMATED,
+                             Evaluation, beta_factor_exact, combination, digamma,
                              zeta_em, clausen, accelerate_alternating, exact_sum,
                              round_up)
 
@@ -126,6 +126,26 @@ def test_zeta_em_within_bound_near_minus_one():
             with mp.workdps(digits + 60):
                 err = abs(_mpf(ev.value) - mp.zeta(s, 1 + mp.mpf(x)))
             assert err <= ev.bound, (digits, s, x)
+
+
+def test_digamma_within_bound():
+    # psi(1 + x) is minus zeta_em's constant term at s = 1: near the pole
+    # at x = -1, where 1/(1 + x) dominates, and past x = 40, where the
+    # Euler-Maclaurin base N + x is large
+    xs = [0.0, 0.5, -0.5, 1 / 3, 0.1, -0.9, -0.999, -1 + 1e-12, 0.4616321449683623,
+          41.5, 145.5, 1e3]
+    for digits in (15, 50, 300):
+        ctx = PrecisionContext(digits=digits)
+        for x in xs:
+            ev = digamma(x, ctx)
+            assert ev.bound_kind == RIGOROUS
+            assert ev.bound < 10.0 ** -digits * (1 + abs(float(ev.value)))
+            with mp.workdps(digits + 40):
+                err = abs(_mpf(ev.value) - mp.digamma(1 + mp.mpf(x)))
+            assert err <= ev.bound, (digits, x)
+    for bad in (-1.0, -2.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            digamma(bad)
 
 
 def test_zeta_em_sums_few_terms_at_high_precision():
@@ -247,3 +267,18 @@ def test_exact_sum_is_the_fraction_sum():
     # denominators that the running one already divides, and ones that widen it
     terms = [(1, Fraction(1, 12)), (1, Fraction(1, 4)), (5, Fraction(1, 6)), (1, Fraction(1, 10))]
     assert exact_sum(terms) == sum(Fraction(w) * q for w, q in terms) == Fraction(19, 15)
+
+
+def test_combination_sums_exactly_and_rounds_the_bound_up_once():
+    parts = [(Fraction(-1, 3), Evaluation(Fraction(1, 7), 0.1, RIGOROUS, "a", 40)),
+             (2, Evaluation(Fraction(2, 5), 0.2, RIGOROUS, "b", 64)),
+             (-0.5, Evaluation(Fraction(-3), 1e-17, RIGOROUS, "c", 32))]
+    ev = combination(parts, "sum")
+    assert ev.value == Fraction(-1, 21) + Fraction(4, 5) + Fraction(3, 2)
+    # |w| b summed exactly, negative weights counted by their size
+    exact = Fraction(1, 3) * Fraction(0.1) + 2 * Fraction(0.2) + Fraction(1, 2) * Fraction(1e-17)
+    assert ev.bound == round_up(exact) and ev.bound >= exact
+    assert (ev.bound_kind, ev.method, ev.cutoff_used) == (RIGOROUS, "sum", 64)
+    # one estimated part makes the whole estimated
+    parts.append((1, Evaluation(Fraction(0), 0.0, ESTIMATED, "d", 8)))
+    assert combination(parts, "sum").bound_kind == ESTIMATED
