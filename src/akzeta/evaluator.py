@@ -53,7 +53,6 @@ __all__ = [
 
 _F = 96                       # fractional bits of the fixed-point DP
 _ONE = 1 << _F
-_ROUNDOFF_UNIT = 2.0 ** -63   # unit of the stopping tolerance, as the cutoffs were sized
 _FIRST_RUNG = 32
 
 
@@ -135,12 +134,14 @@ def _roundoff(N: int, q: int, scale: float, size: float) -> float:
     zeta(2) < 2 because n + x > n - 1.  The Bell and geometric factors, off
     by at most n (m + 2) units times 1 + their size, multiply inner levels
     at x = 0, whose prefix sums stay small, and the margin below covers them.
-    The tolerance is 4 * 2^-63 N (q + 1) max(1 + |scale|, 2^(62 - _F) L):
-    at least that error bound, and 2^(_F - 62) times it while L <= 1 + |scale|.
-    At x < 0 the inner prefix sums reach (1 + x)^-e_1, far above the value
-    when the outer weights are small, and then L sets the tolerance.
+    The tolerance is the larger of 2^-61 N (q + 1) (1 + |scale|), the
+    stopping target the cutoffs were sized with, and 2 N (q + 1) 2^-_F L,
+    that proven rounding bound; while L <= 1 + |scale| the target is
+    2^(_F - 62) times the bound.  At x < 0 the inner prefix sums reach
+    (1 + x)^-e_1, far above the value when the outer weights are small, and
+    then L sets the tolerance.
     """
-    return 4.0 * _ROUNDOFF_UNIT * N * (q + 1) * max(1.0 + abs(scale), 2.0 ** (62 - _F) * size)
+    return N * (q + 1) * max(2.0 ** -61 * (1.0 + abs(scale)), 2.0 ** (1 - _F) * size)
 
 
 def _rungs(cap: int) -> tuple[int, ...]:

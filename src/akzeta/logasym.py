@@ -45,14 +45,14 @@ from .powerseries import bernoulli_over_factorial, classical_bernoulli_polynomia
 __all__ = ["LogSeries", "pow_shift", "ztail", "tail_chain", "tail_values",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
-ORDER = 10  # kept Laurent depth beyond the leading exponent
+# kept Laurent depth beyond the leading exponent; even, as ztail's first
+# omitted EM correction, derivative ORDER - 1 at the cap band, must be odd
+ORDER = 10
 # the models are float series: the psi and zeta constants they take
 # need float precision only, whatever the caller's
 _FLOAT_CTX = PrecisionContext(digits=17)
 # B_i/i!, i = 0..ORDER: the Taylor coefficients of t/(e^t - 1), rounded once
 _BERNOULLI = [float(bernoulli_over_factorial(i)) for i in range(ORDER + 1)]
-# B_2k/(2k)!, k = 1..5: the Euler-Maclaurin correction coefficients of ztail
-_EM_COEFF = [_BERNOULLI[2 * k] for k in range(1, 6)]
 
 
 class LogSeries:
@@ -137,7 +137,7 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     Each band f(n) = n^-s sum_j b_j ln(n)^j sums by Euler-Maclaurin as one
     linear map of b: the integral M^(1-s) sum_j t_j ln(M)^j with
     t_j = (b_j + (j+1) t_(j+1)) / (s-1), then -f(M)/2 as -b/2, and
-    -B_2r/(2r)! f^(2r-1)(M) for r = 1..4, where f^(r)(M) is
+    -B_2r/(2r)! f^(2r-1)(M) for r = 1..ORDER/2 - 1, where f^(r)(M) is
     M^(-s-r) sum_j d_j ln(M)^j and each derivative maps d_j to
     (j+1) d_(j+1) - (s+r-1) d_j.  s - 1 is (k - 1) + shift, exact near the
     pole s = 1.  Returns (tail, err), where err sums over the terms the
@@ -160,16 +160,16 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
         _accumulate(tail, k - 1, t)
         _accumulate(tail, k, b, -0.5)
         d, e = list(b), list(map(abs, b))  # f^(r) and its magnitude, in place
-        for r in range(1, 10):
+        for r in range(1, ORDER):
             sr = k + r - 1 + shift
             for j in range(n - 1):
                 d[j] = (j + 1) * d[j + 1] - sr * d[j]
                 e[j] = (j + 1) * e[j + 1] + sr * e[j]
             d[-1] *= -sr
             e[-1] *= sr
-            if r % 2 and r < 9 and k + r <= cap:
-                _accumulate(tail, k + r, d, -_EM_COEFF[r // 2])
-        _accumulate(err, k + 9, e, _EM_COEFF[4])
+            if r % 2 and r < ORDER - 1 and k + r <= cap:
+                _accumulate(tail, k + r, d, -_BERNOULLI[r + 1])
+        _accumulate(err, k + ORDER - 1, e, _BERNOULLI[ORDER])
     return LogSeries(tail, shift), LogSeries(err, shift)
 
 

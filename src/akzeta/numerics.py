@@ -1,6 +1,8 @@
 """Numeric kernels: precision management, beta factors, one weighted-sum
-rule, zeta and digamma series with explicit truncation bounds, Clausen
-functions, and alternating-series acceleration.
+rule (exact sums in integers over the common denominator of
+:func:`~akzeta.powerseries.over_one_denominator`), zeta and digamma series
+with explicit truncation bounds, Clausen functions, and alternating-series
+acceleration.
 
 The transcendental kernels work in :mod:`decimal`, in a local context of
 digits + 10 digits, and return the exact Fraction of their Decimal terms'
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, DivergenceError, Record, integer, rational, real
-from .powerseries import bernoulli_over_factorial
+from .powerseries import bernoulli_over_factorial, over_one_denominator
 
 __all__ = [
     "PrecisionContext",
@@ -114,19 +116,14 @@ def round_up(q: Fraction) -> float:
 
 def exact_sum(terms) -> Fraction:
     """The exact sum of w * q over pairs (w, q) of rationals (ints, floats
-    or Fractions), formed in integers over one common denominator and
-    reduced once, in place of one gcd per Fraction operation.  The
-    denominator widens only when a term needs it: a term whose denominator
-    divides it costs one remainder, not a gcd."""
-    num, den = 0, 1
+    or Fractions): the products wn qn / (wd qd) over one common denominator,
+    summed in integers and reduced once, not one gcd per Fraction operation."""
+    products = []
     for w, q in terms:
         (wn, wd), (qn, qd) = w.as_integer_ratio(), q.as_integer_ratio()
-        d = wd * qd
-        if den % d:
-            f = d // math.gcd(den, d)
-            num, den = num * f, den * f
-        num += wn * qn * (den // d)
-    return Fraction(num, den)
+        products.append((wn * qn, wd * qd))
+    nums, den = over_one_denominator(products)
+    return Fraction(sum(nums), den)
 
 
 def combination(terms, method: str) -> Evaluation:

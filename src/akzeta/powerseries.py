@@ -4,10 +4,11 @@ polynomials of the generalized Arakawa-Kaneko zeta function.
 A truncated series is the plain list of its coefficients c_0..c_M, lowest
 order first; a polynomial in x is a :class:`PolyRat`.  Coefficients and
 arguments are ints or Fractions, and a float is refused.  The loops of
-:func:`series_inverse`, :meth:`PolyRat.__call__` and
+:func:`series_inverse`, :meth:`PolyRat.__call__`, :func:`li_series` and
 :func:`ak_bernoulli_polys` run in Python integers over one common
-denominator (``_over_one_denominator``) and reduce each returned value to
-a Fraction once, in place of one gcd per Fraction operation.
+denominator (:func:`over_one_denominator`, which
+:func:`~akzeta.numerics.exact_sum` shares) and reduce each returned value
+to a Fraction once, in place of one gcd per Fraction operation.
 
 With c_n the w^n coefficient of Li_v(w), that function expands as
 Z(s; x) = sum_n c_n p^{-n} D(n, s, x) over the kernel D of
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .combinatorics import Composition
@@ -64,7 +66,7 @@ class PolyRat(Record):
     def __call__(self, x: Scalar) -> Fraction:
         x = rational(x, "x")
         p, q = x.numerator, x.denominator
-        C, D = _over_one_denominator([(c.numerator, c.denominator) for c in self.coeffs])
+        C, D = over_one_denominator([(c.numerator, c.denominator) for c in self.coeffs])
         # Horner's rule on sum_i C_i p^i q^(deg-i); at the end qk = q^(deg+1)
         acc, qk = 0, 1
         for c in reversed(C):
@@ -98,7 +100,7 @@ class PolyRat(Record):
         return f"PolyRat({self})"
 
 
-def _over_one_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+def over_one_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """The pairs (n_i, d_i), d_i > 0, as integers N_i over one common
     denominator D, so that n_i/d_i = N_i/D.  D grows only by what a d_i
     still lacks: a d_i that divides it costs one remainder, not a gcd."""
@@ -118,7 +120,7 @@ def series_inverse(f: Sequence[Scalar]) -> list[Fraction]:
     f = [rational(c, "coefficient") for c in f]
     if not f or f[0] == 0:
         raise DomainError("series with zero constant term has no inverse")
-    F, D = _over_one_denominator([(c.numerator, c.denominator) for c in f])
+    F, D = over_one_denominator([(c.numerator, c.denominator) for c in f])
     G, F0k = [0], 1  # G_k = F_k F_0^(k-1)
     for Fk in F[1:]:
         G.append(Fk * F0k)
@@ -192,26 +194,18 @@ def li_series(v: Composition, M: int) -> list[Fraction]:
     the list c_0..c_M, with c_0 = 0.
 
     Coefficient of w^n is the nested sum over n_1 < ... < n_k = n of
-    prod n_i^{-v_i}; computed by prefix-sum dynamic programming.
+    prod n_i^{-v_i}; computed by prefix-sum dynamic programming on integers
+    A_n over one denominator D: each level puts A_j / (D j^e) over one
+    denominator and takes the prefix sums over j < n.
     """
     v = Composition.coerce(v)
     M = integer(M, v.depth, "truncation order M")
-    k = v.depth
-    # S[n] for the current level; level 0 is the empty product = 1 for all n.
-    S = [Fraction(1)] * (M + 1)  # index by n = 0..M (n=0 unused)
-    for level in range(k - 1):
-        e = v.parts[level]
-        prefix = [Fraction(0)] * (M + 1)
-        run = Fraction(0)
-        for n in range(1, M + 1):
-            prefix[n] = run  # sum over j < n
-            run += S[n] / Fraction(n**e)
-        S = prefix
+    A, D = [1] * (M + 1), 1  # level 0, the empty product, for n = 0..M (n = 0 unused)
+    for e in v.parts[:-1]:
+        B, D = over_one_denominator([(A[j], D * j**e) for j in range(1, M + 1)])
+        A = [0, 0, *accumulate(B[:-1])]  # A_n = sum_{j<n} B_j
     e_last = v.parts[-1]
-    coeffs = [Fraction(0)] * (M + 1)
-    for n in range(1, M + 1):
-        coeffs[n] = S[n] / Fraction(n**e_last)
-    return coeffs
+    return [Fraction(0)] + [Fraction(A[n], D * n**e_last) for n in range(1, M + 1)]
 
 
 def ak_bernoulli_polys(v, p, m_max: int) -> list[PolyRat]:
@@ -231,7 +225,7 @@ def ak_bernoulli_polys(v, p, m_max: int) -> list[PolyRat]:
         raise DomainError("p must be >= 1")
     c = li_series(v, max(m_max + 1, v.depth))
     a, b = p.numerator, p.denominator
-    E, den = _over_one_denominator(
+    E, den = over_one_denominator(
         [((-1) ** (n - 1) * math.factorial(n - 1) * c[n].numerator * b**n, c[n].denominator * a**n)
          for n in range(1, m_max + 2)])
     at_zero, S = [], [0, 1]  # S[n] = S(i+1, n), n = 0..i+1

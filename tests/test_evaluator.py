@@ -654,6 +654,17 @@ def test_ak_lhs_closed_form_at_small_caps():
                     assert abs(_mpf(ev.value) - exact) <= ev.bound, (cap, r, m)
 
 
+def test_roundoff_is_the_old_tolerance():
+    # the tolerance stated in _F is the float of the long-double-era
+    # 4 * 2^-63 N (q + 1) max(1 + |scale|, 2^(62 - 96) L) on every rung
+    for N in _rungs(100_000):
+        for q in range(31):
+            for scale in (0.0, 1e-300, -1e-300, 1.0, -1.0, 641.0, -641.0, 1e300, -1e300):
+                for size in (1.0, 1.5, 2.0**34, 1e17, 1e100, 1e300):
+                    old = 4.0 * 2.0**-63 * N * (q + 1) * max(1 + abs(scale), 2.0**(62 - 96) * size)
+                    assert _roundoff(N, q, scale, size) == old
+
+
 def test_rungs_cap_the_cutoff():
     assert _rungs(20) == (20,)
     assert _rungs(100) == (32, 100)

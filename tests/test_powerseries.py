@@ -116,6 +116,29 @@ def test_li_series_coefficients():
         li_series(Composition.of(1, 2), 1)
 
 
+def _li_series_fraction_loop(v, M):
+    """Li_v's coefficients by the plain Fraction prefix-sum loop, the oracle."""
+    S = [Fraction(1)] * (M + 1)
+    for e in v[:-1]:
+        prefix, run = [Fraction(0)] * (M + 1), Fraction(0)
+        for n in range(1, M + 1):
+            prefix[n] = run  # sum over j < n
+            run += S[n] / Fraction(n**e)
+        S = prefix
+    return [Fraction(0)] + [S[n] / Fraction(n ** v[-1]) for n in range(1, M + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+    lambda v: st.tuples(st.just(tuple(v)), st.integers(len(v), 80))))
+def test_li_series_is_the_fraction_loop(case):
+    v, M = case
+    c = li_series(Composition(v), M)
+    assert all(type(cn) is Fraction for cn in c)
+    assert c[0] == 0
+    assert c == _li_series_fraction_loop(v, M)
+
+
 def test_li_series_numeric_vs_mpmath():
     # Li_2(w) at w = 1/3 against the classical dilogarithm
     s = li_series(Composition.of(2), 60)
