@@ -18,19 +18,22 @@ of a sum is memoized by the smallest key that determines it, under the
 one :func:`~akzeta.numerics.memoized` policy.  The DP of the plain inner
 levels e[:-1] at (x, N) is :func:`_dp_prefix`, built from the entry of
 e[:-2] and one step; the outer level, with its Bell and geometric factors,
-is the sum's own.  The tail chain of each outer suffix e[i:] and its values
-at N are :func:`~akzeta.logasym.tail_chain` and
-:func:`~akzeta.logasym.tail_values`.  Every float is formed by the same
-operations in the same order as without the sharing, so no result depends
-on which sum filled an entry.  Entries are shared: never mutate a list or
-tuple they return.
+is the sum's own.  The tail chain of each outer suffix e[i:] and its
+values at N are :func:`~akzeta.logasym.tail_chain` and
+:func:`~akzeta.logasym.tail_values`.  No rung of a cutoff ladder sums
+again what the rung below it summed: each memoized array continues its
+entry at that rung, and the sum carries its own state up the ladder.
+Every float is formed by the same operations in the same order as
+without the sharing and the continuation, so no result depends on which
+sum filled an entry, nor on which entries were dropped.  Entries are
+shared: never mutate a list or tuple they return.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable
 
 from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomial
@@ -54,22 +57,24 @@ __all__ = [
 _F = 96                       # fractional bits of the fixed-point DP
 _ONE = 1 << _F
 _FIRST_RUNG = 32
+# the power rungs of every ladder, for caps below 2^70
+_POWER_RUNGS = tuple(_FIRST_RUNG << k for k in range(64))
 
 
-def _power_weights(N: int, e: int, x: float = 0.0) -> list[int]:
-    """(n + x)^-e for n = 1..N in fixed point, x taken as the exact dyadic
+def _power_weights(N: int, e: int, x: float = 0.0, M: int = 0) -> list[int]:
+    """(n + x)^-e for n = M+1..N in fixed point, x taken as the exact dyadic
     rational of its float; each weight is rounded down once."""
     xn, xd = x.as_integer_ratio()
     num = xd**e << _F
-    return [num // (n * xd + xn) ** e for n in range(1, N + 1)]
+    return [num // (n * xd + xn) ** e for n in range(M + 1, N + 1)]
 
 
-def _geometric(N: int, r: Fraction) -> list[int]:
-    """r^n for n = 1..N in fixed point, by one floored recurrence."""
+def _geometric(count: int, r: Fraction, t: int = _ONE) -> list[int]:
+    """The next ``count`` values of the floored recurrence t <- t r from t
+    (r^n for n = 1..count from 1), in fixed point."""
     num, den = r.as_integer_ratio()
     out = []
-    t = _ONE
-    for _ in range(N):
+    for _ in range(count):
         t = t * num // den
         out.append(t)
     return out
@@ -81,40 +86,56 @@ def _product(*vectors: list[int]) -> list[int]:
     return [math.prod(t) >> shift for t in zip(*vectors)]
 
 
-def _dp_nested(weights: list[list[int]]) -> tuple[list[int], tuple[float, ...]]:
+def _dp_nested(weights: list[list[int]], sums: list[int] | None = None
+               ) -> tuple[list[int], tuple[float, ...]]:
     """Prefix-sum DP for the terms of sum over n_1 < ... < n_q of
-    prod_i w_i[n_i].
+    prod_i w_i[n_i], on the segment M < n <= N of a ladder.
 
-    The weights are fixed-point integers (value * 2^_F); weights[0] may
-    also be the terms of an inner level that a :func:`_dp_prefix` entry
-    keeps.  Returns the last level's terms for n = 1..N, whose sum is the
-    fixed-point partial sum over n_q <= N, together with each earlier
-    level's S(N+1), the sum of its terms, correctly rounded to float, as
-    the symbolic tail recursion needs them.  The prefix sums are exact;
-    each product rounds down once.  It mutates no list, as a prefix entry
-    it is given is shared.
+    The weights are fixed-point integers (value * 2^_F) for n = M+1..N;
+    weights[0] may also be the terms of an inner level that a
+    :func:`_dp_prefix` entry keeps.  ``sums`` holds, for each level but the
+    last, the exact sum of its terms over n <= M, and is advanced in place
+    to n <= N; without it M = 0.  Returns the last level's terms on the
+    segment, whose sum extends the fixed-point partial sum to n_q <= N,
+    together with each earlier level's S(N+1), the sum of its terms,
+    correctly rounded to float, as the symbolic tail recursion needs them.
+    The prefix sums are exact; each product rounds down once.  It mutates
+    no weight list, as a prefix entry it is given is shared.
     """
-    S = []
+    if sums is None:
+        sums = [0] * (len(weights) - 1)
     terms = weights[0]
-    for w in weights[1:]:
-        S.append(sum(terms) / _ONE)
-        # S_i(1) = 0, S_i(n) = the sum of the terms below n, streamed
-        terms = [0] + [(s * wn) >> _F for s, wn in zip(accumulate(terms), w[1:])]
-    return terms, tuple(S)
+    for i, w in enumerate(weights[1:]):
+        # S_i(n) = sums[i] + the terms from M+1 below n, streamed; zip draws
+        # from w first, so the value it leaves in S is the sum through N
+        S = accumulate(terms, initial=sums[i])
+        terms = [(s * wn) >> _F for wn, s in zip(w, S)]
+        sums[i] = next(S)
+    return terms, tuple(s / _ONE for s in sums)
+
+
+def _below(N: int) -> int:
+    """The rung below cutoff N on every ladder of :func:`_rungs`: the largest
+    _FIRST_RUNG * 2^k <= N/2, or 0 below 2 * _FIRST_RUNG."""
+    return 1 << ((N >> 1).bit_length() - 1) if N >= 2 * _FIRST_RUNG else 0
 
 
 @memoized
 def _dp_prefix(e: tuple[int, ...], x: float, N: int) -> tuple[list[int], tuple[float, ...]]:
     """:func:`_dp_nested` of the plain power levels (n + x)^-e_i at cutoff N:
-    the memoized entry of e[:-1] and one more step.  Every sum whose inner
-    levels are e shares it; its outer level, with any extra factor, is
-    the sum's own."""
-    w = _power_weights(N, e[-1], x)
+    its entry at the rung M = :func:`_below` (N) continued to N.  The
+    segment n = M+1..N of the last level is one step on the memoized entry
+    of e[:-1] at N, from the exact sum of that entry's terms over n <= M.
+    Every sum whose inner levels are e shares it; its outer level, with any
+    extra factor, is the sum's own."""
+    M = _below(N)
+    lower = _dp_prefix(e, x, M)[0] if M else []
+    w = _power_weights(N, e[-1], x, M)
     if len(e) == 1:
-        return w, ()
+        return lower + w, ()
     inner, S = _dp_prefix(e[:-1], x, N)
-    terms, S_last = _dp_nested([inner, w])
-    return terms, S + S_last
+    terms, S_last = _dp_nested([inner[M:], w], [sum(islice(inner, M))])
+    return lower + terms, S + S_last
 
 
 def _roundoff(N: int, q: int, scale: float, size: float) -> float:
@@ -146,22 +167,21 @@ def _roundoff(N: int, q: int, scale: float, size: float) -> float:
 
 def _rungs(cap: int) -> tuple[int, ...]:
     """The cutoff ladder 32, 64, ... while twice the rung fits under ``cap``,
-    then ``cap`` itself."""
-    rungs = []
-    N = _FIRST_RUNG
-    while 2 * N <= cap:
-        rungs.append(N)
-        N *= 2
-    return (*rungs, cap)
+    then ``cap`` itself: the first bitlen(cap // 64) powers 32 * 2^k."""
+    return _POWER_RUNGS[:(cap // (2 * _FIRST_RUNG)).bit_length()] + (cap,)
 
 
 def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
     """The cutoff ladder of a p = 1 sum at shift x: the rungs N > x.  Its
     tail models expand in powers of x/N and diverge at every rung N <= x, so
-    x must lie below the cap, which is then the last rung."""
-    if xf >= ctx.default_cutoff:
-        raise DomainError(f"shift x = {xf} must be below the cutoff cap {ctx.default_cutoff}")
-    return tuple(N for N in _rungs(ctx.default_cutoff) if N > xf)
+    x must lie below the cap, which is then the last rung.  The powers
+    32 * 2^k <= x are the first bitlen(int(x) // 32), as int truncates every
+    x in (-1, 0) to 0."""
+    cap = ctx.default_cutoff
+    if xf >= cap:
+        raise DomainError(f"shift x = {xf} must be below the cutoff cap {cap}")
+    return (_POWER_RUNGS[(int(xf) // _FIRST_RUNG).bit_length():
+                         (cap // (2 * _FIRST_RUNG)).bit_length()] + (cap,))
 
 
 def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) -> Evaluation:
@@ -171,11 +191,14 @@ def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) 
     the exact value in units of 2^-_F, its float, the part of its bound
     that shrinks as N grows (truncation, and the float evaluation of a
     symbolic tail; infinite when no majorant exists at N), and the size of
-    the outer term's factors.  The stopping tolerance :func:`_roundoff`,
-    sized by the float and the factors, grows linearly in N; it also covers
-    int(tail * 2^_F), which truncates by less than 2^-_F.  The
-    sum keeps the first rung where trunc <= roundoff, else the last: its
-    bound, at most 2 * roundoff, is then no larger than at any rung >= 2N.
+    the outer term's factors.  It is called with the rungs in increasing
+    order, each at most once, so it may continue the sum of the rung before
+    rather than start again from n = 1.  The stopping tolerance
+    :func:`_roundoff`, sized by the float and the factors, grows linearly
+    in N; it also covers int(tail * 2^_F), which truncates by less than
+    2^-_F.  The sum keeps the first rung where trunc <= roundoff, else the
+    last: its bound, at most 2 * roundoff, is then no larger than at any
+    rung >= 2N.
     """
     for N in rungs:
         partial, scale, trunc, size = rung(N)
@@ -249,24 +272,31 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
 @memoized
 def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
     """B(n,1+x) and P_m of (H_n^(1)(x),..,H_n^(m)(x)) for n = 1..N, in
-    fixed point.
+    fixed point: the entry at the rung M = :func:`_below` (N) continued to N.
 
     P_j of the harmonic numbers is the complete homogeneous symmetric
     polynomial h_j(y_1, .., y_n) of y_i = 1/(i+x), so
     P_j(n) = sum_{i<=n} y_i P_(j-1)(i): one product and one prefix sum on
     the memoized arrays of order j - 1, where the Bell recurrence takes j of
-    each.  The orders below m are asked for from the bottom up, so no call
-    recurses deeper than one level.
+    each.  The orders below m are asked for from the bottom up, so a call
+    recurses one order deep, and down the rungs below N only where their
+    entries were dropped.
     """
+    M = _below(N)
     if m:
         for j in range(m):
             B, P = _outer_arrays(N, j, x)
-        y = _power_weights(N, 1, x)
-        return B, list(accumulate([(a * b) >> _F for a, b in zip(y, P)]))
+        lower = _outer_arrays(M, m, x)[1] if M else []
+        y = _power_weights(N, 1, x, M)
+        # P_m(n) for n > M: P_m(M) plus the products from M+1 through n
+        P_m = accumulate([(a * b) >> _F for a, b in zip(y, P[M:])],
+                         initial=lower[-1] if M else 0)
+        next(P_m)
+        return B, lower + list(P_m)
     xn, xd = x.as_integer_ratio()
     # B(1,1+x) = 1/(1+x), B(n+1,1+x) = B(n,1+x) * n/(n+1+x)
-    B = [(xd << _F) // (xd + xn)]
-    for n in range(1, N):
+    B = _outer_arrays(M, 0, x)[0][:] if M else [(xd << _F) // (xd + xn)]
+    for n in range(len(B), N):
         B.append(B[-1] * n * xd // ((n + 1) * xd + xn))
     return B, [_ONE] * N
 
@@ -284,7 +314,11 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
     The outer level's power weights and extra factors make one product,
     rounded down once; a level without extra factors is its power weights.
     At each rung N the inner levels come from the shared :func:`_dp_prefix`
-    entry of e[:-1], and one :func:`_dp_nested` step adds the outer level.
+    entry of e[:-1], and one :func:`_dp_nested` step adds the outer level
+    on the segment past the rung M below.  The ladder keeps the sum's own
+    state from rung to rung: M, the exact inner prefix sum S_(q-1)(M+1),
+    the un-tailed partial sum to M and the geometric factor at M, so each
+    rung forms the outer weights and factors of n = M+1..N only.
     Without r the rest of the sum is the symbolic Euler-Maclaurin tail of
     the levels' asymptotic models: :func:`~akzeta.logasym.nested_tail_sum`
     combines the S values with the shared tail values of the outer
@@ -307,38 +341,48 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
             raise DomainError(f"the majorant of P_m overflows a float at m = {m}, x = {y}") from None
         p = float(1 / abs(r)) if r else math.inf
 
+    M, partial, t = 0, 0, _ONE   # the sum so far runs to n <= M; t = r^M
+    sums = [0] if len(e) > 1 else []
+
     def rung(N):
-        levels = [_power_weights(N, e[-1], x)]
-        outer = [*_outer_arrays(N, m, y)] if bell else []
+        nonlocal M, partial, t
+        levels = [_power_weights(N, e[-1], x, M)]
+        factors = []
+        if bell:
+            B, P = _outer_arrays(N, m, y)
+            factors += [B[M:], P[M:]]
         if r is not None:
-            outer.append(_geometric(N, r))
-        if outer:
-            levels[0] = _product(levels[0], *outer)
+            factors.append(_geometric(N - M, r, t))
+            t = factors[-1][-1]
+        if factors:
+            levels[0] = _product(levels[0], *factors)
         # outside the try: a model the tail chain refuses keeps its own DomainError
         values = tail_values(e, x, bell, N) if r is None else None
         try:
             S_inner = ()
             if len(e) > 1:
                 inner, S_inner = _dp_prefix(e[:-1], x, N)
-                levels.insert(0, inner)
-            terms, S_outer = _dp_nested(levels)
-            partial = sum(terms)
+                levels.insert(0, inner[M:])
+            terms, S_outer = _dp_nested(levels, sums)
+            partial += sum(terms)
+            M = N
+            total = partial
             S_at = [1.0, *S_inner, *S_outer]
             if r is None:
                 tail, terr = nested_tail_sum(S_at, values)
                 if not math.isfinite(terr):  # a tail model that overflowed a float
                     raise OverflowError
-                partial += int(tail * _ONE)
-            scale = partial / _ONE
+                total += int(tail * _ONE)
+            scale = total / _ONE
             size = 1.0 + max(S_at)
             if bell:
-                size *= (1.0 + outer[0][0] / _ONE) * (1.0 + outer[1][-1] / _ONE)
+                size *= (1.0 + B[0] / _ONE) * (1.0 + P[-1] / _ONE)
         except (OverflowError, ValueError):  # a value or tail past the float range, or NaN
             raise DomainError(f"{what} leaves the float range at cutoff {N}") from None
         if r is None:
-            return partial, scale, terr, size
-        K = outer[0][-1] / _ONE * N ** (-float(e[-1])) * D if bell else 1.0
-        return partial, scale, _geom_row_bound(N, p, m + len(e) - 1, K, h), size
+            return total, scale, terr, size
+        K = B[-1] / _ONE * N ** (-float(e[-1])) * D if bell else 1.0
+        return total, scale, _geom_row_bound(N, p, m + len(e) - 1, K, h), size
 
     q = len(e) + (m + 1 if bell else 0)
     return _choose_cutoff(rungs, rung, q, "dp+em-tail" if r is None else "dp+geom-tail")

@@ -86,7 +86,16 @@ class LogSeries:
         return LogSeries(out, shift - carry)
 
     def __call__(self, M: float) -> float:
-        return self.at(M)[0]
+        """The float value at M, summed term for term as :meth:`at` sums it,
+        without the two magnitudes."""
+        logM = math.log(M)
+        Ms = M ** -self.shift
+        total = 0.0
+        for k, b in self.bands.items():
+            Mk = M ** -k
+            for j in range(len(b) - 1, -1, -1) if len(b) > 1 else (0,):  # top log power first
+                total += b[j] * logM**j * Mk * Ms
+        return total
 
     def at(self, M: float) -> tuple[float, float, float]:
         """The float value at M, the sum of its |terms|, which scales the
@@ -122,6 +131,15 @@ def _accumulate(bands: dict[int, list[float]], k: int, b: list[float], scale: fl
             band[j] += scale * c
 
 
+def _add(bands: dict[int, list[float]], k: int, c: float):
+    """:func:`_accumulate` of the one-term band [c] at scale 1."""
+    band = bands.get(k)
+    if band is None:
+        bands[k] = [c]
+    else:
+        band[0] += c
+
+
 def pow_shift(s: float, a: float) -> LogSeries:
     """(n+a)^(-s) expanded around n = infinity."""
     base = math.floor(s)
@@ -143,6 +161,9 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     pole s = 1.  Returns (tail, err), where err sums over the terms the
     magnitude of the first omitted correction: one term's derivatives never
     cancel, so that is the map e_j -> (j+1) e_(j+1) + (s+r-1) e_j on |b|.
+    The derivatives stop at the last correction the band keeps (none past
+    r = ORDER - 3, nor past the cap), and a band of one term, as most are,
+    runs the same maps on floats rather than lists.
     """
     shift = series.shift
     if series.lead <= 1.0:
@@ -152,8 +173,23 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     for k, b in series.bands.items():
         if k - 1 > cap:
             continue
-        n = len(b)
         sm1 = k - 1 + shift
+        last = min(ORDER - 3, cap - k)  # the last derivative a kept correction takes
+        if len(b) == 1:  # the same maps on one term, which is not 0
+            d = b[0]
+            _add(tail, k - 1, d / sm1)
+            _add(tail, k, -0.5 * d)
+            e = abs(d)
+            for r in range(1, ORDER):
+                sr = k + r - 1 + shift
+                e *= sr
+                if r <= last:
+                    d *= -sr
+                    if r % 2:
+                        _add(tail, k + r, -_BERNOULLI[r + 1] * d)
+            _add(err, k + ORDER - 1, _BERNOULLI[ORDER] * e)
+            continue
+        n = len(b)
         t, acc = [0.0] * n, 0.0
         for j in range(n - 1, -1, -1):  # t_j from the top log power down
             t[j] = acc = (b[j] + (j + 1) * acc) / sm1
@@ -163,12 +199,14 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
         for r in range(1, ORDER):
             sr = k + r - 1 + shift
             for j in range(n - 1):
-                d[j] = (j + 1) * d[j + 1] - sr * d[j]
                 e[j] = (j + 1) * e[j + 1] + sr * e[j]
-            d[-1] *= -sr
             e[-1] *= sr
-            if r % 2 and r < ORDER - 1 and k + r <= cap:
-                _accumulate(tail, k + r, d, -_BERNOULLI[r + 1])
+            if r <= last:
+                for j in range(n - 1):
+                    d[j] = (j + 1) * d[j + 1] - sr * d[j]
+                d[-1] *= -sr
+                if r % 2:
+                    _accumulate(tail, k + r, d, -_BERNOULLI[r + 1])
         _accumulate(err, k + ORDER - 1, e, _BERNOULLI[ORDER])
     return LogSeries(tail, shift), LogSeries(err, shift)
 

@@ -10,16 +10,20 @@ from itertools import accumulate
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import akzeta
 from akzeta.combinatorics import Composition, dual, admissible_compositions
 from akzeta.errors import DomainError, DivergenceError
+from akzeta import evaluator
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform,
                               eval_prop2_series, clear_caches, _nested, _rungs,
                               _F, _dp_nested, _dp_prefix, _geometric, _outer_arrays,
-                              _power_weights, _product, _roundoff)
+                              _power_weights, _product, _roundoff, _choose_cutoff,
+                              _geom_row_bound, _tail_rungs)
 from akzeta.identities import catalog, verify, verify_all
+from akzeta.logasym import nested_tail_sum, tail_values
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS, Evaluation, clausen,
                              round_up, zeta_em)
@@ -737,6 +741,187 @@ def test_outer_arrays_memo_matches_a_fresh_build(N):
         for _ in range(m):
             fresh = list(accumulate([(a * b) >> _F for a, b in zip(y, fresh)]))
         assert _outer_arrays(N, m, x) == (B, fresh), m
+
+
+# The from-scratch builders of every rung, as the core ran before each rung
+# continued the one below: oracles for the extended ladder, which must form
+# the same integers and floats by the same operations.
+
+def _scratch_power_weights(N, e, x):
+    xn, xd = x.as_integer_ratio()
+    num = xd**e << _F
+    return [num // (n * xd + xn) ** e for n in range(1, N + 1)]
+
+
+def _scratch_geometric(N, r):
+    num, den = r.as_integer_ratio()
+    out, t = [], 1 << _F
+    for _ in range(N):
+        t = t * num // den
+        out.append(t)
+    return out
+
+
+def _scratch_dp_nested(weights):
+    S = []
+    terms = weights[0]
+    for w in weights[1:]:
+        S.append(sum(terms) / (1 << _F))
+        terms = [0] + [(s * wn) >> _F for s, wn in zip(accumulate(terms), w[1:])]
+    return terms, tuple(S)
+
+
+def _scratch_dp_prefix(e, x, N):
+    w = _scratch_power_weights(N, e[-1], x)
+    if len(e) == 1:
+        return w, ()
+    inner, S = _scratch_dp_prefix(e[:-1], x, N)
+    terms, S_last = _scratch_dp_nested([inner, w])
+    return terms, S + S_last
+
+
+def _scratch_outer_arrays(N, m, x):
+    xn, xd = x.as_integer_ratio()
+    B = [(xd << _F) // (xd + xn)]
+    for n in range(1, N):
+        B.append(B[-1] * n * xd // ((n + 1) * xd + xn))
+    y = _scratch_power_weights(N, 1, x)
+    P = [1 << _F] * N
+    for _ in range(m):
+        P = list(accumulate([(a * b) >> _F for a, b in zip(y, P)]))
+    return B, P
+
+
+def _scratch_rung(e, x, bell, r):
+    """rung(N) of `_nested`, every array built again from n = 1 at each N."""
+    one = 1 << _F
+    m, y = bell or (0, 0.0)
+    if r is not None:
+        h = max(1.0, 1.0 / (1.0 + y))
+        g = max(2.0, 1.0 / (1.0 + y))
+        D = (g ** max(m - 1, 0) + m) ** m / math.factorial(m)
+        p = float(1 / abs(r)) if r else math.inf
+
+    def rung(N):
+        levels = [_scratch_power_weights(N, e[-1], x)]
+        outer = [*_scratch_outer_arrays(N, m, y)] if bell else []
+        if r is not None:
+            outer.append(_scratch_geometric(N, r))
+        if outer:
+            levels[0] = _product(levels[0], *outer)
+        S_inner = ()
+        if len(e) > 1:
+            inner, S_inner = _scratch_dp_prefix(e[:-1], x, N)
+            levels.insert(0, inner)
+        terms, S_outer = _scratch_dp_nested(levels)
+        partial = sum(terms)
+        S_at = [1.0, *S_inner, *S_outer]
+        if r is None:
+            tail, terr = nested_tail_sum(S_at, tail_values(e, x, bell, N))
+            partial += int(tail * one)
+        scale = partial / one
+        size = 1.0 + max(S_at)
+        if bell:
+            size *= (1.0 + outer[0][0] / one) * (1.0 + outer[1][-1] / one)
+        if r is None:
+            return partial, scale, terr, size
+        K = outer[0][-1] / one * N ** (-float(e[-1])) * D if bell else 1.0
+        return partial, scale, _geom_row_bound(N, p, m + len(e) - 1, K, h), size
+    return rung
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 80),
+       st.integers(0, 80), st.sampled_from([0.0, 0.5, -0.5]))
+def test_dp_nested_continues_at_any_split(e, N, M, x):
+    # the DP of n <= N is the DP of n <= M continued from the exact level
+    # sums it leaves, at any split M, not only at the ladder's rungs
+    M = min(M, N)
+    weights = [_scratch_power_weights(N, ei, x) for ei in e]
+    want = _scratch_dp_nested(weights)
+    sums = [0] * (len(e) - 1)
+    head, _ = _dp_nested([w[:M] for w in weights], sums)
+    rest, S = _dp_nested([w[M:] for w in weights], sums)
+    assert (head + rest, S) == want
+
+
+_LADDER_CASES = (
+    [((2,), x, None, None) for x in (0.0, 0.5, -0.5, 0.1)]
+    + [((1, 2), x, None, None) for x in (0.0, 0.5, -0.5, 0.1)]
+    + [((2, 1, 3), x, None, None) for x in (0.0, -0.5)]
+    + [((1, 1, 1, 2), 0.1, None, None)]
+    + [(a, 0.0, (m, y), None)
+       for a in ((1,), (1, 2)) for m in (0, 2) for y in (0.0, 0.5, -0.5, 0.1)]
+    + [((1, 1, 2), 0.0, (1, 0.5), None)]
+    + [(a, 0.0, None, r) for a in ((1,), (2, 1)) for r in (Fraction(1, 2), Fraction(-3, 4))]
+    + [((1, 2), 0.0, (m, y), 1 / Fraction(1.5)) for m in (0, 2) for y in (0.0, -0.5)]
+    + [((1,), 0.0, (1, 0.1), Fraction(1, 4))]
+)
+
+
+@pytest.mark.parametrize("cap", [48, 100, 300])
+@pytest.mark.parametrize("clear", [False, True], ids=["warm", "cleared"])
+def test_ladder_rungs_match_a_fresh_build(monkeypatch, cap, clear):
+    # every rung of _nested's ladder, climbed to the cap, against the rung
+    # rebuilt from n = 1: the same partial sum, float, truncation and size;
+    # with ``clear`` every memo is emptied before each rung, so each rung
+    # extends a lower entry built again rather than found
+    seen = []
+
+    def climb(rungs, rung, q, method):
+        for N in rungs:
+            if clear:
+                clear_caches()
+            seen.append((N, rung(N)))
+
+    for e, x, bell, r in _LADDER_CASES:
+        rungs = _tail_rungs(x, PrecisionContext(default_cutoff=cap)) if r is None else _rungs(cap)
+        ev = _nested(e, x, bell, r, rungs)
+        oracle = _scratch_rung(e, x, bell, r)
+        q = len(e) + (bell[0] + 1 if bell else 0)
+        want = _choose_cutoff(rungs, oracle, q, ev.method)
+        assert (ev.value, ev.bound, ev.cutoff_used) == (want.value, want.bound, want.cutoff_used)
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_choose_cutoff", climb)
+            _nested.__wrapped__(e, x, bell, r, rungs)
+        assert repr(seen) == repr([(N, oracle(N)) for N in rungs]), (e, x, bell, r)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 0.1])
+def test_ladder_entries_match_a_fresh_build(x):
+    # each memoized entry continues the one at the rung below; the rung
+    # above a dropped entry builds it again first
+    for cap in (48, 100, 300):
+        clear_caches()
+        for i, N in enumerate((*_rungs(cap), 20, 1000)):
+            if i % 2:
+                clear_caches()
+            for e in ((2,), (1, 2), (2, 1, 3)):
+                assert _dp_prefix(e, x, N) == _scratch_dp_prefix(e, x, N), (e, N)
+            for m in (2, 0, 1, 3):
+                assert _outer_arrays(N, m, x) == _scratch_outer_arrays(N, m, x), (m, N)
+
+
+def test_ladders_are_the_filtered_powers():
+    # the ladder of a cap, and of a shift below it, against the loop that
+    # doubles from the first rung
+    def loop(cap, x=-1.0):
+        rungs, N = [], 32
+        while 2 * N <= cap:
+            rungs.append(N)
+            N *= 2
+        return tuple(N for N in (*rungs, cap) if N > x)
+
+    for cap in (10, 31, 32, 63, 64, 65, 100, 127, 128, 129, 20000, 100_000, 2**40 + 3):
+        assert _rungs(cap) == loop(cap), cap
+        ctx = PrecisionContext(default_cutoff=cap)
+        for x in (-0.999, -0.5, 0.0, 0.5, 31.0, 31.5, 32.0, 33.0, 64.0, 145.0, 4096.5,
+                  cap - 1.0, cap - 0.5):
+            if x < cap:
+                assert _tail_rungs(x, ctx) == loop(cap, x), (cap, x)
+        with pytest.raises(DomainError):
+            _tail_rungs(float(cap), ctx)
 
 
 def _package_caches() -> dict[str, object]:

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from akzeta import logasym
 from akzeta.errors import DomainError
 from akzeta.harmonic_bell import bell_modified, harmonic_table
-from akzeta.logasym import (LogSeries, pow_shift, ztail,
+from akzeta.logasym import (LogSeries, ORDER, pow_shift, ztail,
                             beta_model, harmonic_model, bell_p_models, _beta_series,
                             tail_chain, tail_values, nested_tail_sum)
 from akzeta.numerics import beta_factor_exact, clear_caches, digamma
@@ -90,6 +91,83 @@ def test_ztail_deepest_band_is_its_last_em_correction(M):
 def test_ztail_requires_convergence():
     with pytest.raises(DomainError):
         ztail(pow_shift(1.0, 0.0))
+
+
+def _full_ztail(series):
+    """ztail as it ran every derivative to ORDER - 1 on every band, one-term
+    bands included: the oracle of the kernel that stops at its last kept
+    correction."""
+    shift = series.shift
+    cap = min(series.bands, default=0) - 1 + ORDER
+    tail, err = {}, {}
+    for k, b in series.bands.items():
+        if k - 1 > cap:
+            continue
+        n = len(b)
+        sm1 = k - 1 + shift
+        t, acc = [0.0] * n, 0.0
+        for j in range(n - 1, -1, -1):
+            t[j] = acc = (b[j] + (j + 1) * acc) / sm1
+        logasym._accumulate(tail, k - 1, t)
+        logasym._accumulate(tail, k, b, -0.5)
+        d, e = list(b), list(map(abs, b))
+        for r in range(1, ORDER):
+            sr = k + r - 1 + shift
+            for j in range(n - 1):
+                d[j] = (j + 1) * d[j + 1] - sr * d[j]
+                e[j] = (j + 1) * e[j + 1] + sr * e[j]
+            d[-1] *= -sr
+            e[-1] *= sr
+            if r % 2 and r < ORDER - 1 and k + r <= cap:
+                logasym._accumulate(tail, k + r, d, -logasym._BERNOULLI[r + 1])
+        logasym._accumulate(err, k + ORDER - 1, e, logasym._BERNOULLI[ORDER])
+    return LogSeries(tail, shift), LogSeries(err, shift)
+
+
+def _bits(series):
+    """The bands and shift of a series, each float by its hex, so -0.0 and
+    0.0 differ."""
+    return (sorted((k, [c.hex() for c in b]) for k, b in series.bands.items()),
+            series.shift.hex())
+
+
+_COEF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _series(draw):
+    shift = draw(st.floats(0.0, 1.0, exclude_max=True))
+    lead = draw(st.integers(1 if 1.0 + shift > 1.0 else 2, 4))
+    # offsets past ORDER + 1 put bands past the kernel's cap
+    bands = draw(st.dictionaries(st.integers(0, ORDER + 3),
+                                 st.lists(_COEF, min_size=1, max_size=12),
+                                 min_size=1, max_size=8))
+    return LogSeries({lead + i: b for i, b in bands.items()}, shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series(), st.sampled_from([20.0, 32.0, 100.0, 1000.0, 65536.0]))
+def test_ztail_and_values_are_the_full_kernel(series, M):
+    # every band and derivative float for float as the kernel that did all
+    # the work it now skips; the value alone is the value of at()
+    got, want = ztail(series), _full_ztail(series)
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+    for s in (*got, series):
+        assert s(M).hex() == s.at(M)[0].hex()
+
+
+@pytest.mark.parametrize("e, x, bell", [((3,), 0.0, None), ((1, 2), -0.5, None),
+                                        ((1, 1), 0.0, (3, 0.5)), ((2,), 0.0, (7, -0.5))])
+def test_ztail_of_the_models_is_the_full_kernel(e, x, bell):
+    # the kernel on the series the engine takes its tails of
+    model = pow_shift(float(e[0]), x)
+    if len(e) > 1:
+        model = model * tail_chain(e[1:], x, bell)[0][0]
+    elif bell:
+        model = bell_p_models(*bell)[bell[0]] * model
+    for got, want in zip(ztail(model), _full_ztail(model)):
+        assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 0.25, 1 / 3, -1 / 7, 1e-10, -0.9, 2.5])
