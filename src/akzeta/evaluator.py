@@ -17,23 +17,26 @@ of one combination differ mostly in their outer exponents.  So each piece
 of a sum is memoized by the smallest key that determines it, under the
 one :func:`~akzeta.numerics.memoized` policy.  The DP of the plain inner
 levels e[:-1] at (x, N) is :func:`_dp_prefix`, built from the entry of
-e[:-2] and one step; the outer level, with its Bell and geometric factors,
-is the sum's own.  The tail chain of each outer suffix e[i:] and its
-values at N are :func:`~akzeta.logasym.tail_chain` and
-:func:`~akzeta.logasym.tail_values`.  No rung of a cutoff ladder sums
-again what the rung below it summed: each memoized array continues its
-entry at that rung, and the sum carries its own state up the ladder.
-Every float is formed by the same operations in the same order as
-without the sharing and the continuation, so no result depends on which
-sum filled an entry, nor on which entries were dropped.  Entries are
-shared: never mutate a list or tuple they return.
+e[:-2] and one :func:`_dp_nested` step; a prefix entry keeps its last
+level's terms and the exact integer sum of every level.  The outer level,
+with its Bell and geometric factors, is the sum's own.  The tail chain of
+each outer suffix e[i:] and its values at N are
+:func:`~akzeta.logasym.tail_chain` and :func:`~akzeta.logasym.tail_values`.
+No rung of a cutoff ladder sums again what the rung below it summed: each
+memoized array continues its entry at that rung, each DP step starts from
+the exact inner sum that the entry at the rung below keeps, and the sum
+carries its own partial sum up the ladder.  The core rounds to float only
+in :func:`_nested`, so every float is formed by the same operations in
+the same order as without the sharing and the continuation, and no result
+depends on which sum filled an entry, nor on which entries were dropped.
+Entries are shared: never mutate a list or tuple they return.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable
 
 from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomial
@@ -86,32 +89,19 @@ def _product(*vectors: list[int]) -> list[int]:
     return [math.prod(t) >> shift for t in zip(*vectors)]
 
 
-def _dp_nested(weights: list[list[int]], sums: list[int] | None = None
-               ) -> tuple[list[int], tuple[float, ...]]:
-    """Prefix-sum DP for the terms of sum over n_1 < ... < n_q of
-    prod_i w_i[n_i], on the segment M < n <= N of a ladder.
+def _dp_nested(weights: list[list[int]], start: int) -> list[int]:
+    """The one step of the prefix-sum DP: the terms S(n) w(n) of an outer
+    level on the segment M < n <= N of a ladder, S(n) being the exact sum
+    of the inner level's terms over n' < n.
 
-    The weights are fixed-point integers (value * 2^_F) for n = M+1..N;
-    weights[0] may also be the terms of an inner level that a
-    :func:`_dp_prefix` entry keeps.  ``sums`` holds, for each level but the
-    last, the exact sum of its terms over n <= M, and is advanced in place
-    to n <= N; without it M = 0.  Returns the last level's terms on the
-    segment, whose sum extends the fixed-point partial sum to n_q <= N,
-    together with each earlier level's S(N+1), the sum of its terms,
-    correctly rounded to float, as the symbolic tail recursion needs them.
-    The prefix sums are exact; each product rounds down once.  It mutates
-    no weight list, as a prefix entry it is given is shared.
+    ``weights`` is [inner terms, outer weights] for n = M+1..N, fixed-point
+    integers (value * 2^_F), and ``start`` the exact sum of the inner terms
+    over n <= M.  The prefix sums are exact and stream; each product
+    rounds down once.  It mutates nothing, as the inner terms it is given
+    are a shared prefix entry's.
     """
-    if sums is None:
-        sums = [0] * (len(weights) - 1)
-    terms = weights[0]
-    for i, w in enumerate(weights[1:]):
-        # S_i(n) = sums[i] + the terms from M+1 below n, streamed; zip draws
-        # from w first, so the value it leaves in S is the sum through N
-        S = accumulate(terms, initial=sums[i])
-        terms = [(s * wn) >> _F for wn, s in zip(w, S)]
-        sums[i] = next(S)
-    return terms, tuple(s / _ONE for s in sums)
+    inner, w = weights
+    return [(s * wn) >> _F for wn, s in zip(w, accumulate(inner, initial=start))]
 
 
 def _below(N: int) -> int:
@@ -121,21 +111,23 @@ def _below(N: int) -> int:
 
 
 @memoized
-def _dp_prefix(e: tuple[int, ...], x: float, N: int) -> tuple[list[int], tuple[float, ...]]:
-    """:func:`_dp_nested` of the plain power levels (n + x)^-e_i at cutoff N:
-    its entry at the rung M = :func:`_below` (N) continued to N.  The
-    segment n = M+1..N of the last level is one step on the memoized entry
-    of e[:-1] at N, from the exact sum of that entry's terms over n <= M.
-    Every sum whose inner levels are e shares it; its outer level, with any
-    extra factor, is the sum's own."""
+def _dp_prefix(e: tuple[int, ...], x: float, N: int) -> tuple[list[int], tuple[int, ...]]:
+    """The fixed-point DP of the plain power levels (n + x)^-e_i at cutoff
+    N: the last level's terms for n = 1..N and the exact sum of every
+    level's terms through N.  It is its entry at the rung M = :func:`_below`
+    (N) continued to N: the last level's segment n = M+1..N is one
+    :func:`_dp_nested` step on the memoized entry of e[:-1] at N, started
+    from the inner level's sum through M that the entry at M keeps.  Every
+    sum whose inner levels are e shares it; its outer level, with any extra
+    factor, is the sum's own."""
     M = _below(N)
-    lower = _dp_prefix(e, x, M)[0] if M else []
-    w = _power_weights(N, e[-1], x, M)
-    if len(e) == 1:
-        return lower + w, ()
-    inner, S = _dp_prefix(e[:-1], x, N)
-    terms, S_last = _dp_nested([inner[M:], w], [sum(islice(inner, M))])
-    return lower + terms, S + S_last
+    lower, sums = _dp_prefix(e, x, M) if M else ([], (0,) * len(e))
+    terms = _power_weights(N, e[-1], x, M)
+    inner_sums = ()
+    if len(e) > 1:
+        inner, inner_sums = _dp_prefix(e[:-1], x, N)
+        terms = _dp_nested([inner[M:], terms], sums[-2])
+    return lower + terms, inner_sums + (sums[-1] + sum(terms),)
 
 
 def _roundoff(N: int, q: int, scale: float, size: float) -> float:
@@ -165,22 +157,16 @@ def _roundoff(N: int, q: int, scale: float, size: float) -> float:
     return N * (q + 1) * max(2.0 ** -61 * (1.0 + abs(scale)), 2.0 ** (1 - _F) * size)
 
 
-def _rungs(cap: int) -> tuple[int, ...]:
+def _rungs(cap: int, x: float = 0.0) -> tuple[int, ...]:
     """The cutoff ladder 32, 64, ... while twice the rung fits under ``cap``,
-    then ``cap`` itself: the first bitlen(cap // 64) powers 32 * 2^k."""
-    return _POWER_RUNGS[:(cap // (2 * _FIRST_RUNG)).bit_length()] + (cap,)
-
-
-def _tail_rungs(xf: float, ctx: PrecisionContext) -> tuple[int, ...]:
-    """The cutoff ladder of a p = 1 sum at shift x: the rungs N > x.  Its
-    tail models expand in powers of x/N and diverge at every rung N <= x, so
-    x must lie below the cap, which is then the last rung.  The powers
-    32 * 2^k <= x are the first bitlen(int(x) // 32), as int truncates every
-    x in (-1, 0) to 0."""
-    cap = ctx.default_cutoff
-    if xf >= cap:
-        raise DomainError(f"shift x = {xf} must be below the cutoff cap {cap}")
-    return (_POWER_RUNGS[(int(xf) // _FIRST_RUNG).bit_length():
+    then ``cap`` itself, keeping the rungs N > x: of the powers 32 * 2^k,
+    the first bitlen(cap // 64) less the first bitlen(int(x) // 32), as int
+    truncates every x in (-1, 0) to 0.  A sum with a symbolic tail passes
+    its shift: the tail models expand in powers of x/N and diverge at every
+    rung N <= x, so x must lie below the cap, which is then the last rung."""
+    if x >= cap:
+        raise DomainError(f"shift x = {x} must be below the cutoff cap {cap}")
+    return (_POWER_RUNGS[(int(x) // _FIRST_RUNG).bit_length():
                          (cap // (2 * _FIRST_RUNG)).bit_length()] + (cap,))
 
 
@@ -221,7 +207,7 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
     if e[-1] < 2:
         raise DivergenceError(f"outer exponent must exceed 1: {e}")
     xf = real(x, "x", above=-1)
-    return _nested(e, xf, None, None, _tail_rungs(xf, ctx))
+    return _nested(e, xf, None, None, _rungs(ctx.default_cutoff, xf))
 
 
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
@@ -315,10 +301,12 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
     rounded down once; a level without extra factors is its power weights.
     At each rung N the inner levels come from the shared :func:`_dp_prefix`
     entry of e[:-1], and one :func:`_dp_nested` step adds the outer level
-    on the segment past the rung M below.  The ladder keeps the sum's own
-    state from rung to rung: M, the exact inner prefix sum S_(q-1)(M+1),
-    the un-tailed partial sum to M and the geometric factor at M, so each
-    rung forms the outer weights and factors of n = M+1..N only.
+    on the segment past the rung M below, started from the exact inner sum
+    S_(q-1)(M+1) that the entry at M keeps.  The ladder keeps the sum's own
+    state from rung to rung: M, the un-tailed partial sum to M and the
+    geometric factor at M, so each rung forms the outer weights and factors
+    of n = M+1..N only.  The exact level sums S_i(N+1) become floats here
+    and nowhere else in the core.
     Without r the rest of the sum is the symbolic Euler-Maclaurin tail of
     the levels' asymptotic models: :func:`~akzeta.logasym.nested_tail_sum`
     combines the S values with the shared tail values of the outer
@@ -342,11 +330,10 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
         p = float(1 / abs(r)) if r else math.inf
 
     M, partial, t = 0, 0, _ONE   # the sum so far runs to n <= M; t = r^M
-    sums = [0] if len(e) > 1 else []
 
     def rung(N):
         nonlocal M, partial, t
-        levels = [_power_weights(N, e[-1], x, M)]
+        terms = _power_weights(N, e[-1], x, M)
         factors = []
         if bell:
             B, P = _outer_arrays(N, m, y)
@@ -355,19 +342,19 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
             factors.append(_geometric(N - M, r, t))
             t = factors[-1][-1]
         if factors:
-            levels[0] = _product(levels[0], *factors)
+            terms = _product(terms, *factors)
+        S = ()
+        if len(e) > 1:
+            inner, S = _dp_prefix(e[:-1], x, N)
+            start = _dp_prefix(e[:-1], x, M)[1][-1] if M else 0
+            terms = _dp_nested([inner[M:], terms], start)
+        partial += sum(terms)
+        M = N
         # outside the try: a model the tail chain refuses keeps its own DomainError
         values = tail_values(e, x, bell, N) if r is None else None
         try:
-            S_inner = ()
-            if len(e) > 1:
-                inner, S_inner = _dp_prefix(e[:-1], x, N)
-                levels.insert(0, inner[M:])
-            terms, S_outer = _dp_nested(levels, sums)
-            partial += sum(terms)
-            M = N
             total = partial
-            S_at = [1.0, *S_inner, *S_outer]
+            S_at = [1.0, *(s / _ONE for s in S)]
             if r is None:
                 tail, terr = nested_tail_sum(S_at, values)
                 if not math.isfinite(terr):  # a tail model that overflowed a float
@@ -400,7 +387,7 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
     if pf < 1:
         raise DomainError(f"require p >= 1, got {pf}")
     if pf == 1.0:
-        return _nested(a, 0.0, (m, xf), None, _tail_rungs(xf, ctx))
+        return _nested(a, 0.0, (m, xf), None, _rungs(ctx.default_cutoff, xf))
     return _nested(a, 0.0, (m, xf), 1 / Fraction(pf), _rungs(ctx.default_cutoff))
 
 

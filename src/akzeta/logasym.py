@@ -86,16 +86,7 @@ class LogSeries:
         return LogSeries(out, shift - carry)
 
     def __call__(self, M: float) -> float:
-        """The float value at M, summed term for term as :meth:`at` sums it,
-        without the two magnitudes."""
-        logM = math.log(M)
-        Ms = M ** -self.shift
-        total = 0.0
-        for k, b in self.bands.items():
-            Mk = M ** -k
-            for j in range(len(b) - 1, -1, -1) if len(b) > 1 else (0,):  # top log power first
-                total += b[j] * logM**j * Mk * Ms
-        return total
+        return self.at(M)[0]
 
     def at(self, M: float) -> tuple[float, float, float]:
         """The float value at M, the sum of its |terms|, which scales the

@@ -21,7 +21,7 @@ from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_prop2_series, clear_caches, _nested, _rungs,
                               _F, _dp_nested, _dp_prefix, _geometric, _outer_arrays,
                               _power_weights, _product, _roundoff, _choose_cutoff,
-                              _geom_row_bound, _tail_rungs)
+                              _geom_row_bound)
 from akzeta.identities import catalog, verify, verify_all
 from akzeta.logasym import nested_tail_sum, tail_values
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
@@ -583,18 +583,16 @@ def test_fixed_point_partial_sums_match_exact(x):
             B, P = _outer_arrays(N, m, x)
             for a in ((1,), (1, 2), (2, 1, 1)):
                 for p in (1, 3):
-                    weights = [_power_weights(N, ai) for ai in a[:-1]]
-                    weights.append(_product(B, P, _power_weights(N, a[-1]),
-                                            _geometric(N, Fraction(1, p))))
-                    terms, S = _dp_nested(weights)
+                    terms = _product(B, P, _power_weights(N, a[-1]), _geometric(N, Fraction(1, p)))
+                    S = ()
                     if len(a) > 1:  # the shared prefix entry of the inner levels, plus one step
-                        inner, S_inner = _dp_prefix(a[:-1], 0.0, N)
-                        assert _dp_nested([inner, weights[-1]]) == (terms, S[len(S_inner):])
-                        assert S_inner == S[:len(S_inner)]
+                        inner, S = _dp_prefix(a[:-1], 0.0, N)
+                        terms = _dp_nested([inner, terms], 0)
                     partial = sum(terms)
                     exact = ak_lhs_partial_exact(a, p, m, Fraction(x), N)
                     q = len(a) + m + 1
-                    L = (1 + B[0] / (1 << _F)) * (1 + P[-1] / (1 << _F)) * (1 + max((1.0, *S)))
+                    S_max = max((1.0, *(s / (1 << _F) for s in S)))
+                    L = (1 + B[0] / (1 << _F)) * (1 + P[-1] / (1 << _F)) * (1 + S_max)
                     tol = N * (q + 1) * 2.0**-_F * L
                     assert abs(float(Fraction(partial, 1 << _F) - exact)) <= tol
                     assert tol < 2.0**-20 * _roundoff(N, q, float(exact), L)
@@ -763,21 +761,17 @@ def _scratch_geometric(N, r):
 
 
 def _scratch_dp_nested(weights):
-    S = []
-    terms = weights[0]
+    """Every level's terms of the DP of ``weights``, from n = 1."""
+    levels = [weights[0]]
     for w in weights[1:]:
-        S.append(sum(terms) / (1 << _F))
-        terms = [0] + [(s * wn) >> _F for s, wn in zip(accumulate(terms), w[1:])]
-    return terms, tuple(S)
+        levels.append([0] + [(s * wn) >> _F for s, wn in zip(accumulate(levels[-1]), w[1:])])
+    return levels
 
 
 def _scratch_dp_prefix(e, x, N):
-    w = _scratch_power_weights(N, e[-1], x)
-    if len(e) == 1:
-        return w, ()
-    inner, S = _scratch_dp_prefix(e[:-1], x, N)
-    terms, S_last = _scratch_dp_nested([inner, w])
-    return terms, S + S_last
+    """A prefix entry: the last level's terms and every level's exact sum."""
+    levels = _scratch_dp_nested([_scratch_power_weights(N, ei, x) for ei in e])
+    return levels[-1], tuple(map(sum, levels))
 
 
 def _scratch_outer_arrays(N, m, x):
@@ -803,19 +797,15 @@ def _scratch_rung(e, x, bell, r):
         p = float(1 / abs(r)) if r else math.inf
 
     def rung(N):
-        levels = [_scratch_power_weights(N, e[-1], x)]
+        weights = [_scratch_power_weights(N, ei, x) for ei in e]
         outer = [*_scratch_outer_arrays(N, m, y)] if bell else []
         if r is not None:
             outer.append(_scratch_geometric(N, r))
         if outer:
-            levels[0] = _product(levels[0], *outer)
-        S_inner = ()
-        if len(e) > 1:
-            inner, S_inner = _scratch_dp_prefix(e[:-1], x, N)
-            levels.insert(0, inner)
-        terms, S_outer = _scratch_dp_nested(levels)
+            weights[-1] = _product(weights[-1], *outer)
+        *inner, terms = _scratch_dp_nested(weights)
         partial = sum(terms)
-        S_at = [1.0, *S_inner, *S_outer]
+        S_at = [1.0, *(sum(level) / one for level in inner)]
         if r is None:
             tail, terr = nested_tail_sum(S_at, tail_values(e, x, bell, N))
             partial += int(tail * one)
@@ -831,18 +821,19 @@ def _scratch_rung(e, x, bell, r):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 80),
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.integers(1, 80),
        st.integers(0, 80), st.sampled_from([0.0, 0.5, -0.5]))
 def test_dp_nested_continues_at_any_split(e, N, M, x):
-    # the DP of n <= N is the DP of n <= M continued from the exact level
-    # sums it leaves, at any split M, not only at the ladder's rungs
+    # each level of the DP of n <= N is one step on the level below it, on
+    # the segment past any split M, not only at the ladder's rungs, started
+    # from the exact sum of the inner terms over n <= M
     M = min(M, N)
     weights = [_scratch_power_weights(N, ei, x) for ei in e]
-    want = _scratch_dp_nested(weights)
-    sums = [0] * (len(e) - 1)
-    head, _ = _dp_nested([w[:M] for w in weights], sums)
-    rest, S = _dp_nested([w[M:] for w in weights], sums)
-    assert (head + rest, S) == want
+    levels = _scratch_dp_nested(weights)
+    for inner, w, outer in zip(levels, weights[1:], levels[1:]):
+        inner_seg, w_seg = inner[M:], w[M:]
+        assert _dp_nested([inner_seg, w_seg], sum(inner[:M])) == outer[M:]
+        assert (inner_seg, w_seg) == (inner[M:], w[M:])  # nothing mutated
 
 
 _LADDER_CASES = (
@@ -875,7 +866,7 @@ def test_ladder_rungs_match_a_fresh_build(monkeypatch, cap, clear):
             seen.append((N, rung(N)))
 
     for e, x, bell, r in _LADDER_CASES:
-        rungs = _tail_rungs(x, PrecisionContext(default_cutoff=cap)) if r is None else _rungs(cap)
+        rungs = _rungs(cap, x) if r is None else _rungs(cap)
         ev = _nested(e, x, bell, r, rungs)
         oracle = _scratch_rung(e, x, bell, r)
         q = len(e) + (bell[0] + 1 if bell else 0)
@@ -890,8 +881,9 @@ def test_ladder_rungs_match_a_fresh_build(monkeypatch, cap, clear):
 
 @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 0.1])
 def test_ladder_entries_match_a_fresh_build(x):
-    # each memoized entry continues the one at the rung below; the rung
-    # above a dropped entry builds it again first
+    # each memoized entry continues the one at the rung below: the same
+    # last-level terms and exact level sums as a fresh build, warm and with
+    # the entry below dropped, which the rung above builds again first
     for cap in (48, 100, 300):
         clear_caches()
         for i, N in enumerate((*_rungs(cap), 20, 1000)):
@@ -915,13 +907,13 @@ def test_ladders_are_the_filtered_powers():
 
     for cap in (10, 31, 32, 63, 64, 65, 100, 127, 128, 129, 20000, 100_000, 2**40 + 3):
         assert _rungs(cap) == loop(cap), cap
-        ctx = PrecisionContext(default_cutoff=cap)
         for x in (-0.999, -0.5, 0.0, 0.5, 31.0, 31.5, 32.0, 33.0, 64.0, 145.0, 4096.5,
                   cap - 1.0, cap - 0.5):
             if x < cap:
-                assert _tail_rungs(x, ctx) == loop(cap, x), (cap, x)
-        with pytest.raises(DomainError):
-            _tail_rungs(float(cap), ctx)
+                assert _rungs(cap, x) == loop(cap, x), (cap, x)
+        for x in (float(cap), cap + 0.5):
+            with pytest.raises(DomainError):
+                _rungs(cap, x)
 
 
 def _package_caches() -> dict[str, object]:
