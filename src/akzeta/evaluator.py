@@ -15,21 +15,21 @@ cutoffs.  The core chooses its cutoff by one rule, :func:`_choose_cutoff`;
 Sums of one catalog pass overlap: they share inner levels, and the sums
 of one combination differ mostly in their outer exponents.  So each piece
 of a sum is memoized by the smallest key that determines it, under the
-one :func:`~akzeta.numerics.memoized` policy.  The DP of the plain inner
-levels e[:-1] at (x, N) is :func:`_dp_prefix`, built from the entry of
-e[:-2] and one :func:`_dp_nested` step; a prefix entry keeps its last
-level's terms and the exact integer sum of every level.  The outer level,
-with its Bell and geometric factors, is the sum's own.  The tail chain of
+one :func:`~akzeta.numerics.memoized` policy.  The DP of a sum is
+:func:`_dp_prefix`, keyed by its levels e, x, N and its outer factors: the
+plain entry of e[:-1] at N and one :func:`_dp_nested` step, so a sum's
+inner levels are the entry of a shorter sum.  The outer factors are the
+memoized :func:`_outer_arrays` and :func:`_geometric`.  The tail chain of
 each outer suffix e[i:] and its values at N are
 :func:`~akzeta.logasym.tail_chain` and :func:`~akzeta.logasym.tail_values`.
-No rung of a cutoff ladder sums again what the rung below it summed: each
-memoized array continues its entry at that rung, each DP step starts from
-the exact inner sum that the entry at the rung below keeps, and the sum
-carries its own partial sum up the ladder.  The core rounds to float only
-in :func:`_nested`, so every float is formed by the same operations in
-the same order as without the sharing and the continuation, and no result
-depends on which sum filled an entry, nor on which entries were dropped.
-Entries are shared: never mutate a list or tuple they return.
+A ladder is continued by one rule: the entry of each memoized array at N
+holds only its segment n = M+1..N past the rung M = :func:`_below` (N),
+and starts from the last values, or the exact sums, that the entry at M
+keeps.  The core rounds to float only in :func:`_nested`, so every float
+is formed by the same operations in the same order as without the
+sharing and the continuation, and no result depends on which sum filled
+an entry, nor on which entries were dropped.  Entries are shared: never
+mutate a list or tuple they return.
 """
 
 from __future__ import annotations
@@ -72,12 +72,16 @@ def _power_weights(N: int, e: int, x: float = 0.0, M: int = 0) -> list[int]:
     return [num // (n * xd + xn) ** e for n in range(M + 1, N + 1)]
 
 
-def _geometric(count: int, r: Fraction, t: int = _ONE) -> list[int]:
-    """The next ``count`` values of the floored recurrence t <- t r from t
-    (r^n for n = 1..count from 1), in fixed point."""
+@memoized
+def _geometric(N: int, r: Fraction) -> list[int]:
+    """r^n for n = M+1..N, M = :func:`_below` (N), in fixed point: the
+    floored recurrence t <- t r from t = 1, continued from the last value of
+    the entry at M."""
+    M = _below(N)
+    t = _geometric(M, r)[-1] if M else _ONE
     num, den = r.as_integer_ratio()
     out = []
-    for _ in range(count):
+    for _ in range(M, N):
         t = t * num // den
         out.append(t)
     return out
@@ -111,23 +115,33 @@ def _below(N: int) -> int:
 
 
 @memoized
-def _dp_prefix(e: tuple[int, ...], x: float, N: int) -> tuple[list[int], tuple[int, ...]]:
-    """The fixed-point DP of the plain power levels (n + x)^-e_i at cutoff
-    N: the last level's terms for n = 1..N and the exact sum of every
-    level's terms through N.  It is its entry at the rung M = :func:`_below`
-    (N) continued to N: the last level's segment n = M+1..N is one
-    :func:`_dp_nested` step on the memoized entry of e[:-1] at N, started
-    from the inner level's sum through M that the entry at M keeps.  Every
-    sum whose inner levels are e shares it; its outer level, with any extra
-    factor, is the sum's own."""
+def _dp_prefix(e: tuple[int, ...], x: float, N: int, bell: tuple[int, float] | None,
+               r: Fraction | None) -> tuple[list[int], tuple[int, ...]]:
+    """The fixed-point DP of the levels (n + x)^-e_i at cutoff N, the last
+    level's weights also multiplied by B(n, 1+y) P_m when ``bell`` = (m, y)
+    and by r^n when ``r`` is a Fraction, in one product rounded down once.
+
+    The entry holds the last level's terms for n = M+1..N, M = :func:`_below`
+    (N), and the exact sum of every level's terms through N; a level with an
+    extra factor keeps no terms, as no sum reads it as an inner level.  It
+    continues the entry at M: below depth 1 its segment is one
+    :func:`_dp_nested` step on the plain entry of e[:-1] at N (a segment
+    past the same M), started from the inner level's sum through M that
+    the entry at M keeps.
+    """
     M = _below(N)
-    lower, sums = _dp_prefix(e, x, M) if M else ([], (0,) * len(e))
+    sums = _dp_prefix(e, x, M, bell, r)[1] if M else (0,) * len(e)
     terms = _power_weights(N, e[-1], x, M)
+    factors = [*_outer_arrays(N, *bell)] if bell else []
+    if r is not None:
+        factors.append(_geometric(N, r))
+    if factors:
+        terms = _product(terms, *factors)
     inner_sums = ()
     if len(e) > 1:
-        inner, inner_sums = _dp_prefix(e[:-1], x, N)
-        terms = _dp_nested([inner[M:], terms], sums[-2])
-    return lower + terms, inner_sums + (sums[-1] + sum(terms),)
+        inner, inner_sums = _dp_prefix(e[:-1], x, N, None, None)
+        terms = _dp_nested([inner, terms], sums[-2])
+    return [] if factors else terms, inner_sums + (sums[-1] + sum(terms),)
 
 
 def _roundoff(N: int, q: int, scale: float, size: float) -> float:
@@ -177,14 +191,12 @@ def _choose_cutoff(rungs: tuple[int, ...], rung: Callable, q: int, method: str) 
     the exact value in units of 2^-_F, its float, the part of its bound
     that shrinks as N grows (truncation, and the float evaluation of a
     symbolic tail; infinite when no majorant exists at N), and the size of
-    the outer term's factors.  It is called with the rungs in increasing
-    order, each at most once, so it may continue the sum of the rung before
-    rather than start again from n = 1.  The stopping tolerance
-    :func:`_roundoff`, sized by the float and the factors, grows linearly
-    in N; it also covers int(tail * 2^_F), which truncates by less than
-    2^-_F.  The sum keeps the first rung where trunc <= roundoff, else the
-    last: its bound, at most 2 * roundoff, is then no larger than at any
-    rung >= 2N.
+    the outer term's factors.  Its result depends on N alone, whatever
+    rungs were asked for before.  The stopping tolerance :func:`_roundoff`,
+    sized by the float and the factors, grows linearly in N; it also covers
+    int(tail * 2^_F), which truncates by less than 2^-_F.  The sum keeps
+    the first rung where trunc <= roundoff, else the last: its bound, at
+    most 2 * roundoff, is then no larger than at any rung >= 2N.
     """
     for N in rungs:
         partial, scale, trunc, size = rung(N)
@@ -257,14 +269,15 @@ def eval_li(parts, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
 
 @memoized
 def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
-    """B(n,1+x) and P_m of (H_n^(1)(x),..,H_n^(m)(x)) for n = 1..N, in
-    fixed point: the entry at the rung M = :func:`_below` (N) continued to N.
+    """B(n,1+x) and P_m of (H_n^(1)(x),..,H_n^(m)(x)) for n = M+1..N,
+    M = :func:`_below` (N), in fixed point: the entry at M continued from
+    its last values.
 
     P_j of the harmonic numbers is the complete homogeneous symmetric
     polynomial h_j(y_1, .., y_n) of y_i = 1/(i+x), so
     P_j(n) = sum_{i<=n} y_i P_(j-1)(i): one product and one prefix sum on
-    the memoized arrays of order j - 1, where the Bell recurrence takes j of
-    each.  The orders below m are asked for from the bottom up, so a call
+    the memoized segments of order j - 1, where the Bell recurrence takes j
+    of each.  The orders below m are asked for from the bottom up, so a call
     recurses one order deep, and down the rungs below N only where their
     entries were dropped.
     """
@@ -272,19 +285,17 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
     if m:
         for j in range(m):
             B, P = _outer_arrays(N, j, x)
-        lower = _outer_arrays(M, m, x)[1] if M else []
-        y = _power_weights(N, 1, x, M)
         # P_m(n) for n > M: P_m(M) plus the products from M+1 through n
-        P_m = accumulate([(a * b) >> _F for a, b in zip(y, P[M:])],
-                         initial=lower[-1] if M else 0)
+        P_m = accumulate([(a * b) >> _F for a, b in zip(_power_weights(N, 1, x, M), P)],
+                         initial=_outer_arrays(M, m, x)[1][-1] if M else 0)
         next(P_m)
-        return B, lower + list(P_m)
+        return B, list(P_m)
     xn, xd = x.as_integer_ratio()
-    # B(1,1+x) = 1/(1+x), B(n+1,1+x) = B(n,1+x) * n/(n+1+x)
-    B = _outer_arrays(M, 0, x)[0][:] if M else [(xd << _F) // (xd + xn)]
-    for n in range(len(B), N):
+    # B(1,1+x) = 1/(1+x), B(n+1,1+x) = B(n,1+x) * n/(n+1+x), from B(M,1+x)
+    B = _outer_arrays(M, 0, x)[0][-1:] if M else [(xd << _F) // (xd + xn)]
+    for n in range(M or 1, N):
         B.append(B[-1] * n * xd // ((n + 1) * xd + xn))
-    return B, [_ONE] * N
+    return B[1:] if M else B, [_ONE] * (N - M)
 
 
 @memoized
@@ -297,16 +308,11 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
     its outer term also multiplied by B(n, 1+y) P_m(H_n(y)) when
     ``bell`` = (m, y), and by r^n when ``r`` is a Fraction.
 
-    The outer level's power weights and extra factors make one product,
-    rounded down once; a level without extra factors is its power weights.
-    At each rung N the inner levels come from the shared :func:`_dp_prefix`
-    entry of e[:-1], and one :func:`_dp_nested` step adds the outer level
-    on the segment past the rung M below, started from the exact inner sum
-    S_(q-1)(M+1) that the entry at M keeps.  The ladder keeps the sum's own
-    state from rung to rung: M, the un-tailed partial sum to M and the
-    geometric factor at M, so each rung forms the outer weights and factors
-    of n = M+1..N only.  The exact level sums S_i(N+1) become floats here
-    and nowhere else in the core.
+    At each rung N the sum up to N is the exact outer level sum S_q(N+1)
+    of the memoized :func:`_dp_prefix` entry of the whole sum, whose inner
+    level sums S_1..S_(q-1) at N+1 become floats here and nowhere else in
+    the core.  The entry continues the entries at the rung below, so a rung
+    sums only the segment past it.
     Without r the rest of the sum is the symbolic Euler-Maclaurin tail of
     the levels' asymptotic models: :func:`~akzeta.logasym.nested_tail_sum`
     combines the S values with the shared tail values of the outer
@@ -318,6 +324,8 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
     m, y = bell or (0, 0.0)
     what = (f"the Bell-weighted sum {e} at m = {m}, x = {y}" if bell
             else f"the nested sum {e} at x = {x}")
+    if bell:  # the largest B(n, 1+y), at n = 1, where the entry at 32 starts
+        B_1 = _outer_arrays(_FIRST_RUNG, 0, y)[0][0]
     if r is not None:
         # majorant constants: H_n^(k)(y) <= g^{k-1} H_n^(1)(y), H_n^(1)(y) <= h + ln n,
         # P_m on arguments <= X is at most (X+m)^m / m!
@@ -329,32 +337,13 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
             raise DomainError(f"the majorant of P_m overflows a float at m = {m}, x = {y}") from None
         p = float(1 / abs(r)) if r else math.inf
 
-    M, partial, t = 0, 0, _ONE   # the sum so far runs to n <= M; t = r^M
-
     def rung(N):
-        nonlocal M, partial, t
-        terms = _power_weights(N, e[-1], x, M)
-        factors = []
-        if bell:
-            B, P = _outer_arrays(N, m, y)
-            factors += [B[M:], P[M:]]
-        if r is not None:
-            factors.append(_geometric(N - M, r, t))
-            t = factors[-1][-1]
-        if factors:
-            terms = _product(terms, *factors)
-        S = ()
-        if len(e) > 1:
-            inner, S = _dp_prefix(e[:-1], x, N)
-            start = _dp_prefix(e[:-1], x, M)[1][-1] if M else 0
-            terms = _dp_nested([inner[M:], terms], start)
-        partial += sum(terms)
-        M = N
+        S = _dp_prefix(e, x, N, bell, r)[1]
         # outside the try: a model the tail chain refuses keeps its own DomainError
         values = tail_values(e, x, bell, N) if r is None else None
         try:
-            total = partial
-            S_at = [1.0, *(s / _ONE for s in S)]
+            total = S[-1]
+            S_at = [1.0, *(s / _ONE for s in S[:-1])]
             if r is None:
                 tail, terr = nested_tail_sum(S_at, values)
                 if not math.isfinite(terr):  # a tail model that overflowed a float
@@ -363,7 +352,8 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
             scale = total / _ONE
             size = 1.0 + max(S_at)
             if bell:
-                size *= (1.0 + B[0] / _ONE) * (1.0 + P[-1] / _ONE)
+                B, P = _outer_arrays(N, m, y)
+                size *= (1.0 + B_1 / _ONE) * (1.0 + P[-1] / _ONE)
         except (OverflowError, ValueError):  # a value or tail past the float range, or NaN
             raise DomainError(f"{what} leaves the float range at cutoff {N}") from None
         if r is None:

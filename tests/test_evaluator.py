@@ -19,7 +19,7 @@ from akzeta import evaluator
 from akzeta.evaluator import (eval_hurwitz_mzv, eval_t, eval_li, eval_ak_lhs,
                               eval_ak_rhs, eval_euler_transform,
                               eval_prop2_series, clear_caches, _nested, _rungs,
-                              _F, _dp_nested, _dp_prefix, _geometric, _outer_arrays,
+                              _F, _below, _dp_nested, _dp_prefix, _geometric, _outer_arrays,
                               _power_weights, _product, _roundoff, _choose_cutoff,
                               _geom_row_bound)
 from akzeta.identities import catalog, verify, verify_all
@@ -577,18 +577,16 @@ def test_fixed_point_partial_sums_match_exact(x):
     # the fixed-point DP against the exact rational truncation at the float
     # x, within the documented fixed-point error N (q + 1) 2^-F L, which is
     # far below the cutoff rule's stopping tolerance; the power and
-    # geometric weights are at most 1
+    # geometric weights are at most 1.  The partial sum is the exact outer
+    # level sum of the engine's prefix entry, which continues the entries
+    # at the rungs below N; L takes B(1, 1+x) and P_m(N) from a fresh build
     for N in (32, 256):
         for m in (0, 3):
-            B, P = _outer_arrays(N, m, x)
+            B, P = _scratch_outer_arrays(N, m, x)
             for a in ((1,), (1, 2), (2, 1, 1)):
                 for p in (1, 3):
-                    terms = _product(B, P, _power_weights(N, a[-1]), _geometric(N, Fraction(1, p)))
-                    S = ()
-                    if len(a) > 1:  # the shared prefix entry of the inner levels, plus one step
-                        inner, S = _dp_prefix(a[:-1], 0.0, N)
-                        terms = _dp_nested([inner, terms], 0)
-                    partial = sum(terms)
+                    r = Fraction(1, p) if p > 1 else None
+                    *S, partial = _dp_prefix(a, 0.0, N, (m, x), r)[1]
                     exact = ak_lhs_partial_exact(a, p, m, Fraction(x), N)
                     q = len(a) + m + 1
                     S_max = max((1.0, *(s / (1 << _F) for s in S)))
@@ -733,12 +731,13 @@ def test_outer_arrays_memo_matches_a_fresh_build(N):
         B.append(B[-1] * n * xd // ((n + 1) * xd + xn))
     y = _power_weights(N, 1, x)
     P = [1 << _F] * N
+    M = _below(N)  # an entry holds the segment n = M+1..N
     clear_caches()
     for m in (3, 6, 0, 1, 2, 4, 5):  # cold, then each order again from the memo
         fresh = P
         for _ in range(m):
             fresh = list(accumulate([(a * b) >> _F for a, b in zip(y, fresh)]))
-        assert _outer_arrays(N, m, x) == (B, fresh), m
+        assert _outer_arrays(N, m, x) == (B[M:], fresh[M:]), m
 
 
 # The from-scratch builders of every rung, as the core ran before each rung
@@ -768,9 +767,13 @@ def _scratch_dp_nested(weights):
     return levels
 
 
-def _scratch_dp_prefix(e, x, N):
-    """A prefix entry: the last level's terms and every level's exact sum."""
-    levels = _scratch_dp_nested([_scratch_power_weights(N, ei, x) for ei in e])
+def _scratch_dp_prefix(e, x, N, *outer):
+    """A prefix entry from n = 1: the last level's terms, its weights times
+    the factor arrays ``outer``, and every level's exact sum."""
+    weights = [_scratch_power_weights(N, ei, x) for ei in e]
+    if outer:
+        weights[-1] = _product(weights[-1], *outer)
+    levels = _scratch_dp_nested(weights)
     return levels[-1], tuple(map(sum, levels))
 
 
@@ -797,15 +800,11 @@ def _scratch_rung(e, x, bell, r):
         p = float(1 / abs(r)) if r else math.inf
 
     def rung(N):
-        weights = [_scratch_power_weights(N, ei, x) for ei in e]
         outer = [*_scratch_outer_arrays(N, m, y)] if bell else []
         if r is not None:
             outer.append(_scratch_geometric(N, r))
-        if outer:
-            weights[-1] = _product(weights[-1], *outer)
-        *inner, terms = _scratch_dp_nested(weights)
-        partial = sum(terms)
-        S_at = [1.0, *(sum(level) / one for level in inner)]
+        *S, partial = _scratch_dp_prefix(e, x, N, *outer)[1]
+        S_at = [1.0, *(s / one for s in S)]
         if r is None:
             tail, terr = nested_tail_sum(S_at, tail_values(e, x, bell, N))
             partial += int(tail * one)
@@ -847,7 +846,18 @@ _LADDER_CASES = (
     + [(a, 0.0, None, r) for a in ((1,), (2, 1)) for r in (Fraction(1, 2), Fraction(-3, 4))]
     + [((1, 2), 0.0, (m, y), 1 / Fraction(1.5)) for m in (0, 2) for y in (0.0, -0.5)]
     + [((1,), 0.0, (1, 0.1), Fraction(1, 4))]
+    # shifted ladders: their first rung, 64, continues an entry at 32 that
+    # no rung of theirs asks for
+    + [((2,), 40.0, None, None), ((1, 2), 40.0, None, None), ((1,), 0.0, (2, 40.0), None)]
 )
+
+
+def _ladder(cap, x, bell, r):
+    """The ladder a case's entry point climbs: a p = 1 sum's starts above
+    its shift, x or the Bell shift y."""
+    if r is not None:
+        return _rungs(cap)
+    return _rungs(cap, bell[1] if bell else x)
 
 
 @pytest.mark.parametrize("cap", [48, 100, 300])
@@ -866,7 +876,7 @@ def test_ladder_rungs_match_a_fresh_build(monkeypatch, cap, clear):
             seen.append((N, rung(N)))
 
     for e, x, bell, r in _LADDER_CASES:
-        rungs = _rungs(cap, x) if r is None else _rungs(cap)
+        rungs = _ladder(cap, x, bell, r)
         ev = _nested(e, x, bell, r, rungs)
         oracle = _scratch_rung(e, x, bell, r)
         q = len(e) + (bell[0] + 1 if bell else 0)
@@ -879,20 +889,73 @@ def test_ladder_rungs_match_a_fresh_build(monkeypatch, cap, clear):
         assert repr(seen) == repr([(N, oracle(N)) for N in rungs]), (e, x, bell, r)
 
 
+@pytest.mark.parametrize("clear", [False, True], ids=["warm", "cleared"])
+def test_ladder_rungs_in_any_order(monkeypatch, clear):
+    # a rung's result depends on N alone: called in reverse or shuffled
+    # order, every rung of the ladder to 1000 gives the fresh build's tuple,
+    # whether the entries below it were built by a higher rung, are still
+    # there from a lower one, or (``clear``) were all dropped before it
+    shuffle = random.Random(5)
+    seen = []
+
+    def climb(rungs, rung, q, method):
+        for N in order:
+            if clear:
+                clear_caches()
+            seen.append((N, rung(N)))
+
+    for e, x, bell, r in _LADDER_CASES:
+        rungs = _ladder(1000, x, bell, r)
+        oracle = _scratch_rung(e, x, bell, r)
+        want = {N: repr(oracle(N)) for N in rungs}
+        for order in (rungs[::-1], shuffle.sample(rungs, len(rungs))):
+            clear_caches()
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluator, "_choose_cutoff", climb)
+                _nested.__wrapped__(e, x, bell, r, rungs)
+            assert [N for N, _ in seen] == list(order)
+            for N, got in seen:
+                assert repr(got) == want[N], (e, x, bell, r, order, N)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 40.0])
+def test_nested_reads_the_inner_prefix_entry(x):
+    # the entry a sum reads at its cutoff is the plain prefix entry of its
+    # levels, the one a longer sum reads as its inner prefix: asking for it
+    # again is a hit that adds no entry
+    clear_caches()
+    N = eval_hurwitz_mzv((1, 2), x, CTX).cutoff_used
+    before = _dp_prefix.cache_info()
+    _dp_prefix((1, 2), x, N, None, None)
+    after = _dp_prefix.cache_info()
+    assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+
+
 @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 0.1])
 def test_ladder_entries_match_a_fresh_build(x):
-    # each memoized entry continues the one at the rung below: the same
-    # last-level terms and exact level sums as a fresh build, warm and with
-    # the entry below dropped, which the rung above builds again first
+    # each memoized entry continues the one at the rung below: the segment
+    # n = M+1..N of a fresh build's last-level terms and its exact level
+    # sums, warm and with the entry below dropped, which the rung above
+    # builds again first; an entry with outer factors keeps no terms
     for cap in (48, 100, 300):
         clear_caches()
         for i, N in enumerate((*_rungs(cap), 20, 1000)):
             if i % 2:
                 clear_caches()
+            M = _below(N)
             for e in ((2,), (1, 2), (2, 1, 3)):
-                assert _dp_prefix(e, x, N) == _scratch_dp_prefix(e, x, N), (e, N)
+                terms, sums = _scratch_dp_prefix(e, x, N)
+                assert _dp_prefix(e, x, N, None, None) == (terms[M:], sums), (e, N)
             for m in (2, 0, 1, 3):
-                assert _outer_arrays(N, m, x) == _scratch_outer_arrays(N, m, x), (m, N)
+                B, P = _scratch_outer_arrays(N, m, x)
+                assert _outer_arrays(N, m, x) == (B[M:], P[M:]), (m, N)
+            for r in (Fraction(1, 2), Fraction(-3, 4)):
+                geo = _scratch_geometric(N, r)
+                assert _geometric(N, r) == geo[M:], (r, N)
+                outer = (*_scratch_outer_arrays(N, 2, x), geo)
+                sums = _scratch_dp_prefix((1, 2), 0.0, N, *outer)[1]
+                assert _dp_prefix((1, 2), 0.0, N, (2, x), r) == ([], sums), (r, N)
 
 
 def test_ladders_are_the_filtered_powers():
@@ -937,7 +1000,8 @@ def test_one_cache_policy():
             "logasym._beta_series", "logasym.tail_chain", "logasym.tail_values",
             "numerics._zeta_em_cached"} <= caches.keys()
     assert {name for name in caches if name.startswith("evaluator.")} == {
-        "evaluator._nested", "evaluator._outer_arrays", "evaluator._dp_prefix"}
+        "evaluator._nested", "evaluator._outer_arrays", "evaluator._dp_prefix",
+        "evaluator._geometric"}
     assert all(c.cache_info().currsize > 0 for c in caches.values())
     akzeta.clear_caches()
     for name, cache in caches.items():
