@@ -20,8 +20,8 @@ one :func:`~akzeta.numerics.memoized` policy.  The DP of a sum is
 plain entry of e[:-1] at N and one :func:`_dp_nested` step, so a sum's
 inner levels are the entry of a shorter sum.  The outer factors are the
 memoized :func:`_outer_arrays` and :func:`_geometric`.  The tail chain of
-each outer suffix e[i:] and its values at N are
-:func:`~akzeta.logasym.tail_chain` and :func:`~akzeta.logasym.tail_values`.
+each outer suffix e[i:], one for every shift x, and its values at N + x
+are :func:`~akzeta.logasym.tail_chain` and :func:`~akzeta.logasym.tail_values`.
 A ladder is continued by one rule: the entry of each memoized array at N
 holds only its segment n = M+1..N past the rung M = :func:`_below` (N),
 and starts from the last values, or the exact sums, that the entry at M
@@ -175,9 +175,9 @@ def _rungs(cap: int, x: float = 0.0) -> tuple[int, ...]:
     """The cutoff ladder 32, 64, ... while twice the rung fits under ``cap``,
     then ``cap`` itself, keeping the rungs N > x: of the powers 32 * 2^k,
     the first bitlen(cap // 64) less the first bitlen(int(x) // 32), as int
-    truncates every x in (-1, 0) to 0.  A sum with a symbolic tail passes
-    its shift: the tail models expand in powers of x/N and diverge at every
-    rung N <= x, so x must lie below the cap, which is then the last rung."""
+    truncates every x in (-1, 0) to 0.  Only a p = 1 Bell sum passes its
+    shift: its model of B(n, 1+x) expands in powers of x/n and diverges at
+    every rung N <= x, so x must lie below the cap, then the last rung."""
     if x >= cap:
         raise DomainError(f"shift x = {x} must be below the cutoff cap {cap}")
     return (_POWER_RUNGS[(int(x) // _FIRST_RUNG).bit_length():
@@ -213,13 +213,13 @@ def eval_hurwitz_mzv(parts, x: float = 0.0, ctx: PrecisionContext = DEFAULT_CTX)
     """Shifted multiple zeta value over n_1 < ... < n_q of prod (n_i+x)^{-e_i}.
 
     ``parts`` is the exponent tuple, innermost first; the last exponent must
-    be at least 2 for convergence.
+    be at least 2 for convergence.  Every x > -1 climbs the same ladder.
     """
     e = Composition.coerce(parts).parts
     if e[-1] < 2:
         raise DivergenceError(f"outer exponent must exceed 1: {e}")
     xf = real(x, "x", above=-1)
-    return _nested(e, xf, None, None, _rungs(ctx.default_cutoff, xf))
+    return _nested(e, xf, None, None, _rungs(ctx.default_cutoff))
 
 
 def eval_t(parts, ctx: PrecisionContext = DEFAULT_CTX) -> Evaluation:
@@ -316,7 +316,7 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
     Without r the rest of the sum is the symbolic Euler-Maclaurin tail of
     the levels' asymptotic models: :func:`~akzeta.logasym.nested_tail_sum`
     combines the S values with the shared tail values of the outer
-    suffixes of e at N.  With r it is the majorant
+    suffixes of e at the lattice point N + x.  With r it is the majorant
     :func:`_geom_row_bound`, which holds only if the inner levels are powers
     n^-e at x = 0 and e >= 1, as for every caller: then
     S_(q-1)(n) <= (1 + ln n)^(q-1), and B(n, 1+y) <= B(N, 1+y) for n >= N.
@@ -340,7 +340,7 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
     def rung(N):
         S = _dp_prefix(e, x, N, bell, r)[1]
         # outside the try: a model the tail chain refuses keeps its own DomainError
-        values = tail_values(e, x, bell, N) if r is None else None
+        values = tail_values(e, bell, N + x) if r is None else None
         try:
             total = S[-1]
             S_at = [1.0, *(s / _ONE for s in S[:-1])]

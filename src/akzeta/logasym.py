@@ -6,11 +6,12 @@ as log-power bands, bands[k][j] = c, with one fractional shift in [0, 1)
 held by the whole series.  The shift is non-zero only for the beta
 factor's exponent a = 1 + x and what is built from it; a product carries
 the integer part of its shifts into k, so an exponent near the pole s = 1
-keeps every bit of a.  The weights of the summation engine expand in this
-ring by closed forms: shifted powers by the binomial series, and the beta
-factors times Bell polynomials of harmonic numbers, B(n, 1+x) P_j, as the
-z^j coefficients of one series of B(n, 1+x-z) (DLMF 5.11.17).  This lets
-the tail of a nested sum
+keeps every bit of a.  The weights of the summation engine are in this
+ring: a shifted power (n+x)^-s is the pure power u^-s on the lattice
+u = n + x, where Euler-Maclaurin holds as on the integers, and the beta
+factors times Bell polynomials of harmonic numbers, B(n, 1+x) P_j, expand
+as the z^j coefficients of one series of B(n, 1+x-z) (DLMF 5.11.17).
+This lets the tail of a nested sum
 
     sum_{n > M} S_{q-1}(n) g_q(n),   S_i(n) = sum_{j < n} S_{i-1}(j) g_i(j)
 
@@ -24,7 +25,8 @@ Euler-Maclaurin map of its coefficients, so the result is exact up to the
 (tiny) EM and truncation remainders, which are tracked and reported, times
 a safety factor, as the error estimate.  Z_i depends only on the levels
 from i outward, so :func:`tail_chain` memoizes the chain per outer suffix,
-and :func:`tail_values` its values per suffix and cutoff.
+one for every shift, and :func:`tail_values` its values per suffix and
+lattice point M + x.
 
 The module is a leaf: psi(1+x) and zeta(j, 1+x), the constants of its
 models, come from one Euler-Maclaurin kernel, :func:`~akzeta.numerics.digamma`
@@ -42,7 +44,7 @@ from .errors import DomainError
 from .numerics import PrecisionContext, digamma, memoized, zeta_em
 from .powerseries import bernoulli_over_factorial, classical_bernoulli_polynomial
 
-__all__ = ["LogSeries", "pow_shift", "ztail", "tail_chain", "tail_values",
+__all__ = ["LogSeries", "ztail", "tail_chain", "tail_values",
            "nested_tail_sum", "beta_model", "harmonic_model", "bell_p_models"]
 
 # kept Laurent depth beyond the leading exponent; even, as ztail's first
@@ -129,15 +131,6 @@ def _add(bands: dict[int, list[float]], k: int, c: float):
         bands[k] = [c]
     else:
         band[0] += c
-
-
-def pow_shift(s: float, a: float) -> LogSeries:
-    """(n+a)^(-s) expanded around n = infinity."""
-    base = math.floor(s)
-    coef = [1.0]
-    for k in range(1, ORDER + 1):
-        coef.append(coef[-1] * ((-s - k + 1) / k * a))
-    return LogSeries({base + k: [c] for k, c in enumerate(coef)}, s - base)
 
 
 def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
@@ -319,39 +312,43 @@ def _beta_series(size: int, x: float) -> tuple[LogSeries, ...]:
 
 
 @memoized
-def tail_chain(e: tuple[int, ...], x: float,
+def tail_chain(e: tuple[int, ...],
                bell: tuple[int, float] | None) -> tuple[tuple[LogSeries, LogSeries], ...]:
     """The symbolic tails (Z_i, EM error of Z_i) of :func:`nested_tail_sum`
-    for the levels (n + x)^-e_i, the outer one also times B(n, 1+y) P_m
-    when ``bell`` = (m, y).
+    for the levels u^-e_i, the outer one also times B(u, 1+y) P_m when
+    ``bell`` = (m, y).
 
-    Entry i is the tail that multiplies S_i(M+1).  It depends only on the
-    outer suffix e[i:], so the chain of e is the memoized chain of e[1:]
-    with one more :func:`ztail` in front, and each suffix is built once.
-    The series do not depend on M, so one chain serves every cutoff.
+    A sum of the levels (n + x)^-e_i sums u^-e_i over the lattice u = n + x,
+    so its tail past n = N is this chain's past U = N + x, and every shift
+    of e shares one chain.  The Bell model expands in n, so a Bell sum keeps
+    its power levels at x = 0, where u = n.  Entry i is the tail that
+    multiplies S_i(N+1).  It depends only on the outer suffix e[i:], so the
+    chain of e is the memoized chain of e[1:] with one more :func:`ztail`
+    in front, and each suffix is built once.  The series do not depend on
+    U, so one chain serves every cutoff.
     """
-    model = pow_shift(float(e[0]), x)
+    model = LogSeries({e[0]: [1.0]})
     if len(e) == 1:
         if bell:
             m, y = bell
             model = bell_p_models(m, y)[m] * model
         return (ztail(model),)
-    rest = tail_chain(e[1:], x, bell)
+    rest = tail_chain(e[1:], bell)
     return (ztail(model * rest[0][0]),) + rest
 
 
 @memoized
-def tail_values(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
-                M: int) -> tuple[tuple[float, float], ...]:
-    """The entries of :func:`tail_chain` evaluated at M: (Z_i(M), the error
-    weight of level i), the weight being the first omitted EM correction,
-    the deepest kept band and the float64 round-off eps * sum |terms| of
-    Z_i(M).  Memoized per suffix, like the chain."""
-    Mf = float(M)
-    Z, zerr = tail_chain(e, x, bell)[0]
-    z, size, band = Z.at(Mf)
-    head = ((z, zerr(Mf) + band + sys.float_info.epsilon * size),)
-    return head + tail_values(e[1:], x, bell, M) if len(e) > 1 else head
+def tail_values(e: tuple[int, ...], bell: tuple[int, float] | None,
+                U: float) -> tuple[tuple[float, float], ...]:
+    """The entries of :func:`tail_chain` evaluated at U, the lattice point
+    N + x of cutoff N: (Z_i(U), the error weight of level i), the weight
+    being the first omitted EM correction, the deepest kept band and the
+    float64 round-off eps * sum |terms| of Z_i(U).  Memoized per suffix,
+    like the chain."""
+    Z, zerr = tail_chain(e, bell)[0]
+    z, size, band = Z.at(U)
+    head = ((z, zerr(U) + band + sys.float_info.epsilon * size),)
+    return head + tail_values(e[1:], bell, U) if len(e) > 1 else head
 
 
 def nested_tail_sum(S_vals: Sequence[float], values: Sequence[tuple[float, float]]
@@ -359,7 +356,7 @@ def nested_tail_sum(S_vals: Sequence[float], values: Sequence[tuple[float, float
     """Tail sum_{n > M} S_{q-1}(n) g_q(n) of a nested prefix sum.
 
     S_vals[i] must be the exact S_i(M+1) (S_0 = 1); ``values`` the
-    :func:`tail_values` of the levels at M.  Returns (tail,
+    :func:`tail_values` of the levels at cutoff M.  Returns (tail,
     error_estimate): 10 times the sum over the levels of |S| times the
     level's error weight.  The 10 is a safety factor, not a proof: the
     omitted correction majorizes only completely monotone summands, and

@@ -157,13 +157,24 @@ def test_eval_non_finite_p_exits_2(capsys):
 
 
 def test_eval_shift_at_the_cap_exits_2(capsys):
-    # the p = 1 tail models diverge at every rung N <= x
-    for argv in (("eval", "zeta", "1,2", "--x", "1e300"),
-                 ("eval", "ak", "--v", "2", "--m", "1", "--x", "1e300"),
-                 ("eval", "zeta", "2", "--x", "1e6")):
-        code, out, err = run(capsys, *argv)
+    # the p = 1 Bell tail model expands in x/n and diverges at every rung N <= x
+    for x in ("1e6", "1e300"):
+        code, out, err = run(capsys, "eval", "ak", "--v", "2", "--m", "1", "--x", x)
         assert code == 2 and out == ""
         assert "cutoff cap" in err
+
+
+def test_eval_zeta_at_any_shift(capsys):
+    # a shifted zeta takes its tail at N + x: a shift past the cutoff cap
+    # stops at the first rung, within its bound
+    for e, x in (("2", "1e6"), ("1,2", "1e300")):
+        code, out, _ = run(capsys, "--json", "eval", "zeta", e, "--x", x)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["cutoff"] == 32 and rec["bound"] < 1e-16
+        if e == "2":
+            with mp.workdps(30):
+                assert abs(rec["value"] - mp.zeta(2, 1 + mp.mpf(x))) <= rec["bound"]
 
 
 def test_eval_ak_overflowing_tail_model_exits_2(capsys):

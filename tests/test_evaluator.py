@@ -414,20 +414,40 @@ def test_euler_vs_ak_transform():
 
 
 def test_p1_sums_reject_shifts_at_the_cap():
-    # the tail models expand in powers of x/N and diverge at every rung
-    # N <= x: below the cap the bound stays honest, at it the call fails
-    ev = eval_hurwitz_mzv((2,), 100.0, PrecisionContext(default_cutoff=128))
+    # the tail model of B(n, 1+x) expands in powers of x/n and diverges at
+    # every rung N <= x: below the cap the bound stays honest, at it the
+    # call fails, and so does the PROP2 series of such sums
+    cap = PrecisionContext(default_cutoff=128)
+    ev = eval_ak_lhs((1,), 1, 0, 100.0, cap)
     with mp.workdps(30):
         assert abs(_mpf(ev.value) - mp.zeta(2, 101)) <= ev.bound
-    for x in (1e6, 1e300):
-        with pytest.raises(DomainError):
-            eval_hurwitz_mzv((2,), x)
-        with pytest.raises(DomainError):
-            eval_hurwitz_mzv((1, 2), x)
-        with pytest.raises(DomainError):
-            eval_ak_lhs((2,), 1.0, 1, x)
-    with pytest.raises(DomainError):
-        eval_prop2_series(Composition.of(2), 128.0, 0.25, 4, PrecisionContext(default_cutoff=128))
+    for x, ctx in ((128.0, cap), (1e6, DEFAULT_CTX), (1e300, DEFAULT_CTX)):
+        with pytest.raises(DomainError, match="cutoff cap"):
+            eval_ak_lhs((2,), 1.0, 1, x, ctx)
+    with pytest.raises(DomainError, match="cutoff cap"):
+        eval_prop2_series(Composition.of(2), 128.0, 0.25, 4, cap)
+
+
+@pytest.mark.parametrize("x", [33, 63.9, 1000, 40_000, 60_000, 99_999.5, 1e6, 1e300])
+def test_hurwitz_zeta_at_any_shift_stops_early_within_its_bound(x):
+    # the tail past N is the unshifted tail at N + x, so a large shift
+    # neither climbs the ladder nor meets the cap of 100 000
+    ev = eval_hurwitz_mzv((2,), x)
+    assert ev.cutoff_used <= 64
+    with mp.workdps(40):
+        assert abs(_mpf(ev.value) - mp.zeta(2, 1 + mp.mpf(x))) <= ev.bound
+
+
+@pytest.mark.parametrize("x", [2.5, 40.0, 127.5])
+def test_thm3_at_m0_without_a_shared_tail_chain(x):
+    # THM3 at m = 0: zeta(c; x) is the p = 1 Bell sum of the dual at order 0,
+    # whose tail models B(n, 1+x) and not (n + x)^-e, so the two sides share
+    # no tail chain, and both stop by N = 128
+    for c in admissible_compositions(4):
+        zeta = eval_hurwitz_mzv(c, x)
+        lhs = eval_ak_lhs(dual(c).alpha(), 1, 0, x)
+        assert abs(zeta.value - lhs.value) <= zeta.bound + lhs.bound, c
+        assert max(zeta.cutoff_used, lhs.cutoff_used) <= 128, c
 
 
 @pytest.mark.parametrize("m", [0, 2])
@@ -460,8 +480,9 @@ def test_p1_sum_whose_tail_series_passes_the_float_range():
 
 
 def test_p1_ladder_starts_above_the_shift():
-    # the tail models expand in x/N and diverge at N <= x, where their
-    # truncation estimate can read 0: the ladder must not stop at N = 128
+    # the tail model of B(n, 1+x) expands in x/n and diverges at n <= x,
+    # where its truncation estimate can read 0: the ladder must not stop at
+    # N = 128
     ev = eval_ak_lhs((1,), 1, 0, 145)
     assert ev.cutoff_used > 145
     with mp.workdps(30):
@@ -806,7 +827,7 @@ def _scratch_rung(e, x, bell, r):
         *S, partial = _scratch_dp_prefix(e, x, N, *outer)[1]
         S_at = [1.0, *(s / one for s in S)]
         if r is None:
-            tail, terr = nested_tail_sum(S_at, tail_values(e, x, bell, N))
+            tail, terr = nested_tail_sum(S_at, tail_values(e, bell, N + x))
             partial += int(tail * one)
         scale = partial / one
         size = 1.0 + max(S_at)
@@ -846,18 +867,17 @@ _LADDER_CASES = (
     + [(a, 0.0, None, r) for a in ((1,), (2, 1)) for r in (Fraction(1, 2), Fraction(-3, 4))]
     + [((1, 2), 0.0, (m, y), 1 / Fraction(1.5)) for m in (0, 2) for y in (0.0, -0.5)]
     + [((1,), 0.0, (1, 0.1), Fraction(1, 4))]
-    # shifted ladders: their first rung, 64, continues an entry at 32 that
-    # no rung of theirs asks for
-    + [((2,), 40.0, None, None), ((1, 2), 40.0, None, None), ((1,), 0.0, (2, 40.0), None)]
+    + [((2,), 40.0, None, None), ((1, 2), 40.0, None, None)]
+    # a shifted ladder: its first rung, 64, continues an entry at 32 that no
+    # rung of it asks for
+    + [((1,), 0.0, (2, 40.0), None)]
 )
 
 
-def _ladder(cap, x, bell, r):
-    """The ladder a case's entry point climbs: a p = 1 sum's starts above
-    its shift, x or the Bell shift y."""
-    if r is not None:
-        return _rungs(cap)
-    return _rungs(cap, bell[1] if bell else x)
+def _ladder(cap, bell, r):
+    """The ladder a case's entry point climbs: a p = 1 Bell sum's starts
+    above its shift y, every other sum's is the cap's."""
+    return _rungs(cap, bell[1] if bell and r is None else 0.0)
 
 
 @pytest.mark.parametrize("cap", [48, 100, 300])
@@ -876,7 +896,7 @@ def test_ladder_rungs_match_a_fresh_build(monkeypatch, cap, clear):
             seen.append((N, rung(N)))
 
     for e, x, bell, r in _LADDER_CASES:
-        rungs = _ladder(cap, x, bell, r)
+        rungs = _ladder(cap, bell, r)
         ev = _nested(e, x, bell, r, rungs)
         oracle = _scratch_rung(e, x, bell, r)
         q = len(e) + (bell[0] + 1 if bell else 0)
@@ -905,7 +925,7 @@ def test_ladder_rungs_in_any_order(monkeypatch, clear):
             seen.append((N, rung(N)))
 
     for e, x, bell, r in _LADDER_CASES:
-        rungs = _ladder(1000, x, bell, r)
+        rungs = _ladder(1000, bell, r)
         oracle = _scratch_rung(e, x, bell, r)
         want = {N: repr(oracle(N)) for N in rungs}
         for order in (rungs[::-1], shuffle.sample(rungs, len(rungs))):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from akzeta import logasym
 from akzeta.errors import DomainError
 from akzeta.harmonic_bell import bell_modified, harmonic_table
-from akzeta.logasym import (LogSeries, ORDER, pow_shift, ztail,
+from akzeta.logasym import (LogSeries, ORDER, ztail,
                             beta_model, harmonic_model, bell_p_models, _beta_series,
                             tail_chain, tail_values, nested_tail_sum)
 from akzeta.numerics import beta_factor_exact, clear_caches, digamma
@@ -28,14 +28,8 @@ def test_logseries_ring_basics():
     assert (c.bands, c.shift) == ({3: [6.0]}, 0.25)
 
 
-def test_pow_shift_accuracy():
-    s = pow_shift(1.5, 0.3)
-    n = 50.0
-    assert abs(s(n) - (n + 0.3) ** -1.5) < 1e-16
-
-
 def test_ztail_simple_power():
-    t, err = ztail(pow_shift(2.0, 0.0))
+    t, err = ztail(LogSeries({2: [1.0]}))
     M = 50
     partial = sum(k**-2.0 for k in range(1, M + 1))
     exact = math.pi**2 / 6 - partial
@@ -84,13 +78,13 @@ def test_ztail_of_a_band_is_the_sum_over_its_terms():
 def test_ztail_deepest_band_is_its_last_em_correction(M):
     # sum_{n > M} n^-2 keeps EM corrections up to B_8/8! f^(7)(M) = M^-9/30,
     # and no zero band is stored past it, so that is the deepest band
-    deep = ztail(pow_shift(2.0, 0.0))[0].at(M)[2]
+    deep = ztail(LogSeries({2: [1.0]}))[0].at(M)[2]
     assert deep == pytest.approx(M**-9 / 30, rel=1e-15)
 
 
 def test_ztail_requires_convergence():
     with pytest.raises(DomainError):
-        ztail(pow_shift(1.0, 0.0))
+        ztail(LogSeries({1: [1.0]}))
 
 
 def _full_ztail(series):
@@ -160,14 +154,18 @@ def test_ztail_and_values_are_the_full_kernel(series, M):
 @pytest.mark.parametrize("e, x, bell", [((3,), 0.0, None), ((1, 2), -0.5, None),
                                         ((1, 1), 0.0, (3, 0.5)), ((2,), 0.0, (7, -0.5))])
 def test_ztail_of_the_models_is_the_full_kernel(e, x, bell):
-    # the kernel on the series the engine takes its tails of
-    model = pow_shift(float(e[0]), x)
+    # the kernel on the series the engine takes its tails of, which are the
+    # same at every shift x, and their values where a sum at x reads them,
+    # at the lattice point 64 + x
+    model = LogSeries({e[0]: [1.0]})
     if len(e) > 1:
-        model = model * tail_chain(e[1:], x, bell)[0][0]
+        model = model * tail_chain(e[1:], bell)[0][0]
     elif bell:
         model = bell_p_models(*bell)[bell[0]] * model
+    U = 64 + x
     for got, want in zip(ztail(model), _full_ztail(model)):
         assert _bits(got) == _bits(want)
+        assert got(U).hex() == got.at(U)[0].hex() == want(U).hex()
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 0.25, 1 / 3, -1 / 7, 1e-10, -0.9, 2.5])
@@ -271,7 +269,7 @@ def test_nested_tail_sum_depth2():
     for n in range(1, M + 1):
         partial += S1 / n**2
         S1 += Fraction(1, n)
-    tail, err = nested_tail_sum([1.0, float(S1)], tail_values((1, 2), 0.0, None, M))
+    tail, err = nested_tail_sum([1.0, float(S1)], tail_values((1, 2), None, float(M)))
     partial = float(partial)
     z3 = float(mp.zeta(3))
     assert abs(partial + tail - z3) < 1e-15
@@ -280,37 +278,49 @@ def test_nested_tail_sum_depth2():
 
 def test_nested_tail_sum_validates_lengths():
     with pytest.raises(DomainError):
-        nested_tail_sum([1.0], tail_values((1, 2), 0.0, None, 100))
+        nested_tail_sum([1.0], tail_values((1, 2), None, 100.0))
 
 
 def test_nested_tail_error_estimate_honest():
     # coarse cutoff: the reported estimate must cover the true remainder error
     for M in (30, 100):
-        tail, err = nested_tail_sum([1.0], tail_values((2,), 0.0, None, M))
+        tail, err = nested_tail_sum([1.0], tail_values((2,), None, float(M)))
         partial = sum(k**-2.0 for k in range(1, M + 1))
         true_err = abs(partial + tail - math.pi**2 / 6)
         assert true_err <= err + 5e-15
+
+
+@pytest.mark.parametrize("x", [-0.9, -0.5, 0.5, 40.0, 1000.5, 1e6])
+def test_shifted_tail_is_the_tail_at_the_lattice_point(x):
+    # sum_{n > M} (n + x)^-e is sum_{u > M + x} u^-e on the lattice u = n + x:
+    # the unshifted chain at M + x, within its estimate, at any shift
+    for M in (30, 100):
+        for e in (2, 3):
+            tail, err = nested_tail_sum([1.0], tail_values((e,), None, M + x))
+            with mp.workdps(30):
+                ref = mp.zeta(e, M + 1 + mp.mpf(x))
+            assert abs(tail - ref) <= err + 4 * sys.float_info.epsilon * ref, (M, e)
 
 
 @pytest.mark.parametrize("e, x, bell", [((1, 1, 3), 0.5, None), ((2, 1, 2), -0.5, None),
                                         ((1, 2), 0.0, (2, 0.5)), ((3,), 0.0, (1, -0.5))])
 def test_tail_chain_is_the_level_by_level_recursion(e, x, bell):
     # the memoized chain gives the floats of the plain recursion over the
-    # level models, Z_q = ztail(g_q) and Z_i = ztail(g_i * Z_(i+1)), and
-    # shares each suffix's entries
+    # level models, Z_q = ztail(g_q) and Z_i = ztail(g_i * Z_(i+1)), shares
+    # each suffix's entries, and a sum at shift x reads it at M + x
     clear_caches()
-    models = [pow_shift(float(ei), x) for ei in e]
+    models = [LogSeries({ei: [1.0]}) for ei in e]
     if bell:
         models[-1] = bell_p_models(*bell)[bell[0]] * models[-1]
     tails = [ztail(models[-1])]
     for g in reversed(models[:-1]):
         tails.append(ztail(g * tails[-1][0]))
-    chain = tail_chain(e, x, bell)
+    chain = tail_chain(e, bell)
     assert len(chain) == len(e)
     for (Z, zerr), (Zr, zerr_r) in zip(chain, tails[::-1]):
         assert (Z.bands, Z.shift, zerr.bands, zerr.shift) == (Zr.bands, Zr.shift,
                                                               zerr_r.bands, zerr_r.shift)
-    assert len(e) == 1 or chain[1:] == tail_chain(e[1:], x, bell)
-    M = 64
-    assert tail_values(e, x, bell, M) == tuple(
-        (Z(M), zerr(M) + Z.at(M)[2] + sys.float_info.epsilon * Z.at(M)[1]) for Z, zerr in chain)
+    assert len(e) == 1 or chain[1:] == tail_chain(e[1:], bell)
+    U = 64 + x
+    assert tail_values(e, bell, U) == tuple(
+        (Z(U), zerr(U) + Z.at(U)[2] + sys.float_info.epsilon * Z.at(U)[1]) for Z, zerr in chain)
