@@ -20,8 +20,9 @@ one :func:`~akzeta.numerics.memoized` policy.  The DP of a sum is
 plain entry of e[:-1] at N and one :func:`_dp_nested` step, so a sum's
 inner levels are the entry of a shorter sum.  The outer factors are the
 memoized :func:`_outer_arrays` and :func:`_geometric`.  The tail chain of
-each outer suffix e[i:], one for every shift x, and its values at N + x
-are :func:`~akzeta.logasym.tail_chain` and :func:`~akzeta.logasym.tail_values`.
+each outer suffix e[i:], one for every shift x and every Bell order below
+its size, and its values at N + x are :func:`~akzeta.logasym.tail_chain`
+and :func:`~akzeta.logasym.tail_values`.
 A ladder is continued by one rule: the entry of each memoized array at N
 holds only its segment n = M+1..N past the rung M = :func:`_below` (N),
 and starts from the last values, or the exact sums, that the entry at M
