@@ -300,14 +300,16 @@ def _outer_arrays(N: int, m: int, x: float) -> tuple[list[int], list[int]]:
 
 
 @memoized
-def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
+def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float, int] | None,
             r: Fraction | None, rungs: tuple[int, ...]) -> Evaluation:
     """The one nested sum of the DP paths, to a cutoff N from ``rungs``:
 
         sum over n_1 < ... < n_q of prod_i (n_i + x)^{-e_i},
 
     its outer term also multiplied by B(n, 1+y) P_m(H_n(y)) when
-    ``bell`` = (m, y), and by r^n when ``r`` is a Fraction.
+    ``bell`` = (m, y, size), and by r^n when ``r`` is a Fraction.  A Bell
+    tail reads order m from the tail chain of that size > m, which gives
+    the same floats at every size; the DP keys on (m, y) alone.
 
     At each rung N the sum up to N is the exact outer level sum S_q(N+1)
     of the memoized :func:`_dp_prefix` entry of the whole sum, whose inner
@@ -322,7 +324,8 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
     n^-e at x = 0 and e >= 1, as for every caller: then
     S_(q-1)(n) <= (1 + ln n)^(q-1), and B(n, 1+y) <= B(N, 1+y) for n >= N.
     """
-    m, y = bell or (0, 0.0)
+    m, y, _ = bell or (0, 0.0, 1)
+    dp_bell = bell and (m, y)
     what = (f"the Bell-weighted sum {e} at m = {m}, x = {y}" if bell
             else f"the nested sum {e} at x = {x}")
     if bell:  # the largest B(n, 1+y), at n = 1, where the entry at 32 starts
@@ -339,7 +342,7 @@ def _nested(e: tuple[int, ...], x: float, bell: tuple[int, float] | None,
         p = float(1 / abs(r)) if r else math.inf
 
     def rung(N):
-        S = _dp_prefix(e, x, N, bell, r)[1]
+        S = _dp_prefix(e, x, N, dp_bell, r)[1]
         # outside the try: a model the tail chain refuses keeps its own DomainError
         values = tail_values(e, bell, N + x) if r is None else None
         try:
@@ -377,9 +380,10 @@ def eval_ak_lhs(alpha, p: float, m: int, x: float,
     xf, pf, m = real(x, "x", above=-1), real(p, "p"), integer(m, 0, "m")
     if pf < 1:
         raise DomainError(f"require p >= 1, got {pf}")
+    bell = (m, xf, 1 << m.bit_length())
     if pf == 1.0:
-        return _nested(a, 0.0, (m, xf), None, _rungs(ctx.default_cutoff, xf))
-    return _nested(a, 0.0, (m, xf), 1 / Fraction(pf), _rungs(ctx.default_cutoff))
+        return _nested(a, 0.0, bell, None, _rungs(ctx.default_cutoff, xf))
+    return _nested(a, 0.0, bell, 1 / Fraction(pf), _rungs(ctx.default_cutoff))
 
 
 def eval_ak_rhs(alpha, m: int, x: float,
@@ -454,7 +458,9 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     """Power-series evaluation of the shifted value zeta(alpha; x - z).
 
     ``alpha`` is the displayed admissible exponent tuple; the coefficient of
-    z^m is :func:`eval_ak_lhs` at p = 1 and order m, indexed by the dual tuple.
+    z^m is :func:`eval_ak_lhs` at p = 1 and order m, indexed by the dual
+    tuple, with the same floats: every order reads its tail from the one
+    Bell tail chain of the next size 2^k >= m_terms, which holds them all.
     Valid for |z| < 1 + x; the truncation remainder is a geometric estimate.
     The terms sum by :func:`~akzeta.numerics.combination`, with z as the
     Fraction of its float, and the estimate adds to their bound.
@@ -464,8 +470,10 @@ def eval_prop2_series(alpha, x: float, z: float, m_terms: int = 24,
     if not abs(zf) < 1.0 + xf:
         raise DomainError(f"need |z| < 1 + x, got |{zf}| vs {1.0 + xf}")
     beta = dual(c).alpha()
+    rungs = _rungs(ctx.default_cutoff, xf)
+    size = 1 << (m_terms - 1).bit_length()
     zq = Fraction(zf)
-    terms = [(zq**m, eval_ak_lhs(beta, 1, m, xf, ctx)) for m in range(m_terms)]
+    terms = [(zq**m, _nested(beta, 0.0, (m, xf, size), None, rungs)) for m in range(m_terms)]
     series = combination(terms, "z-power-series")
     w, last = terms[-1]
     ratio = abs(zf) / (1.0 + xf)

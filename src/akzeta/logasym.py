@@ -28,10 +28,14 @@ Euler-Maclaurin map of its coefficients, so the result is exact up to the
 (tiny) EM and truncation remainders, which are tracked and reported, times
 a safety factor, as the error estimate.  The maps are linear and keep z,
 so the tail of B(n, 1+x-z) times a power is at once the tail of every
-order.  Z_i depends only on the levels from i outward, so
-:func:`tail_chain` memoizes the chain per outer suffix, one for every
-shift and every Bell order below its size, and :func:`tail_values` its
-values per suffix, order and lattice point M + x.
+order, and each map is triangular, so the orders up to m of a tail are
+the same floats however far past m its series runs.  Z_i depends only on
+the levels from i outward, so :func:`tail_chain` memoizes the chain per
+outer suffix, one for every shift and every Bell order below its size,
+and :func:`tail_values` its values per suffix, order, size and lattice
+point M + x.  Order m reads only the z-coefficients j <= m, so it is the
+same floats from every chain larger than m, and a caller reads all the
+orders it needs from the one chain that covers the largest.
 
 The module is a leaf: psi(1+x) and zeta(j, 1+x), the constants of its
 models, come from one Euler-Maclaurin kernel, :func:`~akzeta.numerics.digamma`
@@ -105,14 +109,19 @@ class LogSeries:
         c_j ln(M)^(m-j)/(m-j)! M^-(k + shift); the sum of their |terms|,
         which scales the round-off of that evaluation; and the sum of the
         |terms| in the deepest kept exponent band, the unit-width band below
-        the largest exponent, which estimates the truncation.  The orders
-        above m, which may be inf, are not read."""
+        the largest exponent with a non-zero coefficient at some j <= m
+        (the series' largest if there is none), which estimates the
+        truncation.  The orders above m, which may be inf, are not read, so
+        order m does not depend on how far past m the series runs."""
         logM = math.log(M)
         Ms = M ** -self.shift
         L = [1.0]  # ln(M)^l/l!
         for l in range(1, m + 1):
             L.append(L[-1] * logM / l)
         kmax = max(self.bands, default=0)
+        top = self.bands.get(kmax, ())
+        if len(top) > m + 1 and not any(top[:m + 1]):  # the top band holds only orders past m
+            kmax = max((k for k, b in self.bands.items() if any(b[:m + 1])), default=kmax)
         total = size = deep = 0.0
         for k, b in self.bands.items():
             Mk = M ** -k
@@ -349,7 +358,8 @@ def tail_chain(e: tuple[int, ...],
     chain of e is the memoized chain of e[1:] with one more :func:`ztail`
     in front, and each suffix is built once.  The series do not depend on
     U, so one chain serves every cutoff, and the maps keep z, so one chain
-    serves every Bell order below its size.
+    serves every Bell order below its size: order m of its entries is the
+    same floats at every size > m.
     """
     model = LogSeries({e[0]: [1.0]})
     if len(e) == 1:
@@ -361,18 +371,20 @@ def tail_chain(e: tuple[int, ...],
 
 
 @memoized
-def tail_values(e: tuple[int, ...], bell: tuple[int, float] | None,
+def tail_values(e: tuple[int, ...], bell: tuple[int, float, int] | None,
                 U: float) -> tuple[tuple[float, float], ...]:
     """The entries of :func:`tail_chain` evaluated at U, the lattice point
-    N + x of cutoff N, at order m when ``bell`` = (m, y), read from the
-    chain at the next size 2^k > m: (Z_i(U), the error weight of level i),
-    the weight being the first omitted EM correction, the deepest kept band
-    and the float64 round-off eps * sum |terms| of Z_i(U).  The deepest band
-    estimates the truncation of a model, so the tail of a plain power u^-e,
-    whose model is exact and whose deepest band is a kept EM correction,
-    leaves it out.  Memoized per suffix, like the chain."""
+    N + x of cutoff N, at order m when ``bell`` = (m, y, size), read from
+    the chain of that size > m: (Z_i(U), the error weight of level i), the
+    weight being the first omitted EM correction, the deepest kept band and
+    the float64 round-off eps * sum |terms| of Z_i(U).  Order m reads only
+    the orders up to m of each entry, which are the same floats at every
+    size, so every size gives the same values.  The deepest band estimates
+    the truncation of a model, so the tail of a plain power u^-e, whose
+    model is exact and whose deepest band is a kept EM correction, leaves
+    it out.  Memoized per suffix, like the chain."""
     m = bell[0] if bell else 0
-    Z, zerr = tail_chain(e, bell and (1 << m.bit_length(), bell[1]))[0]
+    Z, zerr = tail_chain(e, bell and (bell[2], bell[1]))[0]
     z, size, band = Z.at(U, m)
     if len(e) == 1 and not bell:
         band = 0.0

@@ -208,17 +208,17 @@ def test_criterion_13_bound_honesty():
              lambda: _nested((1, 1), 0.0, None, Fraction(0.9), fixed),
              mp.log(1 - mp.mpf(0.9)) ** 2 / 2),
             (lambda c: eval_ak_lhs((1,), 1.0, 0, 0.0, c),
-             lambda: _nested((1,), 0.0, (0, 0.0), None, fixed), z(2)),
+             lambda: _nested((1,), 0.0, (0, 0.0, 1), None, fixed), z(2)),
             (lambda c: eval_ak_lhs((1,), 1.0, 1, -0.5, c),
-             lambda: _nested((1,), 0.0, (1, -0.5), None, fixed), 14 * z(3)),
+             lambda: _nested((1,), 0.0, (1, -0.5, 2), None, fixed), 14 * z(3)),
             (lambda c: eval_ak_lhs((1, 1), 1.0, 2, 0.5, c),
-             lambda: _nested((1, 1), 0.0, (2, 0.5), None, fixed), None),
+             lambda: _nested((1, 1), 0.0, (2, 0.5, 4), None, fixed), None),
             (lambda c: eval_ak_lhs((2,), 1.0, 1, 0.25, c),
-             lambda: _nested((2,), 0.0, (1, 0.25), None, fixed), None),
+             lambda: _nested((2,), 0.0, (1, 0.25, 2), None, fixed), None),
             (lambda c: eval_ak_lhs((1,), 4.0, 1, -0.5, c),
-             lambda: _nested((1,), 0.0, (1, -0.5), 1 / Fraction(4.0), fixed), None),
+             lambda: _nested((1,), 0.0, (1, -0.5, 2), 1 / Fraction(4.0), fixed), None),
             (lambda c: eval_ak_lhs((1, 2), 3.0, 0, 0.0, c),
-             lambda: _nested((1, 2), 0.0, (0, 0.0), 1 / Fraction(3.0), fixed), None),
+             lambda: _nested((1, 2), 0.0, (0, 0.0, 1), 1 / Fraction(3.0), fixed), None),
             # the transform's own series, summed directly in mpmath
             (lambda c: eval_euler_transform(3.0, 2, 0.0, c),
              None, _euler_direct(3.0, 2, 0.0)),

@@ -26,7 +26,7 @@ from akzeta.identities import catalog, verify, verify_all
 from akzeta.logasym import nested_tail_sum, tail_values
 from akzeta.harmonic_bell import harmonic_table, bell_modified, d_operator
 from akzeta.numerics import (PrecisionContext, DEFAULT_CTX, RIGOROUS, Evaluation, clausen,
-                             round_up, zeta_em)
+                             combination, round_up, zeta_em)
 
 CTX = PrecisionContext(default_cutoff=20000)
 
@@ -535,6 +535,30 @@ def test_prop2_series_sums_the_p1_coefficients():
     assert eval_prop2_series(c, x, z, 12, CTX).value == total
 
 
+@pytest.mark.parametrize("m_terms", [12, 24, 33])
+def test_prop2_coefficients_are_the_p1_sums_bit_for_bit(monkeypatch, m_terms):
+    # the series reads every order from the one tail chain that covers its
+    # largest, eval_ak_lhs order m from the chain of size 1 << m.bit_length():
+    # each coefficient is that sum, value, bound, kind and cutoff, built
+    # again from cleared memos
+    for params in next(case.grid for case in catalog() if case.id == "PROP2"):
+        c, x, z = params["alpha"], params["x"], params["z"]
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "combination",
+                          lambda terms, method: seen.extend(terms) or combination(terms, method))
+            clear_caches()
+            eval_prop2_series(c, x, z, m_terms)
+        assert [w for w, _ in seen] == [Fraction(z)**m for m in range(m_terms)]
+        clear_caches()
+        beta = dual(c).alpha()
+        for m, (_, ev) in enumerate(seen):
+            want = eval_ak_lhs(beta, 1, m, x)
+            assert ((ev.value, ev.bound, ev.bound_kind, ev.cutoff_used)
+                    == (want.value, want.bound, want.bound_kind, want.cutoff_used)), (c, m)
+    clear_caches()
+
+
 # (alpha, m_terms) -> (rhs, bound) of the PROP2 reports, measured when the
 # Bell tail models were built order by order from products of harmonic
 # models; the series built from one generating function must not move a
@@ -644,7 +668,7 @@ def test_bound_honesty_at_larger_cutoff():
         (lambda c: eval_t((1, 3), c),
          lambda: _t_at_fixed((1, 3), fixed)),
         (lambda c: eval_ak_lhs((1, 1), 1.0, 1, 0.5, c),
-         lambda: _nested((1, 1), 0.0, (1, 0.5), None, fixed)),
+         lambda: _nested((1, 1), 0.0, (1, 0.5, 2), None, fixed)),
     ]
     for f, at_fixed in cases:
         a, b = f(small), f(big)
@@ -669,7 +693,7 @@ def test_ak_lhs_closed_form_at_small_caps():
         for r in (1, 2, 3):
             with mp.workdps(30):
                 for m in range(24):
-                    ev = _nested((1,) * r, 0.0, (m, -0.5), None, _rungs(cap))
+                    ev = _nested((1,) * r, 0.0, (m, -0.5, 1 << m.bit_length()), None, _rungs(cap))
                     exact = math.comb(r + m, m) * (2 ** (r + m + 1) - 1) * mp.zeta(r + m + 1)
                     assert ev.cutoff_used <= cap
                     assert abs(_mpf(ev.value) - exact) <= ev.bound, (cap, r, m)
@@ -813,7 +837,7 @@ def _scratch_outer_arrays(N, m, x):
 def _scratch_rung(e, x, bell, r):
     """rung(N) of `_nested`, every array built again from n = 1 at each N."""
     one = 1 << _F
-    m, y = bell or (0, 0.0)
+    m, y, _ = bell or (0, 0.0, 1)
     if r is not None:
         h = max(1.0, 1.0 / (1.0 + y))
         g = max(2.0, 1.0 / (1.0 + y))
@@ -861,16 +885,19 @@ _LADDER_CASES = (
     + [((1, 2), x, None, None) for x in (0.0, 0.5, -0.5, 0.1)]
     + [((2, 1, 3), x, None, None) for x in (0.0, -0.5)]
     + [((1, 1, 1, 2), 0.1, None, None)]
-    + [(a, 0.0, (m, y), None)
+    + [(a, 0.0, (m, y, 1 << m.bit_length()), None)
        for a in ((1,), (1, 2)) for m in (0, 2) for y in (0.0, 0.5, -0.5, 0.1)]
-    + [((1, 1, 2), 0.0, (1, 0.5), None)]
+    + [((1, 1, 2), 0.0, (1, 0.5, 2), None)]
+    # a Bell tail read from a larger chain, as a power series reads it
+    + [((1, 2), 0.0, (2, y, 32), None) for y in (0.0, 0.5)]
     + [(a, 0.0, None, r) for a in ((1,), (2, 1)) for r in (Fraction(1, 2), Fraction(-3, 4))]
-    + [((1, 2), 0.0, (m, y), 1 / Fraction(1.5)) for m in (0, 2) for y in (0.0, -0.5)]
-    + [((1,), 0.0, (1, 0.1), Fraction(1, 4))]
+    + [((1, 2), 0.0, (m, y, 1 << m.bit_length()), 1 / Fraction(1.5))
+       for m in (0, 2) for y in (0.0, -0.5)]
+    + [((1,), 0.0, (1, 0.1, 2), Fraction(1, 4))]
     + [((2,), 40.0, None, None), ((1, 2), 40.0, None, None)]
     # a shifted ladder: its first rung, 64, continues an entry at 32 that no
     # rung of it asks for
-    + [((1,), 0.0, (2, 40.0), None)]
+    + [((1,), 0.0, (2, 40.0, 4), None)]
 )
 
 

@@ -332,11 +332,12 @@ def test_tail_chain_is_the_level_by_level_recursion(e, x, bell):
     # each suffix's entries, and a sum at shift x reads it at M + x; a Bell
     # sum of order m reads order m of the chain at the next size 2^k > m
     clear_caches()
-    m, key = 0, None
+    m, key, read = 0, None, None
     models = [LogSeries({ei: [1.0]}) for ei in e]
     if bell:
         m, y = bell
         key = (1 << m.bit_length(), y)
+        read = (m, y, key[0])
         models[-1] = models[-1] * bell_p_models(m, y)
     tails = [ztail(models[-1])]
     for g in reversed(models[:-1]):
@@ -351,7 +352,7 @@ def test_tail_chain_is_the_level_by_level_recursion(e, x, bell):
     # EM correction, not a truncation estimate
     U = 64 + x
     exact = [i == len(e) - 1 and not bell for i in range(len(e))]
-    assert tail_values(e, bell, U) == tuple(
+    assert tail_values(e, read, U) == tuple(
         (Z.at(U, m)[0], zerr.at(U, m)[0] + (0.0 if plain else Z.at(U, m)[2])
          + sys.float_info.epsilon * Z.at(U, m)[1]) for (Z, zerr), plain in zip(chain, exact))
 
@@ -434,7 +435,7 @@ def test_bell_tail_orders_are_the_per_order_log_chains(y):
     for e in ((2,), (1, 2), (1, 1, 2)):
         for m in range(12):
             for U in (32.0, 64.0):
-                got = tail_values(e, (m, y), U)
+                got = tail_values(e, (m, y, 1 << m.bit_length()), U)
                 for (z, w), (z_ref, w_ref) in zip(got, _log_chain_values(e, m, y, U)):
                     assert abs(z - z_ref) <= 1e-15 * abs(z_ref), (e, m, U)
                     assert abs(w - w_ref) <= 1e-15 * w_ref, (e, m, U)
@@ -443,21 +444,43 @@ def test_bell_tail_orders_are_the_per_order_log_chains(y):
 def test_tail_chain_orders_do_not_depend_on_its_size():
     # a chain of size 8 is float for float the first 8 orders of the chain
     # of size 16, so no value depends on which size filled an entry
-    for e in ((2,), (1, 2), (2, 1, 1)):
-        small, large = tail_chain(e, (8, 0.25)), tail_chain(e, (16, 0.25))
-        for entry, bigger in zip(small, large):
-            for series, wider in zip(entry, bigger):
-                assert _bits(series) == _bits(_head(wider, 8)), e
+    for y in (0.25, 0.0):
+        for e in ((2,), (1, 2), (2, 1, 1)):
+            small, large = tail_chain(e, (8, y)), tail_chain(e, (16, y))
+            for entry, bigger in zip(small, large):
+                for series, wider in zip(entry, bigger):
+                    assert _bits(series) == _bits(_head(wider, 8)), (e, y)
+
+
+@pytest.mark.parametrize("y", [0.0, 0.5, -0.5, 0.25, -0.9])
+def test_tail_chain_order_reads_the_same_floats_at_every_size(y):
+    # order m of every entry of a Bell chain, read at U, is the same value,
+    # size and deepest-band sum from every chain of size 2^k > m: the
+    # deepest band is the last one with a non-zero order <= m, not the last
+    # one the larger chain holds (at y = 0 the chain of (2,) at size 1 ends
+    # at band 10 and at size 16 at band 13, whose orders 0..2 are zero)
+    sizes = [1 << k for k in range(7)]
+    for e in ((2,), (1, 2), (1, 1, 2)):
+        chains = {size: tail_chain(e, (size, y)) for size in sizes}
+        for U in (32.0, 32.5, 64.0):
+            for m in range(sizes[-1]):
+                reads = {size: [[series.at(U, m) for series in entry] for entry in chains[size]]
+                         for size in sizes if size > m}
+                want = repr(reads[min(reads)])
+                for size, got in reads.items():
+                    assert repr(got) == want, (e, U, m, size)
 
 
 def test_prop2_holds_one_tail_chain_per_suffix_and_size():
-    # the three PROP2 cases at 24 terms, m = 0..23, read the chains of
-    # sizes 1, 2, 4, 8, 16 and 32 of each outer suffix: 27 chains in all,
-    # where one chain per order and suffix would be 99
+    # the three PROP2 cases at 24 terms, m = 0..23, read every order from
+    # the chain of size 32 of each outer suffix: 7 chains in all, from the
+    # one Bell series of each of the two shifts, where the chains of sizes
+    # 1, 2, .., 32 would be 27 and one chain per order and suffix 99
     from akzeta.identities import verify_all
     clear_caches()
     try:
         verify_all("PROP2")
-        assert tail_chain.cache_info().currsize == 27
+        assert tail_chain.cache_info().currsize == 7
+        assert _beta_series.cache_info().currsize == 2
     finally:
         clear_caches()
