@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Callable
 
 from .combinatorics import Composition, dual, weak_compositions, m_coeff, binomial
@@ -250,7 +252,8 @@ def _geom_row_bound(N: int, p: float, A: float, K: float, c: float) -> float:
     if math.isfinite(bound):
         return bound
     logs = (math.log(K), A * math.log(cl), -N * math.log(p), math.log(rho / (1.0 - rho)))
-    log_bound = sum(logs) + 1e-14 * sum(map(abs, logs))
+    # summed left to right, the same floats on every Python (sum() compensates from 3.12)
+    log_bound = reduce(add, logs, 0.0) + 1e-14 * reduce(add, map(abs, logs), 0.0)
     return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 

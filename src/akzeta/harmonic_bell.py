@@ -14,7 +14,7 @@ by the recurrence of :func:`bell_modified`: as complete homogeneous
 symmetric polynomials of the harmonic rows in fixed point
 (``evaluator._outer_arrays``), and, times B(n, 1+x), as the z-power
 coefficients of the asymptotic series of B(n, 1+x-z)
-(``logasym.bell_p_models``).
+(``logasym._beta_series``, which ``logasym.tail_chain`` reads).
 """
 
 from __future__ import annotations

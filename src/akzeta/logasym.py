@@ -7,14 +7,14 @@ as bands of z-coefficients, bands[k][j] = c, with one fractional shift in
 n^z = sum_l ln(n)^l z^l/l!, the log-power sum of c_j ln(n)^(m-j)/(m-j)!
 n^-(k + shift) over j <= m, and a series of z^0 terms read at order 0 is a
 plain sum of powers.  The shift is non-zero only for the beta factor's
-exponent a = 1 + x and what is built from it; a product carries the
-integer part of its shifts into k, so an exponent near the pole s = 1
-keeps every bit of a.  The weights of the summation engine are in this
-ring: a shifted power (n+x)^-s is the pure power u^-s on the lattice
-u = n + x, where Euler-Maclaurin holds as on the integers, and the beta
-factors times Bell polynomials of harmonic numbers, B(n, 1+x) P_j, are
-the z^j coefficients of one series, B(n, 1+x-z) (DLMF 5.11.17).
-This lets the tail of a nested sum
+exponent a = 1 + x and what is built from it; :func:`_beta_series` holds
+the integer part of a in k, so an exponent near the pole s = 1 keeps
+every bit of a.  The weights of the summation engine are such series: a
+shifted power (n+x)^-s is the pure power u^-s on the lattice u = n + x,
+where Euler-Maclaurin holds as on the integers, and the beta factors
+times Bell polynomials of harmonic numbers, B(n, 1+x) P_j, are the z^j
+coefficients of one series, B(n, 1+x-z) (DLMF 5.11.17).  This lets the
+tail of a nested sum
 
     sum_{n > M} S_{q-1}(n) g_q(n),   S_i(n) = sum_{j < n} S_{i-1}(j) g_i(j)
 
@@ -23,10 +23,12 @@ be peeled level by level:
     T_i(M) = S_{i-1}(M+1) * Z_i(M) + T_{i-1}(M),
 
 where Z_i = tail-sum of the current weight and the next level's weight picks
-up the symbolic factor Z_i.  The tail-sum of a band is one closed-form
-Euler-Maclaurin map of its coefficients, so the result is exact up to the
-(tiny) EM and truncation remainders, which are tracked and reported, times
-a safety factor, as the error estimate.  The maps are linear and keep z,
+up the symbolic factor Z_i.  That weight is a power u^-e times Z_i, which
+is Z_i with its band keys raised by e: the only product the engine forms,
+and an exact one.  The tail-sum of a band is one closed-form Euler-Maclaurin
+map of its coefficients, so the result is exact up to the (tiny) EM and
+truncation remainders, which are tracked and reported, times a safety
+factor, as the error estimate.  The maps are linear and keep z,
 so the tail of B(n, 1+x-z) times a power is at once the tail of every
 order, and each map is triangular, so the orders up to m of a tail are
 the same floats however far past m its series runs.  Z_i depends only on
@@ -47,6 +49,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .errors import DomainError
@@ -82,28 +86,6 @@ class LogSeries:
     def lead(self) -> float:
         return min(self.bands, default=math.inf) + self.shift
 
-    def __mul__(self, other: "LogSeries") -> "LogSeries":
-        """Band convolution, up to the sum of the two leading bands + ORDER.
-
-        The product keeps one factor n^z, so it is the product of the
-        series when the left one is a plain power, of z^0 terms, as in
-        every chain.  Keep it on the left: a left z^j coefficient pads the
-        right list with j zeros, and 0 times an inf order is NaN."""
-        cap = min(self.bands, default=math.inf) + min(other.bands, default=math.inf) + ORDER
-        shift = self.shift + other.shift
-        carry = int(shift >= 1.0)
-        out = {}
-        for k1, b1 in self.bands.items():
-            for k2, b2 in other.bands.items():
-                if k1 + k2 > cap:
-                    continue
-                for j1, c1 in enumerate(b1):  # c1 z^j1 raises b2's orders by j1
-                    _accumulate(out, k1 + k2 + carry, [0.0] * j1 + b2 if j1 else b2, c1)
-        return LogSeries(out, shift - carry)
-
-    def __call__(self, M: float) -> float:
-        return self.at(M)[0]
-
     def at(self, M: float, m: int = 0) -> tuple[float, float, float]:
         """Order m at M: the float value, the sum over j <= m of the terms
         c_j ln(M)^(m-j)/(m-j)! M^-(k + shift); the sum of their |terms|,
@@ -134,14 +116,15 @@ class LogSeries:
         return total, size, deep
 
 
+_UNIT = LogSeries({0: [1.0]})  # the series 1, outside the outer level of a plain chain
+
+
 def _accumulate(bands: dict[int, list[float]], k: int, b: list[float], scale: float = 1.0):
     """bands[k] += scale * b, padding with zeros; bands[k] must be a list
     made for the series under construction."""
     band = bands.get(k)
     if band is None:
-        bands[k] = [scale * b[0]] if len(b) == 1 else [scale * c for c in b]
-    elif len(b) == 1:  # the usual band of one term, without the loop
-        band[0] += scale * b[0]
+        bands[k] = [scale * c for c in b]
     else:
         band.extend([0.0] * (len(b) - len(band)))
         for j, c in enumerate(b):
@@ -175,6 +158,7 @@ def ztail(series: LogSeries) -> tuple[LogSeries, LogSeries]:
     The derivatives stop at the last correction the band keeps (none past
     r = ORDER - 3, nor past the cap), and a band of one term, as every band
     of a plain chain is, runs the same maps on floats rather than lists.
+    The input's bands are only read.
     """
     shift = series.shift
     if series.lead <= 1.0:
@@ -247,9 +231,9 @@ def harmonic_model(k: int, x: float) -> LogSeries:
     (k)_(i-1) = (k+i-2)!/(k-1)!; at k = 1 the i = 0 term is ln(n) instead.
     ln(n) is the z^1 coefficient of n^z, so at order 1 it is the band
     [1, 0] of n^0, and a constant c of n^-j is the band [0, c].
-    The summation engine does not use it (:func:`bell_p_models` takes the
-    harmonic numbers' constants into one series); ``bench/spans.py`` traces
-    it by name.
+    The summation engine does not use it (:func:`_beta_series`, which
+    :func:`tail_chain` reads, takes the harmonic numbers' constants into
+    one series); ``bench/spans.py`` traces it by name.
     """
     if x <= -1:
         raise DomainError("require x > -1")
@@ -275,8 +259,10 @@ def bell_p_models(m: int, x: float) -> LogSeries:
 
 def _truncated_product(p: list[float], q: list[float], size: int) -> list[float]:
     """The coefficients of z^0..z^(size-1) in the product of the polynomials
-    p and q; coefficient j sums its products in the same order at any size."""
-    return [sum(p[i] * q[j - i] for i in range(max(0, j + 1 - len(q)), min(j + 1, len(p))))
+    p and q; coefficient j sums its products left to right, in the same
+    order at any size and on every Python (sum() compensates from 3.12)."""
+    return [reduce(add, (p[i] * q[j - i]
+                         for i in range(max(0, j + 1 - len(q)), min(j + 1, len(p)))), 0.0)
             for j in range(min(size, len(p) + len(q) - 1))]
 
 
@@ -322,7 +308,7 @@ def _beta_series(size: int, x: float) -> LogSeries:
                 c.extend([math.inf] * (size - i))
                 break
         for j in range(1, size):
-            gam.append(sum(c[i] * gam[j - i] for i in range(1, j + 1)) / j)
+            gam.append(reduce(add, (c[i] * gam[j - i] for i in range(1, j + 1)), 0.0) / j)
     f = _BERNOULLI
     g = [[1.0]]  # B_k^(1-A)/k!, polynomials in z
     for k in range(1, ORDER + 1):
@@ -350,6 +336,11 @@ def tail_chain(e: tuple[int, ...],
     the tail of the sum whose outer factor is B(u, 1+y) P_m, for every
     m < size.
 
+    Level i sums u^-e_i times the series outside it, Z_(i+1), or at the
+    outer level the Bell series or 1: a shift of that series' band keys by
+    e_i, whose band lists are the memoized series' own, as :func:`ztail`
+    only reads its input.
+
     A sum of the levels (n + x)^-e_i sums u^-e_i over the lattice u = n + x,
     so its tail past n = N is this chain's past U = N + x, and every shift
     of e shares one chain.  The Bell model expands in n, so a Bell sum keeps
@@ -361,13 +352,10 @@ def tail_chain(e: tuple[int, ...],
     serves every Bell order below its size: order m of its entries is the
     same floats at every size > m.
     """
-    model = LogSeries({e[0]: [1.0]})
-    if len(e) == 1:
-        if bell:
-            model = model * _beta_series(*bell)
-        return (ztail(model),)
-    rest = tail_chain(e[1:], bell)
-    return (ztail(model * rest[0][0]),) + rest
+    rest = tail_chain(e[1:], bell) if len(e) > 1 else ()
+    outer = rest[0][0] if rest else _beta_series(*bell) if bell else _UNIT
+    model = LogSeries({k + e[0]: b for k, b in outer.bands.items()}, outer.shift)
+    return (ztail(model),) + rest
 
 
 @memoized
